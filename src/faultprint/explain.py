@@ -69,6 +69,7 @@ class Counterfactual:
     objective: float
     feasible_without_slack: bool
     iterations: int
+    solution: optim.Solution | None = None  # the certified solve it came from
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
@@ -283,13 +284,17 @@ def _decode(
         objective=objective,
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
         iterations=solution.iterations,
+        solution=solution,
     )
 
 
 def _solve_program(
-    problem: optim.ConvexProblem, solver_options: dict | None
+    problem: optim.ConvexProblem,
+    solver_options: dict | None,
+    warm_start: Counterfactual | None = None,
 ) -> optim.Solution:
-    solution = optim.solve(problem, **(solver_options or {}))
+    previous = warm_start.solution if warm_start is not None else None
+    solution = optim.solve(problem, **(solver_options or {}), warm_start=previous)
     if solution.status is not optim.SolveStatus.OPTIMAL:
         raise ExplainError(
             f"counterfactual solve ended with status {solution.status.value} "
@@ -341,12 +346,18 @@ def ensemble_counterfactual(
     config: CfConfig = CfConfig(),
     targets: np.ndarray | float = 0.0,
     solver_options: dict | None = None,
+    warm_start: Counterfactual | None = None,
 ) -> Counterfactual:
-    """One consistent change vector satisfying every model at once."""
+    """One consistent change vector satisfying every model at once.
+
+    ``warm_start``, the explanation of a nearby snapshot by the same
+    ensemble and config, lets the solver try that optimum's active set
+    first; the result is certified either way.
+    """
     problem, (layout, G, r0, tol) = _regression_program(
         ensemble, x_orig, targets, config
     )
-    solution = _solve_program(problem, solver_options)
+    solution = _solve_program(problem, solver_options, warm_start)
     x_orig = np.asarray(x_orig, dtype=float)
     cf = _decode(solution, layout, G, r0, tol, config, x_orig)
     if cf.feasible_without_slack:
@@ -375,6 +386,7 @@ def independent_counterfactual(
     y_cf: float = 0.0,
     config: CfConfig = CfConfig(),
     solver_options: dict | None = None,
+    warm_start: Counterfactual | None = None,
 ) -> Counterfactual:
     """Counterfactual for a single model; the per-model baseline.
 
@@ -383,7 +395,12 @@ def independent_counterfactual(
     """
     single = Ensemble(models=(model,), window=model.window)
     return ensemble_counterfactual(
-        single, x_orig, config=config, targets=float(y_cf), solver_options=solver_options
+        single,
+        x_orig,
+        config=config,
+        targets=float(y_cf),
+        solver_options=solver_options,
+        warm_start=warm_start,
     )
 
 
@@ -460,6 +477,7 @@ def classification_ensemble_cf(
         objective=theta + config.slack_penalty * float(slacks.sum()),
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
         iterations=solution.iterations,
+        solution=solution,
     )
     if cf.feasible_without_slack:
         agreement = targets * (V @ cf.x_cf + np.array([c.bias for c in classifiers]))

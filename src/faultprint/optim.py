@@ -6,6 +6,13 @@ direction iteration with over-relaxation covers both cases; converged
 solutions are polished on the active set and certified by independently
 recomputed KKT residuals before they may be reported as optimal.
 
+A sequence of closely related problems (the same program at consecutive
+alarm steps) can pass the previous :class:`Solution` as ``warm_start``.
+The solver first re-solves on that solution's active set and returns the
+result with zero iterations only if it passes the strict KKT test; on a
+miss it runs the cold iteration unchanged, so the result is then exactly
+what a cold solve gives.
+
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
 for throughput.
@@ -142,13 +149,18 @@ class SolveRecord(NamedTuple):
 
 @contextlib.contextmanager
 def audit_solves():
-    """Collect a :class:`SolveRecord` for every solve inside the block."""
+    """Collect a :class:`SolveRecord` for every solve inside the block.
+
+    Blocks nest: every open block receives the records of its solves.
+    """
     records: list[SolveRecord] = []
     _audit_sinks.append(records)
     try:
         yield records
     finally:
-        _audit_sinks.remove(records)
+        # By identity: sinks holding the same records compare equal.
+        index = next(i for i, sink in enumerate(_audit_sinks) if sink is records)
+        del _audit_sinks[index]
 
 
 def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> KktResiduals:
@@ -203,6 +215,30 @@ def kkt_tolerances(
     )
     eps_comp = max(1.0, np.abs(y).max(initial=0.0)) * eps_pri
     return KktTolerances(primal=eps_pri, dual=eps_dua, complementarity=eps_comp)
+
+
+class _Certificate(NamedTuple):
+    """Independently recomputed residuals at a point, with their tolerances."""
+
+    kkt: KktResiduals
+    tol: KktTolerances
+
+    def passes(self, scale: float = 1.0) -> bool:
+        """Every residual within ``scale`` times its tolerance."""
+        return all(r <= scale * t for r, t in zip(self.kkt, self.tol))
+
+    @property
+    def ratio(self) -> float:
+        """Worst residual in units of its own tolerance."""
+        return max(r / t for r, t in zip(self.kkt, self.tol))
+
+
+def _certify(
+    problem: ConvexProblem, z: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
+) -> _Certificate:
+    return _Certificate(
+        kkt_residuals(problem, z, y), kkt_tolerances(problem, z, y, tol_abs, tol_rel)
+    )
 
 
 def _rho_vector(problem: ConvexProblem, base: float) -> np.ndarray:
@@ -374,6 +410,7 @@ def solve(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_iters: int = DEFAULT_MAX_ITERS,
+    warm_start: Solution | None = None,
 ) -> Solution:
     """Solve the problem; the result is a pure function of its arguments.
 
@@ -381,10 +418,26 @@ def solve(
     pass within 10x the scaled convergence tolerances; otherwise the status
     reports iteration exhaustion.  A divergence certificate (infeasible or
     unbounded problem) is reported as infeasible, never silently.
+
+    ``warm_start``, a solution of a problem of the same shape, is tried
+    first: a re-solve on its active set is returned with zero iterations if
+    it passes the strict KKT test, and otherwise ignored.
     """
     if tol_abs <= 0 or tol_rel < 0:
         raise ValueError("tolerances must be positive")
     n, m = problem.n_vars, problem.n_constraints
+    if warm_start is not None:
+        if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
+            raise ValueError(
+                f"warm start has {warm_start.z.shape[0]} variables and "
+                f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
+            )
+        guess = _polish(problem, warm_start.z, warm_start.y)
+        if guess is not None:
+            cert = _certify(problem, *guess, tol_abs, tol_rel)
+            if cert.passes():
+                return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, cert)
+
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
     # iteration; primal iterates are unaffected, duals scale by 1/cost.
@@ -463,24 +516,9 @@ def solve(
                 polish_due = it + _EARLY_POLISH_INTERVAL
                 early = _polish(problem, x, y * cost)
                 if early is not None:
-                    kkt_early = kkt_residuals(problem, *early)
-                    tol_early = kkt_tolerances(problem, *early, tol_abs, tol_rel)
-                    if (
-                        kkt_early.primal <= tol_early.primal
-                        and kkt_early.dual <= tol_early.dual
-                        and kkt_early.complementarity <= tol_early.complementarity
-                    ):
-                        solution = Solution(
-                            z=early[0],
-                            y=early[1],
-                            objective=problem.objective(early[0]),
-                            status=SolveStatus.OPTIMAL,
-                            iterations=it,
-                            kkt=kkt_early,
-                            kkt_tol=tol_early,
-                        )
-                        _record(solution)
-                        return solution
+                    cert = _certify(problem, *early, tol_abs, tol_rel)
+                    if cert.passes():
+                        return _finish(problem, *early, SolveStatus.OPTIMAL, it, cert)
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -507,44 +545,36 @@ def solve(
 
     y = y * cost  # undo objective normalization on the duals
 
-    if status is SolveStatus.INFEASIBLE:
-        kkt = kkt_residuals(problem, x, y)
-        tol = kkt_tolerances(problem, x, y, tol_abs, tol_rel)
-        solution = Solution(
-            z=x, y=y, objective=np.inf, status=status, iterations=iterations,
-            kkt=kkt, kkt_tol=tol,
-        )
-        _record(solution)
-        return solution
-
+    cert = _certify(problem, x, y, tol_abs, tol_rel)
     if status is SolveStatus.OPTIMAL:
-        kkt = kkt_residuals(problem, x, y)
         polished = _polish(problem, x, y)
         if polished is not None:
-            kkt_pol = kkt_residuals(problem, *polished)
-            if max(kkt_pol) <= max(max(kkt), 1e-30):
-                x, y = polished
-                kkt = kkt_pol
-        tol = kkt_tolerances(problem, x, y, tol_abs, tol_rel)
-        certified = (
-            kkt.primal <= 10.0 * tol.primal
-            and kkt.dual <= 10.0 * tol.dual
-            and kkt.complementarity <= 10.0 * tol.complementarity
-        )
-        if not certified:
+            # Compare in tolerance units: the raw residuals differ in scale.
+            cert_pol = _certify(problem, *polished, tol_abs, tol_rel)
+            if cert_pol.ratio <= cert.ratio:
+                (x, y), cert = polished, cert_pol
+        if not cert.passes(10.0):
             status = SolveStatus.MAX_ITERS
-    else:
-        kkt = kkt_residuals(problem, x, y)
-        tol = kkt_tolerances(problem, x, y, tol_abs, tol_rel)
+    return _finish(problem, x, y, status, iterations, cert)
 
+
+def _finish(
+    problem: ConvexProblem,
+    z: np.ndarray,
+    y: np.ndarray,
+    status: SolveStatus,
+    iterations: int,
+    cert: _Certificate,
+) -> Solution:
+    objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
     solution = Solution(
-        z=x,
+        z=z,
         y=y,
-        objective=problem.objective(x),
+        objective=objective,
         status=status,
         iterations=iterations,
-        kkt=kkt,
-        kkt_tol=tol,
+        kkt=cert.kkt,
+        kkt_tol=cert.tol,
     )
     _record(solution)
     return solution

@@ -335,11 +335,15 @@ def localize_scenario(
     baseline_steps: list[Optional[int]] = []
     certificate_excess = -math.inf
 
+    # Consecutive alarm steps have near-identical snapshots, so each step's
+    # explanations warm-start the next step's matching programs.
+    cf: Optional[explain.Counterfactual] = None
+    per_model: list[Optional[explain.Counterfactual]] = [None] * len(ensemble.models)
     with optim.audit_solves() as records:
         for t in steps:
             snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
             cf = explain.ensemble_counterfactual(
-                ensemble, snapshot, cf_config, solver_options=solver_options
+                ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
             )
             ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
             if cf.feasible_without_slack:
@@ -349,9 +353,14 @@ def localize_scenario(
                 )
             per_model = [
                 explain.independent_counterfactual(
-                    model, snapshot, 0.0, cf_config, solver_options=solver_options
+                    model,
+                    snapshot,
+                    0.0,
+                    cf_config,
+                    solver_options=solver_options,
+                    warm_start=previous,
                 )
-                for model in ensemble.models
+                for model, previous in zip(ensemble.models, per_model)
             ]
             baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
     ensemble_pred = localize.aggregate_alarm_sequence(ensemble_steps, run.alarm_steps)
@@ -484,6 +493,10 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a list of numbers, got {raw!r}") from None
 
 
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
 def load_run_config(path) -> RunConfig:
     """Parse a sectioned key=value run configuration; unknown keys error out."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -526,10 +539,9 @@ def load_run_config(path) -> RunConfig:
         values = get("grid", kind, _parse_floats, DEFAULT_MAGNITUDES[kind])
         if values:
             magnitudes[kind] = tuple(values)
-    seeds = get("grid", "seeds", _parse_floats, base.seeds)
     return RunConfig(
         scenario=scenario,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=get("grid", "seeds", _parse_ints, base.seeds),
         magnitudes=magnitudes,
         drift_cap=get("grid", "drift_cap", float, base.drift_cap),
         window=get("detector", "window", int, base.window),

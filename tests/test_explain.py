@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, netgen, optim, sensors
+from faultprint import detector, explain, netgen, optim, pipeline, sensors
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
 
@@ -312,3 +312,137 @@ def test_cf_config_validation():
         explain.CfConfig(dist="cubic")
     with pytest.raises(ValueError):
         explain.CfConfig(tolerances=-1.0)
+
+
+def residual_coefficients(model, n):
+    """g with the model's weights on its inputs and -1 on its target."""
+    g = np.empty(n)
+    g[np.arange(n) != model.target] = model.weights
+    g[model.target] = -1.0
+    return g
+
+
+def random_single_model(rng, n):
+    """A model whose residual coefficients have one clear largest magnitude."""
+    while True:
+        target = int(rng.integers(n))
+        model = single_model(rng.normal(scale=1.5, size=n - 1), target=target)
+        g = np.abs(residual_coefficients(model, n))
+        top, runner_up = np.sort(g)[::-1][:2]
+        if top - runner_up > 0.05:
+            return model
+
+
+def l1_single_model_oracle(model, x, tol):
+    """Closed-form optimum of the per-model L1 program with ample penalty.
+
+    One residual row g'delta + r0: the cheapest change puts everything on
+    the largest-|g_i| channel, just enough to bring |r0| down to tol.
+    """
+    g = residual_coefficients(model, x.shape[0])
+    r0 = float(g @ x + model.bias)
+    delta = np.zeros_like(x)
+    if abs(r0) > tol:
+        i = int(np.argmax(np.abs(g)))
+        delta[i] = -np.sign(g[i] * r0) * (abs(r0) - tol) / abs(g[i])
+    return delta
+
+
+def snapshot_with_residual(rng, model, n, r0):
+    """A random snapshot on which the model's residual is exactly r0."""
+    x = rng.normal(scale=2.0, size=n)
+    g = residual_coefficients(model, n)
+    others = np.arange(n) != model.target
+    # solve for the target reading: g'x + b = r0 with g[target] = -1
+    x[model.target] = float(g[others] @ x[others] + model.bias - r0)
+    return x
+
+
+def test_per_model_l1_matches_closed_form_cold_and_warm():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        model = random_single_model(rng, n)
+        config = explain.CfConfig(tolerances=float(rng.uniform(0.0, 0.3)))
+        sign = rng.choice([-1.0, 1.0])
+        x_prev = snapshot_with_residual(rng, model, n, sign * rng.uniform(0.5, 3.0))
+        x = snapshot_with_residual(rng, model, n, sign * rng.uniform(0.5, 3.0))
+        previous = explain.independent_counterfactual(
+            model, x_prev, 0.0, config, solver_options=TIGHT
+        )
+        cold = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT
+        )
+        warm = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
+        )
+        expected = l1_single_model_oracle(model, x, float(config.tolerances))
+        for cf in (previous, cold, warm):
+            assert cf.solution.status is optim.SolveStatus.OPTIMAL
+        assert np.abs(cold.delta - expected).max() <= 1e-6
+        assert np.abs(warm.delta - expected).max() <= 1e-6
+        # same residual sign, same optimal vertex: the warm start must hit
+        assert warm.iterations == 0
+        assert np.array_equal(warm.delta, cold.delta)
+
+
+def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        model = random_single_model(rng, n)
+        config = explain.CfConfig(tolerances=0.1)
+        # the opposite residual sign needs the opposite constraint active
+        x_prev = snapshot_with_residual(rng, model, n, 2.0)
+        x = snapshot_with_residual(rng, model, n, -1.5)
+        previous = explain.independent_counterfactual(
+            model, x_prev, 0.0, config, solver_options=TIGHT
+        )
+        cold = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT
+        )
+        warm = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
+        )
+        assert warm.iterations > 0
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.delta, cold.delta)
+        solution = warm.solution
+        assert solution.status is optim.SolveStatus.OPTIMAL
+        assert solution.kkt.primal <= 10.0 * solution.kkt_tol.primal
+        assert solution.kkt.dual <= 10.0 * solution.kkt_tol.dual
+        assert np.abs(warm.delta - l1_single_model_oracle(model, x, 0.1)).max() <= 1e-6
+
+
+def test_warm_start_shape_mismatch_is_rejected():
+    ensemble = toy_ensemble()
+    x = np.array([3.0, 1.0, 2.0])
+    config = explain.CfConfig(tolerances=0.1)
+    single = explain.independent_counterfactual(ensemble.models[0], x, 0.0, config)
+    with pytest.raises(ValueError, match="warm start"):
+        explain.ensemble_counterfactual(ensemble, x, config, warm_start=single)
+
+
+def test_squared_error_stream_alarm_certifies():
+    # Grid seed 101, alarm 34 of this scenario: the ADMM point certifies,
+    # and a polished point that is worse in tolerance units must not
+    # replace it.
+    run = pipeline.RunConfig(seeds=(101,), complexity="l2", dist="squared")
+    spec = next(
+        s for s in pipeline.expand_grid(run) if s.scenario_id == "power_failure-m2-s101"
+    )
+    scenario = pipeline.build_scenario(run, spec)
+    panel = scenario.faulty
+    ensemble, threshold = pipeline.train_scenario(
+        panel, scenario.config.train_end, run.window, run.margin
+    )
+    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[34])
+    assert t == 1698
+    snapshot = explain.snapshot_at_alarm(panel, ensemble, t)
+    cf = explain.ensemble_counterfactual(
+        ensemble, snapshot, run.cf_config(threshold), solver_options=run.solver_options()
+    )
+    solution = cf.solution
+    assert solution.status is optim.SolveStatus.OPTIMAL
+    for residual, tol in zip(solution.kkt, solution.kkt_tol):
+        assert residual <= 10.0 * tol

@@ -200,3 +200,37 @@ def test_audit_collects_solve_records():
         optim.solve(l1_equation_lp(1.0))
     assert len(records) == 2
     assert all(rec.status is optim.SolveStatus.OPTIMAL for rec in records)
+
+
+def test_warm_start_on_shifted_bounds_is_certified_without_iterations():
+    cold = optim.solve(l1_equation_lp(4.0))
+    shifted = l1_equation_lp(3.0)  # same active set, new right-hand side
+    warm = optim.solve(shifted, warm_start=cold)
+    assert warm.status is optim.SolveStatus.OPTIMAL
+    assert warm.iterations == 0
+    assert warm.z[0] == pytest.approx(1.5, abs=1e-9)
+    kkt = optim.kkt_residuals(shifted, warm)
+    assert all(r <= t for r, t in zip(kkt, warm.kkt_tol))
+
+
+def test_warm_start_miss_is_a_cold_solve():
+    problem = l1_equation_lp(-3.0)  # the sign flip changes the active set
+    warm = optim.solve(problem, warm_start=optim.solve(l1_equation_lp(4.0)))
+    cold = optim.solve(problem)
+    assert warm.iterations == cold.iterations > 0
+    assert np.array_equal(warm.z, cold.z)
+    assert np.array_equal(warm.y, cold.y)
+
+
+def test_warm_start_shape_mismatch():
+    with pytest.raises(ValueError, match="warm start"):
+        optim.solve(l1_equation_lp(1.0), warm_start=optim.solve(simple_qp()))
+
+
+def test_audit_blocks_nest():
+    with optim.audit_solves() as outer:
+        with optim.audit_solves() as inner:
+            optim.solve(simple_qp())
+        optim.solve(simple_qp())
+    assert len(inner) == 1
+    assert len(outer) == 2

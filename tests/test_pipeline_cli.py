@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faultprint import netgen, pipeline
+from faultprint import detector, explain, netgen, optim, pipeline
 from faultprint.cli import main
 
 TINY_CONFIG = """
@@ -60,6 +60,13 @@ def test_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[detector]\nmargin = fast\n", encoding="utf-8")
     with pytest.raises(pipeline.ConfigError, match="margin"):
+        pipeline.load_run_config(path)
+
+
+def test_config_rejects_non_integer_seed(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[grid]\nseeds = 1.7\n", encoding="utf-8")
+    with pytest.raises(pipeline.ConfigError, match="seeds"):
         pipeline.load_run_config(path)
 
 
@@ -234,3 +241,52 @@ def test_seed_flag_restricts_grid(tmp_path):
     assert main(["--config", str(cfg_path), "--seed", "2", "simulate"]) == 0
     scenario_dirs = sorted(p.name for p in (out / "scenarios").iterdir())
     assert scenario_dirs == ["constant_offset-m0-s2", "power_failure-m0-s2"]
+
+
+def _trained_tiny_run(cfg_path):
+    assert main(["--config", str(cfg_path), "simulate"]) == 0
+    assert main(["--config", str(cfg_path), "train"]) == 0
+    run = pipeline.load_run_config(cfg_path)
+    return run, pipeline.expand_grid(run)
+
+
+def test_audit_blocks_nest_around_scenario_evaluation(tiny_run):
+    run, specs = _trained_tiny_run(tiny_run[0])
+    with optim.audit_solves() as outer:
+        result = pipeline.evaluate_scenario_files(run, specs[0])
+        with optim.audit_solves() as inner:
+            pipeline.evaluate_scenario_files(run, specs[1])
+    assert result.audit.solves > 0
+    assert len(outer) == result.audit.solves + len(inner)
+    assert not optim._audit_sinks
+
+
+def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
+    run, specs = _trained_tiny_run(tiny_run[0])
+
+    def localize_all():
+        outcomes, iterations = [], []
+        for spec in specs:
+            panel, _, _ = pipeline.load_scenario_files(run, spec.scenario_id)
+            ensemble, threshold = pipeline.load_model_files(run, spec.scenario_id)
+            stream = detector.detect(ensemble, panel, threshold)
+            with optim.audit_solves() as records:
+                ens, base, used, _, audit = pipeline.localize_scenario(
+                    run, panel, ensemble, threshold, stream
+                )
+            outcomes.append((ens, base, used, audit.solves, audit.non_optimal))
+            iterations += [rec.iterations for rec in records]
+        return outcomes, iterations
+
+    warm, warm_iterations = localize_all()
+    cold_solver = explain.ensemble_counterfactual
+
+    def without_warm_start(*args, warm_start=None, **kwargs):
+        return cold_solver(*args, **kwargs)
+
+    monkeypatch.setattr(explain, "ensemble_counterfactual", without_warm_start)
+    cold, cold_iterations = localize_all()
+    assert warm == cold
+    assert 0 in warm_iterations
+    assert 0 not in cold_iterations
+    assert sum(warm_iterations) < sum(cold_iterations)
