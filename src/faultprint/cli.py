@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detector, explain, localize, pipeline, plots
+from . import detector, explain, localize, optim, pipeline, plots
 
 
 def _fmt(value: float) -> str:
@@ -96,7 +96,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_fingerprint_csv(path: Path, labels, kinds, cf, model_targets) -> None:
+def _write_fingerprint_csv(path: Path, labels, cf, model_targets) -> None:
     normalized = localize.normalize_explanation(cf.delta)
     slack_by_channel = {t: s for t, s in zip(model_targets, cf.slacks)}
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -144,7 +144,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     out = run.resolved_outdir() / "explain" / args.scenario
     out.mkdir(parents=True, exist_ok=True)
     base = f"fingerprint-t{t}"
-    _write_fingerprint_csv(out / f"{base}.csv", panel.labels, panel.kinds, cf, ensemble.targets)
+    _write_fingerprint_csv(out / f"{base}.csv", panel.labels, cf, ensemble.targets)
     normalized = localize.normalize_explanation(cf.delta)
     svg = plots.bar_chart_svg(
         panel.labels,
@@ -214,7 +214,7 @@ def _summary_markdown(report, results) -> str:
     detected = sum(res.detection.detected for res in results)
     delays = [res.detection.detection_delay for res in results if res.detection.detected]
     max_fp = max(res.detection.false_positive_rate for res in results)
-    audit = pipeline.SolveAudit()
+    audit = optim.SolveAudit()
     for res in results:
         audit = audit.merge(res.audit)
     lines = [
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (pipeline.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (pipeline.ConfigError, explain.ExplainError, FileNotFoundError, ValueError) as exc:
         print(f"faultprint: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ minimal per-sensor change vector such that every virtual sensor in the
 ensemble is simultaneously satisfied on the corrected snapshot.  Slack
 variables keep the program feasible; their penalty makes slack a last
 resort.  The same construction restricted to a single model yields the
-independent per-model counterfactual used as a baseline.
+independent per-model counterfactual used as a baseline, and with
+one-sided rows it explains an ensemble of binary linear classifiers.
 
 The hard-constrained variant (no slack at all) is the large-penalty limit
 of this program and is intentionally not a separate solver path.
@@ -14,7 +15,7 @@ of this program and is intentionally not a separate solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,174 +126,153 @@ def snapshot_residuals(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     return G @ x + b
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where each variable block lives inside the stacked solver vector."""
-
-    n: int
-    k: int
-    complexity: str
-    dist: str
-
-    @property
-    def n_delta_vars(self) -> int:
-        return 2 * self.n if self.complexity == "l1" else self.n
-
-    def delta_of(self, z: np.ndarray) -> np.ndarray:
-        if self.complexity == "l1":
-            return z[: self.n] - z[self.n : 2 * self.n]
-        return z[: self.n]
-
-
-def _delta_columns(layout: _Layout, G: np.ndarray) -> np.ndarray:
-    """Constraint coefficients on the delta block (split for l1)."""
-    if layout.complexity == "l1":
-        return np.hstack([G, -G])
-    return G
-
-
-def _build_program(
+def _program(
     G: np.ndarray,
     r0: np.ndarray,
+    tol: np.ndarray,
+    one_sided: np.ndarray,
     cfg: CfConfig,
-    tolerances: np.ndarray,
-) -> tuple[optim.ConvexProblem, _Layout]:
-    """Assemble the relaxed program for residual rows G z + r0.
+) -> optim.ConvexProblem:
+    """Assemble the relaxed program for residual rows e = G delta + r0.
 
-    Absolute error keeps explicit slack variables.  Squared error eliminates
-    the slack analytically: the penalty max(0, e^2 - tol) equals
+    A two-sided row asks |e| <= tol, a one-sided row e >= tol; slack, priced
+    by ``cfg.slack_penalty``, softens each.  Variables are the change block
+    (split into positive and negative parts for l1), then the per-row
+    blocks.  Each residual row contributes consecutive constraint rows, and
+    the nonnegativity rows come last.
+
+    Absolute error keeps one explicit slack per row.  Squared error
+    eliminates the slack analytically: the penalty max(0, e^2 - tol) equals
     min over |a| <= sqrt(tol) of (e - a)^2 + 2 sqrt(tol) |e - a|, which adds
-    one boxed variable, one free variable and one epigraph variable per
-    constraint while staying a plain QP.
+    one boxed variable, one free variable and one epigraph variable per row
+    while staying a plain QP.  One-sided rows exist in the absolute form only,
+    so ``cfg.dist`` must be ``abs`` when any row is one-sided.
     """
-    k, n = G.shape
-    layout = _Layout(n=n, k=k, complexity=cfg.complexity, dist=cfg.dist)
-    nd = layout.n_delta_vars
-    Gd = _delta_columns(layout, G)
+    k = G.shape[0]
+    l1 = cfg.complexity == "l1"
+    squared = cfg.dist == "squared"
+    Gd = np.concatenate([G, -G], axis=1) if l1 else G
+    nd = Gd.shape[1]
     lam = cfg.slack_penalty
-
-    if cfg.dist == "abs":
-        n_vars = nd + k
-        rows: list[np.ndarray] = []
-        lo: list[float] = []
-        hi: list[float] = []
-        for j in range(k):
-            upper = np.zeros(n_vars)
-            upper[:nd] = Gd[j]
-            upper[nd + j] = -1.0
-            rows.append(upper)
-            lo.append(-np.inf)
-            hi.append(tolerances[j] - r0[j])
-            lower = np.zeros(n_vars)
-            lower[:nd] = -Gd[j]
-            lower[nd + j] = -1.0
-            rows.append(lower)
-            lo.append(-np.inf)
-            hi.append(tolerances[j] + r0[j])
-        bound_first = 0 if cfg.complexity == "l1" else nd
-        for idx in range(bound_first, n_vars):
-            row = np.zeros(n_vars)
-            row[idx] = 1.0
-            rows.append(row)
-            lo.append(0.0)
-            hi.append(np.inf)
-
-        q = np.zeros(n_vars)
-        q[nd:] = lam
-        P = np.zeros((n_vars, n_vars))
-        if cfg.complexity == "l1":
-            q[:nd] += 1.0
-        else:
-            P[np.arange(n), np.arange(n)] = 2.0
-        problem = optim.ConvexProblem(
-            P=P, q=q, A=np.vstack(rows), l=np.array(lo), u=np.array(hi)
-        )
-        return problem, layout
-
-    # squared: variable order [delta block, a (k), s (k), t (k)]
-    root_tol = np.sqrt(tolerances)
-    n_vars = nd + 3 * k
-    a0, s0, t0 = nd, nd + k, nd + 2 * k
-    rows = []
-    lo = []
-    hi = []
-    for j in range(k):
-        eq = np.zeros(n_vars)
-        eq[:nd] = Gd[j]
-        eq[a0 + j] = -1.0
-        eq[s0 + j] = -1.0
-        rows.append(eq)
-        lo.append(-r0[j])
-        hi.append(-r0[j])
-        box = np.zeros(n_vars)
-        box[a0 + j] = 1.0
-        rows.append(box)
-        lo.append(-root_tol[j])
-        hi.append(root_tol[j])
-        for sign in (1.0, -1.0):
-            epi = np.zeros(n_vars)
-            epi[t0 + j] = 1.0
-            epi[s0 + j] = -sign
-            rows.append(epi)
-            lo.append(0.0)
-            hi.append(np.inf)
-    if cfg.complexity == "l1":
-        for idx in range(nd):
-            row = np.zeros(n_vars)
-            row[idx] = 1.0
-            rows.append(row)
-            lo.append(0.0)
-            hi.append(np.inf)
-
-    q = np.zeros(n_vars)
-    q[t0:] = 2.0 * lam * root_tol
-    P = np.zeros((n_vars, n_vars))
-    P[np.arange(s0, t0), np.arange(s0, t0)] = 2.0 * lam
-    if cfg.complexity == "l1":
-        q[:nd] += 1.0
+    I = np.eye(k)
+    N = 0.0 - I  # -I without negative zeros
+    zero, inf = np.zeros(k), np.full(k, np.inf)
+    if squared:
+        # variables [delta, a, s, t]; per row: e - a - s = 0,
+        # |a| <= sqrt(tol), t - s >= 0, t + s >= 0
+        root_tol = np.sqrt(tol)
+        Z, Zd = np.zeros((k, k)), np.zeros((k, nd))
+        blocks = [
+            ([Gd, N, N, Z], -r0, -r0),
+            ([Zd, I, Z, Z], -root_tol, root_tol),
+            ([Zd, Z, N, I], zero, inf),
+            ([Zd, Z, I, I], zero, inf),
+        ]
+        q_rows = np.concatenate([zero, zero, 2.0 * lam * root_tol])
+        p_rows = np.concatenate([zero, np.full(k, 2.0 * lam), zero])
+        keep = np.ones((k, 4), dtype=bool)
     else:
-        P[np.arange(n), np.arange(n)] += 2.0
-    problem = optim.ConvexProblem(
-        P=P, q=q, A=np.vstack(rows), l=np.array(lo), u=np.array(hi)
+        # variables [delta, s]; per row: e - s <= tol and -e - s <= tol,
+        # or e + s >= tol when one-sided
+        gap = tol - r0
+        blocks = [
+            (
+                [Gd, np.diag(np.where(one_sided, 1.0, -1.0))],
+                np.where(one_sided, gap, -inf),
+                np.where(one_sided, inf, gap),
+            ),
+            ([-Gd, N], -inf, tol + r0),
+        ]
+        q_rows, p_rows = np.full(k, lam), zero
+        keep = np.ones((k, 2), dtype=bool)
+        keep[:, 1] = ~one_sided
+    n_vars = nd + q_rows.shape[0]
+    A = np.concatenate([np.concatenate(cols, axis=1) for cols, _, _ in blocks])
+    l = np.concatenate([lo for _, lo, _ in blocks])
+    u = np.concatenate([hi for _, _, hi in blocks])
+    # Residual row j contributes its row of each block in turn.
+    order = np.arange(len(blocks) * k).reshape(len(blocks), k).T[keep]
+    nonneg = np.eye(n_vars)[(0 if l1 else nd) : (nd if squared else n_vars)]
+    return optim.ConvexProblem(
+        P=np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows])),
+        q=np.concatenate([np.full(nd, 1.0 if l1 else 0.0), q_rows]),
+        A=np.concatenate([A[order], nonneg]),
+        l=np.concatenate([l[order], np.zeros(nonneg.shape[0])]),
+        u=np.concatenate([u[order], np.full(nonneg.shape[0], np.inf)]),
     )
-    return problem, layout
 
 
 def _decode(
     solution: optim.Solution,
-    layout: _Layout,
     G: np.ndarray,
     r0: np.ndarray,
-    tolerances: np.ndarray,
+    tol: np.ndarray,
+    one_sided: np.ndarray,
     cfg: CfConfig,
     x_orig: np.ndarray,
+    residual,
 ) -> Counterfactual:
-    delta = layout.delta_of(solution.z)
-    # Slacks are recovered from the decoded change vector (the exact optimal
-    # slack given delta), not from the solver's internal slack variables.
-    errors = G @ delta + r0
-    if cfg.dist == "abs":
-        slacks = np.clip(np.abs(errors) - tolerances, 0.0, None)
-    else:
-        slacks = np.clip(errors**2 - tolerances, 0.0, None)
-    theta = float(np.abs(delta).sum()) if cfg.complexity == "l1" else float(delta @ delta)
-    objective = theta + cfg.slack_penalty * float(slacks.sum())
-    return Counterfactual(
+    """The counterfactual a certified solution of :func:`_program` encodes.
+
+    Slacks are recovered from the decoded change vector (the exact optimal
+    slack given delta), not from the solver's internal slack variables.  A
+    slack-free result is re-evaluated once more, with ``residual`` applied
+    to the corrected snapshot itself, and rejected if a row misses its
+    tolerance there.
+    """
+    n = G.shape[1]
+    l1 = cfg.complexity == "l1"
+    delta = solution.z[:n] - solution.z[n : 2 * n] if l1 else solution.z[:n]
+    slacks = np.clip(_excess(G @ delta + r0, tol, one_sided, cfg.dist), 0.0, None)
+    theta = float(np.abs(delta).sum()) if l1 else float(delta @ delta)
+    cf = Counterfactual(
         delta=delta,
         x_cf=x_orig + delta,
-        slacks=np.asarray(slacks, dtype=float),
-        objective=objective,
+        slacks=slacks,
+        objective=theta + cfg.slack_penalty * float(slacks.sum()),
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
         iterations=solution.iterations,
         solution=solution,
     )
+    if cf.feasible_without_slack:
+        measured = _excess(residual(cf.x_cf), tol, one_sided, cfg.dist)
+        excess = float(np.max(measured, initial=0.0))
+        if excess > FEASIBLE_SLACK_TOL:
+            raise ExplainError(
+                f"slack-free counterfactual fails re-evaluation by {excess:.2e}"
+            )
+    return cf
 
 
-def _solve_program(
-    problem: optim.ConvexProblem,
+def _error_measure(errors: np.ndarray, dist: str) -> np.ndarray:
+    return np.abs(errors) if dist == "abs" else errors**2
+
+
+def _excess(
+    errors: np.ndarray, tol: np.ndarray, one_sided: np.ndarray, dist: str
+) -> np.ndarray:
+    """Per-row amount by which residuals miss their tolerances."""
+    return np.where(one_sided, tol - errors, _error_measure(errors, dist) - tol)
+
+
+def _counterfactual(
+    G: np.ndarray,
+    bias: np.ndarray,
+    targets,
+    tol: np.ndarray,
+    one_sided: np.ndarray,
+    x_orig: np.ndarray,
+    config: CfConfig,
     solver_options: dict | None,
     warm_start: Counterfactual | None = None,
-) -> optim.Solution:
+) -> Counterfactual:
+    """Explain ``x_orig`` against the residual rows G x + bias - targets."""
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        return G @ x + bias - targets
+
+    r0 = residual(x_orig)
+    problem = _program(G, r0, tol, one_sided, config)
     previous = warm_start.solution if warm_start is not None else None
     solution = optim.solve(problem, **(solver_options or {}), warm_start=previous)
     if solution.status is not optim.SolveStatus.OPTIMAL:
@@ -301,43 +281,7 @@ def _solve_program(
             f"after {solution.iterations} iterations "
             f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
         )
-    return solution
-
-
-def build_regression_cf(
-    ensemble: Ensemble,
-    x_orig: np.ndarray,
-    targets: np.ndarray | float = 0.0,
-    config: CfConfig = CfConfig(),
-) -> optim.ConvexProblem:
-    """Assemble the relaxed program for an ensemble of regression residuals.
-
-    With zero targets the constraints ask every virtual sensor's residual on
-    the corrected snapshot to vanish within its tolerance, which is exactly
-    the no-alarm condition.  Large slack always keeps the program feasible.
-    """
-    problem, _ = _regression_program(ensemble, x_orig, targets, config)
-    return problem
-
-
-def _regression_program(
-    ensemble: Ensemble,
-    x_orig: np.ndarray,
-    targets: np.ndarray | float,
-    config: CfConfig,
-):
-    x_orig = np.asarray(x_orig, dtype=float)
-    if x_orig.shape != (ensemble.n_sensors,):
-        raise ValueError(
-            f"snapshot has shape {x_orig.shape}, expected ({ensemble.n_sensors},)"
-        )
-    k = len(ensemble.models)
-    y_cf = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
-    G, bias = _residual_geometry(ensemble.models, x_orig.shape[0])
-    r0 = G @ x_orig + bias - y_cf
-    tol = config.tolerance_vector(k)
-    problem, layout = _build_program(G, r0, config, tol)
-    return problem, (layout, G, r0, tol)
+    return _decode(solution, G, r0, tol, one_sided, config, x_orig, residual)
 
 
 def ensemble_counterfactual(
@@ -350,34 +294,31 @@ def ensemble_counterfactual(
 ) -> Counterfactual:
     """One consistent change vector satisfying every model at once.
 
+    With zero targets the constraints ask every virtual sensor's residual on
+    the corrected snapshot to vanish within its tolerance, which is exactly
+    the no-alarm condition; slack keeps the program feasible.
     ``warm_start``, the explanation of a nearby snapshot by the same
     ensemble and config, lets the solver try that optimum's active set
     first; the result is certified either way.
     """
-    problem, (layout, G, r0, tol) = _regression_program(
-        ensemble, x_orig, targets, config
-    )
-    solution = _solve_program(problem, solver_options, warm_start)
     x_orig = np.asarray(x_orig, dtype=float)
-    cf = _decode(solution, layout, G, r0, tol, config, x_orig)
-    if cf.feasible_without_slack:
-        _certify_regression(G, r0, tol, cf, config.dist)
-    return cf
-
-
-def _error_measure(errors: np.ndarray, dist: str) -> np.ndarray:
-    return np.abs(errors) if dist == "abs" else errors**2
-
-
-def _certify_regression(
-    G: np.ndarray, r0: np.ndarray, tol: np.ndarray, cf: Counterfactual, dist: str
-) -> None:
-    measured = _error_measure(G @ cf.delta + r0, dist)
-    excess = float(np.max(measured - tol, initial=0.0))
-    if excess > FEASIBLE_SLACK_TOL:
-        raise ExplainError(
-            f"slack-free counterfactual fails re-evaluation by {excess:.2e}"
+    if x_orig.shape != (ensemble.n_sensors,):
+        raise ValueError(
+            f"snapshot has shape {x_orig.shape}, expected ({ensemble.n_sensors},)"
         )
+    k = len(ensemble.models)
+    G, bias = _residual_geometry(ensemble.models, x_orig.shape[0])
+    return _counterfactual(
+        G,
+        bias,
+        np.broadcast_to(np.asarray(targets, dtype=float), (k,)),
+        config.tolerance_vector(k),
+        np.zeros(k, dtype=bool),
+        x_orig,
+        config,
+        solver_options,
+        warm_start,
+    )
 
 
 def independent_counterfactual(
@@ -414,76 +355,31 @@ def classification_ensemble_cf(
     """Consistent counterfactual for binary linear classifiers.
 
     Each constraint asks target * decision(x_cf) to be nonnegative (with a
-    tiny strict margin so boundary points do not count), softened by slack.
+    tiny strict margin so boundary points do not count), softened by slack:
+    a one-sided row of the same program, always with absolute error.
     """
     x_orig = np.asarray(x_orig, dtype=float)
     if not classifiers:
         raise ValueError("at least one classifier is required")
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (len(classifiers),):
+    k = len(classifiers)
+    if targets.shape != (k,):
         raise ValueError("one target label per classifier is required")
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValueError("targets must be -1 or +1")
-
-    n = x_orig.shape[0]
-    k = len(classifiers)
-    layout = _Layout(n=n, k=k, complexity=config.complexity, dist=config.dist)
-    nd = layout.n_delta_vars
     V = np.vstack([c.weights for c in classifiers])
-    if V.shape[1] != n:
+    if V.shape[1] != x_orig.shape[0]:
         raise ValueError("classifier dimensionality does not match the snapshot")
-    scores = V @ x_orig + np.array([c.bias for c in classifiers])
-    Vd = _delta_columns(layout, targets[:, None] * V)
-
-    n_vars = nd + k
-    rows = []
-    lo = []
-    hi = []
-    for j in range(k):
-        row = np.zeros(n_vars)
-        row[:nd] = Vd[j]
-        row[nd + j] = 1.0
-        rows.append(row)
-        lo.append(_CLASSIFIER_MARGIN - targets[j] * scores[j])
-        hi.append(np.inf)
-    bound_first = 0 if config.complexity == "l1" else nd
-    for idx in range(bound_first, n_vars):
-        row = np.zeros(n_vars)
-        row[idx] = 1.0
-        rows.append(row)
-        lo.append(0.0)
-        hi.append(np.inf)
-
-    q = np.zeros(n_vars)
-    q[nd:] = config.slack_penalty
-    P = np.zeros((n_vars, n_vars))
-    if config.complexity == "l1":
-        q[:nd] += 1.0
-    else:
-        P[np.arange(n), np.arange(n)] = 2.0
-    problem = optim.ConvexProblem(
-        P=P, q=q, A=np.vstack(rows), l=np.array(lo), u=np.array(hi)
+    return _counterfactual(
+        targets[:, None] * V,
+        targets * np.array([c.bias for c in classifiers]),
+        0.0,
+        np.full(k, _CLASSIFIER_MARGIN),
+        np.ones(k, dtype=bool),
+        x_orig,
+        replace(config, dist="abs"),
+        solver_options,
     )
-    solution = _solve_program(problem, solver_options)
-    delta = layout.delta_of(solution.z)
-    x_cf = x_orig + delta
-    bias = np.array([c.bias for c in classifiers])
-    slacks = np.clip(_CLASSIFIER_MARGIN - targets * (V @ x_cf + bias), 0.0, None)
-    theta = float(np.abs(delta).sum()) if config.complexity == "l1" else float(delta @ delta)
-    cf = Counterfactual(
-        delta=delta,
-        x_cf=x_cf,
-        slacks=np.asarray(slacks, dtype=float),
-        objective=theta + config.slack_penalty * float(slacks.sum()),
-        feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
-        iterations=solution.iterations,
-        solution=solution,
-    )
-    if cf.feasible_without_slack:
-        agreement = targets * (V @ cf.x_cf + np.array([c.bias for c in classifiers]))
-        if np.min(agreement, initial=0.0) < -1e-9:
-            raise ExplainError("slack-free counterfactual violates a classifier target")
-    return cf
 
 
 def certificate_margin(

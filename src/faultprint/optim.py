@@ -147,6 +147,39 @@ class SolveRecord(NamedTuple):
     kkt_tol: KktTolerances
 
 
+@dataclass(frozen=True)
+class SolveAudit:
+    """Summary of the :class:`SolveRecord` list of one unit of work."""
+
+    solves: int = 0
+    non_optimal: int = 0
+    max_primal_ratio: float = 0.0
+    max_dual_ratio: float = 0.0
+    max_comp_ratio: float = 0.0
+
+    @staticmethod
+    def from_records(records) -> "SolveAudit":
+        non_optimal = 0
+        worst = [0.0, 0.0, 0.0]  # primal, dual, complementarity
+        for rec in records:
+            non_optimal += rec.status is not SolveStatus.OPTIMAL
+            worst = [max(w, r / t) for w, r, t in zip(worst, rec.kkt, rec.kkt_tol)]
+        return SolveAudit(len(records), non_optimal, *worst)
+
+    def merge(self, other: "SolveAudit") -> "SolveAudit":
+        return SolveAudit(
+            solves=self.solves + other.solves,
+            non_optimal=self.non_optimal + other.non_optimal,
+            max_primal_ratio=max(self.max_primal_ratio, other.max_primal_ratio),
+            max_dual_ratio=max(self.max_dual_ratio, other.max_dual_ratio),
+            max_comp_ratio=max(self.max_comp_ratio, other.max_comp_ratio),
+        )
+
+    @property
+    def max_ratio(self) -> float:
+        return max(self.max_primal_ratio, self.max_dual_ratio, self.max_comp_ratio)
+
+
 @contextlib.contextmanager
 def audit_solves():
     """Collect a :class:`SolveRecord` for every solve inside the block.
@@ -591,40 +624,3 @@ def _record(solution: Solution) -> None:
         )
         for sink in _audit_sinks:
             sink.append(record)
-
-
-def dump_problem(problem: ConvexProblem, path) -> None:
-    """Plain-text dump (dimensions, then P, q, A, l, u rows) for debugging."""
-    def fmt(row) -> str:
-        return " ".join(repr(float(v)) for v in np.atleast_1d(row))
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{problem.n_vars} {problem.n_constraints}\n")
-        for row in problem.P:
-            fh.write(fmt(row) + "\n")
-        fh.write(fmt(problem.q) + "\n")
-        for row in problem.A:
-            fh.write(fmt(row) + "\n")
-        fh.write(fmt(problem.l) + "\n")
-        fh.write(fmt(problem.u) + "\n")
-
-
-def load_problem(path) -> ConvexProblem:
-    """Read a problem written by :func:`dump_problem`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty problem dump")
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-        rows = [np.array([float(tok) for tok in line.split()]) for line in lines[1:]]
-    except ValueError:
-        raise ValueError(f"{path}: malformed problem dump") from None
-    expected = n + 1 + m + 2
-    if len(rows) != expected:
-        raise ValueError(f"{path}: expected {expected} data rows, found {len(rows)}")
-    P = np.vstack(rows[:n]) if n else np.zeros((0, 0))
-    q = rows[n]
-    A = np.vstack(rows[n + 1 : n + 1 + m]) if m else np.zeros((0, n))
-    l, u = rows[n + 1 + m], rows[n + 2 + m]
-    return ConvexProblem(P=P, q=q, A=A, l=l, u=u)

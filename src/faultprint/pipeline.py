@@ -75,6 +75,12 @@ class RunConfig:
             raise ConfigError("detector margin must be at least 1")
         if self.alarm_steps < 1:
             raise ConfigError("alarm_steps must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("solver max_iters must be at least 1")
+        if not self.tol_abs > 0:
+            raise ConfigError("solver tol_abs must be positive")
+        if not self.tol_rel >= 0:
+            raise ConfigError("solver tol_rel must be nonnegative")
         explain.CfConfig(  # reuse its validation for the shared fields
             slack_penalty=self.slack_penalty, complexity=self.complexity, dist=self.dist
         )
@@ -257,51 +263,6 @@ def train_scenario(
 
 
 @dataclass(frozen=True)
-class SolveAudit:
-    """Summary of every convex solve performed inside one unit of work."""
-
-    solves: int = 0
-    non_optimal: int = 0
-    max_primal_ratio: float = 0.0
-    max_dual_ratio: float = 0.0
-    max_comp_ratio: float = 0.0
-
-    @staticmethod
-    def from_records(records) -> "SolveAudit":
-        audit = SolveAudit(solves=len(records))
-        for rec in records:
-            audit = SolveAudit(
-                solves=audit.solves,
-                non_optimal=audit.non_optimal
-                + (rec.status is not optim.SolveStatus.OPTIMAL),
-                max_primal_ratio=max(
-                    audit.max_primal_ratio, rec.kkt.primal / rec.kkt_tol.primal
-                ),
-                max_dual_ratio=max(
-                    audit.max_dual_ratio, rec.kkt.dual / rec.kkt_tol.dual
-                ),
-                max_comp_ratio=max(
-                    audit.max_comp_ratio,
-                    rec.kkt.complementarity / rec.kkt_tol.complementarity,
-                ),
-            )
-        return audit
-
-    def merge(self, other: "SolveAudit") -> "SolveAudit":
-        return SolveAudit(
-            solves=self.solves + other.solves,
-            non_optimal=self.non_optimal + other.non_optimal,
-            max_primal_ratio=max(self.max_primal_ratio, other.max_primal_ratio),
-            max_dual_ratio=max(self.max_dual_ratio, other.max_dual_ratio),
-            max_comp_ratio=max(self.max_comp_ratio, other.max_comp_ratio),
-        )
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.max_primal_ratio, self.max_dual_ratio, self.max_comp_ratio)
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     """Everything the reports need about one evaluated scenario."""
 
@@ -313,7 +274,7 @@ class ScenarioResult:
     baseline_prediction: Optional[int]
     alarm_steps_used: int
     certificate_excess: float
-    audit: SolveAudit
+    audit: optim.SolveAudit
 
 
 def localize_scenario(
@@ -322,11 +283,11 @@ def localize_scenario(
     ensemble: sensors.Ensemble,
     threshold: float,
     stream: detector.AlarmStream,
-) -> tuple[Optional[int], Optional[int], int, float, SolveAudit]:
+) -> tuple[Optional[int], Optional[int], int, float, optim.SolveAudit]:
     """Explain the first alarm steps and aggregate both methods' estimates."""
     steps = stream.alarm_steps()[: run.alarm_steps]
     if steps.size == 0:
-        return None, None, 0, -math.inf, SolveAudit()
+        return None, None, 0, -math.inf, optim.SolveAudit()
 
     cf_config = run.cf_config(threshold)
     solver_options = run.solver_options()
@@ -370,7 +331,7 @@ def localize_scenario(
         baseline_pred,
         int(steps.size),
         certificate_excess,
-        SolveAudit.from_records(records),
+        optim.SolveAudit.from_records(records),
     )
 
 

@@ -75,3 +75,62 @@ def random_bounded_lp(rng: np.random.Generator, max_extra_rows: int = 4):
         highs.append(float(a @ x0 + slack_hi))
     q = rng.normal(size=n)
     return q, np.vstack(rows), np.array(lows), np.array(highs)
+
+
+def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty):
+    """The counterfactual program built one constraint row at a time.
+
+    Reference for the block assembler: residual row j gives, in order, the
+    rows |e_j| <= tol_j + s_j (two rows) or e_j + s_j >= tol_j (one row)
+    for absolute error, or e_j - a_j - s_j = 0, |a_j| <= sqrt(tol_j),
+    t_j >= s_j, t_j >= -s_j for squared error; nonnegativity rows follow.
+    Returns (P, q, A, l, u).
+    """
+    k, n = G.shape
+    Gd = np.hstack([G, -G]) if complexity == "l1" else G
+    nd = Gd.shape[1]
+    per_row = 3 if dist == "squared" else 1
+    n_vars = nd + per_row * k
+    rows, lo, hi = [], [], []
+
+    def add(entries, low, high):
+        row = np.zeros(n_vars)
+        for col, value in entries:
+            row[col] = value
+        rows.append(row)
+        lo.append(low)
+        hi.append(high)
+
+    for j in range(k):
+        delta = list(enumerate(Gd[j]))
+        minus = [(col, -v) for col, v in delta]
+        s = nd + j if dist == "abs" else nd + k + j
+        if dist == "squared":
+            a, t = nd + j, nd + 2 * k + j
+            add(delta + [(a, -1.0), (s, -1.0)], -r0[j], -r0[j])
+            add([(a, 1.0)], -np.sqrt(tol[j]), np.sqrt(tol[j]))
+            add([(t, 1.0), (s, -1.0)], 0.0, np.inf)
+            add([(t, 1.0), (s, 1.0)], 0.0, np.inf)
+        elif one_sided[j]:
+            add(delta + [(s, 1.0)], tol[j] - r0[j], np.inf)
+        else:
+            add(delta + [(s, -1.0)], -np.inf, tol[j] - r0[j])
+            add(minus + [(s, -1.0)], -np.inf, tol[j] + r0[j])
+    nonneg = list(range(nd)) if complexity == "l1" else []
+    if dist == "abs":
+        nonneg += list(range(nd, n_vars))
+    for col in nonneg:
+        add([(col, 1.0)], 0.0, np.inf)
+
+    P = np.zeros((n_vars, n_vars))
+    q = np.zeros(n_vars)
+    if complexity == "l1":
+        q[:nd] = 1.0
+    else:
+        P[np.arange(n), np.arange(n)] = 2.0
+    if dist == "abs":
+        q[nd:] = penalty
+    else:
+        P[np.arange(nd + k, nd + 2 * k), np.arange(nd + k, nd + 2 * k)] = 2.0 * penalty
+        q[nd + 2 * k :] = 2.0 * penalty * np.sqrt(tol)
+    return P, q, np.vstack(rows), np.array(lo), np.array(hi)

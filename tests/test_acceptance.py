@@ -40,7 +40,7 @@ def grid_run(tmp_path_factory):
     results = pipeline.evaluate_batch(run, jobs=JOBS)
     evaluate_seconds = time.time() - t1
 
-    audit = pipeline.SolveAudit()
+    audit = optim.SolveAudit()
     for res in results:
         audit = audit.merge(res.audit)
     return {
@@ -125,7 +125,7 @@ def test_criterion_3_solver_oracles():
             qp_worst = max(
                 qp_worst, float(np.abs(solution.z - np.clip(-q / diag, lo, hi)).max())
             )
-    test_criterion_3_solver_oracles.audit = pipeline.SolveAudit.from_records(records)
+    test_criterion_3_solver_oracles.audit = optim.SolveAudit.from_records(records)
     ok = lp_worst <= 1e-5 and qp_worst <= 1e-6
     _report(
         "criterion 3: solver oracle equivalence",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from faultprint import detector, explain, netgen, optim, pipeline, sensors
+from oracles import counterfactual_program_rows
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
 
@@ -63,11 +64,93 @@ def test_feasible_origin_gives_zero_change():
 
 def test_build_returns_always_feasible_program():
     ensemble = toy_ensemble()
-    problem = explain.build_regression_cf(
+    cf = explain.ensemble_counterfactual(
         ensemble, np.array([50.0, -3.0, 8.0]), config=explain.CfConfig()
     )
-    solution = optim.solve(problem)
-    assert solution.status is optim.SolveStatus.OPTIMAL
+    assert cf.solution.status is optim.SolveStatus.OPTIMAL
+
+
+def random_ensemble(rng, n, k):
+    models = tuple(
+        single_model(rng.normal(size=n - 1), bias=rng.normal(), target=t)
+        for t in rng.choice(n, size=k, replace=False)
+    )
+    return sensors.Ensemble(models=models, window=3)
+
+
+@pytest.mark.parametrize("complexity", ["l1", "l2"])
+@pytest.mark.parametrize("dist", ["abs", "squared"])
+def test_program_matches_row_by_row_reference(complexity, dist):
+    # Bit for bit, signed zeros included, so the solver runs identically.
+    rng = np.random.default_rng(59)
+    for _ in range(50):
+        k = int(rng.integers(1, 14))
+        n = int(rng.integers(2, 15))
+        G = rng.normal(size=(k, n)) * (rng.random((k, n)) < 0.6)
+        r0 = rng.normal(size=k) * (rng.random(k) < 0.8)
+        tol = rng.uniform(0.0, 0.3, size=k) * (rng.random(k) < 0.7)
+        one_sided = (rng.random(k) < 0.5) & (dist == "abs")
+        config = explain.CfConfig(
+            slack_penalty=float(rng.uniform(0.1, 2e3)), complexity=complexity, dist=dist
+        )
+        problem = explain._program(G, r0, tol, one_sided, config)
+        expected = counterfactual_program_rows(
+            G, r0, tol, one_sided, complexity, dist, config.slack_penalty
+        )
+        for name, reference in zip("PqAlu", expected):
+            assert getattr(problem, name).tobytes() == reference.tobytes(), name
+
+
+@pytest.mark.parametrize("complexity", ["l1", "l2"])
+@pytest.mark.parametrize("dist", ["abs", "squared"])
+def test_decoded_objective_matches_solver_objective(complexity, dist):
+    # The decoded objective prices slack from the change vector alone; at
+    # the optimum it must equal the solver's objective over all variables.
+    # For squared error this is the slack-elimination identity
+    # max(0, e^2 - tol) = min_{|a| <= sqrt(tol)} (e - a)^2 + 2 sqrt(tol) |e - a|.
+    rng = np.random.default_rng(47)
+    for _ in range(25):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(1, n + 1))
+        config = explain.CfConfig(
+            slack_penalty=float(rng.uniform(0.5, 20.0)),
+            complexity=complexity,
+            dist=dist,
+            tolerances=rng.uniform(0.0, 0.5, size=k),
+        )
+        cf = explain.ensemble_counterfactual(
+            random_ensemble(rng, n, k),
+            rng.normal(scale=2.0, size=n),
+            config,
+            targets=rng.normal(scale=2.0, size=k),
+            solver_options=TIGHT,
+        )
+        assert cf.solution.status is optim.SolveStatus.OPTIMAL
+        assert cf.objective == pytest.approx(cf.solution.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("complexity", ["l1", "l2"])
+def test_classifier_decoded_objective_matches_solver_objective(complexity):
+    rng = np.random.default_rng(53)
+    for _ in range(25):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 5))
+        classifiers = [
+            explain.LinearClassifier(weights=rng.normal(size=n), bias=float(rng.normal()))
+            for _ in range(k)
+        ]
+        config = explain.CfConfig(
+            slack_penalty=float(rng.uniform(0.5, 20.0)), complexity=complexity
+        )
+        cf = explain.classification_ensemble_cf(
+            classifiers,
+            rng.normal(scale=2.0, size=n),
+            rng.choice([-1, 1], size=k),
+            config,
+            solver_options=TIGHT,
+        )
+        assert cf.solution.status is optim.SolveStatus.OPTIMAL
+        assert cf.objective == pytest.approx(cf.solution.objective, abs=1e-6)
 
 
 def test_violated_constraint_concentrates_on_largest_coefficient():
@@ -246,6 +329,27 @@ def test_l2_complexity_spreads_change():
     cf = explain.independent_counterfactual(model, x, 0.0, config, solver_options=TIGHT)
     assert cf.feasible_without_slack
     assert cf.delta[0] == pytest.approx(cf.delta[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
+    # Slack is priced from the change vector; the re-check applies the rows
+    # to x_cf itself and rejects an excess over FEASIBLE_SLACK_TOL there.
+    G, r0, tol = np.array([[1.0, -1.0]]), np.array([0.1]), np.array([0.1])
+    sense = np.array([one_sided])
+    config = explain.CfConfig()
+    solution = optim.solve(explain._program(G, r0, tol, sense, config), **TIGHT)
+    sign = 1.0 if one_sided else -1.0  # toward violating the row
+
+    def decode(excess):
+        at_x_cf = tol - sign * excess
+        return explain._decode(
+            solution, G, r0, tol, sense, config, np.zeros(2), lambda x: at_x_cf
+        )
+
+    assert decode(0.5 * explain.FEASIBLE_SLACK_TOL).feasible_without_slack
+    with pytest.raises(explain.ExplainError, match="re-evaluation"):
+        decode(2.0 * explain.FEASIBLE_SLACK_TOL)
 
 
 def test_classification_already_satisfied():

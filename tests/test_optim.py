@@ -182,18 +182,6 @@ def test_problem_validation():
         )
 
 
-def test_dump_and_load_round_trip(tmp_path):
-    problem = l1_equation_lp(3.0)
-    path = tmp_path / "problem.txt"
-    optim.dump_problem(problem, path)
-    loaded = optim.load_problem(path)
-    assert np.array_equal(loaded.P, problem.P)
-    assert np.array_equal(loaded.q, problem.q)
-    assert np.array_equal(loaded.A, problem.A)
-    assert np.array_equal(loaded.l, problem.l)
-    assert np.array_equal(loaded.u, problem.u)
-
-
 def test_audit_collects_solve_records():
     with optim.audit_solves() as records:
         optim.solve(simple_qp())

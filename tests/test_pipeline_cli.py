@@ -70,6 +70,16 @@ def test_config_rejects_non_integer_seed(tmp_path):
         pipeline.load_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "line", ["max_iters = 0", "max_iters = -5", "tol_abs = 0", "tol_rel = -1e-6"]
+)
+def test_config_rejects_bad_solver_values(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[solver]\n{line}\n", encoding="utf-8")
+    with pytest.raises(pipeline.ConfigError, match=line.split()[0]):
+        pipeline.load_run_config(path)
+
+
 def test_config_round_trip_values(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -219,6 +229,22 @@ def test_cli_errors_on_unknown_config_key(tmp_path, capsys):
     cfg_path.write_text("[detector]\nmagrin = 1.0\n", encoding="utf-8")
     assert main(["--config", str(cfg_path), "simulate"]) == 2
     assert "magrin" in capsys.readouterr().err
+
+
+def test_cli_reports_uncertified_solve_as_error(tmp_path, capsys):
+    # One iteration cannot certify an optimum; evaluate must fail cleanly.
+    cfg_path = tmp_path / "run.cfg"
+    config = TINY_CONFIG.format(out=tmp_path / "out").replace(
+        "power_failure = 0", "power_failure ="
+    )
+    cfg_path.write_text(config + "\n[solver]\nmax_iters = 1\n", encoding="utf-8")
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faultprint: error:")
+    assert "max_iters" in err
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
