@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 from scipy.signal import lfilter
@@ -166,13 +166,8 @@ class Drift:
 
 FaultKind = Union[ConstantOffset, GaussianNoise, PowerFailure, ProportionalOffset, Drift]
 
-FAULT_KIND_NAMES = (
-    ConstantOffset.name,
-    GaussianNoise.name,
-    PowerFailure.name,
-    ProportionalOffset.name,
-    Drift.name,
-)
+FAULT_KINDS: dict[str, type] = {kind.name: kind for kind in get_args(FaultKind)}
+FAULT_KIND_NAMES = tuple(FAULT_KINDS)
 
 
 @dataclass(frozen=True)

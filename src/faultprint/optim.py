@@ -266,14 +266,6 @@ class _Certificate(NamedTuple):
         return max(r / t for r, t in zip(self.kkt, self.tol))
 
 
-def _certify(
-    problem: ConvexProblem, z: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
-) -> _Certificate:
-    return _Certificate(
-        kkt_residuals(problem, z, y), kkt_tolerances(problem, z, y, tol_abs, tol_rel)
-    )
-
-
 def _rho_vector(problem: ConvexProblem, base: float) -> np.ndarray:
     rho = np.full(problem.n_constraints, base)
     equality = (problem.u - problem.l) <= _EQUALITY_GAP
@@ -402,13 +394,13 @@ def _active_set_solve(
 
 
 def _polish(
-    problem: ConvexProblem, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+    problem: ConvexProblem, x: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
+) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
     """Re-solve on the active set guessed from dual signs; None on failure.
 
     A wrong guess shows up as bound violations at the re-solved point; up to
-    two repair rounds add the violated rows and try again.  The caller still
-    accepts the result only if independent residuals improve.
+    two repair rounds add the violated rows and try again.  The round with
+    the smallest raw residual is returned with its certificate.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & np.isfinite(problem.l)
@@ -423,9 +415,8 @@ def _polish(
         if result is None:
             break
         kkt = kkt_residuals(problem, *result)
-        score = max(kkt)
-        if score < best_score:
-            best, best_score = result, score
+        if max(kkt) < best_score:
+            best, best_score = (*result, kkt), max(kkt)
         az = problem.A @ result[0]
         scale = 1.0 + np.abs(az).max(initial=0.0)
         below = problem.l - az > 1e-9 * scale
@@ -435,7 +426,11 @@ def _polish(
             break
         lower, upper = lower | below, upper | above
         preferred = np.union1d(preferred, violated)
-    return best
+    if best is None:
+        return None
+    z_pol, y_pol, kkt = best
+    tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
+    return z_pol, y_pol, _Certificate(kkt, tol)
 
 
 def solve(
@@ -465,11 +460,9 @@ def solve(
                 f"warm start has {warm_start.z.shape[0]} variables and "
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
-        guess = _polish(problem, warm_start.z, warm_start.y)
-        if guess is not None:
-            cert = _certify(problem, *guess, tol_abs, tol_rel)
-            if cert.passes():
-                return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, cert)
+        guess = _polish(problem, warm_start.z, warm_start.y, tol_abs, tol_rel)
+        if guess is not None and guess[2].passes():
+            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0)
 
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
@@ -481,6 +474,7 @@ def solve(
     )
     P_s = problem.P / cost
     q_s = problem.q / cost
+    q_norm = np.abs(q_s).max(initial=0.0)
     base_rho = _RHO_INITIAL
     rho = _rho_vector(problem, base_rho)
     factor = _factorize_scaled(P_s, A, rho)
@@ -515,43 +509,30 @@ def solve(
         if it % _CHECK_INTERVAL == 0 or it == max_iters:
             ax = A @ x
             pri = np.abs(ax - z).max(initial=0.0)
-            eps_pri = tol_abs + tol_rel * max(
-                np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0)
-            )
+            pri_norm = max(np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0))
+            eps_pri = tol_abs + tol_rel * pri_norm
             px = P_s @ x
             aty = A.T @ y
             dua = np.abs(px + q_s + aty).max(initial=0.0)
-            eps_dua = tol_abs + tol_rel * max(
-                np.abs(px).max(initial=0.0),
-                np.abs(aty).max(initial=0.0),
-                np.abs(q_s).max(initial=0.0),
-            )
+            dua_norm = max(np.abs(px).max(initial=0.0), np.abs(aty).max(initial=0.0), q_norm)
+            eps_dua = tol_abs + tol_rel * dua_norm
             if pri <= eps_pri and dua <= eps_dua:
                 status = SolveStatus.OPTIMAL
                 iterations = it
                 break
             # Degenerate problems crawl near the optimum; an active-set
             # re-solve from a close-enough iterate finishes them exactly.
-            pri_scale = max(
-                np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0), 1e-12
-            )
-            dua_scale = max(
-                np.abs(px).max(initial=0.0),
-                np.abs(aty).max(initial=0.0),
-                np.abs(q_s).max(initial=0.0),
-                1e-12,
-            )
+            pri_scale = max(pri_norm, 1e-12)
+            dua_scale = max(dua_norm, 1e-12)
             if (
                 it >= polish_due
                 and pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
                 polish_due = it + _EARLY_POLISH_INTERVAL
-                early = _polish(problem, x, y * cost)
-                if early is not None:
-                    cert = _certify(problem, *early, tol_abs, tol_rel)
-                    if cert.passes():
-                        return _finish(problem, *early, SolveStatus.OPTIMAL, it, cert)
+                early = _polish(problem, x, y * cost, tol_abs, tol_rel)
+                if early is not None and early[2].passes():
+                    return _finish(problem, *early, SolveStatus.OPTIMAL, it)
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -578,26 +559,26 @@ def solve(
 
     y = y * cost  # undo objective normalization on the duals
 
-    cert = _certify(problem, x, y, tol_abs, tol_rel)
+    cert = _Certificate(
+        kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
+    )
     if status is SolveStatus.OPTIMAL:
-        polished = _polish(problem, x, y)
-        if polished is not None:
-            # Compare in tolerance units: the raw residuals differ in scale.
-            cert_pol = _certify(problem, *polished, tol_abs, tol_rel)
-            if cert_pol.ratio <= cert.ratio:
-                (x, y), cert = polished, cert_pol
+        polished = _polish(problem, x, y, tol_abs, tol_rel)
+        # Compare in tolerance units: the raw residuals differ in scale.
+        if polished is not None and polished[2].ratio <= cert.ratio:
+            x, y, cert = polished
         if not cert.passes(10.0):
             status = SolveStatus.MAX_ITERS
-    return _finish(problem, x, y, status, iterations, cert)
+    return _finish(problem, x, y, cert, status, iterations)
 
 
 def _finish(
     problem: ConvexProblem,
     z: np.ndarray,
     y: np.ndarray,
+    cert: _Certificate,
     status: SolveStatus,
     iterations: int,
-    cert: _Certificate,
 ) -> Solution:
     objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
     solution = Solution(

@@ -135,17 +135,12 @@ def expand_grid(run: RunConfig) -> tuple[ScenarioSpec, ...]:
 
 
 def _fault_kind(run: RunConfig, spec: ScenarioSpec) -> netgen.FaultKind:
-    if spec.kind_name == "constant_offset":
-        return netgen.ConstantOffset(spec.magnitude)
-    if spec.kind_name == "gaussian_noise":
-        return netgen.GaussianNoise(spec.magnitude)
-    if spec.kind_name == "power_failure":
-        return netgen.PowerFailure()
-    if spec.kind_name == "proportional_offset":
-        return netgen.ProportionalOffset(spec.magnitude)
-    if spec.kind_name == "drift":
-        return netgen.Drift(rate=spec.magnitude, cap=run.drift_cap)
-    raise ConfigError(f"unknown fault kind {spec.kind_name!r}")
+    kind = netgen.FAULT_KINDS[spec.kind_name]
+    if kind is netgen.PowerFailure:
+        return kind()
+    if kind is netgen.Drift:
+        return kind(rate=spec.magnitude, cap=run.drift_cap)
+    return kind(spec.magnitude)
 
 
 def build_scenario(run: RunConfig, spec: ScenarioSpec) -> netgen.Scenario:
@@ -190,14 +185,7 @@ def _fault_to_json(fault: netgen.FaultSpec) -> dict:
 
 
 def _fault_from_json(data: dict) -> netgen.FaultSpec:
-    kinds = {
-        "constant_offset": netgen.ConstantOffset,
-        "gaussian_noise": netgen.GaussianNoise,
-        "power_failure": netgen.PowerFailure,
-        "proportional_offset": netgen.ProportionalOffset,
-        "drift": netgen.Drift,
-    }
-    kind = kinds[data["kind"]](**data["params"])
+    kind = netgen.FAULT_KINDS[data["kind"]](**data["params"])
     return netgen.FaultSpec(kind=kind, sensor=data["sensor"], onset=data["onset"])
 
 
@@ -266,13 +254,8 @@ def train_scenario(
 class ScenarioResult:
     """Everything the reports need about one evaluated scenario."""
 
-    spec: ScenarioSpec
-    true_sensor: int
-    onset: int
+    prediction: localize.ScenarioPrediction
     detection: detector.DetectionReport
-    ensemble_prediction: Optional[int]
-    baseline_prediction: Optional[int]
-    alarm_steps_used: int
     certificate_excess: float
     audit: optim.SolveAudit
 
@@ -310,7 +293,7 @@ def localize_scenario(
             if cf.feasible_without_slack:
                 certificate_excess = max(
                     certificate_excess,
-                    explain.certificate_margin(ensemble, cf, threshold),
+                    explain.certificate_margin(ensemble, cf, threshold, dist=run.dist),
                 )
             per_model = [
                 explain.independent_counterfactual(
@@ -341,46 +324,47 @@ def evaluate_scenario_files(run: RunConfig, spec: ScenarioSpec) -> ScenarioResul
     ensemble, threshold = load_model_files(run, spec.scenario_id)
     stream = detector.detect(ensemble, panel, threshold)
     report = detector.detection_metrics(stream, fault)
-    ens_pred, base_pred, used, excess, audit = localize_scenario(
+    ens_pred, base_pred, _, excess, audit = localize_scenario(
         run, panel, ensemble, threshold, stream
     )
-    return ScenarioResult(
-        spec=spec,
+    prediction = localize.ScenarioPrediction(
+        scenario_id=spec.scenario_id,
+        fault_kind=spec.kind_name,
+        magnitude=spec.magnitude,
         true_sensor=fault.sensor,
-        onset=fault.onset,
-        detection=report,
         ensemble_prediction=ens_pred,
         baseline_prediction=base_pred,
-        alarm_steps_used=used,
-        certificate_excess=excess,
-        audit=audit,
     )
+    return ScenarioResult(prediction, report, excess, audit)
 
 
 # ---------------------------------------------------------------------------
 # batch runners (scenario-level parallelism)
 
 
-def _run_parallel(worker, args_list, jobs: int):
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
-    with multiprocessing.Pool(min(jobs, len(args_list))) as pool:
-        return pool.map(worker, args_list)
+def _run_grid(worker, run: RunConfig, jobs: int) -> list:
+    """``worker(run, spec)`` for every grid cell, in grid order.
+
+    Workers are module-private so they pickle by name even when the public
+    functions they call through module attributes are wrapped.
+    """
+    cells = [(run, spec) for spec in expand_grid(run)]
+    if jobs <= 1 or len(cells) <= 1:
+        return [worker(*cell) for cell in cells]
+    with multiprocessing.Pool(min(jobs, len(cells))) as pool:
+        return pool.starmap(worker, cells)
 
 
-def _simulate_worker(args) -> str:
-    run, spec = args
+def _simulate_worker(run: RunConfig, spec: ScenarioSpec) -> str:
     write_scenario(run, spec, build_scenario(run, spec))
     return spec.scenario_id
 
 
 def simulate_batch(run: RunConfig, jobs: int = 1) -> list[str]:
-    specs = expand_grid(run)
-    return _run_parallel(_simulate_worker, [(run, s) for s in specs], jobs)
+    return _run_grid(_simulate_worker, run, jobs)
 
 
-def _train_worker(args) -> str:
-    run, spec = args
+def _train_worker(run: RunConfig, spec: ScenarioSpec) -> str:
     panel, _, train_end = load_scenario_files(run, spec.scenario_id)
     ensemble, threshold = train_scenario(panel, train_end, run.window, run.margin)
     folder = scenario_dir(run, spec.scenario_id)
@@ -390,12 +374,10 @@ def _train_worker(args) -> str:
 
 
 def train_batch(run: RunConfig, jobs: int = 1) -> list[str]:
-    specs = expand_grid(run)
-    return _run_parallel(_train_worker, [(run, s) for s in specs], jobs)
+    return _run_grid(_train_worker, run, jobs)
 
 
-def _detect_worker(args):
-    run, spec = args
+def _detect_worker(run: RunConfig, spec: ScenarioSpec):
     panel, fault, _ = load_scenario_files(run, spec.scenario_id)
     ensemble, threshold = load_model_files(run, spec.scenario_id)
     stream = detector.detect(ensemble, panel, threshold)
@@ -403,34 +385,21 @@ def _detect_worker(args):
 
 
 def detect_batch(run: RunConfig, jobs: int = 1):
-    specs = expand_grid(run)
-    return _run_parallel(_detect_worker, [(run, s) for s in specs], jobs)
+    return _run_grid(_detect_worker, run, jobs)
 
 
-def _evaluate_worker(args) -> ScenarioResult:
-    run, spec = args
+def _evaluate_worker(run: RunConfig, spec: ScenarioSpec) -> ScenarioResult:
     return evaluate_scenario_files(run, spec)
 
 
 def evaluate_batch(run: RunConfig, jobs: int = 1) -> list[ScenarioResult]:
-    specs = expand_grid(run)
-    return _run_parallel(_evaluate_worker, [(run, s) for s in specs], jobs)
+    return _run_grid(_evaluate_worker, run, jobs)
 
 
 def results_to_predictions(
     results: list[ScenarioResult],
 ) -> list[localize.ScenarioPrediction]:
-    return [
-        localize.ScenarioPrediction(
-            scenario_id=res.spec.scenario_id,
-            fault_kind=res.spec.kind_name,
-            magnitude=res.spec.magnitude,
-            true_sensor=res.true_sensor,
-            ensemble_prediction=res.ensemble_prediction,
-            baseline_prediction=res.baseline_prediction,
-        )
-        for res in results
-    ]
+    return [r.prediction for r in results]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Windowed linear virtual sensors: fit, predict, serialize.
+"""Windowed linear virtual sensors: fit and serialize.
 
 A virtual sensor predicts one pressure channel from the trailing-window
 average of every other channel.  Fitting uses an orthogonal-factorization
@@ -85,20 +85,6 @@ def lagged_window_means(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def window_average(
-    panel: ReadingsPanel, t: int, window: int, exclude: int
-) -> np.ndarray:
-    """Mean of the ``window`` rows before t, with channel ``exclude`` removed."""
-    if t < window:
-        raise ValueError(f"time index {t} has no full window of length {window}")
-    if t > panel.n_steps:
-        raise ValueError(f"time index {t} beyond panel end")
-    if not 0 <= exclude < panel.n_sensors:
-        raise ValueError(f"exclude index {exclude} out of range")
-    mean = panel.values[t - window : t].mean(axis=0)
-    return np.delete(mean, exclude)
-
-
 def fit_virtual_sensor(
     panel: ReadingsPanel,
     target: int,
@@ -146,16 +132,6 @@ def train_ensemble(
         fit_virtual_sensor(panel, target, window, fit_range) for target in targets
     )
     return Ensemble(models=models, window=window)
-
-
-def predict(model: LinearModel, inputs: np.ndarray) -> float:
-    """Evaluate the virtual sensor on one input vector."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != model.weights.shape:
-        raise ValueError(
-            f"input length {inputs.shape} does not match weights {model.weights.shape}"
-        )
-    return float(model.weights @ inputs + model.bias)
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:

@@ -54,6 +54,31 @@ def normal_equations_fit(inputs: np.ndarray, response: np.ndarray) -> np.ndarray
     return np.linalg.solve(gram, design.T @ response)
 
 
+def window_average(panel, t: int, window: int, exclude: int) -> np.ndarray:
+    """Mean of the ``window`` rows before t, with channel ``exclude`` removed.
+
+    One row at a time, against the library's strided all-rows computation.
+    """
+    if t < window:
+        raise ValueError(f"time index {t} has no full window of length {window}")
+    if t > panel.n_steps:
+        raise ValueError(f"time index {t} beyond panel end")
+    if not 0 <= exclude < panel.n_sensors:
+        raise ValueError(f"exclude index {exclude} out of range")
+    mean = panel.values[t - window : t].mean(axis=0)
+    return np.delete(mean, exclude)
+
+
+def predict(model, inputs: np.ndarray) -> float:
+    """Evaluate one virtual sensor on one input vector."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.shape != model.weights.shape:
+        raise ValueError(
+            f"input length {inputs.shape} does not match weights {model.weights.shape}"
+        )
+    return float(model.weights @ inputs + model.bias)
+
+
 def random_bounded_lp(rng: np.random.Generator, max_extra_rows: int = 4):
     """A random feasible LP whose feasible set is a bounded polytope.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, netgen, optim, pipeline, sensors
+from faultprint import detector, explain, optim, pipeline, sensors
 from oracles import counterfactual_program_rows
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}

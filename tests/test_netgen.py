@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from faultprint import detector, netgen, sensors
+from faultprint import detector, netgen
 from conftest import constant_panel
 
 

@@ -91,18 +91,43 @@ def test_kkt_residuals_dimension_check():
         optim.kkt_residuals(simple_qp(), np.zeros(2), np.zeros(1))
 
 
+def _assert_carries_own_certificate(problem, solution, tol_abs, tol_rel):
+    """The reported residuals and tolerances are those of the returned point."""
+    assert solution.status is optim.SolveStatus.OPTIMAL
+    kkt = optim.kkt_residuals(problem, solution)
+    assert solution.kkt == kkt
+    assert solution.kkt_tol == optim.kkt_tolerances(
+        problem, solution.z, solution.y, tol_abs, tol_rel
+    )
+    assert all(r <= 10.0 * t for r, t in zip(kkt, solution.kkt_tol))
+
+
 def test_optimal_status_implies_certified_kkt():
     rng = np.random.default_rng(12)
     for _ in range(30):
         q, A, l, u = random_bounded_lp(rng)
-        solution = optim.solve(optim.ConvexProblem.linear(q, A, l, u))
-        assert solution.status is optim.SolveStatus.OPTIMAL
-        kkt = optim.kkt_residuals(
-            optim.ConvexProblem.linear(q, A, l, u), solution.z, solution.y
+        problem = optim.ConvexProblem.linear(q, A, l, u)
+        solution = optim.solve(problem)
+        _assert_carries_own_certificate(
+            problem, solution, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
         )
-        assert kkt.primal <= 10.0 * solution.kkt_tol.primal
-        assert kkt.dual <= 10.0 * solution.kkt_tol.dual
-        assert kkt.complementarity <= 10.0 * solution.kkt_tol.complementarity
+
+    n = 5
+    box = optim.ConvexProblem(
+        P=np.diag(rng.uniform(0.4, 4.0, n)),
+        q=rng.normal(scale=2.0, size=n),
+        A=np.eye(n),
+        l=rng.uniform(-2.0, 0.0, n),
+        u=rng.uniform(0.1, 2.0, n),
+    )
+    _assert_carries_own_certificate(box, optim.solve(box, 1e-6, 1e-6), 1e-6, 1e-6)
+
+    shifted = l1_equation_lp(3.0)
+    warm = optim.solve(shifted, warm_start=optim.solve(l1_equation_lp(4.0)))
+    assert warm.iterations == 0  # a warm-start hit
+    _assert_carries_own_certificate(
+        shifted, warm, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
+    )
 
 
 def test_removing_a_constraint_never_increases_optimum():

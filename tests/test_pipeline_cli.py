@@ -1,11 +1,9 @@
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, netgen, optim, pipeline
+from faultprint import detector, explain, optim, pipeline
 from faultprint.cli import main
 
 TINY_CONFIG = """
@@ -274,6 +272,21 @@ def _trained_tiny_run(cfg_path):
     assert main(["--config", str(cfg_path), "train"]) == 0
     run = pipeline.load_run_config(cfg_path)
     return run, pipeline.expand_grid(run)
+
+
+def test_squared_error_certificate_is_measured_squared(tmp_path):
+    # With dist = squared the program bounds e**2 by the threshold, so the
+    # certificate of a slack-free explanation must measure e**2 as well.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        TINY_CONFIG.format(out=tmp_path / "out")
+        + "\n[counterfactual]\ncomplexity = l2\ndist = squared\n",
+        encoding="utf-8",
+    )
+    run, specs = _trained_tiny_run(cfg_path)
+    excess = [pipeline.evaluate_scenario_files(run, s).certificate_excess for s in specs]
+    assert max(excess) > -np.inf  # some alarm step was explained without slack
+    assert all(e <= 1e-6 for e in excess)
 
 
 def test_audit_blocks_nest_around_scenario_evaluation(tiny_run):

