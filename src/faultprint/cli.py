@@ -55,27 +55,30 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_detection_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario_id", "fault_kind", "magnitude", "seed", "sensor", "onset",
-                "detected", "delay", "true_positive_rate", "true_negative_rate",
-                "false_positive_rate", "false_negative_rate",
-            ]
-        )
-        for spec, fault, report in rows:
-            writer.writerow(
-                [
-                    spec.scenario_id, spec.kind_name, _fmt(spec.magnitude),
-                    spec.seed, fault.sensor, fault.onset,
-                    int(report.detected),
-                    "inf" if math.isinf(report.detection_delay) else _fmt(report.detection_delay),
-                    _fmt(report.true_positive_rate), _fmt(report.true_negative_rate),
-                    _fmt(report.false_positive_rate), _fmt(report.false_negative_rate),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_detection_csv(path: Path, rows) -> None:
+    header = [
+        "scenario_id", "fault_kind", "magnitude", "seed", "sensor", "onset",
+        "detected", "delay", "true_positive_rate", "true_negative_rate",
+        "false_positive_rate", "false_negative_rate",
+    ]
+    _write_csv(path, header, (
+        [
+            spec.scenario_id, spec.kind_name, _fmt(spec.magnitude),
+            spec.seed, fault.sensor, fault.onset,
+            int(report.detected),
+            "inf" if math.isinf(report.detection_delay) else _fmt(report.detection_delay),
+            _fmt(report.true_positive_rate), _fmt(report.true_negative_rate),
+            _fmt(report.false_positive_rate), _fmt(report.false_negative_rate),
+        ]
+        for spec, fault, report in rows
+    ))
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -98,20 +101,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def _write_fingerprint_csv(path: Path, labels, cf, model_targets) -> None:
     normalized = localize.normalize_explanation(cf.delta)
-    slack_by_channel = {t: s for t, s in zip(model_targets, cf.slacks)}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "delta", "normalized", "slack"])
-        for i, label in enumerate(labels):
-            slack = slack_by_channel.get(i)
-            writer.writerow(
-                [
-                    label,
-                    _fmt(cf.delta[i]),
-                    _fmt(normalized[i]),
-                    "" if slack is None else _fmt(slack),
-                ]
-            )
+    slack_by_channel = {t: _fmt(s) for t, s in zip(model_targets, cf.slacks)}
+    _write_csv(path, ["label", "delta", "normalized", "slack"], (
+        [label, _fmt(cf.delta[i]), _fmt(normalized[i]), slack_by_channel.get(i, "")]
+        for i, label in enumerate(labels)
+    ))
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -173,11 +167,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             est = localize.predict_faulty_sensor(model_cf.delta, exclude=flow)
             if est is not None:
                 votes[est] += 1
-        with open(out / f"baseline-t{t}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "votes"])
-            for label, count in zip(panel.labels, votes):
-                writer.writerow([label, int(count)])
+        _write_csv(
+            out / f"baseline-t{t}.csv",
+            ["label", "votes"],
+            ([label, int(count)] for label, count in zip(panel.labels, votes)),
+        )
         svg = plots.bar_chart_svg(
             panel.labels,
             votes.astype(float),
@@ -190,24 +184,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _write_localization_csv(path: Path, predictions) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario_id", "fault_kind", "magnitude", "true_sensor",
-                "ensemble_prediction", "baseline_prediction",
-                "ensemble_correct", "baseline_correct",
-            ]
-        )
-        for row in predictions:
-            writer.writerow(
-                [
-                    row.scenario_id, row.fault_kind, _fmt(row.magnitude), row.true_sensor,
-                    "" if row.ensemble_prediction is None else row.ensemble_prediction,
-                    "" if row.baseline_prediction is None else row.baseline_prediction,
-                    int(row.ensemble_correct), int(row.baseline_correct),
-                ]
-            )
+    header = [
+        "scenario_id", "fault_kind", "magnitude", "true_sensor",
+        "ensemble_prediction", "baseline_prediction",
+        "ensemble_correct", "baseline_correct",
+    ]
+    _write_csv(path, header, (
+        [
+            row.scenario_id, row.fault_kind, _fmt(row.magnitude), row.true_sensor,
+            "" if row.ensemble_prediction is None else row.ensemble_prediction,
+            "" if row.baseline_prediction is None else row.baseline_prediction,
+            int(row.ensemble_correct), int(row.baseline_correct),
+        ]
+        for row in predictions
+    ))
 
 
 def _summary_markdown(report, results) -> str:

@@ -115,10 +115,6 @@ class ConstantOffset:
     offset: float
     name = "constant_offset"
 
-    @property
-    def magnitude(self) -> float:
-        return self.offset
-
 
 @dataclass(frozen=True)
 class GaussianNoise:
@@ -129,18 +125,10 @@ class GaussianNoise:
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
-    @property
-    def magnitude(self) -> float:
-        return self.sigma
-
 
 @dataclass(frozen=True)
 class PowerFailure:
     name = "power_failure"
-
-    @property
-    def magnitude(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -148,20 +136,12 @@ class ProportionalOffset:
     alpha: float
     name = "proportional_offset"
 
-    @property
-    def magnitude(self) -> float:
-        return self.alpha
-
 
 @dataclass(frozen=True)
 class Drift:
     rate: float
     cap: float
     name = "drift"
-
-    @property
-    def magnitude(self) -> float:
-        return self.rate
 
 
 FaultKind = Union[ConstantOffset, GaussianNoise, PowerFailure, ProportionalOffset, Drift]

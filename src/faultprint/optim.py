@@ -394,7 +394,7 @@ def _active_set_solve(
 
 
 def _polish(
-    problem: ConvexProblem, x: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
+    problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float
 ) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
     """Re-solve on the active set guessed from dual signs; None on failure.
 
@@ -460,7 +460,7 @@ def solve(
                 f"warm start has {warm_start.z.shape[0]} variables and "
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
-        guess = _polish(problem, warm_start.z, warm_start.y, tol_abs, tol_rel)
+        guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
         if guess is not None and guess[2].passes():
             return _finish(problem, *guess, SolveStatus.OPTIMAL, 0)
 
@@ -530,7 +530,7 @@ def solve(
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
                 polish_due = it + _EARLY_POLISH_INTERVAL
-                early = _polish(problem, x, y * cost, tol_abs, tol_rel)
+                early = _polish(problem, y * cost, tol_abs, tol_rel)
                 if early is not None and early[2].passes():
                     return _finish(problem, *early, SolveStatus.OPTIMAL, it)
             # A transient noise direction can mimic a divergence certificate;
@@ -563,7 +563,7 @@ def solve(
         kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
     )
     if status is SolveStatus.OPTIMAL:
-        polished = _polish(problem, x, y, tol_abs, tol_rel)
+        polished = _polish(problem, y, tol_abs, tol_rel)
         # Compare in tolerance units: the raw residuals differ in scale.
         if polished is not None and polished[2].ratio <= cert.ratio:
             x, y, cert = polished

@@ -145,6 +145,8 @@ def _fault_kind(run: RunConfig, spec: ScenarioSpec) -> netgen.FaultKind:
 
 def build_scenario(run: RunConfig, spec: ScenarioSpec) -> netgen.Scenario:
     """Deterministically realize one grid cell as a clean/faulty panel pair."""
+    if spec.kind_name not in netgen.FAULT_KINDS:
+        raise ConfigError(f"unknown fault kind: {spec.kind_name!r}")
     kind_index = netgen.FAULT_KIND_NAMES.index(spec.kind_name)
     ss = np.random.SeedSequence((spec.seed, kind_index, spec.magnitude_index))
     panel_seed, fault_seed, noise_seed = (int(s) for s in ss.generate_state(3))
@@ -416,72 +418,52 @@ _CONFIG_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"expected a list of numbers, got {raw!r}") from None
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+def _parse_like(default, raw: str):
+    """``raw`` as the type of ``default``; a tuple reads as a list of its element type."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(tok) for tok in raw.replace(",", " ").split())
+    return type(default)(raw)
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a sectioned key=value run configuration; unknown keys error out."""
+    """Parse a sectioned key=value run configuration; unknown keys error out.
+
+    Each value is read as its default's type into the field of the same name;
+    ``dir`` sets ``outdir``, a fault kind its magnitudes (empty drops the kind).
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
+    base = RunConfig()
+    scenario: dict = {}
+    magnitudes = dict(DEFAULT_MAGNITUDES)
+    fields: dict = {}
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _CONFIG_SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    def get(section: str, key: str, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+            if section == "scenario":
+                target, name, default = scenario, key, getattr(base.scenario, key)
+            elif key in DEFAULT_MAGNITUDES:
+                target, name, default = magnitudes, key, DEFAULT_MAGNITUDES[key]
+            else:
+                name = "outdir" if key == "dir" else key
+                target, default = fields, getattr(base, name)
             try:
-                return cast(raw)
-            except ConfigError:
-                raise
+                target[name] = _parse_like(default, raw)
             except ValueError:
                 raise ConfigError(
                     f"invalid value for {key!r} in [{section}]: {raw!r}"
                 ) from None
-        return default
-
-    base = RunConfig()
-    scenario = netgen.ScenarioConfig(
-        n_pressure=get("scenario", "n_pressure", int, base.scenario.n_pressure),
-        n_flow=get("scenario", "n_flow", int, base.scenario.n_flow),
-        n_steps=get("scenario", "n_steps", int, base.scenario.n_steps),
-        train_end=get("scenario", "train_end", int, base.scenario.train_end),
-        latent_dim=get("scenario", "latent_dim", int, base.scenario.latent_dim),
-        noise_std=get("scenario", "noise_std", float, base.scenario.noise_std),
-        seed=base.scenario.seed,
-    )
-    magnitudes = {}
-    for kind in netgen.FAULT_KIND_NAMES:
-        values = get("grid", kind, _parse_floats, DEFAULT_MAGNITUDES[kind])
-        if values:
-            magnitudes[kind] = tuple(values)
-    return RunConfig(
-        scenario=scenario,
-        seeds=get("grid", "seeds", _parse_ints, base.seeds),
-        magnitudes=magnitudes,
-        drift_cap=get("grid", "drift_cap", float, base.drift_cap),
-        window=get("detector", "window", int, base.window),
-        margin=get("detector", "margin", float, base.margin),
-        slack_penalty=get("counterfactual", "slack_penalty", float, base.slack_penalty),
-        complexity=get("counterfactual", "complexity", str, base.complexity),
-        dist=get("counterfactual", "dist", str, base.dist),
-        alarm_steps=get("evaluate", "alarm_steps", int, base.alarm_steps),
-        tol_abs=get("solver", "tol_abs", float, base.tol_abs),
-        tol_rel=get("solver", "tol_rel", float, base.tol_rel),
-        max_iters=get("solver", "max_iters", int, base.max_iters),
-        outdir=get("output", "dir", str, base.outdir),
-    )
+    try:
+        return RunConfig(
+            scenario=replace(base.scenario, **scenario),
+            magnitudes={kind: values for kind, values in magnitudes.items() if values},
+            **fields,
+        )
+    except ValueError as exc:  # ScenarioConfig and CfConfig validate their fields
+        raise ConfigError(str(exc)) from None

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, optim, pipeline
+from faultprint import detector, explain, netgen, optim, pipeline
 from faultprint.cli import main
 
 TINY_CONFIG = """
@@ -93,6 +96,85 @@ def test_config_round_trip_values(tmp_path):
     assert run.magnitudes["constant_offset"] == (1.5,)
     assert run.complexity == "l2"
     assert run.margin == 2.0  # default preserved
+
+
+# A valid value other than the default, for every key of the config schema.
+NON_DEFAULT_VALUES = {
+    "n_pressure": "10", "n_flow": "3", "n_steps": "2500", "train_end": "800",
+    "latent_dim": "2", "noise_std": "0.02",
+    "seeds": "4, 5", "constant_offset": "3.0", "gaussian_noise": "0.5 1.5",
+    "power_failure": "0, 0", "proportional_offset": "0.3", "drift": "0.2",
+    "drift_cap": "50",
+    "window": "4", "margin": "3.0",
+    "slack_penalty": "500", "complexity": "l2", "dist": "squared",
+    "tol_abs": "1e-7", "tol_rel": "1e-5", "max_iters": "5000",
+    "alarm_steps": "10",
+    "dir": "elsewhere",
+}
+
+
+def _flat_fields(run: pipeline.RunConfig) -> dict:
+    flat = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)}
+    scenario, magnitudes = flat.pop("scenario"), flat.pop("magnitudes")
+    flat.update(
+        {f"scenario.{f.name}": getattr(scenario, f.name) for f in dataclasses.fields(scenario)}
+    )
+    flat.update({f"magnitudes.{kind}": values for kind, values in magnitudes.items()})
+    return flat
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [(section, key) for section, keys in pipeline._CONFIG_SCHEMA.items() for key in keys],
+)
+def test_config_key_sets_only_its_own_field(tmp_path, section, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {NON_DEFAULT_VALUES[key]}\n", encoding="utf-8")
+    got = _flat_fields(pipeline.load_run_config(path))
+    default = _flat_fields(pipeline.RunConfig())
+    if section == "scenario":
+        field_name = f"scenario.{key}"
+    elif key in netgen.FAULT_KIND_NAMES:
+        field_name = f"magnitudes.{key}"
+    else:
+        field_name = "outdir" if key == "dir" else key
+    changed = {name for name in got.keys() | default.keys() if got.get(name) != default.get(name)}
+    assert changed == {field_name}
+    # Read as the type of its default, element by element for lists.
+    value, default_value = got[field_name], default[field_name]
+    assert type(value) is type(default_value)
+    if isinstance(value, tuple):
+        assert {type(v) for v in value} == {type(default_value[0])}
+
+
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("grid", "constant_offset = 1, x"),
+        ("scenario", "train_end = 5000"),
+        ("counterfactual", "complexity = l3"),
+    ],
+)
+def test_config_error_names_the_bad_value(tmp_path, section, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    with pytest.raises(pipeline.ConfigError, match=line.split()[0]):
+        pipeline.load_run_config(path)
+
+
+def test_readme_config_defaults_match_the_code(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "defaults.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    assert pipeline.load_run_config(path) == pipeline.RunConfig()
+
+
+def test_build_scenario_rejects_unknown_fault_kind():
+    spec = pipeline.ScenarioSpec("x", "bogus", 1.0, 0, 1)
+    with pytest.raises(pipeline.ConfigError, match="bogus"):
+        pipeline.build_scenario(pipeline.RunConfig(), spec)
 
 
 def test_grid_expansion_covers_kinds_magnitudes_seeds():
