@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union, get_args
 
 import numpy as np
-from scipy.signal import lfilter
 
 DIURNAL_PERIOD = 96  # steps per daily cycle (15-minute cadence analogy)
 
@@ -232,6 +232,17 @@ def _mixing_matrix(
     return matrix
 
 
+def _ar1(x: np.ndarray, a: float) -> np.ndarray:
+    """``y[t] = x[t] + a * y[t-1]`` down each column, from ``y[-1] = 0``.
+
+    Scalar Python floats per column: the recurrence is sequential, and a
+    numpy loop over rows costs several times more for a few columns.
+    """
+    return np.column_stack(
+        [list(accumulate(col, lambda y, x_t: x_t + a * y)) for col in x.T.tolist()]
+    )
+
+
 def generate_clean(config: ScenarioConfig) -> ReadingsPanel:
     """Generate a fault-free panel; a pure function of the config.
 
@@ -254,7 +265,7 @@ def generate_clean(config: ScenarioConfig) -> ReadingsPanel:
         2.0 * np.pi * steps[:, None] / DIURNAL_PERIOD + phases
     )
     kicks = rng.normal(0.0, _WALK_STEP_STD, size=(config.n_steps, config.latent_dim))
-    walk = lfilter([1.0], [1.0, -_WALK_REVERSION], kicks, axis=0)
+    walk = _ar1(kicks, _WALK_REVERSION)
     latents = sines + walk
 
     phasor = amplitudes * np.exp(1j * phases)
@@ -352,4 +363,12 @@ def load_csv(path) -> ReadingsPanel:
 
     if not rows:
         raise PanelFormatError(f"{path}: no data rows")
-    return ReadingsPanel(values=np.array(rows), kinds=tuple(kinds), labels=tuple(labels))
+    values = np.array(rows)
+    non_finite = np.argwhere(~np.isfinite(values))
+    if non_finite.size:
+        i, col = non_finite[0]
+        raise PanelFormatError(
+            f"{path}: row {i}, column {labels[col]!r}: "
+            f"non-finite cell {float(values[i, col])!r}"
+        )
+    return ReadingsPanel(values=values, kinds=tuple(kinds), labels=tuple(labels))

@@ -22,12 +22,17 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
+from scipy.linalg.lapack import get_lapack_funcs
+
+# LAPACK bound directly: scipy.linalg's wrappers cost more per call than the
+# factorizations of these tens-of-rows systems.
+_potrf, _potrs, _getrf, _getrs, _geqp3 = get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs", "geqp3"), dtype=np.float64
+)
 
 DEFAULT_TOL_ABS = 1e-7
 DEFAULT_TOL_REL = 1e-7
@@ -275,9 +280,15 @@ def _rho_vector(problem: ConvexProblem, base: float) -> np.ndarray:
     return rho
 
 
-def _factorize_scaled(P_s: np.ndarray, A: np.ndarray, rho: np.ndarray):
+def _factorize_scaled(P_s: np.ndarray, A: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the x-step matrix, for :func:`_potrs`."""
     K = P_s + _SIGMA * np.eye(P_s.shape[0]) + (A.T * rho) @ A
-    return cho_factor(K, lower=True, check_finite=False)
+    factor, info = _potrf(K, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the x-step matrix is not positive definite"
+        )
+    return factor
 
 
 def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) -> bool:
@@ -346,11 +357,15 @@ def _active_set_solve(
         weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
         if preferred is not None and preferred.size:
             weights[np.isin(active, preferred)] = 1e6
-        _, r_diag, pivots = qr(a_red.T * weights, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r_diag))
+        weighted = a_red.T * weights
+        # Query the workspace first, as scipy.linalg.qr does: dgeqp3 picks
+        # its blocking from lwork, so this keeps the pivots of that call.
+        lwork = int(_geqp3(weighted, lwork=-1)[3][0])
+        r_packed, pivots, *_ = _geqp3(weighted, lwork=lwork)
+        diag = np.abs(np.diag(r_packed))
         cutoff = diag.max(initial=0.0) * 1e-12
         rank = int((diag > cutoff).sum())
-        keep = np.sort(pivots[:rank])
+        keep = np.sort(pivots[:rank] - 1)
         active, is_lower = active[keep], is_lower[keep]
         a_red, bounds = a_red[keep], bounds[keep]
     k = active.shape[0]
@@ -363,13 +378,9 @@ def _active_set_solve(
         kkt[n:, :n] = a_red
         kkt[n:, n:] = -_POLISH_REG * np.eye(k)
     rhs = np.concatenate([-problem.q, bounds])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singular reduced systems are handled
-            factor = lu_factor(kkt, check_finite=False)
-            sol = lu_solve(factor, rhs, check_finite=False)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
+    # A singular system leaves a zero pivot, so the solve turns non-finite.
+    lu, piv, _ = _getrf(kkt)
+    sol = _getrs(lu, piv, rhs)[0]
     if not np.isfinite(sol).all():
         return None
 
@@ -380,7 +391,7 @@ def _active_set_solve(
         kkt_exact[n:, n:] += _POLISH_REG * np.eye(k)
     for _ in range(_POLISH_REFINE_STEPS):
         residual = rhs - kkt_exact @ sol
-        sol = sol + lu_solve(factor, residual, check_finite=False)
+        sol = sol + _getrs(lu, piv, residual)[0]
 
     if not np.isfinite(sol).all():
         return None
@@ -493,13 +504,13 @@ def solve(
     polish_due = 0
     for it in range(1, max_iters + 1):
         rhs = _SIGMA * x - q_s + A.T @ (rho * z - y)
-        x_tilde = cho_solve(factor, rhs, check_finite=False)
+        x_tilde = _potrs(factor, rhs, lower=1)[0]
         z_tilde = A @ x_tilde
 
         x_new = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
         w = _ALPHA * z_tilde + (1.0 - _ALPHA) * z
         v = w + y / rho
-        z_new = np.clip(v, problem.l, problem.u)
+        z_new = np.minimum(np.maximum(v, problem.l), problem.u)
         y_new = y + rho * (w - z_new)
 
         dx = x_new - x

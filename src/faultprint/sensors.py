@@ -159,14 +159,18 @@ def load_ensemble(path) -> Ensemble:
             if len(parts) < 4:
                 raise ValueError(f"{path}: line {lineno} too short for a model")
             try:
-                target, window = int(parts[0]), int(parts[1])
-                bias = float(parts[2])
-                weights = np.array([float(p) for p in parts[3:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} is not a valid model") from None
-            models.append(
-                LinearModel(weights=weights, bias=bias, target=target, window=window)
-            )
+                model = LinearModel(
+                    weights=np.array([float(p) for p in parts[3:]]),
+                    bias=float(parts[2]),
+                    target=int(parts[0]),
+                    window=int(parts[1]),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno} is not a valid model: {exc}") from None
+            models.append(model)
     if not models:
         raise ValueError(f"{path}: no models found")
-    return Ensemble(models=tuple(models), window=models[0].window)
+    try:
+        return Ensemble(models=tuple(models), window=models[0].window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,14 +2,20 @@
 
 These deliberately use different algorithms from the code under test:
 brute-force vertex enumeration instead of operator splitting, normal
-equations instead of orthogonal factorizations.
+equations instead of orthogonal factorizations.  The solver's linear
+algebra is checked against the same steps written with scipy.linalg's
+wrappers instead of direct LAPACK calls.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
+
+from faultprint import optim
 
 
 def lp_vertex_objective(q, A, l, u, feas_tol=1e-8):
@@ -159,3 +165,65 @@ def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty
         P[np.arange(nd + k, nd + 2 * k), np.arange(nd + k, nd + 2 * k)] = 2.0 * penalty
         q[nd + 2 * k :] = 2.0 * penalty * np.sqrt(tol)
     return P, q, np.vstack(rows), np.array(lo), np.array(hi)
+
+
+def x_step_reference(P_s, A, rho, rhs):
+    """The solver's ADMM x-step through scipy's Cholesky wrappers."""
+    K = P_s + optim._SIGMA * np.eye(P_s.shape[0]) + (A.T * rho) @ A
+    return cho_solve(cho_factor(K, lower=True, check_finite=False), rhs, check_finite=False)
+
+
+def active_set_solve_reference(problem, y, lower_active, upper_active, preferred=None):
+    """``optim._active_set_solve`` through scipy's QR and LU wrappers.
+
+    Same steps: pivoted-QR row selection weighted by dual magnitude
+    (``preferred`` rows first), a regularized LU solve of the reduced KKT
+    system, refinement against the unregularized one, dual sign clamping.
+    Returns None where the reduced system is singular.
+    """
+    n = problem.n_vars
+    active = np.concatenate([lower_active, upper_active])
+    is_lower = np.concatenate(
+        [np.ones(lower_active.shape[0], bool), np.zeros(upper_active.shape[0], bool)]
+    )
+    a_red = problem.A[active]
+    bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
+
+    if active.shape[0]:
+        strength = np.abs(y[active])
+        weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
+        if preferred is not None and preferred.size:
+            weights[np.isin(active, preferred)] = 1e6
+        _, r_diag, pivots = qr(a_red.T * weights, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r_diag))
+        rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
+        keep = np.sort(pivots[:rank])
+        active, is_lower = active[keep], is_lower[keep]
+        a_red, bounds = a_red[keep], bounds[keep]
+    k = active.shape[0]
+
+    reg = optim._POLISH_REG
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = problem.P + reg * np.eye(n)
+    kkt[:n, n:] = a_red.T
+    kkt[n:, :n] = a_red
+    kkt[n:, n:] = -reg * np.eye(k)
+    rhs = np.concatenate([-problem.q, bounds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a singular factor turns the solve non-finite
+        factor = lu_factor(kkt, check_finite=False)
+        sol = lu_solve(factor, rhs, check_finite=False)
+    if not np.isfinite(sol).all():
+        return None
+    kkt_exact = kkt.copy()
+    kkt_exact[:n, :n] -= reg * np.eye(n)
+    kkt_exact[n:, n:] += reg * np.eye(k)
+    for _ in range(optim._POLISH_REFINE_STEPS):
+        sol = sol + lu_solve(factor, rhs - kkt_exact @ sol, check_finite=False)
+    if not np.isfinite(sol).all():
+        return None
+    y_pol = np.zeros(problem.n_constraints)
+    y_pol[active] = sol[n:]
+    y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
+    y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
+    return sol[:n], y_pol

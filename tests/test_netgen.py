@@ -227,6 +227,14 @@ def test_csv_non_numeric_cell_error_names_cell(tmp_path):
         netgen.load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_cell_error_names_file_and_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a:pressure,b:pressure\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+    with pytest.raises(netgen.PanelFormatError, match=f"bad.csv: row 1, column 'b'.*{cell}"):
+        netgen.load_csv(path)
+
+
 def test_csv_malformed_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a:pressure,b\n1.0,2.0\n", encoding="utf-8")
@@ -240,3 +248,24 @@ def test_csv_malformed_header_rejected(tmp_path):
 def test_panel_values_are_immutable(default_panel):
     with pytest.raises(ValueError):
         default_panel.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.995, netgen._WALK_REVERSION])
+def test_random_walk_recurrence_matches_lfilter(a):
+    from scipy.signal import lfilter
+
+    kicks = np.random.default_rng(17).normal(size=(2000, 3))
+    walk = netgen._ar1(kicks, a)
+    assert walk.tobytes() == lfilter([1.0], [1.0, -a], kicks, axis=0).tobytes()
+
+
+def test_generated_panels_match_lfilter_walk(monkeypatch):
+    from scipy.signal import lfilter
+
+    configs = [netgen.ScenarioConfig(seed=seed) for seed in (0, 1, 2, 3)]
+    panels = [netgen.generate_clean(cfg).values for cfg in configs]
+    monkeypatch.setattr(
+        netgen, "_ar1", lambda x, a: lfilter([1.0], [1.0, -a], x, axis=0)
+    )
+    for cfg, values in zip(configs, panels):
+        assert values.tobytes() == netgen.generate_clean(cfg).values.tobytes()

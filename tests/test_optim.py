@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from faultprint import optim
-from oracles import lp_vertex_objective, random_bounded_lp
+from oracles import (
+    active_set_solve_reference,
+    lp_vertex_objective,
+    random_bounded_lp,
+    x_step_reference,
+)
 
 
 def simple_qp():
@@ -247,3 +252,108 @@ def test_audit_blocks_nest():
         optim.solve(simple_qp())
     assert len(inner) == 1
     assert len(outer) == 2
+
+
+def _random_qp(rng, n, m):
+    root = rng.normal(size=(n, n // 2))
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    return optim.ConvexProblem(
+        P=root @ root.T,
+        q=rng.normal(size=n),
+        A=A,
+        l=A @ x0 - rng.uniform(0.1, 1.0, m),
+        u=A @ x0 + rng.uniform(0.1, 1.0, m),
+    )
+
+
+def _assert_same_bits(result, reference):
+    if reference is None:
+        assert result is None
+        return
+    assert result is not None
+    for ours, theirs in zip(result, reference):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def _active_set_cases():
+    """(problem, y, lower, upper, preferred) covering the selection paths."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):  # well-posed: fewer pinned rows than variables
+        n, m = int(rng.integers(3, 9)), int(rng.integers(2, 9))
+        problem = _random_qp(rng, n, m)
+        pinned = rng.permutation(m)[: int(rng.integers(0, min(n, m) + 1))]
+        split = int(rng.integers(0, pinned.size + 1))
+        yield problem, rng.normal(size=m), np.sort(pinned[:split]), np.sort(pinned[split:]), None
+    for _ in range(40):  # rank-deficient: duplicated rows, more pins than variables
+        n = int(rng.integers(2, 6))
+        base = _random_qp(rng, n, n + 3)
+        dup = rng.integers(0, n + 3, size=3)
+        A = np.vstack([base.A, base.A[dup]])
+        l, u = np.concatenate([base.l, base.l[dup]]), np.concatenate([base.u, base.u[dup]])
+        problem = optim.ConvexProblem(P=base.P, q=base.q, A=A, l=l, u=u)
+        m = A.shape[0]
+        pinned = rng.permutation(m)[: int(rng.integers(n + 1, m + 1))]
+        split = int(rng.integers(0, pinned.size + 1))
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-9, 2, size=m)
+        preferred = np.sort(rng.choice(pinned, size=int(rng.integers(0, 3)), replace=False))
+        yield problem, y, np.sort(pinned[:split]), np.sort(pinned[split:]), preferred
+
+
+def test_active_set_solve_matches_wrapper_reference():
+    cases = list(_active_set_cases())
+    over_pinned = 0
+    for problem, y, lower, upper, preferred in cases:
+        reference = active_set_solve_reference(problem, y, lower, upper, preferred)
+        result = optim._active_set_solve(problem, y, lower, upper, preferred)
+        _assert_same_bits(result, reference)
+        over_pinned += reference is not None and lower.size + upper.size > problem.n_vars
+    assert over_pinned > 0  # the rank-deficient cases did reach the selection
+
+
+def test_active_set_solve_preferred_rows_match_wrapper_reference():
+    # Two copies of one row: only one survives, and a repair preference on
+    # the weaker copy must pick it over the stronger one.
+    problem = optim.ConvexProblem(
+        P=np.eye(2),
+        q=np.array([1.0, -1.0]),
+        A=np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+        l=np.array([0.5, 0.5, -1.0]),
+        u=np.array([2.0, 2.0, 1.0]),
+    )
+    y = np.array([-1.0, -1e-3, 0.0])
+    lower, upper = np.array([0, 1]), np.empty(0, dtype=int)
+    for preferred in (None, np.array([1])):
+        reference = active_set_solve_reference(problem, y, lower, upper, preferred)
+        _assert_same_bits(optim._active_set_solve(problem, y, lower, upper, preferred), reference)
+    kept_weak = optim._active_set_solve(problem, y, lower, upper, np.array([1]))[1]
+    assert kept_weak[0] == 0.0 and kept_weak[1] < 0.0
+
+
+def test_singular_active_set_system_gives_none_like_the_reference():
+    # P + 1e-6 I rounds back to a singular P: the LU meets an exact zero pivot.
+    problem = optim.ConvexProblem(
+        P=np.full((2, 2), 1e12), q=np.array([1.0, 0.0]), A=np.eye(2), l=-np.ones(2), u=np.ones(2)
+    )
+    empty = np.empty(0, dtype=int)
+    assert active_set_solve_reference(problem, np.zeros(2), empty, empty) is None
+    assert optim._active_set_solve(problem, np.zeros(2), empty, empty) is None
+
+
+def test_x_step_matches_wrapper_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        root = rng.normal(size=(n, n))
+        P_s = root @ root.T * rng.choice([0.0, 1.0])
+        A = rng.normal(size=(m, n))
+        rho = rng.uniform(1e-6, 1e3, m)
+        rhs = rng.normal(size=n)
+        factor = optim._factorize_scaled(P_s, A, rho)
+        x = optim._potrs(factor, rhs, lower=1)[0]
+        assert x.tobytes() == x_step_reference(P_s, A, rho, rhs).tobytes()
+
+
+def test_factorize_rejects_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        optim._factorize_scaled(-np.eye(2), np.zeros((1, 2)), np.ones(1))

@@ -1,6 +1,10 @@
+import ast
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,3 +415,29 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
     assert 0 in warm_iterations
     assert 0 not in cold_iterations
     assert sum(warm_iterations) < sum(cold_iterations)
+
+
+def _scipy_imports(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    src = str(Path(optim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, faultprint.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "faultprint.cli" in loaded
+    assert "scipy.signal" not in loaded
+    assert "scipy.stats" not in loaded
+    assert _scipy_imports(netgen) == set()
+    assert _scipy_imports(optim) == {"scipy.linalg.lapack"}

@@ -203,3 +203,22 @@ def test_load_ensemble_rejects_garbage(tmp_path):
     path.write_text("0 3 nope 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         sensors.load_ensemble(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "0 3 0.5 1.0\n1 3 0.5 nan\n",
+            "line 1 is not a valid model: model coefficients must be finite",
+        ),
+        ("0 3 0.5 1.0\n1 4 0.5 1.0\n", "all models must share the ensemble window"),
+        ("0 3 0.5 1.0\n0 3 0.5 1.0\n", "duplicate target channel in ensemble"),
+    ],
+)
+def test_load_ensemble_invalid_model_error_names_file(tmp_path, text, message):
+    path = tmp_path / "models.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        sensors.load_ensemble(path)
+    assert str(excinfo.value) == f"{path}: {message}"
