@@ -15,7 +15,7 @@ of this program and is intentionally not a separate solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class Counterfactual:
     feasible_without_slack: bool
     iterations: int
     solution: optim.Solution | None = None  # the certified solve it came from
+    # Kept by warm-started explanations only, for the next one of their chain.
+    _program: _Program | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
@@ -126,14 +128,8 @@ def snapshot_residuals(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     return G @ x + b
 
 
-def _program(
-    G: np.ndarray,
-    r0: np.ndarray,
-    tol: np.ndarray,
-    one_sided: np.ndarray,
-    cfg: CfConfig,
-) -> optim.ConvexProblem:
-    """Assemble the relaxed program for residual rows e = G delta + r0.
+class _Program:
+    """The relaxed program for residual rows e = G delta + r0, for any r0.
 
     A two-sided row asks |e| <= tol, a one-sided row e >= tol; slack, priced
     by ``cfg.slack_penalty``, softens each.  Variables are the change block
@@ -147,79 +143,129 @@ def _program(
     one boxed variable, one free variable and one epigraph variable per row
     while staying a plain QP.  One-sided rows exist in the absolute form only,
     so ``cfg.dist`` must be ``abs`` when any row is one-sided.
+
+    The snapshot enters through r0 = G x + bias - targets, and r0 only
+    through the bounds: P, q and A are built and validated once, and
+    :meth:`at` fills in each snapshot's l and u.  ``models`` are the model
+    objects G and bias came from, for :meth:`fits`.
     """
-    k = G.shape[0]
-    l1 = cfg.complexity == "l1"
-    squared = cfg.dist == "squared"
-    Gd = np.concatenate([G, -G], axis=1) if l1 else G
-    nd = Gd.shape[1]
-    lam = cfg.slack_penalty
-    I = np.eye(k)
-    N = 0.0 - I  # -I without negative zeros
-    zero, inf = np.zeros(k), np.full(k, np.inf)
-    if squared:
-        # variables [delta, a, s, t]; per row: e - a - s = 0,
-        # |a| <= sqrt(tol), t - s >= 0, t + s >= 0
-        root_tol = np.sqrt(tol)
-        Z, Zd = np.zeros((k, k)), np.zeros((k, nd))
-        blocks = [
-            ([Gd, N, N, Z], -r0, -r0),
-            ([Zd, I, Z, Z], -root_tol, root_tol),
-            ([Zd, Z, N, I], zero, inf),
-            ([Zd, Z, I, I], zero, inf),
-        ]
-        q_rows = np.concatenate([zero, zero, 2.0 * lam * root_tol])
-        p_rows = np.concatenate([zero, np.full(k, 2.0 * lam), zero])
-        keep = np.ones((k, 4), dtype=bool)
-    else:
-        # variables [delta, s]; per row: e - s <= tol and -e - s <= tol,
-        # or e + s >= tol when one-sided
-        gap = tol - r0
-        blocks = [
-            (
-                [Gd, np.diag(np.where(one_sided, 1.0, -1.0))],
-                np.where(one_sided, gap, -inf),
-                np.where(one_sided, inf, gap),
-            ),
-            ([-Gd, N], -inf, tol + r0),
-        ]
-        q_rows, p_rows = np.full(k, lam), zero
-        keep = np.ones((k, 2), dtype=bool)
-        keep[:, 1] = ~one_sided
-    n_vars = nd + q_rows.shape[0]
-    A = np.concatenate([np.concatenate(cols, axis=1) for cols, _, _ in blocks])
-    l = np.concatenate([lo for _, lo, _ in blocks])
-    u = np.concatenate([hi for _, _, hi in blocks])
-    # Residual row j contributes its row of each block in turn.
-    order = np.arange(len(blocks) * k).reshape(len(blocks), k).T[keep]
-    nonneg = np.eye(n_vars)[(0 if l1 else nd) : (nd if squared else n_vars)]
-    return optim.ConvexProblem(
-        P=np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows])),
-        q=np.concatenate([np.full(nd, 1.0 if l1 else 0.0), q_rows]),
-        A=np.concatenate([A[order], nonneg]),
-        l=np.concatenate([l[order], np.zeros(nonneg.shape[0])]),
-        u=np.concatenate([u[order], np.full(nonneg.shape[0], np.inf)]),
-    )
+
+    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig, models=()):
+        self.G, self.bias, self.targets = G, bias, targets
+        self.tol, self.one_sided, self.cfg, self.models = tol, one_sided, cfg, models
+        k = G.shape[0]
+        l1 = cfg.complexity == "l1"
+        squared = cfg.dist == "squared"
+        Gd = np.concatenate([G, -G], axis=1) if l1 else G
+        nd = Gd.shape[1]
+        lam = cfg.slack_penalty
+        I = np.eye(k)
+        N = 0.0 - I  # -I without negative zeros
+        zero, inf = np.zeros(k), np.full(k, np.inf)
+        # Each bound of a block is (offset, sign): offset + sign * r0 per row,
+        # where sign 0 marks a bound that does not move with the snapshot.
+        fixed = zero
+        if squared:
+            # variables [delta, a, s, t]; per row: e - a - s = 0,
+            # |a| <= sqrt(tol), t - s >= 0, t + s >= 0
+            root_tol = np.sqrt(tol)
+            Z, Zd = np.zeros((k, k)), np.zeros((k, nd))
+            # -0.0 + (-r0) is -r0, signed zeros included
+            minus_r0 = (np.full(k, -0.0), np.full(k, -1.0))
+            blocks = [
+                ([Gd, N, N, Z], minus_r0, minus_r0),
+                ([Zd, I, Z, Z], (-root_tol, fixed), (root_tol, fixed)),
+                ([Zd, Z, N, I], (zero, fixed), (inf, fixed)),
+                ([Zd, Z, I, I], (zero, fixed), (inf, fixed)),
+            ]
+            q_rows = np.concatenate([zero, zero, 2.0 * lam * root_tol])
+            p_rows = np.concatenate([zero, np.full(k, 2.0 * lam), zero])
+            keep = np.ones((k, 4), dtype=bool)
+        else:
+            # variables [delta, s]; per row: e - s <= tol and -e - s <= tol,
+            # or e + s >= tol when one-sided; tol - r0 and tol + r0 on the right
+            blocks = [
+                (
+                    [Gd, np.diag(np.where(one_sided, 1.0, -1.0))],
+                    (np.where(one_sided, tol, -inf), np.where(one_sided, -1.0, fixed)),
+                    (np.where(one_sided, inf, tol), np.where(one_sided, fixed, -1.0)),
+                ),
+                ([-Gd, N], (-inf, fixed), (tol, np.ones(k))),
+            ]
+            q_rows, p_rows = np.full(k, lam), zero
+            keep = np.ones((k, 2), dtype=bool)
+            keep[:, 1] = ~one_sided
+        n_vars = nd + q_rows.shape[0]
+        A = np.concatenate([np.concatenate(cols, axis=1) for cols, _, _ in blocks])
+        # Residual row j contributes its row of each block in turn.
+        order = np.arange(len(blocks) * k).reshape(len(blocks), k).T[keep]
+        nonneg = np.eye(n_vars)[(0 if l1 else nd) : (nd if squared else n_vars)]
+        n_nonneg = nonneg.shape[0]
+
+        # l and u as one vector, so one assignment per snapshot fills both;
+        # the nonnegativity rows are fixed at [0, inf)
+        _, lows, highs = zip(*blocks)
+        (l_offset, l_sign), (u_offset, u_sign) = zip(*lows), zip(*highs)
+        none, open_end = np.zeros(n_nonneg), np.full(n_nonneg, np.inf)
+        offset = np.concatenate(
+            [np.concatenate(l_offset)[order], none, np.concatenate(u_offset)[order], open_end]
+        )
+        sign = np.concatenate(
+            [np.concatenate(l_sign)[order], none, np.concatenate(u_sign)[order], none]
+        )
+        source = np.concatenate([order % k, np.zeros(n_nonneg, dtype=int)])
+        source = np.concatenate([source, source])
+        self._moving = np.flatnonzero(sign)
+        self._bounds = offset
+        self._offset, self._sign = offset[self._moving], sign[self._moving]
+        self._source = source[self._moving]
+        m = order.shape[0] + n_nonneg
+        self._base = optim.ConvexProblem(
+            P=np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows])),
+            q=np.concatenate([np.full(nd, 1.0 if l1 else 0.0), q_rows]),
+            A=np.concatenate([A[order], nonneg]),
+            l=np.full(m, -np.inf),
+            u=np.full(m, np.inf),
+        )
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        return self.G @ x + self.bias - self.targets
+
+    def at(self, r0: np.ndarray) -> optim.ConvexProblem:
+        """The program for residuals r0; only its bounds are computed."""
+        bounds = self._bounds.copy()
+        bounds[self._moving] = self._offset + self._sign * r0[self._source]
+        m = self._base.n_constraints
+        return self._base.with_bounds(bounds[:m], bounds[m:])
+
+    def fits(self, models, targets: np.ndarray, tol: np.ndarray, cfg: CfConfig) -> bool:
+        """Built from these model objects, targets and settings, bit for bit."""
+        return (
+            len(models) == len(self.models)
+            and all(a is b for a, b in zip(models, self.models))
+            and targets.tobytes() == self.targets.tobytes()
+            and tol.tobytes() == self.tol.tobytes()
+            and (cfg.slack_penalty, cfg.complexity, cfg.dist)
+            == (self.cfg.slack_penalty, self.cfg.complexity, self.cfg.dist)
+        )
 
 
 def _decode(
     solution: optim.Solution,
-    G: np.ndarray,
+    program: _Program,
     r0: np.ndarray,
-    tol: np.ndarray,
-    one_sided: np.ndarray,
-    cfg: CfConfig,
     x_orig: np.ndarray,
-    residual,
+    keep_program: bool,
 ) -> Counterfactual:
-    """The counterfactual a certified solution of :func:`_program` encodes.
+    """The counterfactual a certified solution of ``program`` encodes.
 
     Slacks are recovered from the decoded change vector (the exact optimal
     slack given delta), not from the solver's internal slack variables.  A
-    slack-free result is re-evaluated once more, with ``residual`` applied
-    to the corrected snapshot itself, and rejected if a row misses its
-    tolerance there.
+    slack-free result is re-evaluated once more, with the program's
+    residual applied to the corrected snapshot itself, and rejected if a
+    row misses its tolerance there.
     """
+    G, tol, one_sided, cfg = program.G, program.tol, program.one_sided, program.cfg
     n = G.shape[1]
     l1 = cfg.complexity == "l1"
     delta = solution.z[:n] - solution.z[n : 2 * n] if l1 else solution.z[:n]
@@ -233,9 +279,10 @@ def _decode(
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
         iterations=solution.iterations,
         solution=solution,
+        _program=program if keep_program else None,
     )
     if cf.feasible_without_slack:
-        measured = _excess(residual(cf.x_cf), tol, one_sided, cfg.dist)
+        measured = _excess(program.residual(cf.x_cf), tol, one_sided, cfg.dist)
         excess = float(np.max(measured, initial=0.0))
         if excess > FEASIBLE_SLACK_TOL:
             raise ExplainError(
@@ -256,32 +303,27 @@ def _excess(
 
 
 def _counterfactual(
-    G: np.ndarray,
-    bias: np.ndarray,
-    targets,
-    tol: np.ndarray,
-    one_sided: np.ndarray,
+    program: _Program,
     x_orig: np.ndarray,
-    config: CfConfig,
     solver_options: dict | None,
     warm_start: Counterfactual | None = None,
 ) -> Counterfactual:
-    """Explain ``x_orig`` against the residual rows G x + bias - targets."""
+    """Explain ``x_orig`` against the program's residual rows.
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return G @ x + bias - targets
-
-    r0 = residual(x_orig)
-    problem = _program(G, r0, tol, one_sided, config)
+    A warm-started explanation keeps its program, and its solution the KKT
+    factors, for the next explanation of its chain.  One that is not keeps
+    neither: callers may hold many one-off results side by side.
+    """
+    r0 = program.residual(x_orig)
     previous = warm_start.solution if warm_start is not None else None
-    solution = optim.solve(problem, **(solver_options or {}), warm_start=previous)
+    solution = optim.solve(program.at(r0), **(solver_options or {}), warm_start=previous)
     if solution.status is not optim.SolveStatus.OPTIMAL:
         raise ExplainError(
             f"counterfactual solve ended with status {solution.status.value} "
             f"after {solution.iterations} iterations "
             f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
         )
-    return _decode(solution, G, r0, tol, one_sided, config, x_orig, residual)
+    return _decode(solution, program, r0, x_orig, keep_program=warm_start is not None)
 
 
 def ensemble_counterfactual(
@@ -299,7 +341,8 @@ def ensemble_counterfactual(
     the no-alarm condition; slack keeps the program feasible.
     ``warm_start``, the explanation of a nearby snapshot by the same
     ensemble and config, lets the solver try that optimum's active set
-    first; the result is certified either way.
+    first; the result is certified either way.  Its program is reused when
+    it was built from the same model objects, targets and config.
     """
     x_orig = np.asarray(x_orig, dtype=float)
     if x_orig.shape != (ensemble.n_sensors,):
@@ -307,18 +350,14 @@ def ensemble_counterfactual(
             f"snapshot has shape {x_orig.shape}, expected ({ensemble.n_sensors},)"
         )
     k = len(ensemble.models)
-    G, bias = _residual_geometry(ensemble.models, x_orig.shape[0])
-    return _counterfactual(
-        G,
-        bias,
-        np.broadcast_to(np.asarray(targets, dtype=float), (k,)),
-        config.tolerance_vector(k),
-        np.zeros(k, dtype=bool),
-        x_orig,
-        config,
-        solver_options,
-        warm_start,
-    )
+    targets = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
+    tol = config.tolerance_vector(k)
+    program = warm_start._program if warm_start is not None else None
+    if program is None or not program.fits(ensemble.models, targets, tol, config):
+        G, bias = _residual_geometry(ensemble.models, x_orig.shape[0])
+        one_sided = np.zeros(k, dtype=bool)
+        program = _Program(G, bias, targets, tol, one_sided, config, ensemble.models)
+    return _counterfactual(program, x_orig, solver_options, warm_start)
 
 
 def independent_counterfactual(
@@ -370,16 +409,15 @@ def classification_ensemble_cf(
     V = np.vstack([c.weights for c in classifiers])
     if V.shape[1] != x_orig.shape[0]:
         raise ValueError("classifier dimensionality does not match the snapshot")
-    return _counterfactual(
+    program = _Program(
         targets[:, None] * V,
         targets * np.array([c.bias for c in classifiers]),
         0.0,
         np.full(k, _CLASSIFIER_MARGIN),
         np.ones(k, dtype=bool),
-        x_orig,
         replace(config, dist="abs"),
-        solver_options,
     )
+    return _counterfactual(program, x_orig, solver_options)
 
 
 def certificate_margin(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Union, get_args
 
 import numpy as np
@@ -319,8 +319,20 @@ def write_csv(panel: ReadingsPanel, path) -> None:
             writer.writerow(repr(float(v)) for v in row)
 
 
+def _record_line(path, index: int) -> int:
+    """File line, counted from 1, on which data record ``index`` ends."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 2):  # the header, then the records
+            pass
+        return reader.line_num
+
+
 def load_csv(path) -> ReadingsPanel:
-    """Read a panel written by :func:`write_csv`; exact decimal round-trip."""
+    """Read a panel written by :func:`write_csv`; exact decimal round-trip.
+
+    Errors name the file line as an editor counts it: the header is line 1.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -345,10 +357,11 @@ def load_csv(path) -> ReadingsPanel:
             labels.append(label)
 
         rows: list[list[float]] = []
-        for i, row in enumerate(reader):
+        for row in reader:
             if len(row) != len(labels):
                 raise PanelFormatError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(labels)}"
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(labels)}"
                 )
             parsed = []
             for col, cell in enumerate(row):
@@ -356,7 +369,7 @@ def load_csv(path) -> ReadingsPanel:
                     parsed.append(float(cell))
                 except ValueError:
                     raise PanelFormatError(
-                        f"{path}: row {i}, column {labels[col]!r}: "
+                        f"{path}: line {reader.line_num}, column {labels[col]!r}: "
                         f"non-numeric cell {cell!r}"
                     ) from None
             rows.append(parsed)
@@ -368,7 +381,7 @@ def load_csv(path) -> ReadingsPanel:
     if non_finite.size:
         i, col = non_finite[0]
         raise PanelFormatError(
-            f"{path}: row {i}, column {labels[col]!r}: "
+            f"{path}: line {_record_line(path, i)}, column {labels[col]!r}: "
             f"non-finite cell {float(values[i, col])!r}"
         )
     return ReadingsPanel(values=values, kinds=tuple(kinds), labels=tuple(labels))

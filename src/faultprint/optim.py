@@ -21,8 +21,9 @@ for throughput.
 from __future__ import annotations
 
 import contextlib
+import copy
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,20 +87,11 @@ class ConvexProblem:
         P = np.ascontiguousarray(self.P, dtype=float)
         q = np.ascontiguousarray(self.q, dtype=float)
         A = np.ascontiguousarray(self.A, dtype=float)
-        l = np.ascontiguousarray(self.l, dtype=float)
-        u = np.ascontiguousarray(self.u, dtype=float)
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {P.shape}")
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"A must have {n} columns, got {A.shape}")
-        m = A.shape[0]
-        if l.shape != (m,) or u.shape != (m,):
-            raise ValueError("l and u must match the constraint row count")
-        if np.any(l > u):
-            raise ValueError("constraint bounds require l <= u elementwise")
-        if np.any(np.isposinf(l)) or np.any(np.isneginf(u)):
-            raise ValueError("l must be < +inf and u > -inf")
         if not np.isfinite(P).all() or not np.isfinite(q).all() or not np.isfinite(A).all():
             raise ValueError("P, q, A must be finite")
         if P.any():
@@ -108,9 +100,34 @@ class ConvexProblem:
             scale = max(1.0, float(np.abs(P).max()))
             if np.linalg.eigvalsh(P).min() < -1e-9 * scale:
                 raise ValueError("P must be positive semidefinite")
-        for name, arr in (("P", P), ("q", q), ("A", A), ("l", l), ("u", u)):
+        for name, arr in (("P", P), ("q", q), ("A", A)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        self._set_bounds(self.l, self.u)
+
+    def _set_bounds(self, l, u) -> None:
+        l = np.ascontiguousarray(l, dtype=float)
+        u = np.ascontiguousarray(u, dtype=float)
+        m = self.A.shape[0]
+        if l.shape != (m,) or u.shape != (m,):
+            raise ValueError("l and u must match the constraint row count")
+        if (l > u).any():
+            raise ValueError("constraint bounds require l <= u elementwise")
+        if (l == np.inf).any() or (u == -np.inf).any():
+            raise ValueError("l must be < +inf and u > -inf")
+        for name, arr in (("l", l), ("u", u)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def with_bounds(self, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
+        """The same P, q and A (shared, not copied) with new bounds.
+
+        Only the bounds are validated: a program whose snapshot enters
+        through its bounds alone pays the P, q, A checks once.
+        """
+        problem = copy.copy(self)
+        problem._set_bounds(l, u)
+        return problem
 
     @staticmethod
     def linear(q: np.ndarray, A: np.ndarray, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
@@ -129,6 +146,29 @@ class ConvexProblem:
         return float(0.5 * z @ self.P @ z + self.q @ z)
 
 
+class _KktFactor(NamedTuple):
+    """LU factors of a polished KKT system, with what fixes its matrix.
+
+    The matrix depends only on P, A and the kept active rows; P and A are
+    compared by identity, which holds for problems made by
+    :meth:`ConvexProblem.with_bounds` (their arrays are shared and read-only).
+    """
+
+    P: np.ndarray
+    A: np.ndarray
+    active: np.ndarray  # kept active rows, in KKT order
+    lu: np.ndarray
+    piv: np.ndarray
+    exact: np.ndarray  # the unregularized matrix, for refinement
+
+    def fits(self, problem: ConvexProblem, active: np.ndarray) -> bool:
+        return (
+            self.P is problem.P
+            and self.A is problem.A
+            and np.array_equal(self.active, active)
+        )
+
+
 @dataclass(frozen=True)
 class Solution:
     z: np.ndarray
@@ -138,6 +178,8 @@ class Solution:
     iterations: int
     kkt: KktResiduals
     kkt_tol: KktTolerances
+    # Kept by warm-started solves only, for the next solve of their chain.
+    _kkt: _KktFactor | None = field(default=None, repr=False, compare=False)
 
 
 # Optional per-process sinks receiving a record for every completed solve.
@@ -215,14 +257,14 @@ def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> Kkt
     if z.shape != (problem.n_vars,) or y.shape != (problem.n_constraints,):
         raise ValueError("solution dimensions do not match the problem")
     az = problem.A @ z
-    below = np.clip(problem.l - az, 0.0, None)
-    above = np.clip(az - problem.u, 0.0, None)
+    below = np.maximum(problem.l - az, 0.0)
+    above = np.maximum(az - problem.u, 0.0)
     primal = float(np.max(below + above, initial=0.0))
 
     dual = float(np.abs(problem.P @ z + problem.q + problem.A.T @ y).max(initial=0.0))
 
-    y_up = np.clip(y, 0.0, None)
-    y_lo = np.clip(-y, 0.0, None)
+    y_up = np.maximum(y, 0.0)
+    y_lo = np.maximum(-y, 0.0)
     # On an infinite bound any push from the dual is itself the violation.
     comp_up = y_up.copy()
     finite_u = np.isfinite(problem.u)
@@ -330,19 +372,45 @@ def _dual_infeasibility_certificate_scaled(
     return True
 
 
+def _factor_kkt(problem: ConvexProblem, active: np.ndarray, a_red: np.ndarray) -> _KktFactor:
+    """LU factors of the regularized KKT system on the kept active rows."""
+    n, k = problem.n_vars, active.shape[0]
+    size = n + k
+    diag = np.arange(size)
+    kkt = np.zeros((size, size))
+    # Adding 0.0 turns -0.0 entries of P into +0.0, so the block equals
+    # P + _POLISH_REG * I bit for bit, as the lower block equals
+    # -_POLISH_REG * I, signed zeros included.
+    np.add(problem.P, 0.0, out=kkt[:n, :n])
+    kkt[diag[:n], diag[:n]] += _POLISH_REG
+    if k:
+        kkt[:n, n:] = a_red.T
+        kkt[n:, :n] = a_red
+        kkt[n:, n:] = -0.0
+        kkt[diag[n:], diag[n:]] = -_POLISH_REG
+    exact = kkt.copy()
+    exact[diag[:n], diag[:n]] -= _POLISH_REG
+    exact[n:, n:] = 0.0
+    lu, piv, _ = _getrf(kkt)
+    return _KktFactor(problem.P, problem.A, active, lu, piv, exact)
+
+
 def _active_set_solve(
     problem: ConvexProblem,
     y: np.ndarray,
     lower_active: np.ndarray,
     upper_active: np.ndarray,
     preferred: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+    reuse: _KktFactor | None = None,
+) -> tuple[np.ndarray, np.ndarray, _KktFactor] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
     Degenerate guesses can pin more (possibly contradictory) rows than there
     are variables; a pivoted QR keeps a linearly independent subset, with
     pivot priority given by dual magnitude so noise-level duals are the ones
     dropped.  ``preferred`` rows (from a repair round) outrank everything.
+    ``reuse``, the factors of an earlier solve, replaces the factorization
+    when its matrix is this one.  Returns the point and the factors used.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -368,30 +436,22 @@ def _active_set_solve(
         keep = np.sort(pivots[:rank] - 1)
         active, is_lower = active[keep], is_lower[keep]
         a_red, bounds = a_red[keep], bounds[keep]
-    k = active.shape[0]
 
-    size = n + k
-    kkt = np.zeros((size, size))
-    kkt[:n, :n] = problem.P + _POLISH_REG * np.eye(n)
-    if k:
-        kkt[:n, n:] = a_red.T
-        kkt[n:, :n] = a_red
-        kkt[n:, n:] = -_POLISH_REG * np.eye(k)
+    # The same matrix gives the same factors, so reuse changes no bit.
+    if reuse is not None and reuse.fits(problem, active):
+        factor = reuse
+    else:
+        factor = _factor_kkt(problem, active, a_red)
     rhs = np.concatenate([-problem.q, bounds])
     # A singular system leaves a zero pivot, so the solve turns non-finite.
-    lu, piv, _ = _getrf(kkt)
-    sol = _getrs(lu, piv, rhs)[0]
+    sol = _getrs(factor.lu, factor.piv, rhs)[0]
     if not np.isfinite(sol).all():
         return None
 
     # Iterative refinement against the unregularized KKT system.
-    kkt_exact = kkt.copy()
-    kkt_exact[:n, :n] -= _POLISH_REG * np.eye(n)
-    if k:
-        kkt_exact[n:, n:] += _POLISH_REG * np.eye(k)
     for _ in range(_POLISH_REFINE_STEPS):
-        residual = rhs - kkt_exact @ sol
-        sol = sol + _getrs(lu, piv, residual)[0]
+        residual = rhs - factor.exact @ sol
+        sol = sol + _getrs(factor.lu, factor.piv, residual)[0]
 
     if not np.isfinite(sol).all():
         return None
@@ -401,17 +461,22 @@ def _active_set_solve(
     # Enforce the sign convention; wrong-signed duals mean a bad active set.
     y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
     y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
-    return x_pol, y_pol
+    return x_pol, y_pol, factor
 
 
 def _polish(
-    problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float
-) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
+    problem: ConvexProblem,
+    y: np.ndarray,
+    tol_abs: float,
+    tol_rel: float,
+    reuse: _KktFactor | None,
+) -> tuple[np.ndarray, np.ndarray, _Certificate, _KktFactor] | None:
     """Re-solve on the active set guessed from dual signs; None on failure.
 
     A wrong guess shows up as bound violations at the re-solved point; up to
     two repair rounds add the violated rows and try again.  The round with
-    the smallest raw residual is returned with its certificate.
+    the smallest raw residual is returned with its certificate and the KKT
+    factors it was solved with; ``reuse`` is offered to every round.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & np.isfinite(problem.l)
@@ -421,11 +486,11 @@ def _polish(
     preferred = np.empty(0, dtype=int)
     for _ in range(3):
         result = _active_set_solve(
-            problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
+            problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred, reuse
         )
         if result is None:
             break
-        kkt = kkt_residuals(problem, *result)
+        kkt = kkt_residuals(problem, *result[:2])
         if max(kkt) < best_score:
             best, best_score = (*result, kkt), max(kkt)
         az = problem.A @ result[0]
@@ -439,9 +504,9 @@ def _polish(
         preferred = np.union1d(preferred, violated)
     if best is None:
         return None
-    z_pol, y_pol, kkt = best
+    z_pol, y_pol, factor, kkt = best
     tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
-    return z_pol, y_pol, _Certificate(kkt, tol)
+    return z_pol, y_pol, _Certificate(kkt, tol), factor
 
 
 def solve(
@@ -460,20 +525,27 @@ def solve(
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes the strict KKT test, and otherwise ignored.
+    it passes the strict KKT test, and otherwise ignored.  A warm-started
+    solve keeps the KKT factors of its polished point in the solution, and
+    any polish of the next warm-started solve whose KKT matrix is the same
+    (same P and A arrays, same kept active rows) reuses them.  A cold
+    solve keeps none: callers may hold many cold solutions side by side.
     """
     if tol_abs <= 0 or tol_rel < 0:
         raise ValueError("tolerances must be positive")
     n, m = problem.n_vars, problem.n_constraints
-    if warm_start is not None:
+    chained = warm_start is not None
+    reuse = None
+    if chained:
         if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
             raise ValueError(
                 f"warm start has {warm_start.z.shape[0]} variables and "
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
-        guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
+        reuse = warm_start._kkt
+        guess = _polish(problem, warm_start.y, tol_abs, tol_rel, reuse)
         if guess is not None and guess[2].passes():
-            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0)
+            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, chained)
 
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
@@ -493,8 +565,6 @@ def solve(
     x = np.zeros(n)
     z = np.zeros(m)
     y = np.zeros(m)
-    dx = np.zeros(n)
-    dy = np.zeros(m)
 
     status = SolveStatus.MAX_ITERS
     iterations = max_iters
@@ -513,11 +583,13 @@ def solve(
         z_new = np.minimum(np.maximum(v, problem.l), problem.u)
         y_new = y + rho * (w - z_new)
 
-        dx = x_new - x
-        dy = y_new - y
+        checking = it % _CHECK_INTERVAL == 0 or it == max_iters
+        if checking:
+            dx = x_new - x
+            dy = y_new - y
         x, z, y = x_new, z_new, y_new
 
-        if it % _CHECK_INTERVAL == 0 or it == max_iters:
+        if checking:
             ax = A @ x
             pri = np.abs(ax - z).max(initial=0.0)
             pri_norm = max(np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0))
@@ -541,9 +613,9 @@ def solve(
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
                 polish_due = it + _EARLY_POLISH_INTERVAL
-                early = _polish(problem, y * cost, tol_abs, tol_rel)
+                early = _polish(problem, y * cost, tol_abs, tol_rel, reuse)
                 if early is not None and early[2].passes():
-                    return _finish(problem, *early, SolveStatus.OPTIMAL, it)
+                    return _finish(problem, *early, SolveStatus.OPTIMAL, it, chained)
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -573,14 +645,15 @@ def solve(
     cert = _Certificate(
         kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
     )
+    kkt_factor = None  # an unpolished point has none
     if status is SolveStatus.OPTIMAL:
-        polished = _polish(problem, y, tol_abs, tol_rel)
+        polished = _polish(problem, y, tol_abs, tol_rel, reuse)
         # Compare in tolerance units: the raw residuals differ in scale.
         if polished is not None and polished[2].ratio <= cert.ratio:
-            x, y, cert = polished
+            x, y, cert, kkt_factor = polished
         if not cert.passes(10.0):
             status = SolveStatus.MAX_ITERS
-    return _finish(problem, x, y, cert, status, iterations)
+    return _finish(problem, x, y, cert, kkt_factor, status, iterations, chained)
 
 
 def _finish(
@@ -588,8 +661,10 @@ def _finish(
     z: np.ndarray,
     y: np.ndarray,
     cert: _Certificate,
+    kkt_factor: _KktFactor | None,
     status: SolveStatus,
     iterations: int,
+    chained: bool,
 ) -> Solution:
     objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
     solution = Solution(
@@ -600,6 +675,7 @@ def _finish(
         iterations=iterations,
         kkt=cert.kkt,
         kkt_tol=cert.tol,
+        _kkt=kkt_factor if chained else None,
     )
     _record(solution)
     return solution

@@ -151,7 +151,7 @@ def load_ensemble(path) -> Ensemble:
     """Read an ensemble written by :func:`save_ensemble`."""
     models = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,24 +83,28 @@ def random_ensemble(rng, n, k):
 @pytest.mark.parametrize("complexity", ["l1", "l2"])
 @pytest.mark.parametrize("dist", ["abs", "squared"])
 def test_program_matches_row_by_row_reference(complexity, dist):
-    # Bit for bit, signed zeros included, so the solver runs identically.
+    # Bit for bit, signed zeros included, so the solver runs identically;
+    # one program serves several snapshots, as along an alarm sequence.
     rng = np.random.default_rng(59)
     for _ in range(50):
         k = int(rng.integers(1, 14))
         n = int(rng.integers(2, 15))
         G = rng.normal(size=(k, n)) * (rng.random((k, n)) < 0.6)
-        r0 = rng.normal(size=k) * (rng.random(k) < 0.8)
         tol = rng.uniform(0.0, 0.3, size=k) * (rng.random(k) < 0.7)
         one_sided = (rng.random(k) < 0.5) & (dist == "abs")
         config = explain.CfConfig(
             slack_penalty=float(rng.uniform(0.1, 2e3)), complexity=complexity, dist=dist
         )
-        problem = explain._program(G, r0, tol, one_sided, config)
-        expected = counterfactual_program_rows(
-            G, r0, tol, one_sided, complexity, dist, config.slack_penalty
-        )
-        for name, reference in zip("PqAlu", expected):
-            assert getattr(problem, name).tobytes() == reference.tobytes(), name
+        program = explain._Program(G, np.zeros(k), np.zeros(k), tol, one_sided, config)
+        for _ in range(3):
+            r0 = rng.normal(size=k) * (rng.random(k) < 0.8)
+            r0[rng.random(k) < 0.2] = -0.0
+            problem = program.at(r0)
+            expected = counterfactual_program_rows(
+                G, r0, tol, one_sided, complexity, dist, config.slack_penalty
+            )
+            for name, reference in zip("PqAlu", expected):
+                assert getattr(problem, name).tobytes() == reference.tobytes(), name
 
 
 @pytest.mark.parametrize("complexity", ["l1", "l2"])
@@ -337,15 +343,14 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
     # to x_cf itself and rejects an excess over FEASIBLE_SLACK_TOL there.
     G, r0, tol = np.array([[1.0, -1.0]]), np.array([0.1]), np.array([0.1])
     sense = np.array([one_sided])
-    config = explain.CfConfig()
-    solution = optim.solve(explain._program(G, r0, tol, sense, config), **TIGHT)
+    program = explain._Program(G, r0, np.zeros(1), tol, sense, explain.CfConfig())
+    solution = optim.solve(program.at(r0), **TIGHT)
     sign = 1.0 if one_sided else -1.0  # toward violating the row
 
     def decode(excess):
         at_x_cf = tol - sign * excess
-        return explain._decode(
-            solution, G, r0, tol, sense, config, np.zeros(2), lambda x: at_x_cf
-        )
+        program.residual = lambda x: at_x_cf
+        return explain._decode(solution, program, r0, np.zeros(2), keep_program=False)
 
     assert decode(0.5 * explain.FEASIBLE_SLACK_TOL).feasible_without_slack
     with pytest.raises(explain.ExplainError, match="re-evaluation"):
@@ -550,3 +555,145 @@ def test_squared_error_stream_alarm_certifies():
     assert solution.status is optim.SolveStatus.OPTIMAL
     for residual, tol in zip(solution.kkt, solution.kkt_tol):
         assert residual <= 10.0 * tol
+
+
+def _solved_program(cf, x):
+    """The problem a warm-started explanation solved, rebuilt from what it carries."""
+    program = cf._program
+    assert program is not None
+    return program.at(program.residual(x))
+
+
+def _assert_program_is_reference(problem, ensemble, x, targets, config):
+    G, bias = explain._residual_geometry(ensemble.models, x.shape[0])
+    k = len(ensemble.models)
+    r0 = G @ x + bias - np.broadcast_to(targets, (k,))
+    expected = counterfactual_program_rows(
+        G,
+        r0,
+        config.tolerance_vector(k),
+        np.zeros(k, dtype=bool),
+        config.complexity,
+        config.dist,
+        config.slack_penalty,
+    )
+    for name, reference in zip("PqAlu", expected):
+        assert getattr(problem, name).tobytes() == reference.tobytes(), name
+
+
+def test_warm_start_program_is_reused_only_for_the_same_models_targets_and_config():
+    rng = np.random.default_rng(71)
+    ensemble = random_ensemble(rng, 6, 4)
+    config = explain.CfConfig(tolerances=0.05)
+    x0, x1, x2 = (rng.normal(size=6) for _ in range(3))
+    first = explain.ensemble_counterfactual(ensemble, x0, config, solver_options=TIGHT)
+    assert first._program is None  # a one-off result keeps nothing
+    chained = explain.ensemble_counterfactual(
+        ensemble, x1, config, solver_options=TIGHT, warm_start=first
+    )
+    again = explain.ensemble_counterfactual(
+        ensemble, x2, config, solver_options=TIGHT, warm_start=chained
+    )
+    assert again._program is chained._program
+    # an equal config object is the same config
+    equal = explain.CfConfig(tolerances=0.05)
+    assert explain.ensemble_counterfactual(
+        ensemble, x2, equal, solver_options=TIGHT, warm_start=chained
+    )._program is chained._program
+
+    reweighted = sensors.Ensemble(
+        models=tuple(
+            single_model(m.weights * 1.5, bias=m.bias, target=m.target) for m in ensemble.models
+        ),
+        window=3,
+    )
+    variants = [
+        (reweighted, config, 0.0),
+        (ensemble, explain.CfConfig(tolerances=0.05, slack_penalty=10.0), 0.0),
+        (ensemble, explain.CfConfig(tolerances=0.2), 0.0),
+        (ensemble, config, 0.3),
+    ]
+    for other, other_config, targets in variants:
+        cf = explain.ensemble_counterfactual(
+            other, x2, other_config, targets, solver_options=TIGHT, warm_start=chained
+        )
+        assert cf._program is not chained._program
+        _assert_program_is_reference(_solved_program(cf, x2), other, x2, targets, other_config)
+        plain = replace(chained, _program=None)
+        reference = explain.ensemble_counterfactual(
+            other, x2, other_config, targets, solver_options=TIGHT, warm_start=plain
+        )
+        assert cf.delta.tobytes() == reference.delta.tobytes()
+
+
+def test_per_model_warm_start_from_another_model_builds_its_own_program():
+    rng = np.random.default_rng(73)
+    ensemble = random_ensemble(rng, 5, 2)
+    config = explain.CfConfig(tolerances=0.05)
+    x0, x1 = rng.normal(size=5), rng.normal(size=5)
+    first, second = ensemble.models
+    chained = explain.independent_counterfactual(
+        first,
+        x1,
+        0.0,
+        config,
+        warm_start=explain.independent_counterfactual(first, x0, 0.0, config),
+    )
+    cf = explain.independent_counterfactual(second, x1, 0.0, config, warm_start=chained)
+    assert cf._program is not chained._program
+    single = sensors.Ensemble(models=(second,), window=3)
+    _assert_program_is_reference(_solved_program(cf, x1), single, x1, 0.0, config)
+
+
+@pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
+def test_warm_started_alarm_chain_matches_fresh_programs(
+    complexity, dist, default_ensemble, default_threshold, power_failure_scenario
+):
+    # Every step's program is the row-by-row reference, and every warm hit
+    # is exactly the solve of a freshly built problem whose warm start
+    # carries no KKT factors: reusing programs and factors changes no bit.
+    panel = power_failure_scenario.faulty
+    config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
+    options = {"tol_abs": 1e-6, "tol_rel": 1e-6}
+    steps = detector.detect(default_ensemble, panel, default_threshold).alarm_steps()[:12]
+    model = default_ensemble.models[power_failure_scenario.fault.sensor]
+    single = sensors.Ensemble(models=(model,), window=3)
+    chains = {
+        "ensemble": (default_ensemble, lambda x, prev: explain.ensemble_counterfactual(
+            default_ensemble, x, config, solver_options=options, warm_start=prev
+        )),
+        "model": (single, lambda x, prev: explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=options, warm_start=prev
+        )),
+    }
+    hits = reused_factors = 0
+    for ensemble, explain_step in chains.values():
+        previous = None
+        for t in steps:
+            x = explain.snapshot_at_alarm(panel, ensemble, int(t))
+            cf = explain_step(x, previous)
+            if previous is None:
+                assert cf._program is None and cf.solution._kkt is None
+            else:
+                problem = _solved_program(cf, x)
+                _assert_program_is_reference(problem, ensemble, x, 0.0, config)
+                if previous._program is not None:
+                    assert cf._program is previous._program
+                if cf.iterations == 0:
+                    hits += 1
+                    reused_factors += cf.solution._kkt is previous.solution._kkt
+                    fresh = optim.ConvexProblem(
+                        *(np.array(getattr(problem, name)) for name in "PqAlu")
+                    )
+                    plain = replace(previous.solution, _kkt=None)
+                    expected = optim.solve(fresh, **options, warm_start=plain)
+                    ours = cf.solution
+                    assert ours.z.tobytes() == expected.z.tobytes()
+                    assert ours.y.tobytes() == expected.y.tobytes()
+                    assert (ours.objective, ours.status, ours.iterations) == (
+                        expected.objective, expected.status, expected.iterations
+                    )
+                    assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
+            previous = cf
+    assert hits >= len(steps)  # most steps are warm hits
+    assert reused_factors > 0  # and some of them skipped the factorization

@@ -216,14 +216,14 @@ def test_csv_fixture_parses_to_known_matrix(tmp_path):
 def test_csv_missing_cell_error_names_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a:pressure,b:pressure\n1.0,2.0\n3.0\n", encoding="utf-8")
-    with pytest.raises(netgen.PanelFormatError, match="row 1"):
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 3 has 1 cells, expected 2"):
         netgen.load_csv(path)
 
 
 def test_csv_non_numeric_cell_error_names_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a:pressure,b:pressure\n1.0,oops\n", encoding="utf-8")
-    with pytest.raises(netgen.PanelFormatError, match="row 0.*'b'"):
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 2, column 'b'.*'oops'"):
         netgen.load_csv(path)
 
 
@@ -231,7 +231,19 @@ def test_csv_non_numeric_cell_error_names_cell(tmp_path):
 def test_csv_non_finite_cell_error_names_file_and_cell(tmp_path, cell):
     path = tmp_path / "bad.csv"
     path.write_text(f"a:pressure,b:pressure\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
-    with pytest.raises(netgen.PanelFormatError, match=f"bad.csv: row 1, column 'b'.*{cell}"):
+    with pytest.raises(netgen.PanelFormatError, match=f"bad.csv: line 3, column 'b'.*{cell}"):
+        netgen.load_csv(path)
+
+
+def test_csv_error_line_counts_lines_of_a_multiline_record(tmp_path):
+    # A quoted cell may hold a line break; the editor's line number of the
+    # bad record then exceeds its record index + 2.
+    path = tmp_path / "bad.csv"
+    path.write_text('a:pressure,b:pressure\n"\n1.0",2.0\n3.0,nan\n4.0\n', encoding="utf-8")
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 5 has 1 cells"):
+        netgen.load_csv(path)
+    path.write_text('a:pressure,b:pressure\n"\n1.0",2.0\n3.0,nan\n', encoding="utf-8")
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 4, column 'b'.*nan"):
         netgen.load_csv(path)
 
 

@@ -357,3 +357,70 @@ def test_x_step_matches_wrapper_reference():
 def test_factorize_rejects_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         optim._factorize_scaled(-np.eye(2), np.zeros((1, 2)), np.ones(1))
+
+
+def test_kkt_factor_is_reused_only_for_its_own_matrix():
+    # The factors of one active-set solve stand in for the factorization of
+    # another only when P, A and the kept rows are the same; every result
+    # must stay bit-equal to the reference either way.
+    rng = np.random.default_rng(17)
+    empty = np.empty(0, dtype=int)
+    for _ in range(20):
+        problem = _random_qp(rng, 6, 8)
+        y = rng.normal(size=8)
+        rows = rng.permutation(8)
+        first, other = np.sort(rows[:3]), np.sort(rows[3:6])
+        factor = optim._active_set_solve(problem, y, first, empty)[2]
+
+        shifted = problem.with_bounds(problem.l - 0.1, problem.u + 0.1)
+        same = optim._active_set_solve(shifted, y, first, empty, reuse=factor)
+        assert same[2] is factor
+        _assert_same_bits(same[:2], active_set_solve_reference(shifted, y, first, empty))
+
+        # same size, other rows: a stale factor would give another point
+        moved = optim._active_set_solve(shifted, y, other, empty, reuse=factor)
+        assert moved[2] is not factor
+        _assert_same_bits(moved[:2], active_set_solve_reference(shifted, y, other, empty))
+
+        # same rows, other matrix of the same shape
+        changed = optim.ConvexProblem(
+            P=problem.P, q=problem.q, A=problem.A * 1.5, l=problem.l, u=problem.u
+        )
+        for candidate in (changed, optim.ConvexProblem(
+            P=problem.P * 2.0, q=problem.q, A=problem.A, l=problem.l, u=problem.u
+        )):
+            result = optim._active_set_solve(candidate, y, first, empty, reuse=factor)
+            assert result[2] is not factor
+            _assert_same_bits(
+                result[:2], active_set_solve_reference(candidate, y, first, empty)
+            )
+
+
+def test_only_warm_started_solves_keep_their_kkt_factor():
+    cold = optim.solve(l1_equation_lp(4.0))
+    assert cold._kkt is None
+    warm = optim.solve(l1_equation_lp(3.0), warm_start=cold)
+    assert warm.iterations == 0 and warm._kkt is not None
+    shifted = l1_equation_lp(2.0)
+    chained = optim.solve(shifted, warm_start=warm)
+    # a new problem has new arrays: the factor is rebuilt, with the same bits
+    assert chained._kkt is not warm._kkt
+    again = shifted.with_bounds(shifted.l, shifted.u)
+    reused = optim.solve(again, warm_start=chained)
+    assert reused._kkt is chained._kkt
+    assert reused.z.tobytes() == chained.z.tobytes()
+    assert reused.y.tobytes() == chained.y.tobytes()
+
+
+def test_with_bounds_shares_the_matrices_and_checks_the_bounds():
+    problem = l1_equation_lp(1.0)
+    moved = problem.with_bounds(problem.l + 1.0, problem.u + 1.0)
+    assert moved.P is problem.P and moved.q is problem.q and moved.A is problem.A
+    assert np.array_equal(moved.l, problem.l + 1.0)
+    assert problem.l[4] == 1.0  # the original is untouched
+    with pytest.raises(ValueError, match="l <= u"):
+        problem.with_bounds(problem.u, problem.l)
+    with pytest.raises(ValueError, match="row count"):
+        problem.with_bounds(problem.l[:2], problem.u[:2])
+    with pytest.raises(ValueError, match="l must be < \\+inf"):
+        problem.with_bounds(np.full(5, np.inf), np.full(5, np.inf))

@@ -210,10 +210,12 @@ def test_load_ensemble_rejects_garbage(tmp_path):
     [
         (
             "0 3 0.5 1.0\n1 3 0.5 nan\n",
-            "line 1 is not a valid model: model coefficients must be finite",
+            "line 2 is not a valid model: model coefficients must be finite",
         ),
         ("0 3 0.5 1.0\n1 4 0.5 1.0\n", "all models must share the ensemble window"),
         ("0 3 0.5 1.0\n0 3 0.5 1.0\n", "duplicate target channel in ensemble"),
+        ("0 3 nope 1.0\n", "line 1 is not a valid model: could not convert string to float: 'nope'"),
+        ("\n0 3 0.5\n", "line 2 too short for a model"),
     ],
 )
 def test_load_ensemble_invalid_model_error_names_file(tmp_path, text, message):
