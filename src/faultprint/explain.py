@@ -310,9 +310,10 @@ def _counterfactual(
 ) -> Counterfactual:
     """Explain ``x_orig`` against the program's residual rows.
 
-    A warm-started explanation keeps its program, and its solution the KKT
-    factors, for the next explanation of its chain.  One that is not keeps
-    neither: callers may hold many one-off results side by side.
+    A warm-started explanation keeps its program for the next explanation
+    of its chain, whose problem then shares the program's polishing KKT
+    factors (see :meth:`optim.ConvexProblem.with_bounds`).  One that is not
+    keeps no program: callers may hold many one-off results side by side.
     """
     r0 = program.residual(x_orig)
     previous = warm_start.solution if warm_start is not None else None

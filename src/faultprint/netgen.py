@@ -72,7 +72,7 @@ class ScenarioConfig:
 class ReadingsPanel:
     """Time-indexed sensor readings, one column per channel.
 
-    ``values`` is frozen after construction; panels are safe to share.
+    ``values`` is copied and frozen at construction; panels are safe to share.
     """
 
     values: np.ndarray
@@ -80,7 +80,7 @@ class ReadingsPanel:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         if values.ndim != 2:
             raise ValueError("panel values must be a 2-D array")
         if values.shape[1] != len(self.kinds) or len(self.kinds) != len(self.labels):

@@ -13,6 +13,11 @@ result with zero iterations only if it passes the strict KKT test; on a
 miss it runs the cold iteration unchanged, so the result is then exactly
 what a cold solve gives.
 
+The problems :meth:`ConvexProblem.with_bounds` makes from one base share
+its P, q and A, and with them the KKT factors of their latest polished
+point, so a chain of such problems factors a KKT matrix only when the kept
+active rows change.  Solutions are plain data and hold no factors.
+
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
 for throughput.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,9 +89,11 @@ class ConvexProblem:
     u: np.ndarray
 
     def __post_init__(self) -> None:
-        P = np.ascontiguousarray(self.P, dtype=float)
-        q = np.ascontiguousarray(self.q, dtype=float)
-        A = np.ascontiguousarray(self.A, dtype=float)
+        # Copies, so freezing them leaves the caller's arrays writable and
+        # no later write to those arrays can reach the problem.
+        P = np.array(self.P, dtype=float, order="C")
+        q = np.array(self.q, dtype=float, order="C")
+        A = np.array(self.A, dtype=float, order="C")
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {P.shape}")
@@ -103,11 +110,14 @@ class ConvexProblem:
         for name, arr in (("P", P), ("q", q), ("A", A)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # (kept active rows as bytes, _KktFactor) of this family's latest
+        # polished point
+        object.__setattr__(self, "_kkt_slot", [None])
         self._set_bounds(self.l, self.u)
 
     def _set_bounds(self, l, u) -> None:
-        l = np.ascontiguousarray(l, dtype=float)
-        u = np.ascontiguousarray(u, dtype=float)
+        l = np.array(l, dtype=float, order="C")
+        u = np.array(u, dtype=float, order="C")
         m = self.A.shape[0]
         if l.shape != (m,) or u.shape != (m,):
             raise ValueError("l and u must match the constraint row count")
@@ -123,7 +133,10 @@ class ConvexProblem:
         """The same P, q and A (shared, not copied) with new bounds.
 
         Only the bounds are validated: a program whose snapshot enters
-        through its bounds alone pays the P, q, A checks once.
+        through its bounds alone pays the P, q, A checks once.  The copy
+        also shares this problem's polishing factorization, which depends
+        on P, A and the kept active rows alone: a solve of either problem
+        on the same rows reuses the factors the other left.
         """
         problem = copy.copy(self)
         problem._set_bounds(l, u)
@@ -147,26 +160,11 @@ class ConvexProblem:
 
 
 class _KktFactor(NamedTuple):
-    """LU factors of a polished KKT system, with what fixes its matrix.
+    """LU factors of a polished KKT system."""
 
-    The matrix depends only on P, A and the kept active rows; P and A are
-    compared by identity, which holds for problems made by
-    :meth:`ConvexProblem.with_bounds` (their arrays are shared and read-only).
-    """
-
-    P: np.ndarray
-    A: np.ndarray
-    active: np.ndarray  # kept active rows, in KKT order
     lu: np.ndarray
     piv: np.ndarray
     exact: np.ndarray  # the unregularized matrix, for refinement
-
-    def fits(self, problem: ConvexProblem, active: np.ndarray) -> bool:
-        return (
-            self.P is problem.P
-            and self.A is problem.A
-            and np.array_equal(self.active, active)
-        )
 
 
 @dataclass(frozen=True)
@@ -178,25 +176,15 @@ class Solution:
     iterations: int
     kkt: KktResiduals
     kkt_tol: KktTolerances
-    # Kept by warm-started solves only, for the next solve of their chain.
-    _kkt: _KktFactor | None = field(default=None, repr=False, compare=False)
 
 
-# Optional per-process sinks receiving a record for every completed solve.
+# Optional per-process sinks receiving every completed solve's Solution.
 _audit_sinks: list[list] = []
-
-
-class SolveRecord(NamedTuple):
-    status: SolveStatus
-    iterations: int
-    objective: float
-    kkt: KktResiduals
-    kkt_tol: KktTolerances
 
 
 @dataclass(frozen=True)
 class SolveAudit:
-    """Summary of the :class:`SolveRecord` list of one unit of work."""
+    """Summary of the :class:`Solution` list of one unit of work."""
 
     solves: int = 0
     non_optimal: int = 0
@@ -229,11 +217,11 @@ class SolveAudit:
 
 @contextlib.contextmanager
 def audit_solves():
-    """Collect a :class:`SolveRecord` for every solve inside the block.
+    """Collect the :class:`Solution` of every solve inside the block.
 
-    Blocks nest: every open block receives the records of its solves.
+    Blocks nest: every open block receives the solutions of its solves.
     """
-    records: list[SolveRecord] = []
+    records: list[Solution] = []
     _audit_sinks.append(records)
     try:
         yield records
@@ -372,9 +360,9 @@ def _dual_infeasibility_certificate_scaled(
     return True
 
 
-def _factor_kkt(problem: ConvexProblem, active: np.ndarray, a_red: np.ndarray) -> _KktFactor:
+def _factor_kkt(problem: ConvexProblem, a_red: np.ndarray) -> _KktFactor:
     """LU factors of the regularized KKT system on the kept active rows."""
-    n, k = problem.n_vars, active.shape[0]
+    n, k = problem.n_vars, a_red.shape[0]
     size = n + k
     diag = np.arange(size)
     kkt = np.zeros((size, size))
@@ -392,7 +380,7 @@ def _factor_kkt(problem: ConvexProblem, active: np.ndarray, a_red: np.ndarray) -
     exact[diag[:n], diag[:n]] -= _POLISH_REG
     exact[n:, n:] = 0.0
     lu, piv, _ = _getrf(kkt)
-    return _KktFactor(problem.P, problem.A, active, lu, piv, exact)
+    return _KktFactor(lu, piv, exact)
 
 
 def _active_set_solve(
@@ -401,16 +389,16 @@ def _active_set_solve(
     lower_active: np.ndarray,
     upper_active: np.ndarray,
     preferred: np.ndarray | None = None,
-    reuse: _KktFactor | None = None,
-) -> tuple[np.ndarray, np.ndarray, _KktFactor] | None:
+) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor]] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
     Degenerate guesses can pin more (possibly contradictory) rows than there
     are variables; a pivoted QR keeps a linearly independent subset, with
     pivot priority given by dual magnitude so noise-level duals are the ones
     dropped.  ``preferred`` rows (from a repair round) outrank everything.
-    ``reuse``, the factors of an earlier solve, replaces the factorization
-    when its matrix is this one.  Returns the point and the factors used.
+    The KKT factors come from the problem family's slot when its kept rows
+    are these, and are computed otherwise.  Returns the point and the kept
+    rows with their factors.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -437,11 +425,14 @@ def _active_set_solve(
         active, is_lower = active[keep], is_lower[keep]
         a_red, bounds = a_red[keep], bounds[keep]
 
-    # The same matrix gives the same factors, so reuse changes no bit.
-    if reuse is not None and reuse.fits(problem, active):
-        factor = reuse
+    # The same matrix gives the same factors, so reuse changes no bit.  The
+    # rows are compared as bytes: np.array_equal costs more than this check.
+    rows = active.tobytes()
+    cached = problem._kkt_slot[0]
+    if cached is not None and cached[0] == rows:
+        factor = cached[1]
     else:
-        factor = _factor_kkt(problem, active, a_red)
+        factor = _factor_kkt(problem, a_red)
     rhs = np.concatenate([-problem.q, bounds])
     # A singular system leaves a zero pivot, so the solve turns non-finite.
     sol = _getrs(factor.lu, factor.piv, rhs)[0]
@@ -461,22 +452,19 @@ def _active_set_solve(
     # Enforce the sign convention; wrong-signed duals mean a bad active set.
     y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
     y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
-    return x_pol, y_pol, factor
+    return x_pol, y_pol, (rows, factor)
 
 
 def _polish(
-    problem: ConvexProblem,
-    y: np.ndarray,
-    tol_abs: float,
-    tol_rel: float,
-    reuse: _KktFactor | None,
-) -> tuple[np.ndarray, np.ndarray, _Certificate, _KktFactor] | None:
+    problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float
+) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
     """Re-solve on the active set guessed from dual signs; None on failure.
 
     A wrong guess shows up as bound violations at the re-solved point; up to
     two repair rounds add the violated rows and try again.  The round with
-    the smallest raw residual is returned with its certificate and the KKT
-    factors it was solved with; ``reuse`` is offered to every round.
+    the smallest raw residual is returned with its certificate, and its kept
+    rows and KKT factors replace the family's slot: a warm start from this
+    point tries the same rows first.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & np.isfinite(problem.l)
@@ -486,7 +474,7 @@ def _polish(
     preferred = np.empty(0, dtype=int)
     for _ in range(3):
         result = _active_set_solve(
-            problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred, reuse
+            problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
         )
         if result is None:
             break
@@ -504,9 +492,10 @@ def _polish(
         preferred = np.union1d(preferred, violated)
     if best is None:
         return None
-    z_pol, y_pol, factor, kkt = best
+    z_pol, y_pol, factored, kkt = best
+    problem._kkt_slot[0] = factored
     tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
-    return z_pol, y_pol, _Certificate(kkt, tol), factor
+    return z_pol, y_pol, _Certificate(kkt, tol)
 
 
 def solve(
@@ -525,27 +514,22 @@ def solve(
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes the strict KKT test, and otherwise ignored.  A warm-started
-    solve keeps the KKT factors of its polished point in the solution, and
-    any polish of the next warm-started solve whose KKT matrix is the same
-    (same P and A arrays, same kept active rows) reuses them.  A cold
-    solve keeps none: callers may hold many cold solutions side by side.
+    it passes the strict KKT test, and otherwise ignored.  Polishing reuses
+    the KKT factors of the problem's family (see
+    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
     """
     if tol_abs <= 0 or tol_rel < 0:
         raise ValueError("tolerances must be positive")
     n, m = problem.n_vars, problem.n_constraints
-    chained = warm_start is not None
-    reuse = None
-    if chained:
+    if warm_start is not None:
         if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
             raise ValueError(
                 f"warm start has {warm_start.z.shape[0]} variables and "
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
-        reuse = warm_start._kkt
-        guess = _polish(problem, warm_start.y, tol_abs, tol_rel, reuse)
+        guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
         if guess is not None and guess[2].passes():
-            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, chained)
+            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0)
 
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
@@ -613,9 +597,9 @@ def solve(
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
                 polish_due = it + _EARLY_POLISH_INTERVAL
-                early = _polish(problem, y * cost, tol_abs, tol_rel, reuse)
+                early = _polish(problem, y * cost, tol_abs, tol_rel)
                 if early is not None and early[2].passes():
-                    return _finish(problem, *early, SolveStatus.OPTIMAL, it, chained)
+                    return _finish(problem, *early, SolveStatus.OPTIMAL, it)
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -645,15 +629,14 @@ def solve(
     cert = _Certificate(
         kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
     )
-    kkt_factor = None  # an unpolished point has none
     if status is SolveStatus.OPTIMAL:
-        polished = _polish(problem, y, tol_abs, tol_rel, reuse)
+        polished = _polish(problem, y, tol_abs, tol_rel)
         # Compare in tolerance units: the raw residuals differ in scale.
         if polished is not None and polished[2].ratio <= cert.ratio:
-            x, y, cert, kkt_factor = polished
+            x, y, cert = polished
         if not cert.passes(10.0):
             status = SolveStatus.MAX_ITERS
-    return _finish(problem, x, y, cert, kkt_factor, status, iterations, chained)
+    return _finish(problem, x, y, cert, status, iterations)
 
 
 def _finish(
@@ -661,10 +644,8 @@ def _finish(
     z: np.ndarray,
     y: np.ndarray,
     cert: _Certificate,
-    kkt_factor: _KktFactor | None,
     status: SolveStatus,
     iterations: int,
-    chained: bool,
 ) -> Solution:
     objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
     solution = Solution(
@@ -675,20 +656,7 @@ def _finish(
         iterations=iterations,
         kkt=cert.kkt,
         kkt_tol=cert.tol,
-        _kkt=kkt_factor if chained else None,
     )
-    _record(solution)
+    for sink in _audit_sinks:
+        sink.append(solution)
     return solution
-
-
-def _record(solution: Solution) -> None:
-    if _audit_sinks:
-        record = SolveRecord(
-            status=solution.status,
-            iterations=solution.iterations,
-            objective=solution.objective,
-            kkt=solution.kkt,
-            kkt_tol=solution.kkt_tol,
-        )
-        for sink in _audit_sinks:
-            sink.append(record)

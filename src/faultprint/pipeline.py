@@ -71,6 +71,8 @@ class RunConfig:
                 raise ConfigError(f"unknown fault kind in grid: {kind!r}")
             if not self.magnitudes[kind]:
                 raise ConfigError(f"fault kind {kind!r} has no magnitudes")
+        if self.window < 1:
+            raise ConfigError("detector window must be at least 1")
         if self.margin < 1.0:
             raise ConfigError("detector margin must be at least 1")
         if self.alarm_steps < 1:
@@ -81,6 +83,21 @@ class RunConfig:
             raise ConfigError("solver tol_abs must be positive")
         if not self.tol_rel >= 0:
             raise ConfigError("solver tol_rel must be nonnegative")
+        # Training fits and calibrates on [window, train_end); faults start
+        # between train_end + _ONSET_LEAD and n_steps - _ONSET_TAIL.
+        train_end, n_steps = self.scenario.train_end, self.scenario.n_steps
+        fit_steps = max(detector.MIN_CALIBRATION_STEPS, self.scenario.n_sensors + 2)
+        if train_end - self.window < fit_steps:
+            raise ConfigError(
+                f"train_end = {train_end} leaves {train_end - self.window} steps after "
+                f"the {self.window}-step window to fit and calibrate on; "
+                f"at least {fit_steps} are needed"
+            )
+        if train_end + _ONSET_LEAD >= n_steps - _ONSET_TAIL:
+            raise ConfigError(
+                f"train_end = {train_end} leaves no room for a fault onset in "
+                f"{n_steps} steps; it must be below {n_steps - _ONSET_LEAD - _ONSET_TAIL}"
+            )
         explain.CfConfig(  # reuse its validation for the shared fields
             slack_penalty=self.slack_penalty, complexity=self.complexity, dist=self.dist
         )
@@ -157,11 +174,8 @@ def build_scenario(run: RunConfig, spec: ScenarioSpec) -> netgen.Scenario:
     rng = np.random.default_rng(fault_seed)
     pressure = clean.pressure_indices
     sensor = int(pressure[rng.integers(len(pressure))])
-    low = scenario_cfg.train_end + _ONSET_LEAD
-    high = scenario_cfg.n_steps - _ONSET_TAIL
-    if low >= high:
-        raise ConfigError("scenario too short to place a fault onset")
-    onset = int(rng.integers(low, high))
+    low = scenario_cfg.train_end + _ONSET_LEAD  # RunConfig keeps low < high
+    onset = int(rng.integers(low, scenario_cfg.n_steps - _ONSET_TAIL))
 
     fault = netgen.FaultSpec(kind=_fault_kind(run, spec), sensor=sensor, onset=onset)
     faulty = netgen.inject_fault(clean, fault, seed=noise_seed)

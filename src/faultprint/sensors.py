@@ -27,7 +27,7 @@ class LinearModel:
     window: int
 
     def __post_init__(self) -> None:
-        weights = np.ascontiguousarray(self.weights, dtype=float)
+        weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
         if weights.ndim != 1:
             raise ValueError("weights must be a vector")
         if not np.isfinite(weights).all() or not np.isfinite(self.bias):

@@ -1,3 +1,4 @@
+import collections
 from dataclasses import replace
 
 import numpy as np
@@ -647,11 +648,11 @@ def test_per_model_warm_start_from_another_model_builds_its_own_program():
 
 @pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
 def test_warm_started_alarm_chain_matches_fresh_programs(
-    complexity, dist, default_ensemble, default_threshold, power_failure_scenario
+    complexity, dist, default_ensemble, default_threshold, power_failure_scenario, monkeypatch
 ):
     # Every step's program is the row-by-row reference, and every warm hit
-    # is exactly the solve of a freshly built problem whose warm start
-    # carries no KKT factors: reusing programs and factors changes no bit.
+    # is exactly the solve of a freshly built problem, which shares no KKT
+    # factors: reusing programs and factors changes no bit.
     panel = power_failure_scenario.faulty
     config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
     options = {"tol_abs": 1e-6, "tol_rel": 1e-6}
@@ -666,34 +667,44 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             model, x, 0.0, config, solver_options=options, warm_start=prev
         )),
     }
-    hits = reused_factors = 0
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(optim, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("_active_set_solve", "_factor_kkt"):
+        monkeypatch.setattr(optim, name, counting(name))
+    warm_hits = []
     for ensemble, explain_step in chains.values():
         previous = None
         for t in steps:
             x = explain.snapshot_at_alarm(panel, ensemble, int(t))
             cf = explain_step(x, previous)
             if previous is None:
-                assert cf._program is None and cf.solution._kkt is None
+                assert cf._program is None
             else:
                 problem = _solved_program(cf, x)
                 _assert_program_is_reference(problem, ensemble, x, 0.0, config)
                 if previous._program is not None:
                     assert cf._program is previous._program
                 if cf.iterations == 0:
-                    hits += 1
-                    reused_factors += cf.solution._kkt is previous.solution._kkt
-                    fresh = optim.ConvexProblem(
-                        *(np.array(getattr(problem, name)) for name in "PqAlu")
-                    )
-                    plain = replace(previous.solution, _kkt=None)
-                    expected = optim.solve(fresh, **options, warm_start=plain)
-                    ours = cf.solution
-                    assert ours.z.tobytes() == expected.z.tobytes()
-                    assert ours.y.tobytes() == expected.y.tobytes()
-                    assert (ours.objective, ours.status, ours.iterations) == (
-                        expected.objective, expected.status, expected.iterations
-                    )
-                    assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
+                    warm_hits.append((problem, previous.solution, cf.solution))
             previous = cf
-    assert hits >= len(steps)  # most steps are warm hits
-    assert reused_factors > 0  # and some of them skipped the factorization
+    assert len(warm_hits) >= len(steps)  # most steps are warm hits
+    # and some of the chains' active-set solves skipped the factorization
+    assert calls["_factor_kkt"] < calls["_active_set_solve"]
+    for problem, warm_start, ours in warm_hits:
+        fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+        expected = optim.solve(fresh, **options, warm_start=warm_start)
+        assert ours.z.tobytes() == expected.z.tobytes()
+        assert ours.y.tobytes() == expected.y.tobytes()
+        assert (ours.objective, ours.status, ours.iterations) == (
+            expected.objective, expected.status, expected.iterations
+        )
+        assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)

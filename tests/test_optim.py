@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -359,10 +361,23 @@ def test_factorize_rejects_indefinite_matrix():
         optim._factorize_scaled(-np.eye(2), np.zeros((1, 2)), np.ones(1))
 
 
-def test_kkt_factor_is_reused_only_for_its_own_matrix():
-    # The factors of one active-set solve stand in for the factorization of
-    # another only when P, A and the kept rows are the same; every result
+def _count_factorizations(monkeypatch) -> list:
+    calls = []
+    factor_kkt = optim._factor_kkt
+
+    def counted(*args):
+        calls.append(args)
+        return factor_kkt(*args)
+
+    monkeypatch.setattr(optim, "_factor_kkt", counted)
+    return calls
+
+
+def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
+    # The with_bounds copies of one problem share the factors of their
+    # latest polished point, used only for the same kept rows; every result
     # must stay bit-equal to the reference either way.
+    calls = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(17)
     empty = np.empty(0, dtype=int)
     for _ in range(20):
@@ -370,46 +385,62 @@ def test_kkt_factor_is_reused_only_for_its_own_matrix():
         y = rng.normal(size=8)
         rows = rng.permutation(8)
         first, other = np.sort(rows[:3]), np.sort(rows[3:6])
-        factor = optim._active_set_solve(problem, y, first, empty)[2]
 
+        def factorizations(candidate, lower):
+            before = len(calls)
+            result = optim._active_set_solve(candidate, y, lower, empty)
+            _assert_same_bits(result[:2], active_set_solve_reference(candidate, y, lower, empty))
+            candidate._kkt_slot[0] = result[2]  # as _polish keeps its returned round
+            return len(calls) - before
+
+        assert factorizations(problem, first) == 1
         shifted = problem.with_bounds(problem.l - 0.1, problem.u + 0.1)
-        same = optim._active_set_solve(shifted, y, first, empty, reuse=factor)
-        assert same[2] is factor
-        _assert_same_bits(same[:2], active_set_solve_reference(shifted, y, first, empty))
-
+        assert factorizations(shifted, first) == 0
         # same size, other rows: a stale factor would give another point
-        moved = optim._active_set_solve(shifted, y, other, empty, reuse=factor)
-        assert moved[2] is not factor
-        _assert_same_bits(moved[:2], active_set_solve_reference(shifted, y, other, empty))
-
+        assert factorizations(shifted, other) == 1
+        assert factorizations(problem, other) == 0  # the slot is the family's
+        # equal arrays, or the same arrays through replace, start a new family
+        rebuilt = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+        assert factorizations(rebuilt, other) == 1
+        assert factorizations(dataclasses.replace(problem), other) == 1
         # same rows, other matrix of the same shape
-        changed = optim.ConvexProblem(
-            P=problem.P, q=problem.q, A=problem.A * 1.5, l=problem.l, u=problem.u
-        )
-        for candidate in (changed, optim.ConvexProblem(
-            P=problem.P * 2.0, q=problem.q, A=problem.A, l=problem.l, u=problem.u
-        )):
-            result = optim._active_set_solve(candidate, y, first, empty, reuse=factor)
-            assert result[2] is not factor
-            _assert_same_bits(
-                result[:2], active_set_solve_reference(candidate, y, first, empty)
-            )
+        for changed in ({"A": problem.A * 1.5}, {"P": problem.P * 2.0}):
+            assert factorizations(dataclasses.replace(problem, **changed), other) == 1
 
 
-def test_only_warm_started_solves_keep_their_kkt_factor():
-    cold = optim.solve(l1_equation_lp(4.0))
-    assert cold._kkt is None
-    warm = optim.solve(l1_equation_lp(3.0), warm_start=cold)
-    assert warm.iterations == 0 and warm._kkt is not None
-    shifted = l1_equation_lp(2.0)
-    chained = optim.solve(shifted, warm_start=warm)
-    # a new problem has new arrays: the factor is rebuilt, with the same bits
-    assert chained._kkt is not warm._kkt
-    again = shifted.with_bounds(shifted.l, shifted.u)
-    reused = optim.solve(again, warm_start=chained)
-    assert reused._kkt is chained._kkt
-    assert reused.z.tobytes() == chained.z.tobytes()
-    assert reused.y.tobytes() == chained.y.tobytes()
+def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
+    # Reuse follows the problem, not the solution: a cold solve leaves its
+    # factors for the next solve of its family, and solutions hold none.
+    assert [f.name for f in dataclasses.fields(optim.Solution)] == [
+        "z", "y", "objective", "status", "iterations", "kkt", "kkt_tol"
+    ]
+    calls = _count_factorizations(monkeypatch)
+    base = l1_equation_lp(4.0)
+    cold = optim.solve(base)
+    assert cold.iterations > 0 and calls
+    shifted = l1_equation_lp(3.0)
+    before = len(calls)
+    warm = optim.solve(base.with_bounds(shifted.l, shifted.u), warm_start=cold)
+    assert warm.iterations == 0 and len(calls) == before
+    # a new problem from equal arrays factors again, with the same bits
+    fresh = optim.solve(shifted, warm_start=cold)
+    assert len(calls) > before
+    assert fresh.z.tobytes() == warm.z.tobytes()
+    assert fresh.y.tobytes() == warm.y.tobytes()
+    assert (fresh.kkt, fresh.kkt_tol, fresh.iterations) == (warm.kkt, warm.kkt_tol, 0)
+
+
+def test_problem_copies_the_arrays_it_freezes():
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    q, l, u = np.array([1.0, -1.0]), np.zeros(1), np.ones(1)
+    problem = optim.ConvexProblem.linear(q, base[:1], l, u)
+    moved = problem.with_bounds(l - 1.0, u + 1.0)
+    base[0, 0] = 2.0
+    q[0], l[0], u[0] = 5.0, -3.0, 3.0
+    assert problem.A.tolist() == [[1.0, 2.0]] and problem.q.tolist() == [1.0, -1.0]
+    assert (problem.l[0], problem.u[0], moved.l[0], moved.u[0]) == (0.0, 1.0, -1.0, 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.A[0, 0] = 0.0
 
 
 def test_with_bounds_shares_the_matrices_and_checks_the_bounds():

@@ -156,6 +156,10 @@ def test_config_key_sets_only_its_own_field(tmp_path, section, key):
     [
         ("grid", "constant_offset = 1, x"),
         ("scenario", "train_end = 5000"),
+        ("scenario", "train_end = 40"),  # too few steps to calibrate on
+        ("scenario", "train_end = 60\nn_pressure = 60"),  # too few to fit 62 sensors
+        ("scenario", "train_end = 1750"),  # no room for a fault onset
+        ("detector", "window = 0"),
         ("counterfactual", "complexity = l3"),
     ],
 )
@@ -173,6 +177,17 @@ def test_readme_config_defaults_match_the_code(tmp_path):
     path = tmp_path / "defaults.cfg"
     path.write_text(blocks[0], encoding="utf-8")
     assert pipeline.load_run_config(path) == pipeline.RunConfig()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:  # in order: the second warm-starts from the first
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "4\n"
+    assert namespace["cf_next"].iterations == 0
 
 
 def test_build_scenario_rejects_unknown_fault_kind():
@@ -313,6 +328,16 @@ def test_cli_errors_on_unknown_config_key(tmp_path, capsys):
     cfg_path.write_text("[detector]\nmagrin = 1.0\n", encoding="utf-8")
     assert main(["--config", str(cfg_path), "simulate"]) == 2
     assert "magrin" in capsys.readouterr().err
+
+
+def test_cli_rejects_untrainable_config_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    config = TINY_CONFIG.format(out=out).replace("train_end = 500", "train_end = 40")
+    cfg_path.write_text(config, encoding="utf-8")
+    assert main(["--config", str(cfg_path), "simulate"]) == 2
+    assert "train_end" in capsys.readouterr().err
+    assert not (out / "scenarios").exists()
 
 
 def test_cli_reports_uncertified_solve_as_error(tmp_path, capsys):

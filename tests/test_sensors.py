@@ -120,6 +120,20 @@ def test_fit_underdetermined_range_rejected():
         sensors.fit_virtual_sensor(panel, 0, 3, (3, 9))
 
 
+def test_model_and_panel_copy_the_arrays_they_freeze():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(6, 3))
+    panel = random_panel(rng, n_steps=6, n_sensors=3).with_values(values)
+    model = sensors.LinearModel(weights=values[0, :2], bias=0.0, target=2, window=3)
+    frozen = values.copy()
+    values += 1.0  # the caller's array stays writable
+    assert np.array_equal(panel.values, frozen)
+    assert np.array_equal(model.weights, frozen[0, :2])
+    for arr in (panel.values, model.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_predict_constant_model():
     model = sensors.LinearModel(weights=np.zeros(3), bias=5.0, target=0, window=3)
     assert predict(model, np.array([9.0, -4.0, 2.0])) == 5.0
