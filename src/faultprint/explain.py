@@ -15,7 +15,7 @@ of this program and is intentionally not a separate solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,8 +71,6 @@ class Counterfactual:
     feasible_without_slack: bool
     iterations: int
     solution: optim.Solution | None = None  # the certified solve it came from
-    # Kept by warm-started explanations only, for the next one of their chain.
-    _program: _Program | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
@@ -146,13 +144,12 @@ class _Program:
 
     The snapshot enters through r0 = G x + bias - targets, and r0 only
     through the bounds: P, q and A are built and validated once, and
-    :meth:`at` fills in each snapshot's l and u.  ``models`` are the model
-    objects G and bias came from, for :meth:`fits`.
+    :meth:`at` fills in each snapshot's l and u.
     """
 
-    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig, models=()):
+    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig):
         self.G, self.bias, self.targets = G, bias, targets
-        self.tol, self.one_sided, self.cfg, self.models = tol, one_sided, cfg, models
+        self.tol, self.one_sided, self.cfg = tol, one_sided, cfg
         k = G.shape[0]
         l1 = cfg.complexity == "l1"
         squared = cfg.dist == "squared"
@@ -238,12 +235,10 @@ class _Program:
         m = self._base.n_constraints
         return self._base.with_bounds(bounds[:m], bounds[m:])
 
-    def fits(self, models, targets: np.ndarray, tol: np.ndarray, cfg: CfConfig) -> bool:
-        """Built from these model objects, targets and settings, bit for bit."""
+    def fits(self, targets: np.ndarray, tol: np.ndarray, cfg: CfConfig) -> bool:
+        """Built for these targets and settings, bit for bit."""
         return (
-            len(models) == len(self.models)
-            and all(a is b for a, b in zip(models, self.models))
-            and targets.tobytes() == self.targets.tobytes()
+            targets.tobytes() == self.targets.tobytes()
             and tol.tobytes() == self.tol.tobytes()
             and (cfg.slack_penalty, cfg.complexity, cfg.dist)
             == (self.cfg.slack_penalty, self.cfg.complexity, self.cfg.dist)
@@ -255,7 +250,6 @@ def _decode(
     program: _Program,
     r0: np.ndarray,
     x_orig: np.ndarray,
-    keep_program: bool,
 ) -> Counterfactual:
     """The counterfactual a certified solution of ``program`` encodes.
 
@@ -269,7 +263,7 @@ def _decode(
     n = G.shape[1]
     l1 = cfg.complexity == "l1"
     delta = solution.z[:n] - solution.z[n : 2 * n] if l1 else solution.z[:n]
-    slacks = np.clip(_excess(G @ delta + r0, tol, one_sided, cfg.dist), 0.0, None)
+    slacks = np.maximum(_excess(G @ delta + r0, tol, one_sided, cfg.dist), 0.0)
     theta = float(np.abs(delta).sum()) if l1 else float(delta @ delta)
     cf = Counterfactual(
         delta=delta,
@@ -279,7 +273,6 @@ def _decode(
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
         iterations=solution.iterations,
         solution=solution,
-        _program=program if keep_program else None,
     )
     if cf.feasible_without_slack:
         measured = _excess(program.residual(cf.x_cf), tol, one_sided, cfg.dist)
@@ -310,10 +303,8 @@ def _counterfactual(
 ) -> Counterfactual:
     """Explain ``x_orig`` against the program's residual rows.
 
-    A warm-started explanation keeps its program for the next explanation
-    of its chain, whose problem then shares the program's polishing KKT
-    factors (see :meth:`optim.ConvexProblem.with_bounds`).  One that is not
-    keeps no program: callers may hold many one-off results side by side.
+    Every problem made from one program shares its factorizations (see
+    :meth:`optim.ConvexProblem.with_bounds`), with or without a warm start.
     """
     r0 = program.residual(x_orig)
     previous = warm_start.solution if warm_start is not None else None
@@ -324,7 +315,37 @@ def _counterfactual(
             f"after {solution.iterations} iterations "
             f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
         )
-    return _decode(solution, program, r0, x_orig, keep_program=warm_start is not None)
+    return _decode(solution, program, r0, x_orig)
+
+
+def _linear_counterfactual(
+    owner: Ensemble | LinearModel,
+    models: tuple[LinearModel, ...],
+    x_orig: np.ndarray,
+    config: CfConfig,
+    targets: np.ndarray | float,
+    solver_options: dict | None,
+    warm_start: Counterfactual | None,
+) -> Counterfactual:
+    """Explain ``x_orig`` against ``models``, with the program kept on ``owner``.
+
+    The owner's one-entry slot holds the program of its latest call, which
+    is reused when the targets, tolerances and config are the same.  Models
+    are frozen, so the program is a function of those alone.
+    """
+    x_orig = np.asarray(x_orig, dtype=float)
+    n = models[0].n_sensors
+    if x_orig.shape != (n,):
+        raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
+    k = len(models)
+    targets = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
+    tol = config.tolerance_vector(k)
+    program = owner._program_slot[0]
+    if program is None or not program.fits(targets, tol, config):
+        G, bias = _residual_geometry(models, n)
+        program = _Program(G, bias, targets, tol, np.zeros(k, dtype=bool), config)
+        owner._program_slot[0] = program
+    return _counterfactual(program, x_orig, solver_options, warm_start)
 
 
 def ensemble_counterfactual(
@@ -342,23 +363,13 @@ def ensemble_counterfactual(
     the no-alarm condition; slack keeps the program feasible.
     ``warm_start``, the explanation of a nearby snapshot by the same
     ensemble and config, lets the solver try that optimum's active set
-    first; the result is certified either way.  Its program is reused when
-    it was built from the same model objects, targets and config.
+    first; the result is certified either way.  The ensemble keeps its
+    latest program, so calls with the same targets and config build and
+    validate it once.
     """
-    x_orig = np.asarray(x_orig, dtype=float)
-    if x_orig.shape != (ensemble.n_sensors,):
-        raise ValueError(
-            f"snapshot has shape {x_orig.shape}, expected ({ensemble.n_sensors},)"
-        )
-    k = len(ensemble.models)
-    targets = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
-    tol = config.tolerance_vector(k)
-    program = warm_start._program if warm_start is not None else None
-    if program is None or not program.fits(ensemble.models, targets, tol, config):
-        G, bias = _residual_geometry(ensemble.models, x_orig.shape[0])
-        one_sided = np.zeros(k, dtype=bool)
-        program = _Program(G, bias, targets, tol, one_sided, config, ensemble.models)
-    return _counterfactual(program, x_orig, solver_options, warm_start)
+    return _linear_counterfactual(
+        ensemble, ensemble.models, x_orig, config, targets, solver_options, warm_start
+    )
 
 
 def independent_counterfactual(
@@ -372,16 +383,11 @@ def independent_counterfactual(
     """Counterfactual for a single model; the per-model baseline.
 
     Same construction as the ensemble path restricted to one constraint, so
-    an ensemble of one reproduces this optimum.
+    an ensemble of one reproduces this optimum.  The model keeps its latest
+    program, as an ensemble does.
     """
-    single = Ensemble(models=(model,), window=model.window)
-    return ensemble_counterfactual(
-        single,
-        x_orig,
-        config=config,
-        targets=float(y_cf),
-        solver_options=solver_options,
-        warm_start=warm_start,
+    return _linear_counterfactual(
+        model, (model,), x_orig, config, float(y_cf), solver_options, warm_start
     )
 
 

@@ -14,9 +14,12 @@ miss it runs the cold iteration unchanged, so the result is then exactly
 what a cold solve gives.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
-its P, q and A, and with them the KKT factors of their latest polished
-point, so a chain of such problems factors a KKT matrix only when the kept
-active rows change.  Solutions are plain data and hold no factors.
+its P, q and A, and with them two factorizations: the KKT factors of their
+latest polished point, and the x-step Cholesky factor of the ADMM start,
+keyed by the starting rho vector.  So a family of such problems factors a
+KKT matrix only when the kept active rows change, and starts ADMM without
+factoring when its bounds give the same equality and free rows.  Solutions
+are plain data and hold no factors.
 
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
@@ -110,9 +113,11 @@ class ConvexProblem:
         for name, arr in (("P", P), ("q", q), ("A", A)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # (kept active rows as bytes, _KktFactor) of this family's latest
-        # polished point
+        # Shared by the with_bounds family: (kept active rows as bytes,
+        # _KktFactor) of its latest polished point, and (starting rho as
+        # bytes, x-step Cholesky factor) of its latest ADMM start.
         object.__setattr__(self, "_kkt_slot", [None])
+        object.__setattr__(self, "_x_step_slot", [None])
         self._set_bounds(self.l, self.u)
 
     def _set_bounds(self, l, u) -> None:
@@ -134,9 +139,11 @@ class ConvexProblem:
 
         Only the bounds are validated: a program whose snapshot enters
         through its bounds alone pays the P, q, A checks once.  The copy
-        also shares this problem's polishing factorization, which depends
-        on P, A and the kept active rows alone: a solve of either problem
-        on the same rows reuses the factors the other left.
+        also shares this problem's factorizations.  The polishing factors
+        depend on P, A and the kept active rows alone, and the starting
+        x-step factor on P, q, A and the rows that l and u make equalities
+        or leave free: a solve of either problem reuses the factors the
+        other left when those match.
         """
         problem = copy.copy(self)
         problem._set_bounds(l, u)
@@ -328,8 +335,8 @@ def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) ->
     v = dy / norm
     if np.abs(problem.A.T @ v).max(initial=0.0) > _INFEAS_TOL:
         return False
-    v_up = np.clip(v, 0.0, None)
-    v_lo = np.clip(v, None, 0.0)
+    v_up = np.maximum(v, 0.0)
+    v_lo = np.minimum(v, 0.0)
     if np.any((v_up > _INFEAS_TOL) & np.isposinf(problem.u)):
         return False
     if np.any((v_lo < -_INFEAS_TOL) & np.isneginf(problem.l)):
@@ -410,7 +417,7 @@ def _active_set_solve(
 
     if active.shape[0]:
         strength = np.abs(y[active])
-        weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
+        weights = np.maximum(strength / max(strength.max(initial=0.0), 1e-300), 1e-6)
         if preferred is not None and preferred.size:
             weights[np.isin(active, preferred)] = 1e6
         weighted = a_red.T * weights
@@ -514,8 +521,8 @@ def solve(
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes the strict KKT test, and otherwise ignored.  Polishing reuses
-    the KKT factors of the problem's family (see
+    it passes the strict KKT test, and otherwise ignored.  The ADMM start
+    and polishing reuse the factors of the problem's family (see
     :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
     """
     if tol_abs <= 0 or tol_rel < 0:
@@ -544,7 +551,15 @@ def solve(
     q_norm = np.abs(q_s).max(initial=0.0)
     base_rho = _RHO_INITIAL
     rho = _rho_vector(problem, base_rho)
-    factor = _factorize_scaled(P_s, A, rho)
+    # P_s and A are the family's own, so the same starting rho gives the
+    # same factor.
+    start = rho.tobytes()
+    cached = problem._x_step_slot[0]
+    if cached is not None and cached[0] == start:
+        factor = cached[1]
+    else:
+        factor = _factorize_scaled(P_s, A, rho)
+        problem._x_step_slot[0] = (start, factor)
 
     x = np.zeros(n)
     z = np.zeros(m)

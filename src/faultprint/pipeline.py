@@ -296,8 +296,8 @@ def localize_scenario(
     certificate_excess = -math.inf
 
     # Consecutive alarm steps have near-identical snapshots, so each step's
-    # explanations warm-start the next step's matching programs, which also
-    # reuses the programs themselves and their KKT factors.
+    # explanations warm-start the next step's; the ensemble and each model
+    # keep their program, and its factorizations, across the steps.
     cf: Optional[explain.Counterfactual] = None
     per_model: list[Optional[explain.Counterfactual]] = [None] * len(ensemble.models)
     with optim.audit_solves() as records:

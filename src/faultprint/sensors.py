@@ -8,7 +8,7 @@ independent oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,10 @@ class LinearModel:
     bias: float
     target: int
     window: int
+    # The counterfactual program explain built last for this model alone.
+    _program_slot: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
@@ -32,10 +36,21 @@ class LinearModel:
             raise ValueError("weights must be a vector")
         if not np.isfinite(weights).all() or not np.isfinite(self.bias):
             raise ValueError("model coefficients must be finite")
+        if not 0 <= self.target <= weights.shape[0]:
+            raise ValueError(
+                f"target index {self.target} out of range for {weights.shape[0] + 1} sensors"
+            )
         if self.window < 1:
             raise ValueError("window must be positive")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other) -> bool:
+        # Field by field: the generated tuple comparison cannot take arrays.
+        if not isinstance(other, LinearModel):
+            return NotImplemented
+        same = (self.bias, self.target, self.window) == (other.bias, other.target, other.window)
+        return same and np.array_equal(self.weights, other.weights)
 
     @property
     def n_sensors(self) -> int:
@@ -48,6 +63,10 @@ class Ensemble:
 
     models: tuple[LinearModel, ...]
     window: int
+    # The counterfactual program explain built last for this ensemble.
+    _program_slot: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.models:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from faultprint import detector, netgen, sensors
+from faultprint import detector, explain, netgen, sensors
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,22 @@ def constant_panel(value: float, n_steps: int = 30, n_sensors: int = 4) -> netge
     return netgen.ReadingsPanel(
         values=np.full((n_steps, n_sensors), float(value)), kinds=kinds, labels=labels
     )
+
+
+def fresh_copy(ensemble: sensors.Ensemble) -> sensors.Ensemble:
+    """An equal ensemble of equal models that has built no program yet."""
+    models = tuple(dataclasses.replace(model) for model in ensemble.models)
+    return sensors.Ensemble(models=models, window=ensemble.window)
+
+
+def count_program_builds(monkeypatch) -> list:
+    """The arguments of every counterfactual program built from now on."""
+    built = []
+
+    class Counted(explain._Program):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(explain, "_Program", Counted)
+    return built

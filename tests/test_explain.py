@@ -1,10 +1,10 @@
 import collections
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from faultprint import detector, explain, optim, pipeline, sensors
+from conftest import count_program_builds, fresh_copy
 from oracles import counterfactual_program_rows
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
@@ -351,7 +351,7 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
     def decode(excess):
         at_x_cf = tol - sign * excess
         program.residual = lambda x: at_x_cf
-        return explain._decode(solution, program, r0, np.zeros(2), keep_program=False)
+        return explain._decode(solution, program, r0, np.zeros(2))
 
     assert decode(0.5 * explain.FEASIBLE_SLACK_TOL).feasible_without_slack
     with pytest.raises(explain.ExplainError, match="re-evaluation"):
@@ -558,9 +558,9 @@ def test_squared_error_stream_alarm_certifies():
         assert residual <= 10.0 * tol
 
 
-def _solved_program(cf, x):
-    """The problem a warm-started explanation solved, rebuilt from what it carries."""
-    program = cf._program
+def _slot_problem(owner, x):
+    """The problem of the program ``owner`` keeps, for the snapshot ``x``."""
+    program = owner._program_slot[0]
     assert program is not None
     return program.at(program.residual(x))
 
@@ -582,25 +582,39 @@ def _assert_program_is_reference(problem, ensemble, x, targets, config):
         assert getattr(problem, name).tobytes() == reference.tobytes(), name
 
 
-def test_warm_start_program_is_reused_only_for_the_same_models_targets_and_config():
+def _assert_same_solution(ours, expected):
+    assert ours.z.tobytes() == expected.z.tobytes()
+    assert ours.y.tobytes() == expected.y.tobytes()
+    assert (ours.objective, ours.status, ours.iterations) == (
+        expected.objective, expected.status, expected.iterations
+    )
+    assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
+
+
+def _fresh_solve(problem, options, warm_start=None):
+    """``optim.solve`` on a newly built problem, which shares no factors."""
+    fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+    return optim.solve(fresh, **options, warm_start=warm_start)
+
+
+def test_program_is_reused_only_for_the_same_models_targets_and_config():
     rng = np.random.default_rng(71)
     ensemble = random_ensemble(rng, 6, 4)
     config = explain.CfConfig(tolerances=0.05)
     x0, x1, x2 = (rng.normal(size=6) for _ in range(3))
     first = explain.ensemble_counterfactual(ensemble, x0, config, solver_options=TIGHT)
-    assert first._program is None  # a one-off result keeps nothing
+    program = ensemble._program_slot[0]
+    assert program is not None
+    # a one-off call reuses it as a warm-started one does
+    explain.ensemble_counterfactual(ensemble, x1, config, solver_options=TIGHT)
     chained = explain.ensemble_counterfactual(
         ensemble, x1, config, solver_options=TIGHT, warm_start=first
     )
-    again = explain.ensemble_counterfactual(
-        ensemble, x2, config, solver_options=TIGHT, warm_start=chained
-    )
-    assert again._program is chained._program
+    assert ensemble._program_slot[0] is program
     # an equal config object is the same config
     equal = explain.CfConfig(tolerances=0.05)
-    assert explain.ensemble_counterfactual(
-        ensemble, x2, equal, solver_options=TIGHT, warm_start=chained
-    )._program is chained._program
+    explain.ensemble_counterfactual(ensemble, x2, equal, solver_options=TIGHT)
+    assert ensemble._program_slot[0] is program
 
     reweighted = sensors.Ensemble(
         models=tuple(
@@ -615,19 +629,21 @@ def test_warm_start_program_is_reused_only_for_the_same_models_targets_and_confi
         (ensemble, config, 0.3),
     ]
     for other, other_config, targets in variants:
+        # each variant differs from the program in the slot in one term
+        explain.ensemble_counterfactual(ensemble, x2, config, solver_options=TIGHT)
+        kept = ensemble._program_slot[0]
         cf = explain.ensemble_counterfactual(
             other, x2, other_config, targets, solver_options=TIGHT, warm_start=chained
         )
-        assert cf._program is not chained._program
-        _assert_program_is_reference(_solved_program(cf, x2), other, x2, targets, other_config)
-        plain = replace(chained, _program=None)
+        assert other._program_slot[0] is not kept
+        _assert_program_is_reference(_slot_problem(other, x2), other, x2, targets, other_config)
         reference = explain.ensemble_counterfactual(
-            other, x2, other_config, targets, solver_options=TIGHT, warm_start=plain
+            fresh_copy(other), x2, other_config, targets, solver_options=TIGHT, warm_start=chained
         )
         assert cf.delta.tobytes() == reference.delta.tobytes()
 
 
-def test_per_model_warm_start_from_another_model_builds_its_own_program():
+def test_per_model_warm_start_from_another_model_uses_its_own_program():
     rng = np.random.default_rng(73)
     ensemble = random_ensemble(rng, 5, 2)
     config = explain.CfConfig(tolerances=0.05)
@@ -640,30 +656,66 @@ def test_per_model_warm_start_from_another_model_builds_its_own_program():
         config,
         warm_start=explain.independent_counterfactual(first, x0, 0.0, config),
     )
-    cf = explain.independent_counterfactual(second, x1, 0.0, config, warm_start=chained)
-    assert cf._program is not chained._program
+    explain.independent_counterfactual(second, x1, 0.0, config, warm_start=chained)
+    assert second._program_slot[0] is not first._program_slot[0]
+    assert ensemble._program_slot[0] is None  # the models keep theirs apart
     single = sensors.Ensemble(models=(second,), window=3)
-    _assert_program_is_reference(_solved_program(cf, x1), single, x1, 0.0, config)
+    _assert_program_is_reference(_slot_problem(second, x1), single, x1, 0.0, config)
+
+
+@pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
+def test_one_off_explanations_of_an_ensemble_build_one_program(
+    complexity, dist, default_ensemble, default_threshold, power_failure_scenario, monkeypatch
+):
+    # Calls without a warm start share the ensemble's program and its
+    # factorizations, and every solve is still bit-equal to a solve of a
+    # freshly built problem.
+    ensemble = fresh_copy(default_ensemble)
+    panel = power_failure_scenario.faulty
+    config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
+    options = {"tol_abs": 1e-6, "tol_rel": 1e-6}
+    built = count_program_builds(monkeypatch)
+    solved = []
+    solve = optim.solve
+
+    def recorded(problem, **kwargs):
+        solution = solve(problem, **kwargs)
+        solved.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(optim, "solve", recorded)
+    steps = detector.detect(ensemble, panel, default_threshold).alarm_steps()[:10]
+    for t in steps:
+        x = explain.snapshot_at_alarm(panel, ensemble, int(t))
+        cf = explain.ensemble_counterfactual(ensemble, x, config, solver_options=options)
+        assert cf.solution is solved[-1][1]
+        _assert_program_is_reference(solved[-1][0], ensemble, x, 0.0, config)
+    assert len(built) == 1 and len(solved) == len(steps) == 10
+    monkeypatch.setattr(optim, "solve", solve)
+    for problem, ours in solved:
+        _assert_same_solution(ours, _fresh_solve(problem, options))
 
 
 @pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
 def test_warm_started_alarm_chain_matches_fresh_programs(
     complexity, dist, default_ensemble, default_threshold, power_failure_scenario, monkeypatch
 ):
-    # Every step's program is the row-by-row reference, and every warm hit
-    # is exactly the solve of a freshly built problem, which shares no KKT
-    # factors: reusing programs and factors changes no bit.
+    # Each chain builds its program once, every step's program is the
+    # row-by-row reference, and every warm hit is exactly the solve of a
+    # freshly built problem, which shares no factors: reusing programs and
+    # factors changes no bit.
+    ensemble = fresh_copy(default_ensemble)
     panel = power_failure_scenario.faulty
     config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
     options = {"tol_abs": 1e-6, "tol_rel": 1e-6}
-    steps = detector.detect(default_ensemble, panel, default_threshold).alarm_steps()[:12]
-    model = default_ensemble.models[power_failure_scenario.fault.sensor]
+    steps = detector.detect(ensemble, panel, default_threshold).alarm_steps()[:12]
+    model = ensemble.models[power_failure_scenario.fault.sensor]
     single = sensors.Ensemble(models=(model,), window=3)
     chains = {
-        "ensemble": (default_ensemble, lambda x, prev: explain.ensemble_counterfactual(
-            default_ensemble, x, config, solver_options=options, warm_start=prev
+        "ensemble": (ensemble, ensemble, lambda x, prev: explain.ensemble_counterfactual(
+            ensemble, x, config, solver_options=options, warm_start=prev
         )),
-        "model": (single, lambda x, prev: explain.independent_counterfactual(
+        "model": (model, single, lambda x, prev: explain.independent_counterfactual(
             model, x, 0.0, config, solver_options=options, warm_start=prev
         )),
     }
@@ -680,31 +732,21 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
 
     for name in ("_active_set_solve", "_factor_kkt"):
         monkeypatch.setattr(optim, name, counting(name))
+    built = count_program_builds(monkeypatch)
     warm_hits = []
-    for ensemble, explain_step in chains.values():
+    for owner, as_ensemble, explain_step in chains.values():
         previous = None
         for t in steps:
-            x = explain.snapshot_at_alarm(panel, ensemble, int(t))
+            x = explain.snapshot_at_alarm(panel, as_ensemble, int(t))
             cf = explain_step(x, previous)
-            if previous is None:
-                assert cf._program is None
-            else:
-                problem = _solved_program(cf, x)
-                _assert_program_is_reference(problem, ensemble, x, 0.0, config)
-                if previous._program is not None:
-                    assert cf._program is previous._program
-                if cf.iterations == 0:
-                    warm_hits.append((problem, previous.solution, cf.solution))
+            problem = _slot_problem(owner, x)
+            _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
+            if cf.iterations == 0:
+                warm_hits.append((problem, previous.solution, cf.solution))
             previous = cf
+    assert len(built) == len(chains)
     assert len(warm_hits) >= len(steps)  # most steps are warm hits
     # and some of the chains' active-set solves skipped the factorization
     assert calls["_factor_kkt"] < calls["_active_set_solve"]
     for problem, warm_start, ours in warm_hits:
-        fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
-        expected = optim.solve(fresh, **options, warm_start=warm_start)
-        assert ours.z.tobytes() == expected.z.tobytes()
-        assert ours.y.tobytes() == expected.y.tobytes()
-        assert (ours.objective, ours.status, ours.iterations) == (
-            expected.objective, expected.status, expected.iterations
-        )
-        assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
+        _assert_same_solution(ours, _fresh_solve(problem, options, warm_start))

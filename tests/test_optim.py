@@ -430,6 +430,58 @@ def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
     assert (fresh.kkt, fresh.kkt_tol, fresh.iterations) == (warm.kkt, warm.kkt_tol, 0)
 
 
+def test_x_step_factor_is_reused_for_the_same_starting_rho(monkeypatch):
+    # The starting rho depends on which rows the bounds make equalities or
+    # leave free.  A with_bounds copy with the same such rows starts ADMM
+    # on the family's factor; other rows factor again, and replace it.
+    # Every result is bit-equal to a solve of a newly built problem.
+    calls = []
+    factorize = optim._factorize_scaled
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(optim, "_factorize_scaled", counted)
+
+    def saved(problem):
+        """Factorizations a solve saved against a newly built equal problem."""
+        before = len(calls)
+        ours = optim.solve(problem)
+        used = len(calls) - before
+        fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+        expected = optim.solve(fresh)
+        assert ours.status is optim.SolveStatus.OPTIMAL
+        assert ours.z.tobytes() == expected.z.tobytes()
+        assert ours.y.tobytes() == expected.y.tobytes()
+        assert (ours.iterations, ours.kkt, ours.kkt_tol) == (
+            expected.iterations, expected.kkt, expected.kkt_tol
+        )
+        return len(calls) - before - 2 * used
+
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        problem = _random_qp(rng, 6, 8)
+        l, u = problem.l.copy(), problem.u.copy()
+        l[0] = u[0]  # an equality row
+        l[1], u[1] = -np.inf, np.inf  # a free row
+        base = problem.with_bounds(l, u)
+        widen = rng.uniform(0.0, 0.2, 8)
+        widen[0] = 0.0
+        same_rows = base.with_bounds(l - widen, u + widen)
+        assert saved(base) == 0  # the family's first start factors
+        assert saved(same_rows) == 1
+        assert saved(base) == 1
+        more, fewer, freed_l, freed_u = l.copy(), l.copy(), l.copy(), u.copy()
+        more[2] = u[2]  # one more equality row
+        fewer[0] = u[0] - 0.5  # one equality row less
+        freed_l[4], freed_u[4] = -np.inf, np.inf  # one more free row
+        for other_l, other_u in ((more, u), (fewer, u), (freed_l, freed_u)):
+            assert saved(base.with_bounds(other_l, other_u)) == 0
+            assert saved(base) == 0  # the copy replaced the family's factor
+        assert saved(dataclasses.replace(base)) == 0  # a new family
+
+
 def test_problem_copies_the_arrays_it_freezes():
     base = np.array([[1.0, 2.0], [3.0, 4.0]])
     q, l, u = np.array([1.0, -1.0]), np.zeros(1), np.ones(1)

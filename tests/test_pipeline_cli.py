@@ -12,6 +12,7 @@ import pytest
 
 from faultprint import detector, explain, netgen, optim, pipeline
 from faultprint.cli import main
+from conftest import count_program_builds, fresh_copy
 
 TINY_CONFIG = """
 [scenario]
@@ -429,12 +430,13 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
         return outcomes, iterations
 
     warm, warm_iterations = localize_all()
-    cold_solver = explain.ensemble_counterfactual
 
-    def without_warm_start(*args, warm_start=None, **kwargs):
-        return cold_solver(*args, **kwargs)
+    def without_warm_start(cold_solver):
+        return lambda *args, warm_start=None, **kwargs: cold_solver(*args, **kwargs)
 
-    monkeypatch.setattr(explain, "ensemble_counterfactual", without_warm_start)
+    # The per-model path does not go through ensemble_counterfactual.
+    for name in ("ensemble_counterfactual", "independent_counterfactual"):
+        monkeypatch.setattr(explain, name, without_warm_start(getattr(explain, name)))
     cold, cold_iterations = localize_all()
     assert warm == cold
     assert 0 in warm_iterations
@@ -466,3 +468,21 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     assert "scipy.stats" not in loaded
     assert _scipy_imports(netgen) == set()
     assert _scipy_imports(optim) == {"scipy.linalg.lapack"}
+
+
+def test_localize_scenario_builds_one_program_per_ensemble_and_model(
+    default_ensemble, default_threshold, power_failure_scenario, monkeypatch
+):
+    # The ensemble and each of its models keep their program across the
+    # alarm steps: 1 + 12 builds per scenario, and none on a second pass.
+    built = count_program_builds(monkeypatch)
+    ensemble = fresh_copy(default_ensemble)
+    panel = power_failure_scenario.faulty
+    stream = detector.detect(ensemble, panel, default_threshold)
+    run = pipeline.RunConfig()
+    first = pipeline.localize_scenario(run, panel, ensemble, default_threshold, stream)
+    assert first[2] == run.alarm_steps
+    assert len(built) == 1 + len(ensemble.models) == 13
+    again = pipeline.localize_scenario(run, panel, ensemble, default_threshold, stream)
+    assert len(built) == 13
+    assert again == first

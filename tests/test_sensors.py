@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from faultprint import netgen, sensors
-from conftest import constant_panel
+from faultprint import explain, netgen, sensors
+from conftest import constant_panel, fresh_copy
 from oracles import normal_equations_fit, predict, window_average
 
 
@@ -230,6 +232,14 @@ def test_load_ensemble_rejects_garbage(tmp_path):
         ("0 3 0.5 1.0\n0 3 0.5 1.0\n", "duplicate target channel in ensemble"),
         ("0 3 nope 1.0\n", "line 1 is not a valid model: could not convert string to float: 'nope'"),
         ("\n0 3 0.5\n", "line 2 too short for a model"),
+        (
+            "0 3 0.5 1.0\n-1 3 0.5 1.0\n",
+            "line 2 is not a valid model: target index -1 out of range for 2 sensors",
+        ),
+        (
+            "14 3 0.5" + " 1.0" * 13 + "\n",
+            "line 1 is not a valid model: target index 14 out of range for 14 sensors",
+        ),
     ],
 )
 def test_load_ensemble_invalid_model_error_names_file(tmp_path, text, message):
@@ -238,3 +248,24 @@ def test_load_ensemble_invalid_model_error_names_file(tmp_path, text, message):
     with pytest.raises(ValueError) as excinfo:
         sensors.load_ensemble(path)
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_explained_ensemble_equals_its_saved_copy(tmp_path, default_ensemble, default_panel):
+    # The program an explanation leaves on the ensemble and its models is
+    # no part of their value: not compared, not shown, not saved.
+    ensemble = fresh_copy(default_ensemble)
+    x = default_panel.values[1000]
+    explain.ensemble_counterfactual(ensemble, x)
+    explain.independent_counterfactual(ensemble.models[0], x)
+    assert ensemble._program_slot[0] is not None
+    assert ensemble.models[0]._program_slot[0] is not None
+    path = tmp_path / "models.txt"
+    sensors.save_ensemble(ensemble, path)
+    loaded = sensors.load_ensemble(path)
+    assert loaded._program_slot == [None]
+    assert loaded == ensemble and ensemble == loaded
+    assert loaded.models[0] == ensemble.models[0]
+    assert "program" not in repr(ensemble)
+    other = dataclasses.replace(ensemble.models[0], bias=ensemble.models[0].bias + 1.0)
+    assert other != ensemble.models[0]
+    assert ensemble != sensors.Ensemble(models=(other,), window=ensemble.window)
