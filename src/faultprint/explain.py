@@ -84,6 +84,15 @@ class LinearClassifier:
     weights: np.ndarray
     bias: float
 
+    def __post_init__(self) -> None:
+        weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
+        if weights.ndim != 1:
+            raise ValueError("classifier weights must be a vector")
+        if not np.isfinite(weights).all() or not np.isfinite(self.bias):
+            raise ValueError("classifier weights and bias must be finite")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
     def decision(self, x: np.ndarray) -> float:
         return float(self.weights @ np.asarray(x, dtype=float) + self.bias)
 
@@ -337,6 +346,8 @@ def _linear_counterfactual(
     n = models[0].n_sensors
     if x_orig.shape != (n,):
         raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
+    if not np.isfinite(x_orig).all():
+        raise ValueError("snapshot contains non-finite readings")
     k = len(models)
     targets = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
     tol = config.tolerance_vector(k)
@@ -416,6 +427,8 @@ def classification_ensemble_cf(
     V = np.vstack([c.weights for c in classifiers])
     if V.shape[1] != x_orig.shape[0]:
         raise ValueError("classifier dimensionality does not match the snapshot")
+    if not np.isfinite(x_orig).all():
+        raise ValueError("snapshot contains non-finite readings")
     program = _Program(
         targets[:, None] * V,
         targets * np.array([c.bias for c in classifiers]),

@@ -28,7 +28,6 @@ for throughput.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import enum
 from dataclasses import dataclass
@@ -126,7 +125,9 @@ class ConvexProblem:
         m = self.A.shape[0]
         if l.shape != (m,) or u.shape != (m,):
             raise ValueError("l and u must match the constraint row count")
-        if (l > u).any():
+        if not (l <= u).all():  # also false where a bound is NaN
+            if np.isnan(l).any() or np.isnan(u).any():
+                raise ValueError("constraint bounds must not be NaN")
             raise ValueError("constraint bounds require l <= u elementwise")
         if (l == np.inf).any() or (u == -np.inf).any():
             raise ValueError("l must be < +inf and u > -inf")
@@ -185,57 +186,28 @@ class Solution:
     kkt_tol: KktTolerances
 
 
-# Optional per-process sinks receiving every completed solve's Solution.
-_audit_sinks: list[list] = []
-
-
 @dataclass(frozen=True)
 class SolveAudit:
     """Summary of the :class:`Solution` list of one unit of work."""
 
     solves: int = 0
     non_optimal: int = 0
-    max_primal_ratio: float = 0.0
-    max_dual_ratio: float = 0.0
-    max_comp_ratio: float = 0.0
+    max_ratio: float = 0.0  # worst residual over its tolerance, any component
 
     @staticmethod
     def from_records(records) -> "SolveAudit":
-        non_optimal = 0
-        worst = [0.0, 0.0, 0.0]  # primal, dual, complementarity
+        non_optimal, worst = 0, 0.0
         for rec in records:
             non_optimal += rec.status is not SolveStatus.OPTIMAL
-            worst = [max(w, r / t) for w, r, t in zip(worst, rec.kkt, rec.kkt_tol)]
-        return SolveAudit(len(records), non_optimal, *worst)
+            worst = max(worst, *(r / t for r, t in zip(rec.kkt, rec.kkt_tol)))
+        return SolveAudit(len(records), non_optimal, worst)
 
     def merge(self, other: "SolveAudit") -> "SolveAudit":
         return SolveAudit(
-            solves=self.solves + other.solves,
-            non_optimal=self.non_optimal + other.non_optimal,
-            max_primal_ratio=max(self.max_primal_ratio, other.max_primal_ratio),
-            max_dual_ratio=max(self.max_dual_ratio, other.max_dual_ratio),
-            max_comp_ratio=max(self.max_comp_ratio, other.max_comp_ratio),
+            self.solves + other.solves,
+            self.non_optimal + other.non_optimal,
+            max(self.max_ratio, other.max_ratio),
         )
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.max_primal_ratio, self.max_dual_ratio, self.max_comp_ratio)
-
-
-@contextlib.contextmanager
-def audit_solves():
-    """Collect the :class:`Solution` of every solve inside the block.
-
-    Blocks nest: every open block receives the solutions of its solves.
-    """
-    records: list[Solution] = []
-    _audit_sinks.append(records)
-    try:
-        yield records
-    finally:
-        # By identity: sinks holding the same records compare equal.
-        index = next(i for i, sink in enumerate(_audit_sinks) if sink is records)
-        del _audit_sinks[index]
 
 
 def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> KktResiduals:
@@ -663,7 +635,7 @@ def _finish(
     iterations: int,
 ) -> Solution:
     objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
-    solution = Solution(
+    return Solution(
         z=z,
         y=y,
         objective=objective,
@@ -672,6 +644,3 @@ def _finish(
         kkt=cert.kkt,
         kkt_tol=cert.tol,
     )
-    for sink in _audit_sinks:
-        sink.append(solution)
-    return solution

@@ -297,33 +297,35 @@ def localize_scenario(
 
     # Consecutive alarm steps have near-identical snapshots, so each step's
     # explanations warm-start the next step's; the ensemble and each model
-    # keep their program, and its factorizations, across the steps.
+    # keep their program, and its factorizations, across the steps.  The
+    # audit reads the certified solution each explanation returns.
     cf: Optional[explain.Counterfactual] = None
     per_model: list[Optional[explain.Counterfactual]] = [None] * len(ensemble.models)
-    with optim.audit_solves() as records:
-        for t in steps:
-            snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
-            cf = explain.ensemble_counterfactual(
-                ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
+    solutions: list[optim.Solution] = []
+    for t in steps:
+        snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
+        cf = explain.ensemble_counterfactual(
+            ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
+        )
+        ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
+        if cf.feasible_without_slack:
+            certificate_excess = max(
+                certificate_excess,
+                explain.certificate_margin(ensemble, cf, threshold, dist=run.dist),
             )
-            ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
-            if cf.feasible_without_slack:
-                certificate_excess = max(
-                    certificate_excess,
-                    explain.certificate_margin(ensemble, cf, threshold, dist=run.dist),
-                )
-            per_model = [
-                explain.independent_counterfactual(
-                    model,
-                    snapshot,
-                    0.0,
-                    cf_config,
-                    solver_options=solver_options,
-                    warm_start=previous,
-                )
-                for model, previous in zip(ensemble.models, per_model)
-            ]
-            baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
+        per_model = [
+            explain.independent_counterfactual(
+                model,
+                snapshot,
+                0.0,
+                cf_config,
+                solver_options=solver_options,
+                warm_start=previous,
+            )
+            for model, previous in zip(ensemble.models, per_model)
+        ]
+        baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
+        solutions += [cf.solution] + [m.solution for m in per_model]
     ensemble_pred = localize.aggregate_alarm_sequence(ensemble_steps, run.alarm_steps)
     baseline_pred = localize.aggregate_alarm_sequence(baseline_steps, run.alarm_steps)
     return (
@@ -331,7 +333,7 @@ def localize_scenario(
         baseline_pred,
         int(steps.size),
         certificate_excess,
-        optim.SolveAudit.from_records(records),
+        optim.SolveAudit.from_records(solutions),
     )
 
 
@@ -365,8 +367,10 @@ def _run_grid(worker, run: RunConfig, jobs: int) -> list:
     Workers are module-private so they pickle by name even when the public
     functions they call through module attributes are wrapped.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [(run, spec) for spec in expand_grid(run)]
-    if jobs <= 1 or len(cells) <= 1:
+    if jobs == 1 or len(cells) <= 1:
         return [worker(*cell) for cell in cells]
     with multiprocessing.Pool(min(jobs, len(cells))) as pool:
         return pool.starmap(worker, cells)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from faultprint import detector, explain, netgen, sensors
+from faultprint import detector, explain, netgen, optim, sensors
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +63,16 @@ def count_program_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(explain, "_Program", Counted)
     return built
+
+
+def record_solves(monkeypatch) -> list:
+    """The solution of every ``optim.solve`` call from now on."""
+    solutions = []
+    solve = optim.solve
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(optim, "solve", recorded)
+    return solutions

@@ -104,28 +104,30 @@ def test_criterion_2_localization_gap(grid_run):
 def test_criterion_3_solver_oracles():
     rng = np.random.default_rng(8675309)
     lp_worst = 0.0
-    with optim.audit_solves() as records:
-        for _ in range(100):
-            q, A, l, u = random_bounded_lp(rng)
-            solution = optim.solve(optim.ConvexProblem.linear(q, A, l, u))
-            assert solution.status is optim.SolveStatus.OPTIMAL
-            oracle = lp_vertex_objective(q, A, l, u)
-            lp_worst = max(lp_worst, abs(solution.objective - oracle))
+    solutions = []
+    for _ in range(100):
+        q, A, l, u = random_bounded_lp(rng)
+        solution = optim.solve(optim.ConvexProblem.linear(q, A, l, u))
+        solutions.append(solution)
+        assert solution.status is optim.SolveStatus.OPTIMAL
+        oracle = lp_vertex_objective(q, A, l, u)
+        lp_worst = max(lp_worst, abs(solution.objective - oracle))
 
-        qp_worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            diag = rng.uniform(0.3, 5.0, n)
-            q = rng.normal(scale=3.0, size=n)
-            lo = rng.uniform(-3.0, 0.0, n)
-            hi = rng.uniform(0.1, 3.0, n)
-            problem = optim.ConvexProblem(P=np.diag(diag), q=q, A=np.eye(n), l=lo, u=hi)
-            solution = optim.solve(problem)
-            assert solution.status is optim.SolveStatus.OPTIMAL
-            qp_worst = max(
-                qp_worst, float(np.abs(solution.z - np.clip(-q / diag, lo, hi)).max())
-            )
-    test_criterion_3_solver_oracles.audit = optim.SolveAudit.from_records(records)
+    qp_worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        diag = rng.uniform(0.3, 5.0, n)
+        q = rng.normal(scale=3.0, size=n)
+        lo = rng.uniform(-3.0, 0.0, n)
+        hi = rng.uniform(0.1, 3.0, n)
+        problem = optim.ConvexProblem(P=np.diag(diag), q=q, A=np.eye(n), l=lo, u=hi)
+        solution = optim.solve(problem)
+        solutions.append(solution)
+        assert solution.status is optim.SolveStatus.OPTIMAL
+        qp_worst = max(
+            qp_worst, float(np.abs(solution.z - np.clip(-q / diag, lo, hi)).max())
+        )
+    test_criterion_3_solver_oracles.audit = optim.SolveAudit.from_records(solutions)
     ok = lp_worst <= 1e-5 and qp_worst <= 1e-6
     _report(
         "criterion 3: solver oracle equivalence",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faultprint import detector, explain, optim, pipeline, sensors
-from conftest import count_program_builds, fresh_copy
+from conftest import count_program_builds, fresh_copy, record_solves
 from oracles import counterfactual_program_rows
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
@@ -399,6 +399,48 @@ def test_classification_rejects_bad_targets():
         explain.classification_ensemble_cf([clf], np.zeros(1), [2])
     with pytest.raises(ValueError):
         explain.classification_ensemble_cf([clf], np.zeros(1), [1, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["ensemble", "independent", "classifier"])
+def test_non_finite_snapshot_is_rejected_before_any_solve(monkeypatch, entry, bad):
+    solutions = record_solves(monkeypatch)
+    x = np.array([1.0, bad, 1.0])
+    explainers = {
+        "ensemble": lambda: explain.ensemble_counterfactual(toy_ensemble(), x),
+        "independent": lambda: explain.independent_counterfactual(
+            single_model([1.0, 1.0]), x
+        ),
+        "classifier": lambda: explain.classification_ensemble_cf(
+            [explain.LinearClassifier(weights=np.ones(3), bias=0.0)], x, [1]
+        ),
+    }
+    with pytest.raises(ValueError, match="snapshot"):
+        explainers[entry]()
+    assert not solutions
+
+
+def test_classifier_keeps_a_frozen_copy_of_its_weights():
+    weights = np.array([1.0, 0.0])
+    clf = explain.LinearClassifier(weights=weights, bias=-1.0)
+    weights[0] = -5.0
+    assert clf.weights.tolist() == [1.0, 0.0]
+    assert clf.predict(np.array([3.0, 0.0])) == 1
+    with pytest.raises(ValueError):
+        clf.weights[0] = 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classifier_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        explain.LinearClassifier(weights=np.array([1.0, bad]), bias=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        explain.LinearClassifier(weights=np.array([1.0, 0.0]), bias=bad)
+
+
+def test_classifier_weights_must_be_a_vector():
+    with pytest.raises(ValueError, match="vector"):
+        explain.LinearClassifier(weights=np.ones((2, 2)), bias=0.0)
 
 
 def test_solver_failure_is_propagated_with_diagnostics():

@@ -215,11 +215,35 @@ def test_problem_validation():
 
 
 def test_audit_collects_solve_records():
-    with optim.audit_solves() as records:
-        optim.solve(simple_qp())
-        optim.solve(l1_equation_lp(1.0))
-    assert len(records) == 2
-    assert all(rec.status is optim.SolveStatus.OPTIMAL for rec in records)
+    solved = [optim.solve(simple_qp()), optim.solve(l1_equation_lp(1.0))]
+    stalled = dataclasses.replace(
+        solved[0],
+        status=optim.SolveStatus.MAX_ITERS,
+        kkt=optim.KktResiduals(1e-9, 3e-6, 0.0),
+        kkt_tol=optim.KktTolerances(1e-7, 1e-6, 1e-7),
+    )
+    audit = optim.SolveAudit.from_records(solved + [stalled])
+    assert (audit.solves, audit.non_optimal) == (3, 1)
+    assert audit.max_ratio == 3e-6 / 1e-6  # the worst component of any record
+    assert optim.SolveAudit.from_records(solved).max_ratio == max(
+        r / t for rec in solved for r, t in zip(rec.kkt, rec.kkt_tol)
+    )
+    assert optim.SolveAudit.from_records([]) == optim.SolveAudit()
+    merged = optim.SolveAudit.from_records(solved).merge(optim.SolveAudit.from_records([stalled]))
+    assert merged == audit
+
+
+@pytest.mark.parametrize("side", ["l", "u"])
+def test_nan_bounds_are_rejected(side):
+    bounds = {"l": np.array([0.0]), "u": np.array([1.0])}
+    bounds[side] = np.array([np.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        optim.ConvexProblem.linear(np.array([1.0]), np.ones((1, 1)), **bounds)
+    problem = optim.ConvexProblem.linear(
+        np.array([1.0]), np.ones((1, 1)), np.array([0.0]), np.array([1.0])
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        problem.with_bounds(**bounds)
 
 
 def test_warm_start_on_shifted_bounds_is_certified_without_iterations():
@@ -245,15 +269,6 @@ def test_warm_start_miss_is_a_cold_solve():
 def test_warm_start_shape_mismatch():
     with pytest.raises(ValueError, match="warm start"):
         optim.solve(l1_equation_lp(1.0), warm_start=optim.solve(simple_qp()))
-
-
-def test_audit_blocks_nest():
-    with optim.audit_solves() as outer:
-        with optim.audit_solves() as inner:
-            optim.solve(simple_qp())
-        optim.solve(simple_qp())
-    assert len(inner) == 1
-    assert len(outer) == 2
 
 
 def _random_qp(rng, n, m):

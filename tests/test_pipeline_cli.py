@@ -12,7 +12,7 @@ import pytest
 
 from faultprint import detector, explain, netgen, optim, pipeline
 from faultprint.cli import main
-from conftest import count_program_builds, fresh_copy
+from conftest import count_program_builds, fresh_copy, record_solves
 
 TINY_CONFIG = """
 [scenario]
@@ -401,33 +401,33 @@ def test_squared_error_certificate_is_measured_squared(tmp_path):
     assert all(e <= 1e-6 for e in excess)
 
 
-def test_audit_blocks_nest_around_scenario_evaluation(tiny_run):
+def test_scenario_audit_counts_every_solve(tiny_run, monkeypatch):
     run, specs = _trained_tiny_run(tiny_run[0])
-    with optim.audit_solves() as outer:
-        result = pipeline.evaluate_scenario_files(run, specs[0])
-        with optim.audit_solves() as inner:
-            pipeline.evaluate_scenario_files(run, specs[1])
-    assert result.audit.solves > 0
-    assert len(outer) == result.audit.solves + len(inner)
-    assert not optim._audit_sinks
+    solutions = record_solves(monkeypatch)
+    result = pipeline.evaluate_scenario_files(run, specs[0])
+    # each alarm step solves the ensemble program and one per model
+    assert result.audit.solves == len(solutions) == 9 * run.alarm_steps
+    assert result.audit.non_optimal == 0
+    assert result.audit.max_ratio == max(
+        r / t for s in solutions for r, t in zip(s.kkt, s.kkt_tol)
+    )
 
 
 def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
     run, specs = _trained_tiny_run(tiny_run[0])
+    solutions = record_solves(monkeypatch)
 
     def localize_all():
-        outcomes, iterations = [], []
+        outcomes, first = [], len(solutions)
         for spec in specs:
             panel, _, _ = pipeline.load_scenario_files(run, spec.scenario_id)
             ensemble, threshold = pipeline.load_model_files(run, spec.scenario_id)
             stream = detector.detect(ensemble, panel, threshold)
-            with optim.audit_solves() as records:
-                ens, base, used, _, audit = pipeline.localize_scenario(
-                    run, panel, ensemble, threshold, stream
-                )
+            ens, base, used, _, audit = pipeline.localize_scenario(
+                run, panel, ensemble, threshold, stream
+            )
             outcomes.append((ens, base, used, audit.solves, audit.non_optimal))
-            iterations += [rec.iterations for rec in records]
-        return outcomes, iterations
+        return outcomes, [s.iterations for s in solutions[first:]]
 
     warm, warm_iterations = localize_all()
 
@@ -442,6 +442,21 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
     assert 0 in warm_iterations
     assert 0 not in cold_iterations
     assert sum(warm_iterations) < sum(cold_iterations)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_an_error(tiny_run, capsys, jobs):
+    cfg_path, out = tiny_run
+    assert main(["--config", str(cfg_path), "--jobs", jobs, "simulate"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (out / "scenarios").exists()
+
+
+def test_batch_with_no_jobs_is_an_error(tiny_run):
+    run = pipeline.load_run_config(tiny_run[0])
+    with pytest.raises(ValueError, match="jobs"):
+        pipeline.simulate_batch(run, jobs=0)
+    assert not (tiny_run[1] / "scenarios").exists()
 
 
 def _scipy_imports(module) -> set[str]:
