@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages and communicate through files, so
 each one is independently re-runnable and byte-deterministic for a fixed
 configuration:
 
-    simulate  write the scenario grid (clean/faulty panels + ground truth)
+    simulate  write the scenario grid (faulty panels + ground truth)
     train     fit virtual sensors and calibrate the alarm threshold
     detect    evaluate the alarm rule per scenario (detection.csv)
     explain   fingerprint one scenario at one alarm step (CSV + SVG)

@@ -93,6 +93,12 @@ class LinearClassifier:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
+    def __eq__(self, other) -> bool:
+        # Field by field: the generated tuple comparison cannot take arrays.
+        if not isinstance(other, LinearClassifier):
+            return NotImplemented
+        return self.bias == other.bias and np.array_equal(self.weights, other.weights)
+
     def decision(self, x: np.ndarray) -> float:
         return float(self.weights @ np.asarray(x, dtype=float) + self.bias)
 

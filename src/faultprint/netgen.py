@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from functools import partial
+from itertools import accumulate, chain, count, islice
+from operator import itemgetter
 from typing import Union, get_args
 
 import numpy as np
@@ -309,14 +311,73 @@ def inject_fault(clean: ReadingsPanel, fault: FaultSpec, seed: int = 0) -> Readi
 
 
 def write_csv(panel: ReadingsPanel, path) -> None:
-    """Write a panel as UTF-8 CSV with a ``label:kind`` header per column."""
+    """Write a panel as UTF-8 CSV with a ``label:kind`` header per column.
+
+    Lines end in ``\\r\\n``, as :mod:`csv` writes them, and each cell is the
+    ``repr`` of its float.  Rows are formatted one at a time, so the file is
+    never held in memory.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             f"{label}:{kind.value}" for label, kind in zip(panel.labels, panel.kinds)
         )
-        for row in panel.values:
-            writer.writerow(repr(float(v)) for v in row)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in panel.values)
+
+
+def _read_header(path, reader) -> tuple[tuple[SensorKind, ...], tuple[str, ...]]:
+    """Kinds and labels from the first record of ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError(f"{path}: empty file") from None
+
+    kinds: list[SensorKind] = []
+    labels: list[str] = []
+    for col, cell in enumerate(header):
+        label, sep, kind_token = cell.partition(":")
+        if not sep or not label:
+            raise PanelFormatError(
+                f"{path}: header column {col} is not 'label:kind': {cell!r}"
+            )
+        try:
+            kinds.append(SensorKind(kind_token))
+        except ValueError:
+            raise PanelFormatError(
+                f"{path}: header column {col} has unknown kind {kind_token!r}"
+            ) from None
+        labels.append(label)
+    return tuple(kinds), tuple(labels)
+
+
+# numpy strips these four ASCII controls around a number and float() does not.
+_SEPARATOR_CONTROLS = b"\x1c\x1d\x1e\x1f"
+
+
+def _fast_body(path, fh, width: int) -> np.ndarray | None:
+    """The data records below the header, parsed by numpy's C reader.
+
+    Returns None wherever the csv reader of :func:`_load_csv_records` might
+    decide differently: a cell numpy cannot parse, a blank line (numpy skips
+    it), a row count or width that does not match, a non-finite cell, or a
+    control character that numpy strips as space.
+    """
+    first = next(fh, "")
+    if not first.rstrip("\r\n"):  # no records, or a blank line first
+        return None
+    lines = count(1)
+    # zip advances the counter once per line handed to numpy, all in C.
+    body = map(itemgetter(0), zip(chain((first,), fh), lines))
+    try:
+        values = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if values.shape != (next(lines) - 1, width) or not np.isfinite(values).all():
+        return None
+    with open(path, "rb") as raw:
+        for chunk in iter(partial(raw.read, 1 << 16), b""):
+            if len(chunk.translate(None, _SEPARATOR_CONTROLS)) != len(chunk):
+                return None
+    return values
 
 
 def _record_line(path, index: int) -> int:
@@ -328,34 +389,11 @@ def _record_line(path, index: int) -> int:
         return reader.line_num
 
 
-def load_csv(path) -> ReadingsPanel:
-    """Read a panel written by :func:`write_csv`; exact decimal round-trip.
-
-    Errors name the file line as an editor counts it: the header is line 1.
-    """
+def _load_csv_records(path) -> ReadingsPanel:
+    """Read a panel record by record with :mod:`csv`; every format error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-
-        kinds: list[SensorKind] = []
-        labels: list[str] = []
-        for col, cell in enumerate(header):
-            label, sep, kind_token = cell.partition(":")
-            if not sep or not label:
-                raise PanelFormatError(
-                    f"{path}: header column {col} is not 'label:kind': {cell!r}"
-                )
-            try:
-                kinds.append(SensorKind(kind_token))
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: header column {col} has unknown kind {kind_token!r}"
-                ) from None
-            labels.append(label)
-
+        kinds, labels = _read_header(path, reader)
         rows: list[list[float]] = []
         for row in reader:
             if len(row) != len(labels):
@@ -384,4 +422,20 @@ def load_csv(path) -> ReadingsPanel:
             f"{path}: line {_record_line(path, i)}, column {labels[col]!r}: "
             f"non-finite cell {float(values[i, col])!r}"
         )
-    return ReadingsPanel(values=values, kinds=tuple(kinds), labels=tuple(labels))
+    return ReadingsPanel(values=values, kinds=kinds, labels=labels)
+
+
+def load_csv(path) -> ReadingsPanel:
+    """Read a panel written by :func:`write_csv`; exact decimal round-trip.
+
+    The body is parsed by numpy's C reader.  Any file it might read
+    differently from the :mod:`csv` module goes to the csv reader instead,
+    which accepts the same files and raises every :class:`PanelFormatError`.
+    Errors name the file line as an editor counts it: the header is line 1.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        kinds, labels = _read_header(path, csv.reader(fh))
+        values = _fast_body(path, fh, len(labels))
+    if values is None:
+        return _load_csv_records(path)
+    return ReadingsPanel(values=values, kinds=kinds, labels=labels)

@@ -206,9 +206,12 @@ def _fault_from_json(data: dict) -> netgen.FaultSpec:
 
 
 def write_scenario(run: RunConfig, spec: ScenarioSpec, scenario: netgen.Scenario) -> None:
+    """Write the faulty panel and the fault ground truth.
+
+    No command reads the clean panel; ``build_scenario`` remakes it bit for bit.
+    """
     folder = scenario_dir(run, spec.scenario_id)
     folder.mkdir(parents=True, exist_ok=True)
-    netgen.write_csv(scenario.clean, folder / "clean.csv")
     netgen.write_csv(scenario.faulty, folder / "faulty.csv")
     payload = {
         "scenario_id": spec.scenario_id,

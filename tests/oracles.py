@@ -4,18 +4,21 @@ These deliberately use different algorithms from the code under test:
 brute-force vertex enumeration instead of operator splitting, normal
 equations instead of orthogonal factorizations.  The solver's linear
 algebra is checked against the same steps written with scipy.linalg's
-wrappers instead of direct LAPACK calls.
+wrappers instead of direct LAPACK calls.  Panel CSV files are checked
+against the csv-module reader and writer that preceded numpy's C parser.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import warnings
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
 
-from faultprint import optim
+from faultprint import netgen, optim
 
 
 def lp_vertex_objective(q, A, l, u, feas_tol=1e-8):
@@ -227,3 +230,78 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
     y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
     y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
     return sol[:n], y_pol
+
+
+def write_panel_csv(panel, path) -> None:
+    """A panel CSV written row by row through :mod:`csv`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            f"{label}:{kind.value}" for label, kind in zip(panel.labels, panel.kinds)
+        )
+        for row in panel.values:
+            writer.writerow(repr(float(v)) for v in row)
+
+
+def _record_line(path, index: int) -> int:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 2):  # the header, then the records
+            pass
+        return reader.line_num
+
+
+def load_panel_csv(path):
+    """A panel CSV read cell by cell through :mod:`csv` and ``float``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise netgen.PanelFormatError(f"{path}: empty file") from None
+
+        kinds = []
+        labels = []
+        for col, cell in enumerate(header):
+            label, sep, kind_token = cell.partition(":")
+            if not sep or not label:
+                raise netgen.PanelFormatError(
+                    f"{path}: header column {col} is not 'label:kind': {cell!r}"
+                )
+            try:
+                kinds.append(netgen.SensorKind(kind_token))
+            except ValueError:
+                raise netgen.PanelFormatError(
+                    f"{path}: header column {col} has unknown kind {kind_token!r}"
+                ) from None
+            labels.append(label)
+
+        rows = []
+        for row in reader:
+            if len(row) != len(labels):
+                raise netgen.PanelFormatError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(labels)}"
+                )
+            parsed = []
+            for col, cell in enumerate(row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise netgen.PanelFormatError(
+                        f"{path}: line {reader.line_num}, column {labels[col]!r}: "
+                        f"non-numeric cell {cell!r}"
+                    ) from None
+            rows.append(parsed)
+
+    if not rows:
+        raise netgen.PanelFormatError(f"{path}: no data rows")
+    values = np.array(rows)
+    non_finite = np.argwhere(~np.isfinite(values))
+    if non_finite.size:
+        i, col = non_finite[0]
+        raise netgen.PanelFormatError(
+            f"{path}: line {_record_line(path, i)}, column {labels[col]!r}: "
+            f"non-finite cell {float(values[i, col])!r}"
+        )
+    return netgen.ReadingsPanel(values=values, kinds=tuple(kinds), labels=tuple(labels))

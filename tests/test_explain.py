@@ -443,6 +443,16 @@ def test_classifier_weights_must_be_a_vector():
         explain.LinearClassifier(weights=np.ones((2, 2)), bias=0.0)
 
 
+def test_classifiers_compare_field_by_field():
+    clf = explain.LinearClassifier(np.array([1.0, 2.0]), 0.0)
+    assert clf == explain.LinearClassifier(np.array([1.0, 2.0]), 0.0)
+    assert clf == explain.LinearClassifier([1, 2], 0)  # same values, other types
+    assert clf != explain.LinearClassifier(np.array([1.0, 2.5]), 0.0)
+    assert clf != explain.LinearClassifier(np.array([1.0, 2.0, 0.0]), 0.0)
+    assert clf != explain.LinearClassifier(np.array([1.0, 2.0]), 1.0)
+    assert clf != "classifier"
+
+
 def test_solver_failure_is_propagated_with_diagnostics():
     model = single_model([2.0, 1.0], bias=0.0, target=2)
     with pytest.raises(explain.ExplainError, match="max_iters"):

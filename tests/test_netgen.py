@@ -3,6 +3,7 @@ import pytest
 
 from faultprint import detector, netgen
 from conftest import constant_panel
+from oracles import load_panel_csv, write_panel_csv
 
 
 def test_rank_one_noise_free_panel_is_affine_between_columns():
@@ -176,18 +177,20 @@ def test_csv_round_trip_is_exact(tmp_path, default_panel):
     assert loaded.kinds == default_panel.kinds
 
 
+def _random_panel(rng, rows, cols, values=None) -> netgen.ReadingsPanel:
+    if values is None:
+        values = rng.normal(scale=10.0 ** rng.integers(-6, 7), size=(rows, cols))
+    kinds = tuple(
+        netgen.SensorKind.PRESSURE if rng.random() < 0.7 else netgen.SensorKind.FLOW
+        for _ in range(cols)
+    )
+    return netgen.ReadingsPanel(values, kinds, tuple(f"c{j}" for j in range(cols)))
+
+
 def test_csv_round_trip_random_panels(tmp_path):
     rng = np.random.default_rng(0)
     for case in range(100):
-        rows = int(rng.integers(1, 6))
-        cols = int(rng.integers(1, 5))
-        values = rng.normal(scale=10.0 ** rng.integers(-6, 7), size=(rows, cols))
-        kinds = tuple(
-            netgen.SensorKind.PRESSURE if rng.random() < 0.7 else netgen.SensorKind.FLOW
-            for _ in range(cols)
-        )
-        labels = tuple(f"c{j}" for j in range(cols))
-        panel = netgen.ReadingsPanel(values=values, kinds=kinds, labels=labels)
+        panel = _random_panel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
         path = tmp_path / f"p{case}.csv"
         netgen.write_csv(panel, path)
         loaded = netgen.load_csv(path)
@@ -255,6 +258,138 @@ def test_csv_malformed_header_rejected(tmp_path):
     path.write_text("a:pressure,b:steam\n1.0,2.0\n", encoding="utf-8")
     with pytest.raises(netgen.PanelFormatError, match="unknown kind"):
         netgen.load_csv(path)
+
+
+def _outcome(load, path):
+    """What a reader makes of a file: the panel's values and layout, or its error."""
+    try:
+        panel = load(path)
+    except Exception as exc:  # every error, not only PanelFormatError, must agree
+        return type(exc), str(exc)
+    return panel.values.tobytes(), panel.values.shape, panel.kinds, panel.labels
+
+
+# Cells the csv reader and float() treat in ways numpy's parser may not.
+_HOSTILE_CELLS = (
+    "1_0", '"1.5"', '"1,5"', "#1", "nan", "inf", "-Infinity", "1e", "1d0", "0x1p0", "",
+    " 2.5 ", "\t2.5\t", "\u30002.5", "2.5\xa0", "１２", "\ufeff1", "2.5\x1c",
+    "\x1f2.5", "1\x00", "1e999",
+)
+
+
+def _hostile_variants(rng, header: str, rows: list[list[str]]):
+    """File texts derived from one valid panel: each breaks or bends one rule."""
+    def text(lines, eol="\r\n", final=True):
+        return eol.join(lines) + (eol if final else "")
+
+    lines = [header] + [",".join(row) for row in rows]
+    i = int(rng.integers(1, len(lines)))  # a data line
+    j = int(rng.integers(len(rows[0])))  # a column
+    yield text(lines)
+    yield text(lines, "\n")
+    yield text(lines, "\r")
+    yield "".join(line + ("\r\n", "\n", "\r")[k % 3] for k, line in enumerate(lines))
+    yield text(lines[:i] + [""] + lines[i:])  # a blank line
+    yield text(lines[:i] + ["  \t"] + lines[i:])  # a line of padding
+    yield text(lines + [""])  # a trailing blank line
+    yield text(lines, final=False)  # no final newline
+    yield text(lines[:i] + ["# a note"] + lines[i:])
+    yield text(lines[:i] + [lines[i] + ","] + lines[i + 1:])  # a trailing comma
+    yield text(lines[:i] + [lines[i] + ",1.0"] + lines[i + 1:])  # one wide row
+    yield text([header] + [line + ",1.0" for line in lines[1:]])  # all rows wide
+    yield text(lines[:i] + [",".join(rows[i - 1][:-1])] + lines[i + 1:])  # a short row
+    yield "\ufeff" + text(lines)  # a byte-order mark
+    yield text([header])  # no data rows
+    yield text([""] * len(lines))  # no columns
+    yield ""
+    for cell in _HOSTILE_CELLS:
+        bent = [list(row) for row in rows]
+        bent[i - 1][j] = cell
+        yield text([header] + [",".join(row) for row in bent])
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a file with no data
+def test_load_csv_agrees_with_the_csv_module_reader(tmp_path):
+    # Same values (bit for bit) or the same error, on valid and hostile files.
+    rng = np.random.default_rng(11)
+    path = tmp_path / "panel.csv"
+    for _ in range(12):
+        panel = _random_panel(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        header = ",".join(f"{l}:{k.value}" for l, k in zip(panel.labels, panel.kinds))
+        rows = [[repr(v) for v in row] for row in panel.values.tolist()]
+        for text in _hostile_variants(rng, header, rows):
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _outcome(netgen.load_csv, path) == _outcome(load_panel_csv, path), text
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a file with no data
+def test_load_csv_agrees_with_the_csv_module_reader_on_random_cells(tmp_path):
+    rng = np.random.default_rng(12)
+    tokens = ("1", "2.5", "-", "+", ".", "e", "_", " ", "\t", "\x0b", "\x1d", "\xa0",
+              "７", '"', "#", "nan", "inf", "\ufeff", "\x00")
+    path = tmp_path / "panel.csv"
+    for _ in range(300):
+        cols = int(rng.integers(1, 4))
+        lines = ["a:pressure,b:flow,c:pressure".rsplit(",", 3 - cols)[0]]
+        for _ in range(int(rng.integers(1, 4))):
+            cells = [
+                repr(float(rng.normal())) if rng.random() < 0.6
+                else "".join(rng.choice(tokens, size=int(rng.integers(0, 4))))
+                for _ in range(cols)
+            ]
+            lines.append(",".join(cells))
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        assert _outcome(netgen.load_csv, path) == _outcome(load_panel_csv, path), lines
+
+
+def test_csv_module_cells_stay_valid(tmp_path):
+    # numpy rejects these; the csv reader accepts them, so load_csv must too.
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        'a:pressure,b:pressure,c:flow\r\n1_0,"1.5",１２\r\n', encoding="utf-8"
+    )
+    assert netgen.load_csv(path).values.tolist() == [[10.0, 1.5, 12.0]]
+
+
+def test_written_panels_are_parsed_without_the_csv_module(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "panel.csv"
+
+    def unexpected(path):
+        raise AssertionError(f"{path} fell back to the csv reader")
+
+    monkeypatch.setattr(netgen, "_load_csv_records", unexpected)
+    for rows, cols in ((1, 1), (1, 3), (4, 1), (50, 14)):
+        panel = _random_panel(rng, rows, cols)
+        netgen.write_csv(panel, path)
+        assert np.array_equal(netgen.load_csv(path).values, panel.values)
+
+
+def test_write_csv_bytes_match_the_csv_module_writer(tmp_path):
+    rng = np.random.default_rng(14)
+    tiny = np.finfo(float).tiny  # 2.2250738585072014e-308
+    special = np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3.0, -tiny * 0.7,  # zeros, subnormals
+        1.7976931348623157e308, -1.7976931348623157e308,
+        0.30000000000000004, 1.0000000000000002, 1.2345678901234567,  # 17 digits
+        1e16, 1e-5, 1 / 3,  # where repr switches to an exponent, and 16 digits
+    ])
+    for case in range(40):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        values = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(rows, cols))
+        mask = rng.random(values.shape) < 0.5
+        values[mask] = rng.choice(special, size=int(mask.sum()))
+        panel = _random_panel(rng, rows, cols, values)
+        if case % 4 == 0:  # labels the csv writer must quote
+            panel = netgen.ReadingsPanel(
+                values, panel.kinds, tuple(f'c"{j},\r\n' for j in range(cols))
+            )
+        netgen.write_csv(panel, tmp_path / "new.csv")
+        write_panel_csv(panel, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        loaded = netgen.load_csv(tmp_path / "new.csv")
+        assert loaded.values.tobytes() == panel.values.tobytes()
+        assert loaded.labels == panel.labels
 
 
 def test_panel_values_are_immutable(default_panel):

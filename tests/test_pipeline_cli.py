@@ -235,7 +235,7 @@ def test_cli_full_pipeline(tiny_run, capsys):
     assert main(["--config", str(cfg_path), "evaluate"]) == 0
 
     scen_dir = out / "scenarios" / "constant_offset-m0-s1"
-    assert (scen_dir / "clean.csv").exists()
+    assert not (scen_dir / "clean.csv").exists()  # build_scenario remakes it
     assert (scen_dir / "faulty.csv").exists()
     assert (scen_dir / "fault.json").exists()
     # one model line per pressure channel
