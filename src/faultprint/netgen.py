@@ -87,6 +87,10 @@ class ReadingsPanel:
             raise ValueError("panel values must be a 2-D array")
         if values.shape[1] != len(self.kinds) or len(self.kinds) != len(self.labels):
             raise ValueError("kinds/labels must match the column count")
+        for label in self.labels:
+            # A CSV header cell is 'label:kind', split at the first ':'.
+            if not label or ":" in label:
+                raise ValueError(f"sensor label {label!r} must be non-empty and hold no ':'")
         if not np.isfinite(values).all():
             raise ValueError("panel contains non-finite entries")
         values.flags.writeable = False
@@ -326,10 +330,9 @@ def write_csv(panel: ReadingsPanel, path) -> None:
 
 def _read_header(path, reader) -> tuple[tuple[SensorKind, ...], tuple[str, ...]]:
     """Kinds and labels from the first record of ``reader``."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelFormatError(f"{path}: empty file") from None
+    header = next(_records(path, reader), None)
+    if header is None:
+        raise PanelFormatError(f"{path}: empty file")
 
     kinds: list[SensorKind] = []
     labels: list[str] = []
@@ -389,13 +392,25 @@ def _record_line(path, index: int) -> int:
         return reader.line_num
 
 
+def _records(path, reader):
+    """The records of ``reader``; one csv cannot read raises PanelFormatError."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. a cell beyond csv's field size limit
+            raise PanelFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        yield row
+
+
 def _load_csv_records(path) -> ReadingsPanel:
     """Read a panel record by record with :mod:`csv`; every format error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         kinds, labels = _read_header(path, reader)
         rows: list[list[float]] = []
-        for row in reader:
+        for row in _records(path, reader):
             if len(row) != len(labels):
                 raise PanelFormatError(
                     f"{path}: line {reader.line_num} has {len(row)} cells, "

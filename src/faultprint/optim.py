@@ -58,6 +58,7 @@ _ADAPT_TRIGGER = 5.0
 _INFEAS_TOL = 1e-7
 _POLISH_REG = 1e-6
 _POLISH_REFINE_STEPS = 3
+_POLISH_RELEASE_ROUNDS = 3
 _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
 _EARLY_POLISH_INTERVAL = 100
 
@@ -134,6 +135,13 @@ class ConvexProblem:
         for name, arr in (("l", l), ("u", u)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # Row masks polishing reads on every call: finite bounds, and
+        # equality rows (None when there are none), whose multiplier is
+        # free in sign.
+        equality = l == u
+        object.__setattr__(self, "_finite_l", np.isfinite(l))
+        object.__setattr__(self, "_finite_u", np.isfinite(u))
+        object.__setattr__(self, "_equality", equality if equality.any() else None)
 
     def with_bounds(self, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
         """The same P, q and A (shared, not copied) with new bounds.
@@ -177,6 +185,14 @@ class _KktFactor(NamedTuple):
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's result and how it was reached.
+
+    ``path`` names the point returned: ``warm`` (the warm start's active
+    set re-solved, no iterations), ``early_polish`` (an active-set re-solve
+    during the ADMM loop), ``final_polish`` (the re-solve after ADMM
+    converged) or ``admm`` (the ADMM iterate itself, unpolished).
+    """
+
     z: np.ndarray
     y: np.ndarray
     objective: float
@@ -184,6 +200,7 @@ class Solution:
     iterations: int
     kkt: KktResiduals
     kkt_tol: KktTolerances
+    path: str
 
 
 @dataclass(frozen=True)
@@ -368,16 +385,18 @@ def _active_set_solve(
     lower_active: np.ndarray,
     upper_active: np.ndarray,
     preferred: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor]] | None:
+) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor], np.ndarray] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
     Degenerate guesses can pin more (possibly contradictory) rows than there
     are variables; a pivoted QR keeps a linearly independent subset, with
     pivot priority given by dual magnitude so noise-level duals are the ones
-    dropped.  ``preferred`` rows (from a repair round) outrank everything.
-    The KKT factors come from the problem family's slot when its kept rows
-    are these, and are computed otherwise.  Returns the point and the kept
-    rows with their factors.
+    dropped.  ``preferred`` rows (from a repair round) and equality rows
+    outrank everything.  The KKT factors come from the problem family's
+    slot when its kept rows are these, and are computed otherwise.  Returns
+    the point, the kept rows with their factors, and the kept rows whose
+    dual had the wrong sign for the bound they were pinned to; that dual is
+    returned as zero.  An equality row's dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -392,6 +411,8 @@ def _active_set_solve(
         weights = np.maximum(strength / max(strength.max(initial=0.0), 1e-300), 1e-6)
         if preferred is not None and preferred.size:
             weights[np.isin(active, preferred)] = 1e6
+        if problem._equality is not None:
+            weights[problem._equality[active]] = 1e6
         weighted = a_red.T * weights
         # Query the workspace first, as scipy.linalg.qr does: dgeqp3 picks
         # its blocking from lwork, so this keeps the pivots of that call.
@@ -426,12 +447,14 @@ def _active_set_solve(
     if not np.isfinite(sol).all():
         return None
     x_pol = sol[:n]
-    y_pol = np.zeros(problem.n_constraints)
-    y_pol[active] = sol[n:]
+    duals = sol[n:]
     # Enforce the sign convention; wrong-signed duals mean a bad active set.
-    y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
-    y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
-    return x_pol, y_pol, (rows, factor)
+    signed = np.where(is_lower, np.minimum(duals, 0.0), np.maximum(duals, 0.0))
+    if problem._equality is not None:
+        signed = np.where(problem._equality[active], duals, signed)
+    y_pol = np.zeros(problem.n_constraints)
+    y_pol[active] = signed
+    return x_pol, y_pol, (rows, factor), active[signed != duals]
 
 
 def _polish(
@@ -439,15 +462,26 @@ def _polish(
 ) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
     """Re-solve on the active set guessed from dual signs; None on failure.
 
-    A wrong guess shows up as bound violations at the re-solved point; up to
-    two repair rounds add the violated rows and try again.  The round with
-    the smallest raw residual is returned with its certificate, and its kept
-    rows and KKT factors replace the family's slot: a warm start from this
-    point tries the same rows first.
+    Every equality row is pinned, whatever its dual's sign.  A wrong guess
+    shows up as bound violations at the re-solved point; up to two repair
+    rounds add the violated rows and try again, and the round with the
+    smallest raw residual is the best.  A weakly active row pinned by
+    iterate noise shows up instead as a wrong-signed dual: clipping it
+    leaves a dual residual, which may fail the point or, under a loose
+    tolerance, pass a point off the optimum.  So when the best round's
+    primal and complementarity residuals pass and its solve gave
+    wrong-signed duals, up to three more rounds release the wrong-signed
+    rows, add the violated ones and try again, until a round has neither.
+    The round with the smallest residual in tolerance units is returned
+    with its certificate, and its kept rows and KKT factors replace the
+    family's slot: a warm start from this point tries the same rows first.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
-    lower = (y < 0) & np.isfinite(problem.l)
-    upper = (y > 0) & np.isfinite(problem.u)
+    lower = (y < 0) & problem._finite_l
+    upper = (y > 0) & problem._finite_u
+    if problem._equality is not None:
+        lower |= problem._equality
+        upper &= ~problem._equality
     best = None
     best_score = np.inf
     preferred = np.empty(0, dtype=int)
@@ -459,11 +493,8 @@ def _polish(
             break
         kkt = kkt_residuals(problem, *result[:2])
         if max(kkt) < best_score:
-            best, best_score = (*result, kkt), max(kkt)
-        az = problem.A @ result[0]
-        scale = 1.0 + np.abs(az).max(initial=0.0)
-        below = problem.l - az > 1e-9 * scale
-        above = az - problem.u > 1e-9 * scale
+            best, best_score = (result, kkt, lower, upper), max(kkt)
+        below, above = _violations(problem, result[0])
         violated = np.flatnonzero(below | above)
         if not violated.size or np.isin(violated, preferred).all():
             break
@@ -471,10 +502,45 @@ def _polish(
         preferred = np.union1d(preferred, violated)
     if best is None:
         return None
-    z_pol, y_pol, factored, kkt = best
+    result, kkt, lower, upper = best
+    cert = _Certificate(kkt, kkt_tolerances(problem, *result[:2], tol_abs, tol_rel))
+    if (
+        result[3].size
+        and kkt.primal <= cert.tol.primal
+        and kkt.complementarity <= cert.tol.complementarity
+    ):
+        latest = result
+        for _ in range(_POLISH_RELEASE_ROUNDS):
+            wrong = latest[3]
+            below, above = _violations(problem, latest[0])
+            if not (wrong.size or below.any() or above.any()):
+                break
+            lower, upper = lower.copy(), upper.copy()
+            lower[wrong] = upper[wrong] = False
+            lower, upper = lower | below, upper | above
+            preferred = np.union1d(preferred, np.flatnonzero(below | above))
+            latest = _active_set_solve(
+                problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
+            )
+            if latest is None:
+                break
+            z_pol, y_pol = latest[:2]
+            candidate = _Certificate(
+                kkt_residuals(problem, z_pol, y_pol),
+                kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel),
+            )
+            if candidate.ratio < cert.ratio:
+                result, cert = latest, candidate
+    z_pol, y_pol, factored, _ = result
     problem._kkt_slot[0] = factored
-    tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
-    return z_pol, y_pol, _Certificate(kkt, tol)
+    return z_pol, y_pol, cert
+
+
+def _violations(problem: ConvexProblem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows below their lower and above their upper bound at ``z``."""
+    az = problem.A @ z
+    scale = 1.0 + np.abs(az).max(initial=0.0)
+    return problem.l - az > 1e-9 * scale, az - problem.u > 1e-9 * scale
 
 
 def solve(
@@ -508,7 +574,7 @@ def solve(
             )
         guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
         if guess is not None and guess[2].passes():
-            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0)
+            return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, "warm")
 
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
@@ -586,7 +652,7 @@ def solve(
                 polish_due = it + _EARLY_POLISH_INTERVAL
                 early = _polish(problem, y * cost, tol_abs, tol_rel)
                 if early is not None and early[2].passes():
-                    return _finish(problem, *early, SolveStatus.OPTIMAL, it)
+                    return _finish(problem, *early, SolveStatus.OPTIMAL, it, "early_polish")
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -616,14 +682,16 @@ def solve(
     cert = _Certificate(
         kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
     )
+    path = "admm"
     if status is SolveStatus.OPTIMAL:
         polished = _polish(problem, y, tol_abs, tol_rel)
         # Compare in tolerance units: the raw residuals differ in scale.
         if polished is not None and polished[2].ratio <= cert.ratio:
             x, y, cert = polished
+            path = "final_polish"
         if not cert.passes(10.0):
             status = SolveStatus.MAX_ITERS
-    return _finish(problem, x, y, cert, status, iterations)
+    return _finish(problem, x, y, cert, status, iterations, path)
 
 
 def _finish(
@@ -633,6 +701,7 @@ def _finish(
     cert: _Certificate,
     status: SolveStatus,
     iterations: int,
+    path: str,
 ) -> Solution:
     objective = np.inf if status is SolveStatus.INFEASIBLE else problem.objective(z)
     return Solution(
@@ -643,4 +712,5 @@ def _finish(
         iterations=iterations,
         kkt=cert.kkt,
         kkt_tol=cert.tol,
+        path=path,
     )

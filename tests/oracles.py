@@ -180,10 +180,12 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
     """``optim._active_set_solve`` through scipy's QR and LU wrappers.
 
     Same steps: pivoted-QR row selection weighted by dual magnitude
-    (``preferred`` rows first), a regularized LU solve of the reduced KKT
-    system, refinement against the unregularized one, dual sign clamping.
-    Returns None where the reduced system is singular.
+    (``preferred`` and equality rows first), a regularized LU solve of the
+    reduced KKT system, refinement against the unregularized one, dual sign
+    clamping on inequality rows.  Returns None where the reduced system is
+    singular.
     """
+    equality = problem.l == problem.u
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
     is_lower = np.concatenate(
@@ -197,6 +199,7 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
         weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
         if preferred is not None and preferred.size:
             weights[np.isin(active, preferred)] = 1e6
+        weights[equality[active]] = 1e6
         _, r_diag, pivots = qr(a_red.T * weights, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r_diag))
         rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
@@ -227,8 +230,9 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
         return None
     y_pol = np.zeros(problem.n_constraints)
     y_pol[active] = sol[n:]
-    y_pol[active[is_lower]] = np.minimum(y_pol[active[is_lower]], 0.0)
-    y_pol[active[~is_lower]] = np.maximum(y_pol[active[~is_lower]], 0.0)
+    signed = ~equality[active]
+    y_pol[active[is_lower & signed]] = np.minimum(y_pol[active[is_lower & signed]], 0.0)
+    y_pol[active[~is_lower & signed]] = np.maximum(y_pol[active[~is_lower & signed]], 0.0)
     return sol[:n], y_pol
 
 

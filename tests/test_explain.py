@@ -585,20 +585,26 @@ def test_warm_start_shape_mismatch_is_rejected():
         explain.ensemble_counterfactual(ensemble, x, config, warm_start=single)
 
 
-def test_squared_error_stream_alarm_certifies():
-    # Grid seed 101, alarm 34 of this scenario: the ADMM point certifies,
-    # and a polished point that is worse in tolerance units must not
-    # replace it.
-    run = pipeline.RunConfig(seeds=(101,), complexity="l2", dist="squared")
-    spec = next(
-        s for s in pipeline.expand_grid(run) if s.scenario_id == "power_failure-m2-s101"
-    )
+def _squared_error_alarms(seed, scenario_id):
+    """The l2/squared run, ensemble, threshold, panel and alarm steps of a
+    grid scenario, built in-process as the pipeline builds it."""
+    run = pipeline.RunConfig(seeds=(seed,), complexity="l2", dist="squared")
+    spec = next(s for s in pipeline.expand_grid(run) if s.scenario_id == scenario_id)
     scenario = pipeline.build_scenario(run, spec)
     panel = scenario.faulty
     ensemble, threshold = pipeline.train_scenario(
         panel, scenario.config.train_end, run.window, run.margin
     )
-    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[34])
+    steps = detector.detect(ensemble, panel, threshold).alarm_steps()
+    return run, ensemble, threshold, panel, steps
+
+
+def test_squared_error_stream_alarm_certifies():
+    # Grid seed 101, alarm 34 of this scenario: it once failed certification,
+    # and later certified only as an unpolished ADMM point; its polish now
+    # certifies it.
+    run, ensemble, threshold, panel, steps = _squared_error_alarms(101, "power_failure-m2-s101")
+    t = int(steps[34])
     assert t == 1698
     snapshot = explain.snapshot_at_alarm(panel, ensemble, t)
     cf = explain.ensemble_counterfactual(
@@ -606,8 +612,63 @@ def test_squared_error_stream_alarm_certifies():
     )
     solution = cf.solution
     assert solution.status is optim.SolveStatus.OPTIMAL
+    assert solution.path in ("early_polish", "final_polish")
     for residual, tol in zip(solution.kkt, solution.kkt_tol):
         assert residual <= 10.0 * tol
+
+
+def _tight_reference(problem, n):
+    """The change block of a solve at 1e-11 whose recomputed KKT residuals
+    pass those tolerances, on a newly built copy of ``problem``."""
+    fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+    reference = optim.solve(fresh, tol_abs=1e-11, tol_rel=1e-11)
+    assert reference.status is optim.SolveStatus.OPTIMAL
+    kkt = optim.kkt_residuals(fresh, reference)
+    tol = optim.kkt_tolerances(fresh, reference.z, reference.y, 1e-11, 1e-11)
+    assert all(r <= t for r, t in zip(kkt, tol))
+    return reference.z[:n]
+
+
+def test_degenerate_stream_alarms_are_polished_and_exact():
+    # Seed 1, this scenario: at nine of these alarms a weakly active row
+    # pinned by iterate noise kept every polish from passing, and an
+    # unpolished ADMM point up to 1.06e-3 from the optimum was reported as
+    # optimal.
+    run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
+    config = run.cf_config(threshold)
+    for alarm in [*range(34, 43), *range(61, 65)]:
+        snapshot = explain.snapshot_at_alarm(panel, ensemble, int(steps[alarm]))
+        cf = explain.ensemble_counterfactual(
+            ensemble, snapshot, config, solver_options=run.solver_options()
+        )
+        assert cf.solution.path in ("early_polish", "final_polish"), alarm
+        reference = _tight_reference(_slot_problem(ensemble, snapshot), snapshot.shape[0])
+        assert np.abs(cf.delta - reference).max() <= 1e-9, alarm
+
+
+def test_squared_error_explanations_match_a_tight_reference():
+    # Property: random l2/squared programs, targets and tolerances; every
+    # explanation at the pipeline's solver tolerances is a polished point
+    # within 1e-9 of the tight optimum.
+    rng = np.random.default_rng(2)
+    options = pipeline.RunConfig().solver_options()
+    for _ in range(200):
+        n = int(rng.integers(4, 10))
+        k = int(rng.integers(2, n + 1))
+        ensemble = random_ensemble(rng, n, k)
+        config = explain.CfConfig(
+            slack_penalty=float(10 ** rng.uniform(1, 3)),
+            complexity="l2",
+            dist="squared",
+            tolerances=rng.uniform(0.01, 1.0, size=k),
+        )
+        x = rng.normal(scale=2.0, size=n)
+        cf = explain.ensemble_counterfactual(
+            ensemble, x, config, targets=rng.normal(size=k), solver_options=options
+        )
+        assert cf.solution.path in ("early_polish", "final_polish")
+        reference = _tight_reference(_slot_problem(ensemble, x), n)
+        assert np.abs(cf.delta - reference).max() <= 1e-9
 
 
 def _slot_problem(owner, x):

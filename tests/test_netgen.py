@@ -260,6 +260,37 @@ def test_csv_malformed_header_rejected(tmp_path):
         netgen.load_csv(path)
 
 
+def test_csv_cell_beyond_the_field_size_limit_is_a_format_error(tmp_path):
+    # The csv module reads at most 131072 characters per cell by default;
+    # numpy cannot parse these cells, so the csv reader meets them.
+    path = tmp_path / "bad.csv"
+    long_cell = "1" * 140_000 + "x"
+    path.write_text(f"a:pressure,b:pressure\r\n1.0,2.0\r\n{long_cell},3.0\r\n", encoding="utf-8")
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 3: field larger"):
+        netgen.load_csv(path)
+    path.write_text(f"{long_cell}:pressure\r\n1.0\r\n", encoding="utf-8")
+    with pytest.raises(netgen.PanelFormatError, match="bad.csv: line 1: field larger"):
+        netgen.load_csv(path)
+
+
+@pytest.mark.parametrize("label", ["", "a:b", ":"])
+def test_panel_rejects_a_label_its_csv_header_cannot_hold(label):
+    kinds = (netgen.SensorKind.PRESSURE,) * 2
+    with pytest.raises(ValueError, match=f"sensor label {label!r}"):
+        netgen.ReadingsPanel(np.zeros((2, 2)), kinds, (label, "c"))
+
+
+def test_csv_round_trip_keeps_every_accepted_label(tmp_path):
+    labels = ("a b", "a,b", 'q"uote', "line\nbreak", "cr\rx", " lead", "#hash", "ünï", "nan")
+    kinds = tuple(netgen.SensorKind(k) for k in ("pressure", "flow") * 5)[: len(labels)]
+    panel = netgen.ReadingsPanel(np.arange(2.0 * len(labels)).reshape(2, -1), kinds, labels)
+    path = tmp_path / "labels.csv"
+    netgen.write_csv(panel, path)
+    loaded = netgen.load_csv(path)
+    assert (loaded.labels, loaded.kinds) == (labels, kinds)
+    assert np.array_equal(loaded.values, panel.values)
+
+
 def _outcome(load, path):
     """What a reader makes of a file: the panel's values and layout, or its error."""
     try:

@@ -258,12 +258,70 @@ def test_warm_start_on_shifted_bounds_is_certified_without_iterations():
 
 
 def test_warm_start_miss_is_a_cold_solve():
-    problem = l1_equation_lp(-3.0)  # the sign flip changes the active set
-    warm = optim.solve(problem, warm_start=optim.solve(l1_equation_lp(4.0)))
+    # Zero duals pin only the equality row: no repair round reaches the
+    # active set of r = 3 from there.
+    start = dataclasses.replace(optim.solve(l1_equation_lp(4.0)), y=np.zeros(5))
+    problem = l1_equation_lp(3.0)
+    warm = optim.solve(problem, warm_start=start)
     cold = optim.solve(problem)
     assert warm.iterations == cold.iterations > 0
+    assert warm.path == cold.path == "early_polish"
     assert np.array_equal(warm.z, cold.z)
     assert np.array_equal(warm.y, cold.y)
+
+
+def test_equality_row_duals_are_free_in_sign():
+    # min 0.5 |z|^2 s.t. z1 + z2 = 1: z = (0.5, 0.5), and the equality row's
+    # multiplier is -0.5.  Duals of either sign, or none, must find it.
+    problem = optim.ConvexProblem(
+        P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)), l=np.ones(1), u=np.ones(1)
+    )
+    for guess in (1e-3, 0.0, -1e-3):
+        polished = optim._polish(
+            problem, np.array([guess]), optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
+        )
+        assert polished is not None and polished[2].passes()
+        assert polished[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert polished[1] == pytest.approx([-0.5], abs=1e-12)
+    # The sign flip of r flips the equality multiplier, and the repair round
+    # finds the other rows: the warm start hits, with the cold solve's point.
+    problem = l1_equation_lp(-3.0)
+    warm = optim.solve(problem, warm_start=optim.solve(l1_equation_lp(4.0)))
+    cold = optim.solve(problem)
+    assert (warm.iterations, warm.path) == (0, "warm")
+    assert warm.z == pytest.approx(cold.z, abs=1e-12)
+    assert warm.y == pytest.approx(cold.y, abs=1e-12)
+
+
+def test_polish_releases_a_row_pinned_by_a_noise_dual():
+    # min 0.5 |z - c|^2 s.t. z >= 0, c = (1, -1): z = (1, 0), y = (0, -1).
+    # A -1e-9 dual pins row 0, whose re-solved dual then has the wrong sign;
+    # clipping it would leave a dual residual of 1.
+    c = np.array([1.0, -1.0])
+    problem = optim.ConvexProblem(
+        P=np.eye(2), q=-c, A=np.eye(2), l=np.zeros(2), u=np.full(2, np.inf)
+    )
+    noisy = np.array([-1e-9, -1.0])
+    z, y, cert = optim._polish(problem, noisy, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL)
+    assert cert.passes()
+    assert z == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert y == pytest.approx([0.0, -1.0], abs=1e-12)
+    start = dataclasses.replace(optim.solve(problem), y=noisy)
+    warm = optim.solve(problem, warm_start=start)
+    assert (warm.status, warm.iterations, warm.path) == (optim.SolveStatus.OPTIMAL, 0, "warm")
+
+
+def test_solution_path_names_each_route():
+    cold = optim.solve(l1_equation_lp(4.0))
+    assert (cold.path, cold.status) == ("early_polish", optim.SolveStatus.OPTIMAL)
+    assert cold.iterations > 0
+    warm = optim.solve(l1_equation_lp(3.0), warm_start=cold)
+    assert (warm.path, warm.iterations) == ("warm", 0)
+    # at r = 0 the iterates meet the tolerance before an early polish is tried
+    converged = optim.solve(l1_equation_lp(0.0))
+    assert (converged.path, converged.status) == ("final_polish", optim.SolveStatus.OPTIMAL)
+    stopped = optim.solve(l1_equation_lp(4.0), max_iters=1)
+    assert (stopped.path, stopped.status) == ("admm", optim.SolveStatus.MAX_ITERS)
 
 
 def test_warm_start_shape_mismatch():
@@ -315,6 +373,16 @@ def _active_set_cases():
         y = rng.normal(size=m) * 10.0 ** rng.integers(-9, 2, size=m)
         preferred = np.sort(rng.choice(pinned, size=int(rng.integers(0, 3)), replace=False))
         yield problem, y, np.sort(pinned[:split]), np.sort(pinned[split:]), preferred
+    for _ in range(40):  # equality rows, pinned on either side with any dual
+        n, m = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        base = _random_qp(rng, n, m)
+        equal = rng.random(m) < 0.4
+        u = np.where(equal, base.l, base.u)
+        problem = optim.ConvexProblem(P=base.P, q=base.q, A=base.A, l=base.l, u=u)
+        pinned = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+        split = int(rng.integers(0, pinned.size + 1))
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-9, 2, size=m)
+        yield problem, y, np.sort(pinned[:split]), np.sort(pinned[split:]), None
 
 
 def test_active_set_solve_matches_wrapper_reference():
@@ -427,7 +495,7 @@ def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
     # Reuse follows the problem, not the solution: a cold solve leaves its
     # factors for the next solve of its family, and solutions hold none.
     assert [f.name for f in dataclasses.fields(optim.Solution)] == [
-        "z", "y", "objective", "status", "iterations", "kkt", "kkt_tol"
+        "z", "y", "objective", "status", "iterations", "kkt", "kkt_tol", "path"
     ]
     calls = _count_factorizations(monkeypatch)
     base = l1_equation_lp(4.0)
