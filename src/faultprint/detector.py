@@ -86,8 +86,8 @@ def calibrate_threshold(
     margin: float = 1.1,
 ) -> float:
     """Threshold = margin times the largest absolute residual on clean data."""
-    if margin < 1.0:
-        raise ValueError("margin must be at least 1")
+    if not 1.0 <= margin < np.inf:  # NaN fails too
+        raise ValueError("margin must be finite and at least 1")
     t_a, t_b = calibration_range
     if t_a < ensemble.window:
         raise ValueError("calibration range must start at or after the first window")

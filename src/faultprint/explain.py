@@ -47,14 +47,16 @@ class CfConfig:
     tolerances: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if self.slack_penalty <= 0:
-            raise ValueError("slack_penalty must be positive")
+        # Written so that NaN fails each check.
+        if not 0 < self.slack_penalty < np.inf:
+            raise ValueError("slack_penalty must be positive and finite")
         if self.complexity not in ("l1", "l2"):
             raise ValueError("complexity must be 'l1' or 'l2'")
         if self.dist not in ("abs", "squared"):
             raise ValueError("dist must be 'abs' or 'squared'")
-        if np.any(np.asarray(self.tolerances) < 0):
-            raise ValueError("tolerances must be nonnegative")
+        tolerances = np.asarray(self.tolerances, dtype=float)
+        if not ((tolerances >= 0) & (tolerances < np.inf)).all():
+            raise ValueError("tolerances must be nonnegative and finite")
 
     def tolerance_vector(self, k: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.tolerances, dtype=float), (k,)).copy()

@@ -62,8 +62,8 @@ class ScenarioConfig:
             raise ValueError("latent_dim must be at least 1")
         if self.latent_dim > self.n_sensors:
             raise ValueError("latent_dim cannot exceed the sensor count")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < np.inf:  # NaN fails too
+            raise ValueError("noise_std must be nonnegative and finite")
 
     @property
     def n_sensors(self) -> int:

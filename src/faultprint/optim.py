@@ -58,7 +58,7 @@ _ADAPT_TRIGGER = 5.0
 _INFEAS_TOL = 1e-7
 _POLISH_REG = 1e-6
 _POLISH_REFINE_STEPS = 3
-_POLISH_RELEASE_ROUNDS = 3
+_POLISH_ROUNDS = 3  # rounds before any release; twice this in all
 _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
 _EARLY_POLISH_INTERVAL = 100
 
@@ -216,7 +216,7 @@ class SolveAudit:
         non_optimal, worst = 0, 0.0
         for rec in records:
             non_optimal += rec.status is not SolveStatus.OPTIMAL
-            worst = max(worst, *(r / t for r, t in zip(rec.kkt, rec.kkt_tol)))
+            worst = max(worst, _Certificate(rec.kkt, rec.kkt_tol).ratio)
         return SolveAudit(len(records), non_optimal, worst)
 
     def merge(self, other: "SolveAudit") -> "SolveAudit":
@@ -391,12 +391,12 @@ def _active_set_solve(
     Degenerate guesses can pin more (possibly contradictory) rows than there
     are variables; a pivoted QR keeps a linearly independent subset, with
     pivot priority given by dual magnitude so noise-level duals are the ones
-    dropped.  ``preferred`` rows (from a repair round) and equality rows
-    outrank everything.  The KKT factors come from the problem family's
-    slot when its kept rows are these, and are computed otherwise.  Returns
-    the point, the kept rows with their factors, and the kept rows whose
-    dual had the wrong sign for the bound they were pinned to; that dual is
-    returned as zero.  An equality row's dual is free in sign.
+    dropped.  ``preferred`` rows (violated in an earlier polish round) and
+    equality rows outrank everything.  The KKT factors come from the problem
+    family's slot when its kept rows are these, and are computed otherwise.
+    Returns the point, the kept rows with their factors, and the kept rows
+    whose dual had the wrong sign for the bound they were pinned to; that
+    dual is returned as zero.  An equality row's dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -463,18 +463,18 @@ def _polish(
     """Re-solve on the active set guessed from dual signs; None on failure.
 
     Every equality row is pinned, whatever its dual's sign.  A wrong guess
-    shows up as bound violations at the re-solved point; up to two repair
-    rounds add the violated rows and try again, and the round with the
-    smallest raw residual is the best.  A weakly active row pinned by
-    iterate noise shows up instead as a wrong-signed dual: clipping it
-    leaves a dual residual, which may fail the point or, under a loose
-    tolerance, pass a point off the optimum.  So when the best round's
-    primal and complementarity residuals pass and its solve gave
-    wrong-signed duals, up to three more rounds release the wrong-signed
-    rows, add the violated ones and try again, until a round has neither.
-    The round with the smallest residual in tolerance units is returned
-    with its certificate, and its kept rows and KKT factors replace the
-    family's slot: a warm start from this point tries the same rows first.
+    shows up as bound violations at the re-solved point, or as wrong-signed
+    duals: a weakly active row pinned by iterate noise gets one, and
+    clipping it leaves a dual residual, which may fail the point or, under
+    a loose tolerance, pass a point off the optimum.  Each round that has
+    either releases its wrong-signed rows (counted only when its primal and
+    complementarity residuals pass), adds its violated rows and re-solves.
+    Rounds stop at one that has neither, after ``2 * _POLISH_ROUNDS``, or,
+    while no row has been released, after ``_POLISH_ROUNDS`` or when every
+    violated row was added before.  The round with the smallest residual in
+    tolerance units (the earliest on a tie) is returned with its
+    certificate, and its kept rows and KKT factors replace the family's
+    slot: a warm start from this point tries the same rows first.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -483,55 +483,35 @@ def _polish(
         lower |= problem._equality
         upper &= ~problem._equality
     best = None
-    best_score = np.inf
+    released = False
     preferred = np.empty(0, dtype=int)
-    for _ in range(3):
+    for round_ in range(2 * _POLISH_ROUNDS):
         result = _active_set_solve(
             problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
         )
         if result is None:
             break
-        kkt = kkt_residuals(problem, *result[:2])
-        if max(kkt) < best_score:
-            best, best_score = (result, kkt, lower, upper), max(kkt)
-        below, above = _violations(problem, result[0])
+        z_pol, y_pol, _, wrong = result
+        kkt = kkt_residuals(problem, z_pol, y_pol)
+        tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
+        cert = _Certificate(kkt, tol)
+        if best is None or cert.ratio < best[1].ratio:
+            best = (result, cert)
+        below, above = _violations(problem, z_pol)
         violated = np.flatnonzero(below | above)
-        if not violated.size or np.isin(violated, preferred).all():
+        if wrong.size and kkt.primal <= tol.primal and kkt.complementarity <= tol.complementarity:
+            released = True
+            lower[wrong] = upper[wrong] = False
+        elif not violated.size or not released and (
+            round_ + 1 >= _POLISH_ROUNDS or np.isin(violated, preferred).all()
+        ):
             break
-        lower, upper = lower | below, upper | above
+        lower |= below
+        upper |= above
         preferred = np.union1d(preferred, violated)
     if best is None:
         return None
-    result, kkt, lower, upper = best
-    cert = _Certificate(kkt, kkt_tolerances(problem, *result[:2], tol_abs, tol_rel))
-    if (
-        result[3].size
-        and kkt.primal <= cert.tol.primal
-        and kkt.complementarity <= cert.tol.complementarity
-    ):
-        latest = result
-        for _ in range(_POLISH_RELEASE_ROUNDS):
-            wrong = latest[3]
-            below, above = _violations(problem, latest[0])
-            if not (wrong.size or below.any() or above.any()):
-                break
-            lower, upper = lower.copy(), upper.copy()
-            lower[wrong] = upper[wrong] = False
-            lower, upper = lower | below, upper | above
-            preferred = np.union1d(preferred, np.flatnonzero(below | above))
-            latest = _active_set_solve(
-                problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
-            )
-            if latest is None:
-                break
-            z_pol, y_pol = latest[:2]
-            candidate = _Certificate(
-                kkt_residuals(problem, z_pol, y_pol),
-                kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel),
-            )
-            if candidate.ratio < cert.ratio:
-                result, cert = latest, candidate
-    z_pol, y_pol, factored, _ = result
+    (z_pol, y_pol, factored, _), cert = best
     problem._kkt_slot[0] = factored
     return z_pol, y_pol, cert
 

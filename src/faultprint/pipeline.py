@@ -73,8 +73,11 @@ class RunConfig:
                 raise ConfigError(f"fault kind {kind!r} has no magnitudes")
         if self.window < 1:
             raise ConfigError("detector window must be at least 1")
-        if self.margin < 1.0:
-            raise ConfigError("detector margin must be at least 1")
+        # Each check is written so that NaN fails it.
+        if not 1.0 <= self.margin < math.inf:
+            raise ConfigError("detector margin must be finite and at least 1")
+        if math.isnan(self.drift_cap):  # an infinite cap leaves drift uncapped
+            raise ConfigError("drift_cap must not be NaN")
         if self.alarm_steps < 1:
             raise ConfigError("alarm_steps must be positive")
         if self.max_iters < 1:

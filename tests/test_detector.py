@@ -50,6 +50,14 @@ def test_calibrate_rejects_short_or_bad_ranges():
         detector.calibrate_threshold(ensemble, panel, (3, 80), margin=0.5)
 
 
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_calibrate_rejects_non_finite_margin(margin):
+    panel = constant_panel(1.0, n_steps=80)
+    ensemble = exact_fit_ensemble(panel, 1.0)
+    with pytest.raises(ValueError, match="margin"):
+        detector.calibrate_threshold(ensemble, panel, (3, 80), margin=margin)
+
+
 def test_calibrated_threshold_has_no_false_alarms_held_out(
     default_panel, default_ensemble, default_threshold
 ):

@@ -476,6 +476,21 @@ def test_cf_config_validation():
         explain.CfConfig(tolerances=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("slack_penalty", np.nan),
+        ("slack_penalty", np.inf),
+        ("tolerances", np.nan),
+        ("tolerances", np.inf),
+        ("tolerances", np.array([0.1, np.nan])),
+    ],
+)
+def test_cf_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        explain.CfConfig(**{field: bad})
+
+
 def residual_coefficients(model, n):
     """g with the model's weights on its inputs and -1 on its target."""
     g = np.empty(n)
@@ -644,6 +659,24 @@ def test_degenerate_stream_alarms_are_polished_and_exact():
         assert cf.solution.path in ("early_polish", "final_polish"), alarm
         reference = _tight_reference(_slot_problem(ensemble, snapshot), snapshot.shape[0])
         assert np.abs(cf.delta - reference).max() <= 1e-9, alarm
+
+
+def test_early_polish_releases_rows_after_a_repair_round():
+    # Seed 1, alarm 2 of this scenario: at the first early polish the repair
+    # round shows three wrong-signed duals, and releasing them passes.  That
+    # round's raw residual is larger than the first round's, so when only
+    # the round best in raw residual could release rows, none was released
+    # and ADMM went on to 125 iterations.
+    run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "gaussian_noise-m2-s1")
+    t = int(steps[2])
+    assert t == 966
+    snapshot = explain.snapshot_at_alarm(panel, ensemble, t)
+    cf = explain.ensemble_counterfactual(
+        ensemble, snapshot, run.cf_config(threshold), solver_options=run.solver_options()
+    )
+    assert (cf.solution.path, cf.solution.iterations) == ("early_polish", 25)
+    reference = _tight_reference(_slot_problem(ensemble, snapshot), snapshot.shape[0])
+    assert np.abs(cf.delta - reference).max() <= 1e-9
 
 
 def test_squared_error_explanations_match_a_tight_reference():

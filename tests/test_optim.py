@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from faultprint import optim
+from faultprint import detector, explain, optim, pipeline
 from oracles import (
     active_set_solve_reference,
     lp_vertex_objective,
@@ -511,6 +511,66 @@ def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
     assert fresh.z.tobytes() == warm.z.tobytes()
     assert fresh.y.tobytes() == warm.y.tobytes()
     assert (fresh.kkt, fresh.kkt_tol, fresh.iterations) == (warm.kkt, warm.kkt_tol, 0)
+
+
+def _record_polish_rounds(monkeypatch) -> list:
+    """Per _polish call, the (row, side) pairs each active-set solve pins."""
+    polishes = []
+    polish, active_set_solve = optim._polish, optim._active_set_solve
+
+    def counted_polish(*args):
+        polishes.append([])
+        return polish(*args)
+
+    def counted_solve(problem, y, lower, upper, preferred=None):
+        pinned = {(int(row), "l") for row in lower} | {(int(row), "u") for row in upper}
+        polishes[-1].append(pinned)
+        return active_set_solve(problem, y, lower, upper, preferred)
+
+    monkeypatch.setattr(optim, "_polish", counted_polish)
+    monkeypatch.setattr(optim, "_active_set_solve", counted_solve)
+    return polishes
+
+
+def test_polish_round_budget(monkeypatch):
+    # Rounds only add rows until one is released, so a polish that never
+    # unpins a row stops after three active-set solves; releasing allows
+    # six.  A six-round budget for every polish made each failing LP early
+    # polish cost twice the solves.
+    polishes = _record_polish_rounds(monkeypatch)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(2, 12))
+        problem = _random_qp(rng, n, m)
+        y = rng.normal(size=m) * 10.0 ** rng.uniform(-9, 0, size=m)
+        optim._polish(problem, y, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL)
+    # A cold solve of the seed-1 LP grid whose failing early polishes take
+    # three rounds without a release.
+    run = pipeline.RunConfig(seeds=(1,))
+    spec = next(s for s in pipeline.expand_grid(run) if s.scenario_id == "power_failure-m2-s1")
+    scenario = pipeline.build_scenario(run, spec)
+    panel = scenario.faulty
+    ensemble, threshold = pipeline.train_scenario(
+        panel, scenario.config.train_end, run.window, run.margin
+    )
+    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[0])
+    before = len(polishes)
+    cf = explain.ensemble_counterfactual(
+        ensemble,
+        explain.snapshot_at_alarm(panel, ensemble, t),
+        run.cf_config(threshold),
+        solver_options=run.solver_options(),
+    )
+    assert cf.solution.path == "early_polish"
+    assert [len(rounds) for rounds in polishes[before:]] == [3, 3, 1]
+    released = 0
+    for rounds in polishes:
+        assert 1 <= len(rounds) <= 6
+        if any(pinned - later for pinned, later in zip(rounds, rounds[1:])):
+            released += 1
+        else:
+            assert len(rounds) <= 3
+    assert released
 
 
 def test_x_step_factor_is_reused_for_the_same_starting_rho(monkeypatch):

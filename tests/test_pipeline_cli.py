@@ -171,6 +171,36 @@ def test_config_error_names_the_bad_value(tmp_path, section, line):
         pipeline.load_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("detector", "margin = nan"),
+        ("detector", "margin = inf"),
+        ("counterfactual", "slack_penalty = nan"),
+        ("counterfactual", "slack_penalty = inf"),
+        ("scenario", "noise_std = nan"),
+        ("scenario", "noise_std = inf"),
+        ("grid", "drift_cap = nan"),
+    ],
+)
+def test_config_rejects_non_finite_values_before_writing(tmp_path, capsys, section, line):
+    out = tmp_path / "out"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{line}\n[output]\ndir = {out}\n", encoding="utf-8")
+    field_name = line.split()[0]
+    with pytest.raises(pipeline.ConfigError, match=field_name):
+        pipeline.load_run_config(path)
+    assert main(["--config", str(path), "simulate"]) == 2
+    assert field_name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_allows_an_infinite_drift_cap(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[grid]\ndrift_cap = inf\n", encoding="utf-8")
+    assert pipeline.load_run_config(path).drift_cap == np.inf
+
+
 def test_readme_config_defaults_match_the_code(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
