@@ -2,16 +2,16 @@
 
 Problems are ``minimize 0.5 z'Pz + q'z subject to l <= Az <= u`` with P
 symmetric positive semidefinite (P = 0 gives an LP).  One alternating-
-direction iteration with over-relaxation covers both cases; converged
-solutions are polished on the active set and certified by independently
-recomputed KKT residuals before they may be reported as optimal.
+direction iteration with over-relaxation covers both cases.  Iterates near
+convergence are polished on the active set, and a point is reported as
+optimal only when independently recomputed KKT residuals pass their
+tolerances; until one does, the iteration goes on.
 
 A sequence of closely related problems (the same program at consecutive
 alarm steps) can pass the previous :class:`Solution` as ``warm_start``.
 The solver first re-solves on that solution's active set and returns the
-result with zero iterations only if it passes the strict KKT test; on a
-miss it runs the cold iteration unchanged, so the result is then exactly
-what a cold solve gives.
+result with zero iterations if it passes; on a miss it runs the cold
+iteration unchanged, so the result is then exactly what a cold solve gives.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two factorizations: the KKT factors of their
@@ -287,9 +287,14 @@ class _Certificate(NamedTuple):
     kkt: KktResiduals
     tol: KktTolerances
 
-    def passes(self, scale: float = 1.0) -> bool:
-        """Every residual within ``scale`` times its tolerance."""
-        return all(r <= scale * t for r, t in zip(self.kkt, self.tol))
+    def passes(self) -> bool:
+        """Every residual within its tolerance."""
+        return all(r <= t for r, t in zip(self.kkt, self.tol))
+
+    @classmethod
+    def at(cls, problem: ConvexProblem, z, y, tol_abs: float, tol_rel: float) -> "_Certificate":
+        kkt = kkt_residuals(problem, z, y)
+        return cls(kkt, kkt_tolerances(problem, z, y, tol_abs, tol_rel))
 
     @property
     def ratio(self) -> float:
@@ -460,7 +465,7 @@ def _active_set_solve(
 def _polish(
     problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float
 ) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
-    """Re-solve on the active set guessed from dual signs; None on failure.
+    """Re-solve on the active set guessed from dual signs; None unless it passes.
 
     Every equality row is pinned, whatever its dual's sign.  A wrong guess
     shows up as bound violations at the re-solved point, or as wrong-signed
@@ -473,8 +478,9 @@ def _polish(
     while no row has been released, after ``_POLISH_ROUNDS`` or when every
     violated row was added before.  The round with the smallest residual in
     tolerance units (the earliest on a tie) is returned with its
-    certificate, and its kept rows and KKT factors replace the family's
-    slot: a warm start from this point tries the same rows first.
+    certificate if that certificate passes.  Its kept rows and KKT factors
+    replace the family's slot either way: a warm start from this point tries
+    the same rows first.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -492,9 +498,7 @@ def _polish(
         if result is None:
             break
         z_pol, y_pol, _, wrong = result
-        kkt = kkt_residuals(problem, z_pol, y_pol)
-        tol = kkt_tolerances(problem, z_pol, y_pol, tol_abs, tol_rel)
-        cert = _Certificate(kkt, tol)
+        kkt, tol = cert = _Certificate.at(problem, z_pol, y_pol, tol_abs, tol_rel)
         if best is None or cert.ratio < best[1].ratio:
             best = (result, cert)
         below, above = _violations(problem, z_pol)
@@ -513,7 +517,7 @@ def _polish(
         return None
     (z_pol, y_pol, factored, _), cert = best
     problem._kkt_slot[0] = factored
-    return z_pol, y_pol, cert
+    return (z_pol, y_pol, cert) if cert.passes() else None
 
 
 def _violations(problem: ConvexProblem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -532,19 +536,25 @@ def solve(
 ) -> Solution:
     """Solve the problem; the result is a pure function of its arguments.
 
-    Optimality is declared only when independently recomputed KKT residuals
-    pass within 10x the scaled convergence tolerances; otherwise the status
-    reports iteration exhaustion.  A divergence certificate (infeasible or
-    unbounded problem) is reported as infeasible, never silently.
+    Optimality is declared only for a point whose independently recomputed
+    KKT residuals pass the scaled tolerances: a polished point, or else a
+    converged iterate (path ``admm``).  Otherwise the iteration goes on, and
+    the status reports its exhaustion.  A divergence certificate (infeasible
+    or unbounded problem) is reported as infeasible, never silently.
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes the strict KKT test, and otherwise ignored.  The ADMM start
-    and polishing reuse the factors of the problem's family (see
+    it passes, and otherwise ignored.  The ADMM start and polishing reuse
+    the factors of the problem's family (see
     :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
     """
-    if tol_abs <= 0 or tol_rel < 0:
-        raise ValueError("tolerances must be positive")
+    # Each check is written so that NaN fails it.
+    if not 0 < tol_abs < np.inf:
+        raise ValueError(f"tol_abs must be positive and finite, got {tol_abs}")
+    if not 0 <= tol_rel < np.inf:
+        raise ValueError(f"tol_rel must be nonnegative and finite, got {tol_rel}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n, m = problem.n_vars, problem.n_constraints
     if warm_start is not None:
         if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
@@ -553,7 +563,7 @@ def solve(
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
         guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
-        if guess is not None and guess[2].passes():
+        if guess is not None:
             return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, "warm")
 
     A = problem.A
@@ -584,7 +594,6 @@ def solve(
     y = np.zeros(m)
 
     status = SolveStatus.MAX_ITERS
-    iterations = max_iters
     infeasible_streak = 0
     adapt_interval = _ADAPT_INTERVAL
     adapt_due = adapt_interval
@@ -616,23 +625,26 @@ def solve(
             dua = np.abs(px + q_s + aty).max(initial=0.0)
             dua_norm = max(np.abs(px).max(initial=0.0), np.abs(aty).max(initial=0.0), q_norm)
             eps_dua = tol_abs + tol_rel * dua_norm
-            if pri <= eps_pri and dua <= eps_dua:
-                status = SolveStatus.OPTIMAL
-                iterations = it
-                break
+            converged = pri <= eps_pri and dua <= eps_dua
             # Degenerate problems crawl near the optimum; an active-set
             # re-solve from a close-enough iterate finishes them exactly.
             pri_scale = max(pri_norm, 1e-12)
             dua_scale = max(dua_norm, 1e-12)
-            if (
+            if converged or (
                 it >= polish_due
                 and pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
                 polish_due = it + _EARLY_POLISH_INTERVAL
-                early = _polish(problem, y * cost, tol_abs, tol_rel)
-                if early is not None and early[2].passes():
-                    return _finish(problem, *early, SolveStatus.OPTIMAL, it, "early_polish")
+                y_cost = y * cost  # undo objective normalization on the duals
+                polished = _polish(problem, y_cost, tol_abs, tol_rel)
+                if polished is not None:
+                    path = "final_polish" if converged else "early_polish"
+                    return _finish(problem, *polished, SolveStatus.OPTIMAL, it, path)
+                if converged:
+                    cert = _Certificate.at(problem, x, y_cost, tol_abs, tol_rel)
+                    if cert.passes():
+                        return _finish(problem, x, y_cost, cert, SolveStatus.OPTIMAL, it, "admm")
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -641,7 +653,6 @@ def solve(
                 infeasible_streak += 1
                 if infeasible_streak >= 2:
                     status = SolveStatus.INFEASIBLE
-                    iterations = it
                     break
             else:
                 infeasible_streak = 0
@@ -657,21 +668,9 @@ def solve(
                     adapt_interval *= 2
                     adapt_due = it + adapt_interval
 
-    y = y * cost  # undo objective normalization on the duals
-
-    cert = _Certificate(
-        kkt_residuals(problem, x, y), kkt_tolerances(problem, x, y, tol_abs, tol_rel)
-    )
-    path = "admm"
-    if status is SolveStatus.OPTIMAL:
-        polished = _polish(problem, y, tol_abs, tol_rel)
-        # Compare in tolerance units: the raw residuals differ in scale.
-        if polished is not None and polished[2].ratio <= cert.ratio:
-            x, y, cert = polished
-            path = "final_polish"
-        if not cert.passes(10.0):
-            status = SolveStatus.MAX_ITERS
-    return _finish(problem, x, y, cert, status, iterations, path)
+    y = y * cost
+    cert = _Certificate.at(problem, x, y, tol_abs, tol_rel)
+    return _finish(problem, x, y, cert, status, it, "admm")
 
 
 def _finish(

@@ -80,12 +80,12 @@ class RunConfig:
             raise ConfigError("drift_cap must not be NaN")
         if self.alarm_steps < 1:
             raise ConfigError("alarm_steps must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ConfigError("solver max_iters must be at least 1")
-        if not self.tol_abs > 0:
-            raise ConfigError("solver tol_abs must be positive")
-        if not self.tol_rel >= 0:
-            raise ConfigError("solver tol_rel must be nonnegative")
+        if not 0 < self.tol_abs < math.inf:
+            raise ConfigError("solver tol_abs must be positive and finite")
+        if not 0 <= self.tol_rel < math.inf:
+            raise ConfigError("solver tol_rel must be nonnegative and finite")
         # Training fits and calibrates on [window, train_end); faults start
         # between train_end + _ONSET_LEAD and n_steps - _ONSET_TAIL.
         train_end, n_steps = self.scenario.train_end, self.scenario.n_steps

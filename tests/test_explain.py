@@ -586,8 +586,8 @@ def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
         assert np.array_equal(warm.delta, cold.delta)
         solution = warm.solution
         assert solution.status is optim.SolveStatus.OPTIMAL
-        assert solution.kkt.primal <= 10.0 * solution.kkt_tol.primal
-        assert solution.kkt.dual <= 10.0 * solution.kkt_tol.dual
+        assert solution.kkt.primal <= solution.kkt_tol.primal
+        assert solution.kkt.dual <= solution.kkt_tol.dual
         assert np.abs(warm.delta - l1_single_model_oracle(model, x, 0.1)).max() <= 1e-6
 
 
@@ -629,7 +629,7 @@ def test_squared_error_stream_alarm_certifies():
     assert solution.status is optim.SolveStatus.OPTIMAL
     assert solution.path in ("early_polish", "final_polish")
     for residual, tol in zip(solution.kkt, solution.kkt_tol):
-        assert residual <= 10.0 * tol
+        assert residual <= tol
 
 
 def _tight_reference(problem, n):

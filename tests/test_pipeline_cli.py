@@ -181,6 +181,10 @@ def test_config_error_names_the_bad_value(tmp_path, section, line):
         ("scenario", "noise_std = nan"),
         ("scenario", "noise_std = inf"),
         ("grid", "drift_cap = nan"),
+        ("solver", "tol_abs = nan"),
+        ("solver", "tol_abs = inf"),
+        ("solver", "tol_rel = nan"),
+        ("solver", "tol_rel = inf"),
     ],
 )
 def test_config_rejects_non_finite_values_before_writing(tmp_path, capsys, section, line):
