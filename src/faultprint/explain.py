@@ -38,7 +38,8 @@ class CfConfig:
     ``slack_penalty`` weights constraint violations; ``complexity`` picks the
     change-size measure (l1 keeps explanations sparse, l2 spreads them);
     ``dist`` penalizes prediction error as absolute or squared deviation;
-    ``tolerances`` is the per-constraint error allowance (scalar broadcasts).
+    ``tolerances`` is the per-constraint error allowance (scalar broadcasts);
+    an array is kept as a frozen copy, a scalar as a float.
     """
 
     slack_penalty: float = 1e3
@@ -54,9 +55,23 @@ class CfConfig:
             raise ValueError("complexity must be 'l1' or 'l2'")
         if self.dist not in ("abs", "squared"):
             raise ValueError("dist must be 'abs' or 'squared'")
-        tolerances = np.asarray(self.tolerances, dtype=float)
+        tolerances = np.array(self.tolerances, dtype=float)  # a copy to freeze
         if not ((tolerances >= 0) & (tolerances < np.inf)).all():
             raise ValueError("tolerances must be nonnegative and finite")
+        if tolerances.ndim:
+            tolerances.flags.writeable = False
+        else:
+            tolerances = float(tolerances)
+        object.__setattr__(self, "tolerances", tolerances)
+
+    def __eq__(self, other) -> bool:
+        # Field by field: the generated tuple comparison cannot take arrays.
+        if not isinstance(other, CfConfig):
+            return NotImplemented
+        same = (self.slack_penalty, self.complexity, self.dist) == (
+            other.slack_penalty, other.complexity, other.dist
+        )
+        return same and np.array_equal(self.tolerances, other.tolerances)
 
     def tolerance_vector(self, k: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.tolerances, dtype=float), (k,)).copy()
@@ -161,12 +176,13 @@ class _Program:
 
     The snapshot enters through r0 = G x + bias - targets, and r0 only
     through the bounds: P, q and A are built and validated once, and
-    :meth:`at` fills in each snapshot's l and u.
+    :meth:`at` fills in each snapshot's l and u.  ``key`` identifies the
+    arguments the program was built from, for a caller that keeps it.
     """
 
-    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig):
+    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig, key=None):
         self.G, self.bias, self.targets = G, bias, targets
-        self.tol, self.one_sided, self.cfg = tol, one_sided, cfg
+        self.tol, self.one_sided, self.cfg, self.key = tol, one_sided, cfg, key
         k = G.shape[0]
         l1 = cfg.complexity == "l1"
         squared = cfg.dist == "squared"
@@ -251,15 +267,6 @@ class _Program:
         bounds[self._moving] = self._offset + self._sign * r0[self._source]
         m = self._base.n_constraints
         return self._base.with_bounds(bounds[:m], bounds[m:])
-
-    def fits(self, targets: np.ndarray, tol: np.ndarray, cfg: CfConfig) -> bool:
-        """Built for these targets and settings, bit for bit."""
-        return (
-            targets.tobytes() == self.targets.tobytes()
-            and tol.tobytes() == self.tol.tobytes()
-            and (cfg.slack_penalty, cfg.complexity, cfg.dist)
-            == (self.cfg.slack_penalty, self.cfg.complexity, self.cfg.dist)
-        )
 
 
 def _decode(
@@ -347,8 +354,9 @@ def _linear_counterfactual(
     """Explain ``x_orig`` against ``models``, with the program kept on ``owner``.
 
     The owner's one-entry slot holds the program of its latest call, which
-    is reused when the targets, tolerances and config are the same.  Models
-    are frozen, so the program is a function of those alone.
+    is reused when the targets and tolerances, as given (shape and bytes),
+    and the config's other settings are the same.  Models are frozen, so
+    the program is a function of those alone.
     """
     x_orig = np.asarray(x_orig, dtype=float)
     n = models[0].n_sensors
@@ -356,13 +364,20 @@ def _linear_counterfactual(
         raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
     if not np.isfinite(x_orig).all():
         raise ValueError("snapshot contains non-finite readings")
-    k = len(models)
-    targets = np.broadcast_to(np.asarray(targets, dtype=float), (k,))
-    tol = config.tolerance_vector(k)
+    targets = np.asarray(targets, dtype=float)
+    tolerances = np.asarray(config.tolerances, dtype=float)
+    key = (
+        targets.shape, targets.tobytes(), tolerances.shape, tolerances.tobytes(),
+        config.slack_penalty, config.complexity, config.dist,
+    )
     program = owner._program_slot[0]
-    if program is None or not program.fits(targets, tol, config):
+    if program is None or program.key != key:
+        k = len(models)
         G, bias = _residual_geometry(models, n)
-        program = _Program(G, bias, targets, tol, np.zeros(k, dtype=bool), config)
+        program = _Program(
+            G, bias, np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k),
+            np.zeros(k, dtype=bool), config, key,
+        )
         owner._program_slot[0] = program
     return _counterfactual(program, x_orig, solver_options, warm_start)
 

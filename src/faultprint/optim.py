@@ -28,7 +28,6 @@ for throughput.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,10 +113,13 @@ class ConvexProblem:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: (kept active rows as bytes,
-        # _KktFactor) of its latest polished point, and (starting rho as
-        # bytes, x-step Cholesky factor) of its latest ADMM start.
+        # _KktFactor) of its latest polished point, (starting rho as bytes,
+        # x-step Cholesky factor) of its latest ADMM start, the geqp3
+        # workspace size per matrix shape, and max |q|.
         object.__setattr__(self, "_kkt_slot", [None])
         object.__setattr__(self, "_x_step_slot", [None])
+        object.__setattr__(self, "_lwork", {})
+        object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
         self._set_bounds(self.l, self.u)
 
     def _set_bounds(self, l, u) -> None:
@@ -152,9 +154,12 @@ class ConvexProblem:
         depend on P, A and the kept active rows alone, and the starting
         x-step factor on P, q, A and the rows that l and u make equalities
         or leave free: a solve of either problem reuses the factors the
-        other left when those match.
+        other left when those match.  Rows the family kept are kept whole
+        when a polish pins them again, without a new row selection (see
+        :func:`_active_set_solve`).
         """
-        problem = copy.copy(self)
+        problem = object.__new__(ConvexProblem)
+        problem.__dict__.update(self.__dict__)
         problem._set_bounds(l, u)
         return problem
 
@@ -228,7 +233,7 @@ class SolveAudit:
 
 
 def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> KktResiduals:
-    """Recompute KKT residual norms from scratch, independent of the solver.
+    """KKT residual norms at a point, as the solver certifies them.
 
     Accepts either a Solution or an explicit primal/dual pair.  Dual
     convention: y_i >= 0 may push only on the upper bound of row i and
@@ -240,24 +245,7 @@ def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> Kkt
     y = np.asarray(y, dtype=float)
     if z.shape != (problem.n_vars,) or y.shape != (problem.n_constraints,):
         raise ValueError("solution dimensions do not match the problem")
-    az = problem.A @ z
-    below = np.maximum(problem.l - az, 0.0)
-    above = np.maximum(az - problem.u, 0.0)
-    primal = float(np.max(below + above, initial=0.0))
-
-    dual = float(np.abs(problem.P @ z + problem.q + problem.A.T @ y).max(initial=0.0))
-
-    y_up = np.maximum(y, 0.0)
-    y_lo = np.maximum(-y, 0.0)
-    # On an infinite bound any push from the dual is itself the violation.
-    comp_up = y_up.copy()
-    finite_u = np.isfinite(problem.u)
-    comp_up[finite_u] *= np.abs(problem.u - az)[finite_u]
-    comp_lo = y_lo.copy()
-    finite_l = np.isfinite(problem.l)
-    comp_lo[finite_l] *= np.abs(az - problem.l)[finite_l]
-    comp = float(max(np.max(comp_up, initial=0.0), np.max(comp_lo, initial=0.0)))
-    return KktResiduals(primal=primal, dual=dual, complementarity=comp)
+    return _kkt_pass(problem, z, y, 0.0, 0.0)[0]
 
 
 def kkt_tolerances(
@@ -268,21 +256,50 @@ def kkt_tolerances(
     tol_rel: float,
 ) -> KktTolerances:
     """Residual tolerances scaled the way the convergence test scales them."""
+    return _kkt_pass(problem, np.asarray(z, float), np.asarray(y, float), tol_abs, tol_rel)[1]
+
+
+def _kkt_pass(
+    problem: ConvexProblem, z: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
+) -> tuple[KktResiduals, KktTolerances, np.ndarray, np.ndarray]:
+    """Everything certification reads at (z, y), from one A z, P z and A'y.
+
+    Returns the KKT residuals, their tolerances, and the rows below their
+    lower and above their upper bound by more than 1e-9 (1 + max |A z|).
+    """
     az = problem.A @ z
-    eps_pri = tol_abs + tol_rel * max(
-        np.abs(az).max(initial=0.0), np.abs(z).max(initial=0.0)
-    )
+    pz = problem.P @ z
+    aty = problem.A.T @ y
+    to_lower = problem.l - az
+    past_upper = az - problem.u
+    primal = float(np.max(np.maximum(to_lower, 0.0) + np.maximum(past_upper, 0.0), initial=0.0))
+
+    dual = float(np.abs(pz + problem.q + aty).max(initial=0.0))
+
+    # On an infinite bound any push from the dual is itself the violation.
+    comp_up = np.maximum(y, 0.0)
+    comp_up[problem._finite_u] *= np.abs(past_upper)[problem._finite_u]
+    comp_lo = np.maximum(-y, 0.0)
+    comp_lo[problem._finite_l] *= np.abs(to_lower)[problem._finite_l]
+    comp = float(max(np.max(comp_up, initial=0.0), np.max(comp_lo, initial=0.0)))
+
+    az_norm = np.abs(az).max(initial=0.0)
+    eps_pri = tol_abs + tol_rel * max(az_norm, np.abs(z).max(initial=0.0))
     eps_dua = tol_abs + tol_rel * max(
-        np.abs(problem.P @ z).max(initial=0.0),
-        np.abs(problem.A.T @ y).max(initial=0.0),
-        np.abs(problem.q).max(initial=0.0),
+        np.abs(pz).max(initial=0.0), np.abs(aty).max(initial=0.0), problem._q_norm
     )
     eps_comp = max(1.0, np.abs(y).max(initial=0.0)) * eps_pri
-    return KktTolerances(primal=eps_pri, dual=eps_dua, complementarity=eps_comp)
+    gap = 1e-9 * (1.0 + az_norm)
+    return (
+        KktResiduals(primal=primal, dual=dual, complementarity=comp),
+        KktTolerances(primal=eps_pri, dual=eps_dua, complementarity=eps_comp),
+        to_lower > gap,
+        past_upper > gap,
+    )
 
 
 class _Certificate(NamedTuple):
-    """Independently recomputed residuals at a point, with their tolerances."""
+    """Residuals recomputed at a point from the problem data, with their tolerances."""
 
     kkt: KktResiduals
     tol: KktTolerances
@@ -293,8 +310,7 @@ class _Certificate(NamedTuple):
 
     @classmethod
     def at(cls, problem: ConvexProblem, z, y, tol_abs: float, tol_rel: float) -> "_Certificate":
-        kkt = kkt_residuals(problem, z, y)
-        return cls(kkt, kkt_tolerances(problem, z, y, tol_abs, tol_rel))
+        return cls(*_kkt_pass(problem, z, y, tol_abs, tol_rel)[:2])
 
     @property
     def ratio(self) -> float:
@@ -393,51 +409,34 @@ def _active_set_solve(
 ) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor], np.ndarray] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
-    Degenerate guesses can pin more (possibly contradictory) rows than there
-    are variables; a pivoted QR keeps a linearly independent subset, with
-    pivot priority given by dual magnitude so noise-level duals are the ones
-    dropped.  ``preferred`` rows (violated in an earlier polish round) and
-    equality rows outrank everything.  The KKT factors come from the problem
-    family's slot when its kept rows are these, and are computed otherwise.
-    Returns the point, the kept rows with their factors, and the kept rows
-    whose dual had the wrong sign for the bound they were pinned to; that
-    dual is returned as zero.  An equality row's dual is free in sign.
+    Candidates that are exactly the rows the problem family kept at its
+    latest polished point are kept whole, with its KKT factors: a selection
+    found them linearly independent.  Other candidates, which degenerate
+    guesses can make more (possibly contradictory) than there are
+    variables, go through a pivoted QR that keeps a linearly independent
+    subset, with pivot priority given by dual magnitude so noise-level duals
+    are the ones dropped; ``preferred`` rows (violated in an earlier polish
+    round) and equality rows outrank everything.  The family's factors are
+    reused whenever the kept rows are its rows.  Returns the point, the
+    kept rows with their factors, and the kept rows whose dual had the
+    wrong sign for the bound they were pinned to; that dual is returned as
+    zero.  An equality row's dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
-    is_lower = np.concatenate(
-        [np.ones(lower_active.shape[0], bool), np.zeros(upper_active.shape[0], bool)]
-    )
-    a_red = problem.A[active]
+    is_lower = np.arange(active.shape[0]) < lower_active.shape[0]
     bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
-
-    if active.shape[0]:
-        strength = np.abs(y[active])
-        weights = np.maximum(strength / max(strength.max(initial=0.0), 1e-300), 1e-6)
-        if preferred is not None and preferred.size:
-            weights[np.isin(active, preferred)] = 1e6
-        if problem._equality is not None:
-            weights[problem._equality[active]] = 1e6
-        weighted = a_red.T * weights
-        # Query the workspace first, as scipy.linalg.qr does: dgeqp3 picks
-        # its blocking from lwork, so this keeps the pivots of that call.
-        lwork = int(_geqp3(weighted, lwork=-1)[3][0])
-        r_packed, pivots, *_ = _geqp3(weighted, lwork=lwork)
-        diag = np.abs(np.diag(r_packed))
-        cutoff = diag.max(initial=0.0) * 1e-12
-        rank = int((diag > cutoff).sum())
-        keep = np.sort(pivots[:rank] - 1)
-        active, is_lower = active[keep], is_lower[keep]
-        a_red, bounds = a_red[keep], bounds[keep]
-
-    # The same matrix gives the same factors, so reuse changes no bit.  The
-    # rows are compared as bytes: np.array_equal costs more than this check.
+    # Rows are compared as bytes: np.array_equal costs more than this check.
     rows = active.tobytes()
-    cached = problem._kkt_slot[0]
-    if cached is not None and cached[0] == rows:
-        factor = cached[1]
-    else:
-        factor = _factor_kkt(problem, a_red)
+    kept = problem._kkt_slot[0]
+    if active.shape[0] and (kept is None or kept[0] != rows):
+        keep = _independent_rows(problem, y, active, preferred)
+        active, is_lower, bounds = active[keep], is_lower[keep], bounds[keep]
+        rows = active.tobytes()
+    # The same matrix gives the same factors, so reuse changes no bit.
+    if kept is None or kept[0] != rows:
+        kept = (rows, _factor_kkt(problem, problem.A[active]))
+    factor = kept[1]
     rhs = np.concatenate([-problem.q, bounds])
     # A singular system leaves a zero pivot, so the solve turns non-finite.
     sol = _getrs(factor.lu, factor.piv, rhs)[0]
@@ -459,7 +458,30 @@ def _active_set_solve(
         signed = np.where(problem._equality[active], duals, signed)
     y_pol = np.zeros(problem.n_constraints)
     y_pol[active] = signed
-    return x_pol, y_pol, (rows, factor), active[signed != duals]
+    return x_pol, y_pol, kept, active[signed != duals]
+
+
+def _independent_rows(
+    problem: ConvexProblem, y: np.ndarray, active: np.ndarray, preferred: np.ndarray | None
+) -> np.ndarray:
+    """Positions in ``active`` of the rows the weighted pivoted QR keeps, sorted."""
+    strength = np.abs(y[active])
+    weights = np.maximum(strength / max(strength.max(initial=0.0), 1e-300), 1e-6)
+    if preferred is not None and preferred.size:
+        weights[np.isin(active, preferred)] = 1e6
+    if problem._equality is not None:
+        weights[problem._equality[active]] = 1e6
+    weighted = problem.A[active].T * weights
+    # dgeqp3 picks its blocking from lwork, so every call passes what a
+    # workspace query returns, as scipy.linalg.qr does.  That depends on
+    # the shape alone, so the family asks once per shape.
+    lwork = problem._lwork.get(weighted.shape)
+    if lwork is None:
+        lwork = problem._lwork[weighted.shape] = int(_geqp3(weighted, lwork=-1)[3][0])
+    r_packed, pivots, *_ = _geqp3(weighted, lwork=lwork)
+    diag = np.abs(np.diag(r_packed))
+    rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
+    return np.sort(pivots[:rank] - 1)
 
 
 def _polish(
@@ -476,11 +498,13 @@ def _polish(
     complementarity residuals pass), adds its violated rows and re-solves.
     Rounds stop at one that has neither, after ``2 * _POLISH_ROUNDS``, or,
     while no row has been released, after ``_POLISH_ROUNDS`` or when every
-    violated row was added before.  The round with the smallest residual in
-    tolerance units (the earliest on a tie) is returned with its
-    certificate if that certificate passes.  Its kept rows and KKT factors
-    replace the family's slot either way: a warm start from this point tries
-    the same rows first.
+    violated row was added before.  One pass over the problem data
+    (:func:`_kkt_pass`) gives each round both its certificate and its
+    violated rows.  The round with the smallest residual in tolerance units
+    (the earliest on a tie) is returned with its certificate if that
+    certificate passes.  Its kept rows and KKT factors replace the family's
+    slot either way: a warm start from this point tries the same rows
+    first, and keeps them whole if it pins exactly those.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -493,38 +517,33 @@ def _polish(
     preferred = np.empty(0, dtype=int)
     for round_ in range(2 * _POLISH_ROUNDS):
         result = _active_set_solve(
-            problem, y, np.flatnonzero(lower), np.flatnonzero(upper), preferred
+            problem, y, lower.nonzero()[0], upper.nonzero()[0], preferred
         )
         if result is None:
             break
         z_pol, y_pol, _, wrong = result
-        kkt, tol = cert = _Certificate.at(problem, z_pol, y_pol, tol_abs, tol_rel)
+        kkt, tol, below, above = _kkt_pass(problem, z_pol, y_pol, tol_abs, tol_rel)
+        cert = _Certificate(kkt, tol)
         if best is None or cert.ratio < best[1].ratio:
             best = (result, cert)
-        below, above = _violations(problem, z_pol)
-        violated = np.flatnonzero(below | above)
+        violated = (below | above).nonzero()[0]
         if wrong.size and kkt.primal <= tol.primal and kkt.complementarity <= tol.complementarity:
             released = True
             lower[wrong] = upper[wrong] = False
         elif not violated.size or not released and (
-            round_ + 1 >= _POLISH_ROUNDS or np.isin(violated, preferred).all()
+            round_ + 1 >= _POLISH_ROUNDS
+            or preferred.size and np.isin(violated, preferred).all()
         ):
             break
-        lower |= below
-        upper |= above
-        preferred = np.union1d(preferred, violated)
+        if violated.size:
+            lower |= below
+            upper |= above
+            preferred = np.union1d(preferred, violated)
     if best is None:
         return None
     (z_pol, y_pol, factored, _), cert = best
     problem._kkt_slot[0] = factored
     return (z_pol, y_pol, cert) if cert.passes() else None
-
-
-def _violations(problem: ConvexProblem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows below their lower and above their upper bound at ``z``."""
-    az = problem.A @ z
-    scale = 1.0 + np.abs(az).max(initial=0.0)
-    return problem.l - az > 1e-9 * scale, az - problem.u > 1e-9 * scale
 
 
 def solve(

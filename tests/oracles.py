@@ -4,8 +4,10 @@ These deliberately use different algorithms from the code under test:
 brute-force vertex enumeration instead of operator splitting, normal
 equations instead of orthogonal factorizations.  The solver's linear
 algebra is checked against the same steps written with scipy.linalg's
-wrappers instead of direct LAPACK calls.  Panel CSV files are checked
-against the csv-module reader and writer that preceded numpy's C parser.
+wrappers instead of direct LAPACK calls, and its one-pass certificate
+against the residuals, tolerances and violated rows each recomputed on
+its own.  Panel CSV files are checked against the csv-module reader and
+writer that preceded numpy's C parser.
 """
 
 from __future__ import annotations
@@ -234,6 +236,61 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
     y_pol[active[is_lower & signed]] = np.minimum(y_pol[active[is_lower & signed]], 0.0)
     y_pol[active[~is_lower & signed]] = np.maximum(y_pol[active[~is_lower & signed]], 0.0)
     return sol[:n], y_pol
+
+
+def kkt_residuals_reference(problem, z, y=None) -> optim.KktResiduals:
+    """KKT residual norms recomputed from scratch, apart from the solver's pass.
+
+    Accepts either a Solution or an explicit primal/dual pair.  Dual
+    convention: y_i >= 0 may push only on the upper bound of row i and
+    y_i <= 0 only on the lower bound; stationarity reads Pz + q + A'y = 0.
+    """
+    if y is None:
+        z, y = z.z, z.y
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if z.shape != (problem.n_vars,) or y.shape != (problem.n_constraints,):
+        raise ValueError("solution dimensions do not match the problem")
+    az = problem.A @ z
+    below = np.maximum(problem.l - az, 0.0)
+    above = np.maximum(az - problem.u, 0.0)
+    primal = float(np.max(below + above, initial=0.0))
+
+    dual = float(np.abs(problem.P @ z + problem.q + problem.A.T @ y).max(initial=0.0))
+
+    y_up = np.maximum(y, 0.0)
+    y_lo = np.maximum(-y, 0.0)
+    # On an infinite bound any push from the dual is itself the violation.
+    comp_up = y_up.copy()
+    finite_u = np.isfinite(problem.u)
+    comp_up[finite_u] *= np.abs(problem.u - az)[finite_u]
+    comp_lo = y_lo.copy()
+    finite_l = np.isfinite(problem.l)
+    comp_lo[finite_l] *= np.abs(az - problem.l)[finite_l]
+    comp = float(max(np.max(comp_up, initial=0.0), np.max(comp_lo, initial=0.0)))
+    return optim.KktResiduals(primal=primal, dual=dual, complementarity=comp)
+
+
+def kkt_tolerances_reference(problem, z, y, tol_abs: float, tol_rel: float) -> optim.KktTolerances:
+    """Residual tolerances scaled the way the convergence test scales them."""
+    az = problem.A @ z
+    eps_pri = tol_abs + tol_rel * max(
+        np.abs(az).max(initial=0.0), np.abs(z).max(initial=0.0)
+    )
+    eps_dua = tol_abs + tol_rel * max(
+        np.abs(problem.P @ z).max(initial=0.0),
+        np.abs(problem.A.T @ y).max(initial=0.0),
+        np.abs(problem.q).max(initial=0.0),
+    )
+    eps_comp = max(1.0, np.abs(y).max(initial=0.0)) * eps_pri
+    return optim.KktTolerances(primal=eps_pri, dual=eps_dua, complementarity=eps_comp)
+
+
+def violations_reference(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows below their lower and above their upper bound at ``z``."""
+    az = problem.A @ z
+    scale = 1.0 + np.abs(az).max(initial=0.0)
+    return problem.l - az > 1e-9 * scale, az - problem.u > 1e-9 * scale
 
 
 def write_panel_csv(panel, path) -> None:

@@ -5,7 +5,11 @@ import pytest
 
 from faultprint import detector, explain, optim, pipeline, sensors
 from conftest import count_program_builds, fresh_copy, record_solves
-from oracles import counterfactual_program_rows
+from oracles import (
+    counterfactual_program_rows,
+    kkt_residuals_reference,
+    kkt_tolerances_reference,
+)
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
 
@@ -476,6 +480,42 @@ def test_cf_config_validation():
         explain.CfConfig(tolerances=-1.0)
 
 
+def test_cf_config_keeps_a_frozen_copy_of_its_tolerances():
+    tolerances = np.array([0.5, 0.5])
+    config = explain.CfConfig(tolerances=tolerances)
+    tolerances[0] = np.nan
+    assert config.tolerance_vector(2).tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError):
+        config.tolerances[0] = 2.0
+    assert explain.CfConfig(tolerances=np.array(0.25)).tolerances == 0.25
+
+
+def test_cf_configs_compare_field_by_field():
+    config = explain.CfConfig(tolerances=np.array([0.5, 0.5]))
+    assert config != explain.CfConfig()
+    assert config == explain.CfConfig(tolerances=[0.5, 0.5])  # same values, other types
+    assert config != explain.CfConfig(tolerances=np.array([0.5, 0.25]))
+    assert config != explain.CfConfig(tolerances=0.5)
+    assert config != explain.CfConfig(tolerances=[0.5, 0.5], slack_penalty=10.0)
+    assert config != "config"
+    assert explain.CfConfig(tolerances=0) == explain.CfConfig()
+
+
+def test_program_is_kept_for_equal_tolerance_arrays(monkeypatch):
+    built = count_program_builds(monkeypatch)
+    rng = np.random.default_rng(79)
+    ensemble = random_ensemble(rng, 5, 3)
+    x = rng.normal(size=5)
+    tolerances = np.array([0.05, 0.1, 0.2])
+    explain.ensemble_counterfactual(ensemble, x, explain.CfConfig(tolerances=tolerances))
+    tolerances[0] = 0.5  # the config keeps its own copy
+    equal = explain.CfConfig(tolerances=[0.05, 0.1, 0.2])
+    explain.ensemble_counterfactual(ensemble, x, equal)
+    assert len(built) == 1
+    explain.ensemble_counterfactual(ensemble, x, explain.CfConfig(tolerances=tolerances))
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize(
     "field,bad",
     [
@@ -638,8 +678,8 @@ def _tight_reference(problem, n):
     fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
     reference = optim.solve(fresh, tol_abs=1e-11, tol_rel=1e-11)
     assert reference.status is optim.SolveStatus.OPTIMAL
-    kkt = optim.kkt_residuals(fresh, reference)
-    tol = optim.kkt_tolerances(fresh, reference.z, reference.y, 1e-11, 1e-11)
+    kkt = kkt_residuals_reference(fresh, reference)
+    tol = kkt_tolerances_reference(fresh, reference.z, reference.y, 1e-11, 1e-11)
     assert all(r <= t for r, t in zip(kkt, tol))
     return reference.z[:n]
 

@@ -6,8 +6,11 @@ import pytest
 from faultprint import detector, explain, optim, pipeline
 from oracles import (
     active_set_solve_reference,
+    kkt_residuals_reference,
+    kkt_tolerances_reference,
     lp_vertex_objective,
     random_bounded_lp,
+    violations_reference,
     x_step_reference,
 )
 
@@ -98,12 +101,57 @@ def test_kkt_residuals_dimension_check():
         optim.kkt_residuals(simple_qp(), np.zeros(2), np.zeros(1))
 
 
+def _random_certificate_cases(rng):
+    """(problem, z, y) with infinite, equal and finite bounds, zero and
+    signed-zero duals, LPs and QPs, points on and off the bounds."""
+    for case in range(200):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        root = rng.normal(size=(n, n // 2 + 1))
+        P = root @ root.T if case % 2 else np.zeros((n, n))
+        A = rng.normal(size=(m, n))
+        z = rng.normal(size=n)
+        az = A @ z
+        centre = az + rng.normal(size=m) * rng.choice([0.0, 1.0], size=m)
+        l = centre - rng.uniform(0.0, 2.0, m) * rng.choice([0.0, 1.0], size=m)
+        u = centre + rng.uniform(0.0, 2.0, m)
+        l[rng.random(m) < 0.25] = -np.inf
+        u[rng.random(m) < 0.25] = np.inf
+        q = rng.normal(size=n) * rng.choice([0.0, 1.0])
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-9, 3, size=m)
+        y[rng.random(m) < 0.3] = 0.0
+        y[rng.random(m) < 0.3] = -0.0
+        yield optim.ConvexProblem(P=P, q=q, A=A, l=l, u=u), z, y
+
+
+def test_certification_pass_matches_the_independent_recompute():
+    rng = np.random.default_rng(59)
+    infinite = signed_zero = lp = violated = 0
+    for problem, z, y in _random_certificate_cases(rng):
+        tol_abs, tol_rel = 10.0 ** rng.uniform(-12.0, -3.0, 2)
+        kkt, tol, below, above = optim._kkt_pass(problem, z, y, tol_abs, tol_rel)
+        reference = kkt_residuals_reference(problem, z, y)
+        assert np.array(kkt).tobytes() == np.array(reference).tobytes()
+        assert np.array(optim.kkt_residuals(problem, z, y)).tobytes() == np.array(kkt).tobytes()
+        reference_tol = kkt_tolerances_reference(problem, z, y, tol_abs, tol_rel)
+        assert np.array(tol).tobytes() == np.array(reference_tol).tobytes()
+        public_tol = optim.kkt_tolerances(problem, z, y, tol_abs, tol_rel)
+        assert np.array(public_tol).tobytes() == np.array(tol).tobytes()
+        reference_below, reference_above = violations_reference(problem, z)
+        assert np.array_equal(below, reference_below)
+        assert np.array_equal(above, reference_above)
+        infinite += not np.isfinite(np.concatenate([problem.l, problem.u])).all()
+        signed_zero += bool(np.signbit(y[y == 0.0]).any())
+        lp += not problem.P.any()
+        violated += bool((below | above).any())
+    assert min(infinite, signed_zero, lp, violated) >= 20  # every kind was reached
+
+
 def _assert_carries_own_certificate(problem, solution, tol_abs, tol_rel):
     """The reported residuals and tolerances are those of the returned point."""
     assert solution.status is optim.SolveStatus.OPTIMAL
-    kkt = optim.kkt_residuals(problem, solution)
+    kkt = kkt_residuals_reference(problem, solution)
     assert solution.kkt == kkt
-    assert solution.kkt_tol == optim.kkt_tolerances(
+    assert solution.kkt_tol == kkt_tolerances_reference(
         problem, solution.z, solution.y, tol_abs, tol_rel
     )
     assert all(r <= t for r, t in zip(kkt, solution.kkt_tol))
@@ -291,7 +339,7 @@ def test_warm_start_on_shifted_bounds_is_certified_without_iterations():
     assert warm.status is optim.SolveStatus.OPTIMAL
     assert warm.iterations == 0
     assert warm.z[0] == pytest.approx(1.5, abs=1e-9)
-    kkt = optim.kkt_residuals(shifted, warm)
+    kkt = kkt_residuals_reference(shifted, warm)
     assert all(r <= t for r, t in zip(kkt, warm.kkt_tol))
 
 
@@ -492,6 +540,34 @@ def _count_factorizations(monkeypatch) -> list:
 
     monkeypatch.setattr(optim, "_factor_kkt", counted)
     return calls
+
+
+def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
+    # A warm start that pins exactly the rows its problem family kept at its
+    # latest polished point reuses them whole: no pivoted QR runs.  The
+    # point is bit-equal to the reference's, which always runs the QR.
+    lworks = []
+    geqp3 = optim._geqp3
+
+    def counted(*args, **kwargs):
+        lworks.append(kwargs["lwork"])
+        return geqp3(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "_geqp3", counted)
+    base = l1_equation_lp(4.0)
+    previous = optim.solve(base)
+    assert lworks  # the cold solve's polish selected its rows
+    for r in (3.0, 2.0):
+        problem = base.with_bounds(l1_equation_lp(r).l, l1_equation_lp(r).u)
+        lower, upper = np.flatnonzero(previous.y < 0), np.flatnonzero(previous.y > 0)
+        assert base._kkt_slot[0][0] == np.concatenate([lower, upper]).tobytes()
+        del lworks[:]
+        result = optim._active_set_solve(problem, previous.y, lower, upper)
+        reference = active_set_solve_reference(problem, previous.y, lower, upper)
+        _assert_same_bits(result[:2], reference)
+        previous = optim.solve(problem, warm_start=previous)
+        assert previous.path == "warm"
+        assert lworks == []
 
 
 def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
