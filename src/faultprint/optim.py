@@ -50,7 +50,6 @@ _ALPHA = 1.6  # over-relaxation
 _RHO_INITIAL = 0.1
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQUALITY_BOOST = 1e3
-_EQUALITY_GAP = 1e-9
 _CHECK_INTERVAL = 25
 _ADAPT_INTERVAL = 100  # doubles after every update so iterates can settle
 _ADAPT_TRIGGER = 5.0
@@ -181,11 +180,10 @@ class ConvexProblem:
 
 
 class _KktFactor(NamedTuple):
-    """LU factors of a polished KKT system."""
+    """LU factors of a regularized KKT system, which also serve its refinement."""
 
     lu: np.ndarray
     piv: np.ndarray
-    exact: np.ndarray  # the unregularized matrix, for refinement
 
 
 @dataclass(frozen=True)
@@ -246,17 +244,6 @@ def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> Kkt
     if z.shape != (problem.n_vars,) or y.shape != (problem.n_constraints,):
         raise ValueError("solution dimensions do not match the problem")
     return _kkt_pass(problem, z, y, 0.0, 0.0)[0]
-
-
-def kkt_tolerances(
-    problem: ConvexProblem,
-    z: np.ndarray,
-    y: np.ndarray,
-    tol_abs: float,
-    tol_rel: float,
-) -> KktTolerances:
-    """Residual tolerances scaled the way the convergence test scales them."""
-    return _kkt_pass(problem, np.asarray(z, float), np.asarray(y, float), tol_abs, tol_rel)[1]
 
 
 def _kkt_pass(
@@ -320,10 +307,9 @@ class _Certificate(NamedTuple):
 
 def _rho_vector(problem: ConvexProblem, base: float) -> np.ndarray:
     rho = np.full(problem.n_constraints, base)
-    equality = (problem.u - problem.l) <= _EQUALITY_GAP
-    rho[equality] = np.clip(base * _RHO_EQUALITY_BOOST, _RHO_MIN, _RHO_MAX)
-    loose = np.isneginf(problem.l) & np.isposinf(problem.u)
-    rho[loose] = _RHO_MIN
+    if problem._equality is not None:
+        rho[problem._equality] = np.clip(base * _RHO_EQUALITY_BOOST, _RHO_MIN, _RHO_MAX)
+    rho[~(problem._finite_l | problem._finite_u)] = _RHO_MIN  # free rows
     return rho
 
 
@@ -347,13 +333,13 @@ def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) ->
         return False
     v_up = np.maximum(v, 0.0)
     v_lo = np.minimum(v, 0.0)
-    if np.any((v_up > _INFEAS_TOL) & np.isposinf(problem.u)):
+    if np.any((v_up > _INFEAS_TOL) & ~problem._finite_u):
         return False
-    if np.any((v_lo < -_INFEAS_TOL) & np.isneginf(problem.l)):
+    if np.any((v_lo < -_INFEAS_TOL) & ~problem._finite_l):
         return False
     gap = float(
-        np.sum(np.where(np.isfinite(problem.u), problem.u, 0.0) * v_up)
-        + np.sum(np.where(np.isfinite(problem.l), problem.l, 0.0) * v_lo)
+        np.sum(np.where(problem._finite_u, problem.u, 0.0) * v_up)
+        + np.sum(np.where(problem._finite_l, problem.l, 0.0) * v_lo)
     )
     return gap < -_INFEAS_TOL
 
@@ -370,9 +356,9 @@ def _dual_infeasibility_certificate_scaled(
     if np.abs(P_s @ v).max(initial=0.0) > _INFEAS_TOL:
         return False
     av = problem.A @ v
-    if np.any((av > _INFEAS_TOL) & np.isfinite(problem.u)):
+    if np.any((av > _INFEAS_TOL) & problem._finite_u):
         return False
-    if np.any((av < -_INFEAS_TOL) & np.isfinite(problem.l)):
+    if np.any((av < -_INFEAS_TOL) & problem._finite_l):
         return False
     return True
 
@@ -393,11 +379,8 @@ def _factor_kkt(problem: ConvexProblem, a_red: np.ndarray) -> _KktFactor:
         kkt[n:, :n] = a_red
         kkt[n:, n:] = -0.0
         kkt[diag[n:], diag[n:]] = -_POLISH_REG
-    exact = kkt.copy()
-    exact[diag[:n], diag[:n]] -= _POLISH_REG
-    exact[n:, n:] = 0.0
     lu, piv, _ = _getrf(kkt)
-    return _KktFactor(lu, piv, exact)
+    return _KktFactor(lu, piv)
 
 
 def _active_set_solve(
@@ -417,8 +400,9 @@ def _active_set_solve(
     subset, with pivot priority given by dual magnitude so noise-level duals
     are the ones dropped; ``preferred`` rows (violated in an earlier polish
     round) and equality rows outrank everything.  The family's factors are
-    reused whenever the kept rows are its rows.  Returns the point, the
-    kept rows with their factors, and the kept rows whose dual had the
+    reused whenever the kept rows are its rows; they also refine the
+    regularized solve towards the unregularized one.  Returns the point,
+    the kept rows with their factors, and the kept rows whose dual had the
     wrong sign for the bound they were pinned to; that dual is returned as
     zero.  An equality row's dual is free in sign.
     """
@@ -443,10 +427,11 @@ def _active_set_solve(
     if not np.isfinite(sol).all():
         return None
 
-    # Iterative refinement against the unregularized KKT system.
+    # Proximal refinement: K_reg = K + D with D = +reg on the variable rows and
+    # -reg on the kept rows, so sol = K_reg^-1 (rhs + D sol) has K sol = rhs.
+    shift = np.where(np.arange(sol.shape[0]) < n, _POLISH_REG, -_POLISH_REG)
     for _ in range(_POLISH_REFINE_STEPS):
-        residual = rhs - factor.exact @ sol
-        sol = sol + _getrs(factor.lu, factor.piv, residual)[0]
+        sol = _getrs(factor.lu, factor.piv, rhs + shift * sol)[0]
 
     if not np.isfinite(sol).all():
         return None
@@ -588,11 +573,7 @@ def solve(
     A = problem.A
     # Normalize the objective so large penalty weights cannot unbalance the
     # iteration; primal iterates are unaffected, duals scale by 1/cost.
-    cost = max(
-        1.0,
-        float(np.abs(problem.q).max(initial=0.0)),
-        float(np.abs(problem.P).max(initial=0.0)),
-    )
+    cost = max(1.0, float(problem._q_norm), float(np.abs(problem.P).max(initial=0.0)))
     P_s = problem.P / cost
     q_s = problem.q / cost
     q_norm = np.abs(q_s).max(initial=0.0)

@@ -64,16 +64,22 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one grid seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"grid seeds must be nonnegative, got seeds = {self.seeds}")
         if not self.magnitudes:
             raise ConfigError("the fault grid must not be empty")
-        for kind in self.magnitudes:
+        # Each check is written so that NaN fails it.
+        for kind, values in self.magnitudes.items():
             if kind not in netgen.FAULT_KIND_NAMES:
                 raise ConfigError(f"unknown fault kind in grid: {kind!r}")
-            if not self.magnitudes[kind]:
+            if not values:
                 raise ConfigError(f"fault kind {kind!r} has no magnitudes")
+            if not all(-math.inf < v < math.inf for v in values):
+                raise ConfigError(f"fault kind {kind!r} has a non-finite magnitude: {values}")
+            if kind == "gaussian_noise" and min(values) < 0:
+                raise ConfigError(f"fault kind {kind!r} has a negative noise sigma: {values}")
         if self.window < 1:
             raise ConfigError("detector window must be at least 1")
-        # Each check is written so that NaN fails it.
         if not 1.0 <= self.margin < math.inf:
             raise ConfigError("detector margin must be finite and at least 1")
         if math.isnan(self.drift_cap):  # an infinite cap leaves drift uncapped

@@ -183,9 +183,9 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
 
     Same steps: pivoted-QR row selection weighted by dual magnitude
     (``preferred`` and equality rows first), a regularized LU solve of the
-    reduced KKT system, refinement against the unregularized one, dual sign
-    clamping on inequality rows.  Returns None where the reduced system is
-    singular.
+    reduced KKT system, proximal refinement towards the unregularized one
+    through the same LU, dual sign clamping on inequality rows.  Returns
+    None where the reduced system is singular.
     """
     equality = problem.l == problem.u
     n = problem.n_vars
@@ -223,11 +223,10 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
         sol = lu_solve(factor, rhs, check_finite=False)
     if not np.isfinite(sol).all():
         return None
-    kkt_exact = kkt.copy()
-    kkt_exact[:n, :n] -= reg * np.eye(n)
-    kkt_exact[n:, n:] += reg * np.eye(k)
+    # The regularized matrix minus the unregularized one, as a diagonal.
+    shift = np.concatenate([np.full(n, reg), np.full(k, -reg)])
     for _ in range(optim._POLISH_REFINE_STEPS):
-        sol = sol + lu_solve(factor, rhs - kkt_exact @ sol, check_finite=False)
+        sol = lu_solve(factor, rhs + shift * sol, check_finite=False)
     if not np.isfinite(sol).all():
         return None
     y_pol = np.zeros(problem.n_constraints)

@@ -719,6 +719,25 @@ def test_early_polish_releases_rows_after_a_repair_round():
     assert np.abs(cf.delta - reference).max() <= 1e-9
 
 
+def test_a_kept_polish_holds_only_its_lu_factors():
+    # The family's slot keeps the rows and KKT factors of its latest polish.
+    # Refinement runs through those factors, so no copy of the matrix stays.
+    run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
+    config = run.cf_config(threshold)
+    cf = None
+    for t in steps[:4]:
+        snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
+        cf = explain.ensemble_counterfactual(
+            ensemble, snapshot, config, solver_options=run.solver_options(), warm_start=cf
+        )
+    problem = _slot_problem(ensemble, snapshot)
+    rows, factor = problem._kkt_slot[0]
+    size = problem.n_vars + len(rows) // np.dtype(np.intp).itemsize
+    assert factor.lu.shape == (size, size)
+    held = sum(part.nbytes for part in factor if isinstance(part, np.ndarray))
+    assert held == factor.lu.nbytes + factor.piv.nbytes
+
+
 def test_squared_error_explanations_match_a_tight_reference():
     # Property: random l2/squared programs, targets and tolerances; every
     # explanation at the pipeline's solver tolerances is a polished point

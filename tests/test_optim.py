@@ -134,8 +134,6 @@ def test_certification_pass_matches_the_independent_recompute():
         assert np.array(optim.kkt_residuals(problem, z, y)).tobytes() == np.array(kkt).tobytes()
         reference_tol = kkt_tolerances_reference(problem, z, y, tol_abs, tol_rel)
         assert np.array(tol).tobytes() == np.array(reference_tol).tobytes()
-        public_tol = optim.kkt_tolerances(problem, z, y, tol_abs, tol_rel)
-        assert np.array(public_tol).tobytes() == np.array(tol).tobytes()
         reference_below, reference_above = violations_reference(problem, z)
         assert np.array_equal(below, reference_below)
         assert np.array_equal(above, reference_above)
@@ -509,6 +507,66 @@ def test_singular_active_set_system_gives_none_like_the_reference():
     empty = np.empty(0, dtype=int)
     assert active_set_solve_reference(problem, np.zeros(2), empty, empty) is None
     assert optim._active_set_solve(problem, np.zeros(2), empty, empty) is None
+
+
+def test_refined_polish_solves_the_unregularized_kkt_system():
+    # Closed form: on linearly independent kept rows the polished point
+    # solves [P A'; A 0] (x, y) = (-q, bounds) exactly, although the LU it
+    # refines with is that of the regularized matrix.  Duals are then
+    # clamped to the sign of the bound their row was pinned to.  Each
+    # refinement step shrinks the error by about reg * |K^-1|, so the check
+    # holds the systems where that is at most 1e-3.
+    rng = np.random.default_rng(43)
+    worst, checked = 0.0, 0
+    for case in range(80):
+        n = int(rng.integers(2, 9))
+        lp = case % 2 == 0
+        k = n if lp else int(rng.integers(1, n + 1))  # an LP needs n rows
+        m = k + int(rng.integers(0, 4))
+        root = rng.normal(size=(n, n))
+        P = np.zeros((n, n)) if lp else root @ root.T
+        A = rng.normal(size=(m, n))
+        centre = rng.normal(size=m)
+        l, u = centre - rng.uniform(0.1, 1.0, m), centre + rng.uniform(0.1, 1.0, m)
+        problem = optim.ConvexProblem(P=P, q=rng.normal(size=n), A=A, l=l, u=u)
+        pinned = np.sort(rng.permutation(m)[:k])
+        on_lower = rng.random(k) < 0.5
+        lower, upper = pinned[on_lower], pinned[~on_lower]
+        x, y, (rows, _), _ = optim._active_set_solve(problem, rng.normal(size=m), lower, upper)
+        kept = np.concatenate([lower, upper])
+        assert rows == kept.tobytes()  # every row kept: A[kept] has full rank
+        kkt = np.block([[P, A[kept].T], [A[kept], np.zeros((k, k))]])
+        if optim._POLISH_REG * np.linalg.norm(np.linalg.inv(kkt), 2) > 1e-3:
+            continue
+        exact = np.linalg.solve(kkt, np.concatenate([-problem.q, l[lower], u[upper]]))
+        expected_y = np.zeros(m)
+        expected_y[lower] = np.minimum(exact[n : n + lower.size], 0.0)
+        expected_y[upper] = np.maximum(exact[n + lower.size :], 0.0)
+        scale = np.abs(exact).max()
+        error = max(np.abs(x - exact[:n]).max(), np.abs(y - expected_y).max()) / scale
+        assert error <= 1e-10, case
+        worst, checked = max(worst, error), checked + 1
+    assert checked >= 70 and worst > 0.0  # the comparison is not vacuous
+
+
+def test_equality_rows_are_exactly_those_with_equal_bounds():
+    # One rule, l == u, sets the ADMM step size and the polish alike.  Row 0
+    # is 5e-10 wide: an inequality, at base rho, with a dual of one sign.
+    problem = optim.ConvexProblem(
+        P=np.eye(3),
+        q=np.array([1.0, -2.0, 0.5]),
+        A=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+        l=np.array([1.0, 0.5, -np.inf]),
+        u=np.array([1.0 + 5e-10, 0.5, np.inf]),
+    )
+    assert problem.u[0] - problem.l[0] == pytest.approx(5e-10)
+    rho = optim._rho_vector(problem, 0.1)
+    assert rho.tolist() == [0.1, 0.1 * optim._RHO_EQUALITY_BOOST, optim._RHO_MIN]
+    solution = optim.solve(problem)
+    _assert_carries_own_certificate(
+        problem, solution, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
+    )
+    assert solution.path in ("early_polish", "final_polish")
 
 
 def test_x_step_matches_wrapper_reference():

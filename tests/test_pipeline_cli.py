@@ -181,6 +181,12 @@ def test_config_error_names_the_bad_value(tmp_path, section, line):
         ("scenario", "noise_std = nan"),
         ("scenario", "noise_std = inf"),
         ("grid", "drift_cap = nan"),
+        ("grid", "constant_offset = nan"),
+        ("grid", "proportional_offset = inf"),
+        ("grid", "drift = nan"),
+        ("grid", "power_failure = -inf"),
+        ("grid", "gaussian_noise = 1, -1"),  # a negative noise sigma
+        ("grid", "seeds = 1, -2"),  # a negative seed
         ("solver", "tol_abs = nan"),
         ("solver", "tol_abs = inf"),
         ("solver", "tol_rel = nan"),
@@ -196,6 +202,15 @@ def test_config_rejects_non_finite_values_before_writing(tmp_path, capsys, secti
         pipeline.load_run_config(path)
     assert main(["--config", str(path), "simulate"]) == 2
     assert field_name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[output]\ndir = {out}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--seed", "-1", "simulate"]) == 2
+    assert "seeds" in capsys.readouterr().err
     assert not out.exists()
 
 
