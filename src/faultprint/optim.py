@@ -58,7 +58,6 @@ _POLISH_REG = 1e-6
 _POLISH_REFINE_STEPS = 3
 _POLISH_ROUNDS = 3  # rounds before any release; twice this in all
 _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
-_EARLY_POLISH_INTERVAL = 100
 
 
 class SolveStatus(enum.Enum):
@@ -113,11 +112,9 @@ class ConvexProblem:
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: (kept active rows as bytes,
         # _KktFactor) of its latest polished point, (starting rho as bytes,
-        # x-step Cholesky factor) of its latest ADMM start, the geqp3
-        # workspace size per matrix shape, and max |q|.
+        # x-step Cholesky factor) of its latest ADMM start, and max |q|.
         object.__setattr__(self, "_kkt_slot", [None])
         object.__setattr__(self, "_x_step_slot", [None])
-        object.__setattr__(self, "_lwork", {})
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
         self._set_bounds(self.l, self.u)
 
@@ -458,11 +455,8 @@ def _independent_rows(
         weights[problem._equality[active]] = 1e6
     weighted = problem.A[active].T * weights
     # dgeqp3 picks its blocking from lwork, so every call passes what a
-    # workspace query returns, as scipy.linalg.qr does.  That depends on
-    # the shape alone, so the family asks once per shape.
-    lwork = problem._lwork.get(weighted.shape)
-    if lwork is None:
-        lwork = problem._lwork[weighted.shape] = int(_geqp3(weighted, lwork=-1)[3][0])
+    # workspace query returns, as scipy.linalg.qr does.
+    lwork = int(_geqp3(weighted, lwork=-1)[3][0])
     r_packed, pivots, *_ = _geqp3(weighted, lwork=lwork)
     diag = np.abs(np.diag(r_packed))
     rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
@@ -482,14 +476,13 @@ def _polish(
     either releases its wrong-signed rows (counted only when its primal and
     complementarity residuals pass), adds its violated rows and re-solves.
     Rounds stop at one that has neither, after ``2 * _POLISH_ROUNDS``, or,
-    while no row has been released, after ``_POLISH_ROUNDS`` or when every
-    violated row was added before.  One pass over the problem data
-    (:func:`_kkt_pass`) gives each round both its certificate and its
-    violated rows.  The round with the smallest residual in tolerance units
-    (the earliest on a tie) is returned with its certificate if that
-    certificate passes.  Its kept rows and KKT factors replace the family's
-    slot either way: a warm start from this point tries the same rows
-    first, and keeps them whole if it pins exactly those.
+    while no row has been released, after ``_POLISH_ROUNDS``.  One pass
+    over the problem data (:func:`_kkt_pass`) gives each round both its
+    certificate and its violated rows.  The round with the smallest
+    residual in tolerance units (the earliest on a tie) is returned with its
+    certificate if that certificate passes.  Its kept rows and KKT factors
+    replace the family's slot either way: a warm start from this point tries
+    the same rows first, and keeps them whole if it pins exactly those.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -515,10 +508,7 @@ def _polish(
         if wrong.size and kkt.primal <= tol.primal and kkt.complementarity <= tol.complementarity:
             released = True
             lower[wrong] = upper[wrong] = False
-        elif not violated.size or not released and (
-            round_ + 1 >= _POLISH_ROUNDS
-            or preferred.size and np.isin(violated, preferred).all()
-        ):
+        elif not violated.size or not released and round_ + 1 >= _POLISH_ROUNDS:
             break
         if violated.size:
             lower |= below
@@ -597,7 +587,6 @@ def solve(
     infeasible_streak = 0
     adapt_interval = _ADAPT_INTERVAL
     adapt_due = adapt_interval
-    polish_due = 0
     for it in range(1, max_iters + 1):
         rhs = _SIGMA * x - q_s + A.T @ (rho * z - y)
         x_tilde = _potrs(factor, rhs, lower=1)[0]
@@ -627,15 +616,15 @@ def solve(
             eps_dua = tol_abs + tol_rel * dua_norm
             converged = pri <= eps_pri and dua <= eps_dua
             # Degenerate problems crawl near the optimum; an active-set
-            # re-solve from a close-enough iterate finishes them exactly.
+            # re-solve from a close-enough iterate finishes them exactly, so
+            # every check inside the window (a converged iterate always is)
+            # polishes.
             pri_scale = max(pri_norm, 1e-12)
             dua_scale = max(dua_norm, 1e-12)
-            if converged or (
-                it >= polish_due
-                and pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
+            if (
+                pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
                 and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
             ):
-                polish_due = it + _EARLY_POLISH_INTERVAL
                 y_cost = y * cost  # undo objective normalization on the duals
                 polished = _polish(problem, y_cost, tol_abs, tol_rel)
                 if polished is not None:

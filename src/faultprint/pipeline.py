@@ -259,7 +259,15 @@ def load_model_files(run: RunConfig, scenario_id: str) -> tuple[sensors.Ensemble
             f"no trained models for scenario {scenario_id!r}; run 'train' first"
         )
     ensemble = sensors.load_ensemble(models_path)
-    threshold = float(threshold_path.read_text(encoding="utf-8").strip())
+    text = threshold_path.read_text(encoding="utf-8").strip()
+    try:
+        threshold = float(text)
+    except ValueError:
+        threshold = math.nan
+    if not 0 <= threshold < math.inf:  # also false for NaN
+        raise ValueError(
+            f"{threshold_path}: alarm threshold must be a nonnegative finite number, got {text!r}"
+        )
     return ensemble, threshold
 
 
@@ -449,6 +457,25 @@ _CONFIG_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
+def _syntax_error(path, exc: configparser.Error) -> ConfigError:
+    """A malformed config file's error, naming the file and the line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        what = "a key before any [section] header"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        what = f"section [{exc.section}] given twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        what = f"key {exc.option!r} given twice in [{exc.section}]"
+    elif isinstance(exc, configparser.ParsingError):
+        what = "a line that is neither a [section] header nor key = value"
+    else:
+        what = exc.message
+    line = getattr(exc, "lineno", None)
+    if line is None and getattr(exc, "errors", None):
+        line = exc.errors[0][0]
+    where = "" if line is None else f", line {line}"
+    return ConfigError(f"config file {path}{where}: {what}")
+
+
 def _parse_like(default, raw: str):
     """``raw`` as the type of ``default``; a tuple reads as a list of its element type."""
     if isinstance(default, tuple):
@@ -461,9 +488,13 @@ def load_run_config(path) -> RunConfig:
 
     Each value is read as its default's type into the field of the same name;
     ``dir`` sets ``outdir``, a fault kind its magnitudes (empty drops the kind).
+    Values are taken literally, so a ``%`` in a path is kept.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path, encoding="utf-8")
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise _syntax_error(path, exc) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

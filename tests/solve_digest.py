@@ -2,9 +2,10 @@
 
     python tests/solve_digest.py --src src --workload lp-grid --seeds 1
     python tests/solve_digest.py --src ../other/src --workload stream --seeds 1 2 3
+    python tests/solve_digest.py --src src --workload random --seeds 1
 
-Workloads (the default grid of the given seeds, built, trained and detected
-in memory as the CLI does it from its files):
+Grid workloads (the default grid of the given seeds, built, trained and
+detected in memory as the CLI does it from its files):
 
 - ``lp-grid``: each scenario's alarm steps explained as ``faultprint
   evaluate`` explains them (l1/abs, warm-started chains).
@@ -13,12 +14,20 @@ in memory as the CLI does it from its files):
   explained once without a warm start (the loop of the ``alarm-stream-qp``
   benchmark workload).
 
-Prints the solve count, the ADMM iterations, the count of each solution
-path and one SHA-256 over every solve's z, y, status, iterations, path,
-kkt and kkt_tol, in call order.  It also prints how many pivoted-QR
-(``geqp3``) and KKT LU (``getrf``) factorizations the solves made; those
-counts are not part of the digest.  ``faultprint`` is imported from
-``--src``, so one copy of this script hashes any checkout.
+The ``random`` workload solves, for each seed, 600 random bounded problems
+(:func:`random_problems`) at ``tol_abs = tol_rel`` = 1e-7 and 1e-10 with
+``max_iters`` 5000, and re-solves each warm, from that solution, with
+every finite bound widened by 1e-3.
+
+Prints the solve count, the ADMM iterations, the count of each status and
+solution path, and two SHA-256 digests over every solve in call order:
+``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
+``points_sha256`` over the same fields without the iterations, so a change
+that keeps every point and only saves iterations keeps it.  It also prints
+how many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
+factorizations the solves made; those counts are in neither digest.
+``faultprint`` is imported from ``--src``, so one copy of this script
+hashes any checkout.
 """
 
 from __future__ import annotations
@@ -29,8 +38,14 @@ import hashlib
 import sys
 from pathlib import Path
 
-WORKLOADS = ("lp-grid", "l2-grid", "stream")
+import numpy as np
+
+WORKLOADS = ("lp-grid", "l2-grid", "stream", "random")
 STREAM_ALARMS = 67
+RANDOM_PROBLEMS = 600
+RANDOM_TOLERANCES = (1e-7, 1e-10)
+RANDOM_MAX_ITERS = 5000
+RANDOM_WIDEN = 1e-3
 
 
 def parse_args(argv):
@@ -39,8 +54,57 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--scenarios", type=int, default=None,
-                        help="only the first N scenarios of the grid")
+                        help="only the first N scenarios of the grid (problems of a random seed)")
     return parser.parse_args(argv)
+
+
+def random_problems(optim, seed: int, count: int = RANDOM_PROBLEMS):
+    """Random feasible bounded problems, the kind that stress polishing.
+
+    Each has 2-8 variables, box rows on every variable (so it is bounded)
+    and 1-6 random rows around a known feasible point.  Every second
+    problem is a QP with a rank-n//2 P; |q| is scaled by 10^U(-1, 2).
+    About 30% have one random row made an equality, 30% one random row
+    one-sided and 20% a copy of a random row perturbed by 1e-9.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        extra = rng.normal(size=(int(rng.integers(1, 7)), n))
+        if rng.random() < 0.2:
+            copy = extra[rng.integers(extra.shape[0])] + 1e-9 * rng.normal(size=n)
+            extra = np.vstack([extra, copy])
+        A = np.vstack([np.eye(n), extra])
+        ax0 = A @ x0
+        m = A.shape[0]
+        l = ax0 - rng.uniform(0.1, 2.0, m)
+        u = ax0 + rng.uniform(0.1, 2.0, m)
+        if rng.random() < 0.3:
+            row = n + int(rng.integers(extra.shape[0]))
+            l[row] = u[row] = ax0[row]
+        if rng.random() < 0.3:
+            row = n + int(rng.integers(extra.shape[0]))
+            if l[row] < u[row]:  # not the equality row
+                if rng.random() < 0.5:
+                    l[row] = -np.inf
+                else:
+                    u[row] = np.inf
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 2.0)
+        root = rng.normal(size=(n, n // 2)) if k % 2 else np.zeros((n, 0))
+        P = root @ root.T
+        yield optim.ConvexProblem(P=P, q=q, A=A, l=l, u=u)
+
+
+def solve_random(optim, seeds, count: int) -> None:
+    """Cold and widened warm solves of each random problem at each tolerance."""
+    for seed in seeds:
+        for problem in random_problems(optim, seed, count):
+            wider = problem.with_bounds(problem.l - RANDOM_WIDEN, problem.u + RANDOM_WIDEN)
+            for tol in RANDOM_TOLERANCES:
+                options = dict(tol_abs=tol, tol_rel=tol, max_iters=RANDOM_MAX_ITERS)
+                cold = optim.solve(problem, **options)
+                optim.solve(wider, warm_start=cold, **options)
 
 
 def import_faultprint(src: Path):
@@ -58,27 +122,37 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     detector, explain, optim, pipeline = import_faultprint(Path(args.src))
 
-    digest = hashlib.sha256()
+    digest, points_digest = hashlib.sha256(), hashlib.sha256()
+    statuses: collections.Counter = collections.Counter()
     paths: collections.Counter = collections.Counter()
     counts = collections.Counter()
-    solve, geqp3, getrf = optim.solve, optim._geqp3, optim._getrf
+    solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
         counts["solves"] += 1
         counts["iterations"] += sol.iterations
+        statuses[sol.status.value] += 1
         paths[sol.path] += 1
+        iterations = str(sol.iterations).encode()
         for part in (
             sol.z.tobytes(),
             sol.y.tobytes(),
             sol.status.value.encode(),
-            str(sol.iterations).encode(),
+            iterations,
             sol.path.encode(),
             repr(tuple(float(v) for v in sol.kkt)).encode(),
             repr(tuple(float(v) for v in sol.kkt_tol)).encode(),
         ):
-            digest.update(len(part).to_bytes(8, "little") + part)
+            framed = len(part).to_bytes(8, "little") + part
+            digest.update(framed)
+            if part is not iterations:
+                points_digest.update(framed)
         return sol
+
+    def counted_polish(*a, **kw):
+        counts["polish"] += 1
+        return polish(*a, **kw)
 
     def counted_geqp3(*a, **kw):
         counts["geqp3"] += kw.get("lwork") != -1  # the workspace query factors nothing
@@ -88,8 +162,31 @@ def main(argv=None) -> int:
         counts["getrf"] += 1
         return getrf(*a, **kw)
 
-    optim.solve, optim._geqp3, optim._getrf = hashed_solve, counted_geqp3, counted_getrf
+    optim.solve, optim._polish = hashed_solve, counted_polish
+    optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
 
+    if args.workload == "random":
+        count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
+        solve_random(optim, args.seeds, count)
+        errors = 0
+    else:
+        errors = solve_grid(args, detector, explain, pipeline)
+
+    print(f"solves: {counts['solves']}")
+    print(f"iterations: {counts['iterations']}")
+    print("statuses: " + " ".join(f"{s}={n}" for s, n in sorted(statuses.items())))
+    print("paths: " + " ".join(f"{p}={n}" for p, n in sorted(paths.items())))
+    print(f"explain_errors: {errors}")
+    print(f"polish: {counts['polish']}")
+    print(f"geqp3: {counts['geqp3']}")
+    print(f"getrf: {counts['getrf']}")
+    print(f"sha256: {digest.hexdigest()}")
+    print(f"points_sha256: {points_digest.hexdigest()}")
+    return 0
+
+
+def solve_grid(args, detector, explain, pipeline) -> int:
+    """Explain the grid workload's alarm steps; returns the explain errors."""
     l1 = args.workload == "lp-grid"
     run = pipeline.RunConfig(
         seeds=tuple(args.seeds),
@@ -116,15 +213,7 @@ def main(argv=None) -> int:
                 )
             except explain.ExplainError:
                 errors += 1
-
-    print(f"solves: {counts['solves']}")
-    print(f"iterations: {counts['iterations']}")
-    print("paths: " + " ".join(f"{p}={n}" for p, n in sorted(paths.items())))
-    print(f"explain_errors: {errors}")
-    print(f"geqp3: {counts['geqp3']}")
-    print(f"getrf: {counts['getrf']}")
-    print(f"sha256: {digest.hexdigest()}")
-    return 0
+    return errors
 
 
 if __name__ == "__main__":

@@ -267,6 +267,27 @@ def test_infeasible_problem_is_reported():
     assert solution.status is optim.SolveStatus.INFEASIBLE
 
 
+def test_unbounded_problem_is_reported(monkeypatch):
+    # min -z1 subject to z1 >= 0 and -1 <= z2 <= 1 falls without bound
+    # along z1; the dual certificate, not the primal one, must say so.
+    fired = []
+    certificate = optim._dual_infeasibility_certificate_scaled
+
+    def recorded(*args):
+        fired.append(certificate(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(optim, "_dual_infeasibility_certificate_scaled", recorded)
+    problem = optim.ConvexProblem.linear(
+        np.array([-1.0, 0.0]), np.eye(2), l=np.array([0.0, -1.0]), u=np.array([np.inf, 1.0])
+    )
+    solution = optim.solve(problem)
+    assert solution.status is optim.SolveStatus.INFEASIBLE
+    assert solution.objective == np.inf
+    assert fired[-2:] == [True, True]  # two confirming checks in a row
+    assert solution.iterations == 2 * optim._CHECK_INTERVAL
+
+
 def test_max_iters_is_not_silent():
     # one iteration cannot converge from a cold start on a shifted problem
     problem = optim.ConvexProblem.linear(
@@ -704,6 +725,24 @@ def _record_polish_rounds(monkeypatch) -> list:
     return polishes
 
 
+def _explain_first_alarm() -> explain.Counterfactual:
+    """The cold explanation of power_failure-m2-s1's first alarm (seed-1 LP grid)."""
+    run = pipeline.RunConfig(seeds=(1,))
+    spec = next(s for s in pipeline.expand_grid(run) if s.scenario_id == "power_failure-m2-s1")
+    scenario = pipeline.build_scenario(run, spec)
+    panel = scenario.faulty
+    ensemble, threshold = pipeline.train_scenario(
+        panel, scenario.config.train_end, run.window, run.margin
+    )
+    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[0])
+    return explain.ensemble_counterfactual(
+        ensemble,
+        explain.snapshot_at_alarm(panel, ensemble, t),
+        run.cf_config(threshold),
+        solver_options=run.solver_options(),
+    )
+
+
 def test_polish_round_budget(monkeypatch):
     # Rounds only add rows until one is released, so a polish that never
     # unpins a row stops after three active-set solves; releasing allows
@@ -716,25 +755,12 @@ def test_polish_round_budget(monkeypatch):
         problem = _random_qp(rng, n, m)
         y = rng.normal(size=m) * 10.0 ** rng.uniform(-9, 0, size=m)
         optim._polish(problem, y, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL)
-    # A cold solve of the seed-1 LP grid whose failing early polishes take
-    # three rounds without a release.
-    run = pipeline.RunConfig(seeds=(1,))
-    spec = next(s for s in pipeline.expand_grid(run) if s.scenario_id == "power_failure-m2-s1")
-    scenario = pipeline.build_scenario(run, spec)
-    panel = scenario.faulty
-    ensemble, threshold = pipeline.train_scenario(
-        panel, scenario.config.train_end, run.window, run.margin
-    )
-    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[0])
+    # A cold solve whose failing early polishes take three rounds without a
+    # release and six with one.
     before = len(polishes)
-    cf = explain.ensemble_counterfactual(
-        ensemble,
-        explain.snapshot_at_alarm(panel, ensemble, t),
-        run.cf_config(threshold),
-        solver_options=run.solver_options(),
-    )
+    cf = _explain_first_alarm()
     assert cf.solution.path == "early_polish"
-    assert [len(rounds) for rounds in polishes[before:]] == [3, 3, 1]
+    assert [len(rounds) for rounds in polishes[before:]] == [3, 3, 3, 6, 3, 1]
     released = 0
     for rounds in polishes:
         assert 1 <= len(rounds) <= 6
@@ -743,6 +769,30 @@ def test_polish_round_budget(monkeypatch):
         else:
             assert len(rounds) <= 3
     assert released
+
+
+def test_every_check_inside_the_window_polishes(monkeypatch):
+    # A polished point depends only on the rows it keeps, so an early
+    # polish that fails is tried again at the next check, not some checks
+    # later.  ADMM makes one x-step solve (_potrs) per iteration.
+    iterations, at_polish = [0], []
+    potrs, polish = optim._potrs, optim._polish
+
+    def counted_potrs(*args, **kwargs):
+        iterations[0] += 1
+        return potrs(*args, **kwargs)
+
+    def counted_polish(*args):
+        at_polish.append(iterations[0])
+        return polish(*args)
+
+    monkeypatch.setattr(optim, "_potrs", counted_potrs)
+    monkeypatch.setattr(optim, "_polish", counted_polish)
+    cf = _explain_first_alarm()
+    assert cf.solution.path == "early_polish"
+    assert len(at_polish) > 1  # the early polishes before the last failed
+    assert np.diff(at_polish).tolist() == [optim._CHECK_INTERVAL] * (len(at_polish) - 1)
+    assert cf.solution.iterations == at_polish[-1]
 
 
 def test_x_step_factor_is_reused_for_the_same_starting_rho(monkeypatch):

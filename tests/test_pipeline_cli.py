@@ -380,6 +380,84 @@ def test_cli_errors_on_unknown_config_key(tmp_path, capsys):
     assert "magrin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,line,words",
+    [
+        ("seeds = 1\n", 1, "before any [section]"),
+        ("[grid]\nseeds = 1\nseeds = 2\n", 3, "'seeds' given twice in [grid]"),
+        ("[grid]\nseeds = 1\n[grid]\nseeds = 2\n", 3, "section [grid] given twice"),
+        ("[grid]\nseeds\n", 2, "neither a [section] header nor key = value"),
+    ],
+)
+def test_cli_errors_on_malformed_config_file(tmp_path, capsys, text, line, words):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["--config", str(cfg_path), "detect"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faultprint: error:")
+    assert f"{cfg_path}, line {line}: " in err
+    assert words in err
+
+
+def test_config_keeps_a_percent_sign_in_a_value(tmp_path):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[output]\ndir = out%x\n", encoding="utf-8")
+    assert pipeline.load_run_config(cfg_path).outdir == "out%x"
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-1.0", "abc"])
+def test_cli_errors_on_corrupt_threshold_file(tiny_run, capsys, text):
+    cfg_path, out = tiny_run
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    threshold_path = out / "scenarios" / "constant_offset-m0-s1" / "threshold.txt"
+    threshold_path.write_text(text + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for command in ("detect", "evaluate"):
+        assert main(["--config", str(cfg_path), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faultprint: error:")
+        assert str(threshold_path) in err
+        assert repr(text) in err
+    assert not (out / "detection.csv").exists()
+
+
+def test_cli_explains_the_given_step_inside_the_evaluated_range(tiny_run, capsys):
+    cfg_path, out = tiny_run
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    run = pipeline.load_run_config(cfg_path)
+    sid = "constant_offset-m0-s1"
+    panel, _, _ = pipeline.load_scenario_files(run, sid)
+    ensemble, threshold = pipeline.load_model_files(run, sid)
+    stream = detector.detect(ensemble, panel, threshold)
+    explain_cmd = ["--config", str(cfg_path), "explain", "--scenario", sid, "--step"]
+    capsys.readouterr()
+    for step in (stream.start - 1, stream.end):
+        assert main(explain_cmd + [str(step)]) == 2
+        assert f"--step {step} outside evaluated range" in capsys.readouterr().err
+    for step in (stream.start, stream.end - 1):
+        assert main(explain_cmd + [str(step)]) == 0
+        assert f"alarm step {step}:" in capsys.readouterr().out
+        assert (out / "explain" / sid / f"fingerprint-t{step}.csv").exists()
+
+
+def test_cli_explain_without_alarms_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg_path.write_text(
+        TINY_CONFIG.format(out=out).replace("constant_offset = 2.0", "constant_offset = 0.0"),
+        encoding="utf-8",
+    )
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    sid = "constant_offset-m0-s1"
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "explain", "--scenario", sid]) == 1
+    assert "no alarms raised; nothing to explain" in capsys.readouterr().out
+    assert not (out / "explain").exists()
+
+
 def test_cli_rejects_untrainable_config_before_writing(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "out"

@@ -8,19 +8,29 @@ SCRIPT = Path(__file__).with_name("solve_digest.py")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _digest() -> dict:
+def _digest(workload: str, count: int) -> dict:
     out = subprocess.run(
-        [sys.executable, str(SCRIPT), "--src", str(SRC), "--workload", "lp-grid",
-         "--seeds", "1", "--scenarios", "1"],
+        [sys.executable, str(SCRIPT), "--src", str(SRC), "--workload", workload,
+         "--seeds", "1", "--scenarios", str(count)],
         capture_output=True, text=True, check=True,
     ).stdout
     return dict(line.split(": ", 1) for line in out.splitlines())
 
 
 def test_solve_digest_of_one_scenario_is_repeatable():
-    first, second = _digest(), _digest()
+    first, second = _digest("lp-grid", 1), _digest("lp-grid", 1)
     assert first == second
     # 20 alarm steps, each explained by the ensemble and its 12 models
     assert first["solves"] == "260"
     assert "warm=" in first["paths"]
     assert len(first["sha256"]) == 64
+    assert len(first["points_sha256"]) == 64
+
+
+def test_solve_digest_of_random_problems_is_repeatable():
+    first, second = _digest("random", 20), _digest("random", 20)
+    assert first == second
+    # each problem cold and warm from the cold solution, at two tolerances
+    assert first["solves"] == "80"
+    assert int(first["polish"]) > 0
+    assert first["points_sha256"] != first["sha256"]
