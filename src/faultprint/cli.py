@@ -149,8 +149,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     (out / f"{base}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {out / base}.csv and .svg")
+    step = f"alarm step {t}" if stream.alarms[t - stream.start] else f"step {t} (no alarm raised)"
     print(
-        f"alarm step {t}: predicted faulty sensor "
+        f"{step}: predicted faulty sensor "
         f"{'-' if predicted is None else panel.labels[predicted]} "
         f"(true: {panel.labels[fault.sensor]})"
     )
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="fingerprint one scenario")
     p_explain.add_argument("--scenario", metavar="ID", required=True)
     p_explain.add_argument("--step", type=int, default=None, metavar="T",
-                           help="alarm step to explain (default: first alarm)")
+                           help="step to explain, alarm or not (default: first alarm)")
     p_explain.add_argument("--baseline", action="store_true",
                            help="also write the per-model baseline distribution")
     sub.add_parser("evaluate", help="localization accuracy of both methods")

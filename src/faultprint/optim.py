@@ -2,7 +2,10 @@
 
 Problems are ``minimize 0.5 z'Pz + q'z subject to l <= Az <= u`` with P
 symmetric positive semidefinite (P = 0 gives an LP).  One alternating-
-direction iteration with over-relaxation covers both cases.  Iterates near
+direction iteration with over-relaxation covers both cases.  Between two
+step-size (rho) updates that iteration is an affine map of the state
+``[x; z; y]`` followed by a projection onto the bounds, so it runs as one
+matrix-vector product with a matrix built once per rho.  Iterates near
 convergence are polished on the active set, and a point is reported as
 optimal only when independently recomputed KKT residuals pass their
 tolerances; until one does, the iteration goes on.
@@ -15,11 +18,11 @@ iteration unchanged, so the result is then exactly what a cold solve gives.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two factorizations: the KKT factors of their
-latest polished point, and the x-step Cholesky factor of the ADMM start,
-keyed by the starting rho vector.  So a family of such problems factors a
-KKT matrix only when the kept active rows change, and starts ADMM without
-factoring when its bounds give the same equality and free rows.  Solutions
-are plain data and hold no factors.
+latest polished point, and the iteration map of the ADMM start, keyed by
+the starting rho vector.  So a family of such problems factors a KKT matrix
+only when the kept active rows change, and starts ADMM without factoring
+when its bounds give the same equality and free rows.  Solutions are plain
+data and hold no factors.
 
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
@@ -112,7 +115,7 @@ class ConvexProblem:
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: (kept active rows as bytes,
         # _KktFactor) of its latest polished point, (starting rho as bytes,
-        # x-step Cholesky factor) of its latest ADMM start, and max |q|.
+        # iteration map (T, c)) of its latest ADMM start, and max |q|.
         object.__setattr__(self, "_kkt_slot", [None])
         object.__setattr__(self, "_x_step_slot", [None])
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
@@ -148,7 +151,7 @@ class ConvexProblem:
         through its bounds alone pays the P, q, A checks once.  The copy
         also shares this problem's factorizations.  The polishing factors
         depend on P, A and the kept active rows alone, and the starting
-        x-step factor on P, q, A and the rows that l and u make equalities
+        iteration map on P, q, A and the rows that l and u make equalities
         or leave free: a solve of either problem reuses the factors the
         other left when those match.  Rows the family kept are kept whole
         when a polish pins them again, without a new row selection (see
@@ -319,6 +322,36 @@ def _factorize_scaled(P_s: np.ndarray, A: np.ndarray, rho: np.ndarray) -> np.nda
             f"{info}-th leading minor of the x-step matrix is not positive definite"
         )
     return factor
+
+
+def _x_step_map(
+    P_s: np.ndarray, q_s: np.ndarray, A: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, c)`` of one ADMM iteration before its projection, at this rho.
+
+    With K the x-step matrix and the state ``s = [x; z; y]``,
+    ``T s + c = [x_new; v]``: ``x~ = K^-1 (sigma x - q_s + A'(rho z - y))``,
+    ``x_new = alpha x~ + (1 - alpha) x`` and
+    ``v = alpha A x~ + (1 - alpha) z + y / rho``.  The iteration then sets
+    ``z = clip(v, l, u)`` and ``y = rho (v - z)``.
+    """
+    n, m = q_s.shape[0], A.shape[0]
+    # One solve for K^-1 [A', sigma I, q_s], from the x-step Cholesky factor.
+    rhs = np.empty((n, m + n + 1), order="F")
+    rhs[:, :m] = A.T
+    rhs[:, m : m + n] = _SIGMA * np.eye(n)
+    rhs[:, -1] = q_s
+    solved = _potrs(_factorize_scaled(P_s, A, rho), rhs, lower=1)[0]
+    rows = np.vstack([solved, A @ solved])  # rows for x~ and for A x~
+    inv_a, inv_sigma, inv_q = rows[:, :m], rows[:, m : m + n], rows[:, -1]
+    T = np.empty((n + m, n + 2 * m))
+    np.multiply(_ALPHA * rho, inv_a, out=T[:, n : n + m])
+    np.multiply(-_ALPHA, inv_a, out=T[:, n + m :])
+    np.multiply(_ALPHA, inv_sigma, out=T[:, :n])
+    diag = np.arange(n + m)
+    T[diag, diag] += 1.0 - _ALPHA
+    T[diag[n:], diag[n:] + m] += 1.0 / rho
+    return T, -_ALPHA * inv_q
 
 
 def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) -> bool:
@@ -569,42 +602,41 @@ def solve(
     q_norm = np.abs(q_s).max(initial=0.0)
     base_rho = _RHO_INITIAL
     rho = _rho_vector(problem, base_rho)
-    # P_s and A are the family's own, so the same starting rho gives the
-    # same factor.
+    # P_s, q_s and A are the family's own, so the same starting rho gives
+    # the same map.
     start = rho.tobytes()
     cached = problem._x_step_slot[0]
     if cached is not None and cached[0] == start:
-        factor = cached[1]
+        T, c = cached[1]
     else:
-        factor = _factorize_scaled(P_s, A, rho)
-        problem._x_step_slot[0] = (start, factor)
+        T, c = _x_step_map(P_s, q_s, A, rho)
+        problem._x_step_slot[0] = (start, (T, c))
 
-    x = np.zeros(n)
-    z = np.zeros(m)
-    y = np.zeros(m)
+    s = np.zeros(n + 2 * m)
+    x, z, y = s[:n], s[n : n + m], s[n + m :]
+    l, u = problem.l, problem.u
 
     status = SolveStatus.MAX_ITERS
     infeasible_streak = 0
     adapt_interval = _ADAPT_INTERVAL
     adapt_due = adapt_interval
     for it in range(1, max_iters + 1):
-        rhs = _SIGMA * x - q_s + A.T @ (rho * z - y)
-        x_tilde = _potrs(factor, rhs, lower=1)[0]
-        z_tilde = A @ x_tilde
-
-        x_new = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
-        w = _ALPHA * z_tilde + (1.0 - _ALPHA) * z
-        v = w + y / rho
-        z_new = np.minimum(np.maximum(v, problem.l), problem.u)
-        y_new = y + rho * (w - z_new)
-
         checking = it % _CHECK_INTERVAL == 0 or it == max_iters
         if checking:
-            dx = x_new - x
-            dy = y_new - y
-        x, z, y = x_new, z_new, y_new
+            x_old, y_old = x.copy(), y.copy()
+        mapped = T @ s
+        mapped += c
+        x[:] = mapped[:n]
+        v = mapped[n:]
+        np.maximum(v, l, out=z)
+        np.minimum(z, u, out=z)
+        # Exactly 0 on every row strictly inside its bounds.
+        np.subtract(v, z, out=y)
+        y *= rho
 
         if checking:
+            dx = x - x_old
+            dy = y - y_old
             ax = A @ x
             pri = np.abs(ax - z).max(initial=0.0)
             pri_norm = max(np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0))
@@ -633,7 +665,9 @@ def solve(
                 if converged:
                     cert = _Certificate.at(problem, x, y_cost, tol_abs, tol_rel)
                     if cert.passes():
-                        return _finish(problem, x, y_cost, cert, SolveStatus.OPTIMAL, it, "admm")
+                        return _finish(
+                            problem, x.copy(), y_cost, cert, SolveStatus.OPTIMAL, it, "admm"
+                        )
             # A transient noise direction can mimic a divergence certificate;
             # only two consecutive confirming checks count.
             if _primal_infeasibility_certificate(problem, dy) or (
@@ -653,11 +687,12 @@ def solve(
                     ratio = float(np.clip(ratio, 0.01, 100.0))
                     base_rho = float(np.clip(base_rho * ratio, _RHO_MIN, _RHO_MAX))
                     rho = _rho_vector(problem, base_rho)
-                    factor = _factorize_scaled(P_s, A, rho)
+                    T, c = _x_step_map(P_s, q_s, A, rho)
                     adapt_interval *= 2
                     adapt_due = it + adapt_interval
 
-    y = y * cost
+    # Copies: x and y are views of the iteration state.
+    x, y = x.copy(), y * cost
     cert = _Certificate.at(problem, x, y, tol_abs, tol_rel)
     return _finish(problem, x, y, cert, status, it, "admm")
 

@@ -25,7 +25,8 @@ solution path, and two SHA-256 digests over every solve in call order:
 ``points_sha256`` over the same fields without the iterations, so a change
 that keeps every point and only saves iterations keeps it.  It also prints
 how many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
-factorizations the solves made; those counts are in neither digest.
+factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
+factorization each) the solves made; those counts are in neither digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -127,6 +128,7 @@ def main(argv=None) -> int:
     paths: collections.Counter = collections.Counter()
     counts = collections.Counter()
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
+    factorize = optim._factorize_scaled
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
@@ -162,8 +164,13 @@ def main(argv=None) -> int:
         counts["getrf"] += 1
         return getrf(*a, **kw)
 
+    def counted_factorize(*a, **kw):
+        counts["x_step_maps"] += 1
+        return factorize(*a, **kw)
+
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
+    optim._factorize_scaled = counted_factorize
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
@@ -180,6 +187,7 @@ def main(argv=None) -> int:
     print(f"polish: {counts['polish']}")
     print(f"geqp3: {counts['geqp3']}")
     print(f"getrf: {counts['getrf']}")
+    print(f"x_step_maps: {counts['x_step_maps']}")
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")
     return 0

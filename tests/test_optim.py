@@ -13,6 +13,7 @@ from oracles import (
     violations_reference,
     x_step_reference,
 )
+from solve_digest import random_problems
 
 
 def simple_qp():
@@ -429,6 +430,58 @@ def test_solution_path_names_each_route():
     assert (stopped.path, stopped.status) == ("admm", optim.SolveStatus.MAX_ITERS)
 
 
+def test_cold_solves_of_rank_deficient_qps_are_polished():
+    # A cold solve's polish pins the rows its iterate holds on a bound: the
+    # iterate's dual is exactly 0 on every row strictly inside, so a row with
+    # slack is never pinned on a noise-level dual.  Every problem has box
+    # rows, every second one a rank-n//2 P.
+    for tol in (1e-7, 1e-10):
+        for problem in random_problems(optim, 0, 100):
+            solution = optim.solve(problem, tol_abs=tol, tol_rel=tol, max_iters=5000)
+            assert solution.path in ("early_polish", "final_polish")
+            _assert_carries_own_certificate(problem, solution, tol, tol)
+
+
+def test_a_row_with_slack_is_never_pinned(monkeypatch):
+    # Problem 131 of random_problems(seed 0): rank-1 P.  At the optimum row 1
+    # has slack 0.80 below and 1.83 above; an iterate dual of 1.6e-17 there
+    # pinned it to its upper bound in every polish, and the solve ended on
+    # the unpolished iterate.
+    root = np.array([-1.2810338981337832, -0.4347675232200815, 1.3945258319739595])
+    rows = [
+        [-0.7175353211580985, -1.9097201497311345, -0.6205632260034818],
+        [1.6308767184641557, 0.12425104214674348, 1.151720268450256],
+        [-1.1590574717895732, 0.09249744420967496, -0.18306205102042603],
+    ]
+    problem = optim.ConvexProblem(
+        P=np.outer(root, root),
+        q=np.array([0.2586504171781026, 0.10649985577912434, -0.49190150559959395]),
+        A=np.vstack([np.eye(3), rows]),
+        l=np.array([
+            -1.6206516069585817, -1.874902902950889, -1.670932854116731,
+            2.014877779776217, -3.241762745693782, -0.5122419513200006,
+        ]),
+        u=np.array([
+            0.90810447165635, 0.7515767138362357, 0.38469106957778987,
+            np.inf, -0.03399722321737153, 2.244383463504531,
+        ]),
+    )
+    polishes = []
+    active_set_solve = optim._active_set_solve
+
+    def recorded(problem, y, lower, upper, preferred=None):
+        polishes.append(set(lower.tolist()) | set(upper.tolist()))
+        return active_set_solve(problem, y, lower, upper, preferred)
+
+    monkeypatch.setattr(optim, "_active_set_solve", recorded)
+    solution = optim.solve(problem, tol_abs=1e-7, tol_rel=1e-7, max_iters=5000)
+    assert solution.path == "early_polish"
+    _assert_carries_own_certificate(problem, solution, 1e-7, 1e-7)
+    slack = problem.A[1] @ solution.z - problem.l[1]
+    assert slack == pytest.approx(0.80, abs=0.01)
+    assert polishes and all(1 not in pinned for pinned in polishes)
+
+
 def test_warm_start_shape_mismatch():
     with pytest.raises(ValueError, match="warm start"):
         optim.solve(l1_equation_lp(1.0), warm_start=optim.solve(simple_qp()))
@@ -604,6 +657,48 @@ def test_x_step_matches_wrapper_reference():
         assert x.tobytes() == x_step_reference(P_s, A, rho, rhs).tobytes()
 
 
+def test_x_step_map_matches_the_textbook_iteration():
+    # One application of T s + c, the projection and y = rho (v - z) is the
+    # x-step solve, over-relaxation and dual update of OSQP's Algorithm 1,
+    # with free (_RHO_MIN) and equality-boosted rows among the rows.  The
+    # map's dual is exactly 0 on every row strictly inside its bounds.
+    rng = np.random.default_rng(1)
+    alpha, inside_rows, noisy_rows = optim._ALPHA, 0, 0
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        m = int(rng.integers(n + 2, n + 8))  # K stays well conditioned
+        root = rng.normal(size=(n, n // 2 + 1))
+        P_s = root @ root.T * rng.choice([0.0, 1.0])
+        q_s, A = rng.normal(size=n), rng.normal(size=(m, n))
+        rows = rng.permutation(m)
+        rho = np.full(m, rng.uniform(0.01, 10.0))
+        rho[rows[0]] = optim._RHO_MIN
+        rho[rows[1]] *= optim._RHO_EQUALITY_BOOST
+        l = rng.normal(size=m) - rng.uniform(0.0, 2.0, m)
+        u = l + rng.uniform(0.0, 3.0, m)
+        l[rows[0]], u[rows[0]] = -np.inf, np.inf
+        x, z, y = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
+
+        T, c = optim._x_step_map(P_s, q_s, A, rho)
+        mapped = T @ np.concatenate([x, z, y]) + c
+        v = mapped[n:]
+        z_map = np.minimum(np.maximum(v, l), u)
+        y_map = rho * (v - z_map)
+
+        x_tilde = x_step_reference(P_s, A, rho, optim._SIGMA * x - q_s + A.T @ (rho * z - y))
+        x_ref = alpha * x_tilde + (1.0 - alpha) * x
+        w = alpha * A @ x_tilde + (1.0 - alpha) * z
+        z_ref = np.minimum(np.maximum(w + y / rho, l), u)
+        y_ref = y + rho * (w - z_ref)
+        for ours, ref in ((mapped[:n], x_ref), (z_map, z_ref), (y_map, y_ref)):
+            assert np.abs(ours - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        inside = (l < v) & (v < u)
+        assert (y_map[inside] == 0.0).all()
+        inside_rows += int(inside.sum())
+        noisy_rows += int((y_ref[inside] != 0.0).sum())
+    assert inside_rows and noisy_rows  # the textbook form leaves noise there
+
+
 def test_factorize_rejects_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         optim._factorize_scaled(-np.eye(2), np.zeros((1, 2)), np.ones(1))
@@ -760,7 +855,7 @@ def test_polish_round_budget(monkeypatch):
     before = len(polishes)
     cf = _explain_first_alarm()
     assert cf.solution.path == "early_polish"
-    assert [len(rounds) for rounds in polishes[before:]] == [3, 3, 3, 6, 3, 1]
+    assert [len(rounds) for rounds in polishes[before:]] == [3, 3, 6, 6, 3, 1]
     released = 0
     for rounds in polishes:
         assert 1 <= len(rounds) <= 6
@@ -774,19 +869,24 @@ def test_polish_round_budget(monkeypatch):
 def test_every_check_inside_the_window_polishes(monkeypatch):
     # A polished point depends only on the rows it keeps, so an early
     # polish that fails is tried again at the next check, not some checks
-    # later.  ADMM makes one x-step solve (_potrs) per iteration.
+    # later.  ADMM applies its x-step map once per iteration.
     iterations, at_polish = [0], []
-    potrs, polish = optim._potrs, optim._polish
+    x_step_map, polish = optim._x_step_map, optim._polish
 
-    def counted_potrs(*args, **kwargs):
-        iterations[0] += 1
-        return potrs(*args, **kwargs)
+    class CountedMap(np.ndarray):
+        def __matmul__(self, other):
+            iterations[0] += 1
+            return np.asarray(self) @ other
+
+    def counted_map(*args):
+        T, c = x_step_map(*args)
+        return T.view(CountedMap), c
 
     def counted_polish(*args):
         at_polish.append(iterations[0])
         return polish(*args)
 
-    monkeypatch.setattr(optim, "_potrs", counted_potrs)
+    monkeypatch.setattr(optim, "_x_step_map", counted_map)
     monkeypatch.setattr(optim, "_polish", counted_polish)
     cf = _explain_first_alarm()
     assert cf.solution.path == "early_polish"
@@ -798,8 +898,9 @@ def test_every_check_inside_the_window_polishes(monkeypatch):
 def test_x_step_factor_is_reused_for_the_same_starting_rho(monkeypatch):
     # The starting rho depends on which rows the bounds make equalities or
     # leave free.  A with_bounds copy with the same such rows starts ADMM
-    # on the family's factor; other rows factor again, and replace it.
-    # Every result is bit-equal to a solve of a newly built problem.
+    # on the family's iteration map; other rows factor and build it again,
+    # and replace it.  Every result is bit-equal to a solve of a newly
+    # built problem.
     calls = []
     factorize = optim._factorize_scaled
 
@@ -843,7 +944,7 @@ def test_x_step_factor_is_reused_for_the_same_starting_rho(monkeypatch):
         freed_l[4], freed_u[4] = -np.inf, np.inf  # one more free row
         for other_l, other_u in ((more, u), (fewer, u), (freed_l, freed_u)):
             assert saved(base.with_bounds(other_l, other_u)) == 0
-            assert saved(base) == 0  # the copy replaced the family's factor
+            assert saved(base) == 0  # the copy replaced the family's map
         assert saved(dataclasses.replace(base)) == 0  # a new family
 
 

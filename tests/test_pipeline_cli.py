@@ -436,9 +436,14 @@ def test_cli_explains_the_given_step_inside_the_evaluated_range(tiny_run, capsys
     for step in (stream.start - 1, stream.end):
         assert main(explain_cmd + [str(step)]) == 2
         assert f"--step {step} outside evaluated range" in capsys.readouterr().err
-    for step in (stream.start, stream.end - 1):
+    # A step without an alarm is explained too, but not called an alarm.
+    assert not stream.alarms[0]
+    for step in (stream.start, int(stream.alarm_steps()[0]), stream.end - 1):
         assert main(explain_cmd + [str(step)]) == 0
-        assert f"alarm step {step}:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        alarmed = bool(stream.alarms[step - stream.start])
+        assert (f"alarm step {step}:" in printed) == alarmed
+        assert (f"step {step} (no alarm raised):" in printed) != alarmed
         assert (out / "explain" / sid / f"fingerprint-t{step}.csv").exists()
 
 
