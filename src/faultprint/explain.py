@@ -86,7 +86,7 @@ class Counterfactual:
     slacks: np.ndarray
     objective: float
     feasible_without_slack: bool
-    iterations: int
+    excess: float  # largest miss of a row's tolerance, re-evaluated at x_cf
     solution: optim.Solution | None = None  # the certified solve it came from
 
     def __post_init__(self) -> None:
@@ -278,10 +278,10 @@ def _decode(
     """The counterfactual a certified solution of ``program`` encodes.
 
     Slacks are recovered from the decoded change vector (the exact optimal
-    slack given delta), not from the solver's internal slack variables.  A
-    slack-free result is re-evaluated once more, with the program's
-    residual applied to the corrected snapshot itself, and rejected if a
-    row misses its tolerance there.
+    slack given delta), not from the solver's internal slack variables.  The
+    residual rows are re-evaluated on the corrected snapshot itself; their
+    largest excess there is kept, and a slack-free result is rejected if it
+    is over ``FEASIBLE_SLACK_TOL``.
     """
     G, tol, one_sided, cfg = program.G, program.tol, program.one_sided, program.cfg
     n = G.shape[1]
@@ -289,22 +289,20 @@ def _decode(
     delta = solution.z[:n] - solution.z[n : 2 * n] if l1 else solution.z[:n]
     slacks = np.maximum(_excess(G @ delta + r0, tol, one_sided, cfg.dist), 0.0)
     theta = float(np.abs(delta).sum()) if l1 else float(delta @ delta)
+    x_cf = x_orig + delta
     cf = Counterfactual(
         delta=delta,
-        x_cf=x_orig + delta,
+        x_cf=x_cf,
         slacks=slacks,
         objective=theta + cfg.slack_penalty * float(slacks.sum()),
         feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
-        iterations=solution.iterations,
+        excess=float(np.max(_excess(program.residual(x_cf), tol, one_sided, cfg.dist))),
         solution=solution,
     )
-    if cf.feasible_without_slack:
-        measured = _excess(program.residual(cf.x_cf), tol, one_sided, cfg.dist)
-        excess = float(np.max(measured, initial=0.0))
-        if excess > FEASIBLE_SLACK_TOL:
-            raise ExplainError(
-                f"slack-free counterfactual fails re-evaluation by {excess:.2e}"
-            )
+    if cf.feasible_without_slack and cf.excess > FEASIBLE_SLACK_TOL:
+        raise ExplainError(
+            f"slack-free counterfactual fails re-evaluation by {cf.excess:.2e}"
+        )
     return cf
 
 
@@ -330,6 +328,12 @@ def _counterfactual(
     Every problem made from one program shares its factorizations (see
     :meth:`optim.ConvexProblem.with_bounds`), with or without a warm start.
     """
+    x_orig = np.asarray(x_orig, dtype=float)
+    n = program.G.shape[1]
+    if x_orig.shape != (n,):
+        raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
+    if not np.isfinite(x_orig).all():
+        raise ValueError("snapshot contains non-finite readings")
     r0 = program.residual(x_orig)
     previous = warm_start.solution if warm_start is not None else None
     solution = optim.solve(program.at(r0), **(solver_options or {}), warm_start=previous)
@@ -358,12 +362,6 @@ def _linear_counterfactual(
     and the config's other settings are the same.  Models are frozen, so
     the program is a function of those alone.
     """
-    x_orig = np.asarray(x_orig, dtype=float)
-    n = models[0].n_sensors
-    if x_orig.shape != (n,):
-        raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
-    if not np.isfinite(x_orig).all():
-        raise ValueError("snapshot contains non-finite readings")
     targets = np.asarray(targets, dtype=float)
     tolerances = np.asarray(config.tolerances, dtype=float)
     key = (
@@ -373,7 +371,10 @@ def _linear_counterfactual(
     program = owner._program_slot[0]
     if program is None or program.key != key:
         k = len(models)
-        G, bias = _residual_geometry(models, n)
+        for name, given in (("targets", targets), ("tolerances", tolerances)):
+            if given.ndim and given.shape != (k,):
+                raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")
+        G, bias = _residual_geometry(models, models[0].n_sensors)
         program = _Program(
             G, bias, np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k),
             np.zeros(k, dtype=bool), config, key,
@@ -438,7 +439,6 @@ def classification_ensemble_cf(
     tiny strict margin so boundary points do not count), softened by slack:
     a one-sided row of the same program, always with absolute error.
     """
-    x_orig = np.asarray(x_orig, dtype=float)
     if not classifiers:
         raise ValueError("at least one classifier is required")
     targets = np.asarray(targets, dtype=float)
@@ -448,10 +448,6 @@ def classification_ensemble_cf(
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValueError("targets must be -1 or +1")
     V = np.vstack([c.weights for c in classifiers])
-    if V.shape[1] != x_orig.shape[0]:
-        raise ValueError("classifier dimensionality does not match the snapshot")
-    if not np.isfinite(x_orig).all():
-        raise ValueError("snapshot contains non-finite readings")
     program = _Program(
         targets[:, None] * V,
         targets * np.array([c.bias for c in classifiers]),
@@ -471,9 +467,12 @@ def certificate_margin(
 ) -> float:
     """Largest re-evaluated constraint excess over its tolerance at x_cf.
 
-    Nonpositive (up to 1e-6) whenever the counterfactual was slack-free;
-    used by tests and the pipeline as the no-alarm certificate.
+    Nonpositive (up to 1e-6) whenever the counterfactual was slack-free.
+    Rebuilt from the ensemble's models, apart from the explanation's program:
+    tests and the benchmark harness check ``Counterfactual.excess`` with it.
     """
+    if dist not in ("abs", "squared"):
+        raise ValueError(f"dist must be 'abs' or 'squared', not {dist!r}")
     measured = _error_measure(snapshot_residuals(ensemble, cf.x_cf), dist)
     tol = np.broadcast_to(np.asarray(tolerances, dtype=float), measured.shape)
     return float(np.max(measured - tol, initial=-math.inf))

@@ -329,10 +329,7 @@ def localize_scenario(
         )
         ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
         if cf.feasible_without_slack:
-            certificate_excess = max(
-                certificate_excess,
-                explain.certificate_margin(ensemble, cf, threshold, dist=run.dist),
-            )
+            certificate_excess = max(certificate_excess, cf.excess)
         per_model = [
             explain.independent_counterfactual(
                 model,

@@ -23,10 +23,16 @@ Prints the solve count, the ADMM iterations, the count of each status and
 solution path, and two SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations, so a change
-that keeps every point and only saves iterations keeps it.  It also prints
-how many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
-factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
-factorization each) the solves made; those counts are in neither digest.
+that keeps every point and only saves iterations keeps it.  A third,
+``explanations_sha256``, covers what the explanations decode from those
+solves: each ``Counterfactual``'s delta, x_cf, slacks, objective and
+slack-free flag, in call order (it wraps ``explain._decode``), and, on
+``lp-grid`` and ``l2-grid``, each scenario's ``localize_scenario`` result
+(both predictions, the step count, the certificate excess's bytes and the
+solve audit).  It also prints how many ``_polish`` calls, pivoted-QR
+(``geqp3``) and KKT LU (``getrf``) factorizations and ADMM x-step maps
+(``x_step_maps``: one x-step Cholesky factorization each) the solves made;
+those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
+import struct
 import sys
 from pathlib import Path
 
@@ -108,6 +115,11 @@ def solve_random(optim, seeds, count: int) -> None:
                 optim.solve(wider, warm_start=cold, **options)
 
 
+def update(digest, part: bytes) -> None:
+    """Hash one length-framed part, so no two part sequences collide."""
+    digest.update(len(part).to_bytes(8, "little") + part)
+
+
 def import_faultprint(src: Path):
     sys.path.insert(0, str(src))
     import faultprint
@@ -124,11 +136,12 @@ def main(argv=None) -> int:
     detector, explain, optim, pipeline = import_faultprint(Path(args.src))
 
     digest, points_digest = hashlib.sha256(), hashlib.sha256()
+    explanations_digest = hashlib.sha256()
     statuses: collections.Counter = collections.Counter()
     paths: collections.Counter = collections.Counter()
     counts = collections.Counter()
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
-    factorize = optim._factorize_scaled
+    factorize, decode = optim._factorize_scaled, explain._decode
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
@@ -146,11 +159,22 @@ def main(argv=None) -> int:
             repr(tuple(float(v) for v in sol.kkt)).encode(),
             repr(tuple(float(v) for v in sol.kkt_tol)).encode(),
         ):
-            framed = len(part).to_bytes(8, "little") + part
-            digest.update(framed)
+            update(digest, part)
             if part is not iterations:
-                points_digest.update(framed)
+                update(points_digest, part)
         return sol
+
+    def hashed_decode(*a, **kw):
+        cf = decode(*a, **kw)
+        for part in (
+            cf.delta.tobytes(),
+            cf.x_cf.tobytes(),
+            cf.slacks.tobytes(),
+            struct.pack("<d", cf.objective),
+            b"1" if cf.feasible_without_slack else b"0",
+        ):
+            update(explanations_digest, part)
+        return cf
 
     def counted_polish(*a, **kw):
         counts["polish"] += 1
@@ -171,13 +195,14 @@ def main(argv=None) -> int:
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
     optim._factorize_scaled = counted_factorize
+    explain._decode = hashed_decode
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
         solve_random(optim, args.seeds, count)
         errors = 0
     else:
-        errors = solve_grid(args, detector, explain, pipeline)
+        errors = solve_grid(args, detector, explain, pipeline, explanations_digest)
 
     print(f"solves: {counts['solves']}")
     print(f"iterations: {counts['iterations']}")
@@ -190,11 +215,15 @@ def main(argv=None) -> int:
     print(f"x_step_maps: {counts['x_step_maps']}")
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")
+    print(f"explanations_sha256: {explanations_digest.hexdigest()}")
     return 0
 
 
-def solve_grid(args, detector, explain, pipeline) -> int:
-    """Explain the grid workload's alarm steps; returns the explain errors."""
+def solve_grid(args, detector, explain, pipeline, explanations_digest) -> int:
+    """Explain the grid workload's alarm steps; returns the explain errors.
+
+    Each ``localize_scenario`` result goes into ``explanations_digest``.
+    """
     l1 = args.workload == "lp-grid"
     run = pipeline.RunConfig(
         seeds=tuple(args.seeds),
@@ -210,7 +239,12 @@ def solve_grid(args, detector, explain, pipeline) -> int:
         )
         stream = detector.detect(ensemble, panel, threshold)
         if args.workload != "stream":
-            pipeline.localize_scenario(run, panel, ensemble, threshold, stream)
+            ensemble_pred, baseline_pred, steps, excess, audit = pipeline.localize_scenario(
+                run, panel, ensemble, threshold, stream
+            )
+            update(explanations_digest, repr((ensemble_pred, baseline_pred, steps)).encode())
+            update(explanations_digest, struct.pack("<d", excess))
+            update(explanations_digest, repr((audit.solves, audit.non_optimal, audit.max_ratio)).encode())
             continue
         cf_config = run.cf_config(threshold)
         for t in stream.alarm_steps()[:STREAM_ALARMS]:

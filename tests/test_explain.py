@@ -1,4 +1,6 @@
 import collections
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -245,6 +247,41 @@ def test_feasibility_certificate_on_fixture(
             assert margin <= 1e-6
 
 
+@pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
+def test_excess_is_the_certificate_margin_bit_for_bit(complexity, dist):
+    # certificate_margin rebuilds the residual rows from the models, apart
+    # from the program the explanation was solved on: along the seed-1
+    # alarm chains, one scenario per fault kind, it measures every
+    # slack-free explanation's excess to the bit.
+    run = pipeline.RunConfig(seeds=(1,), complexity=complexity, dist=dist)
+    checked = 0
+    for spec in pipeline.expand_grid(run)[::3]:
+        scenario = pipeline.build_scenario(run, spec)
+        panel = scenario.faulty
+        ensemble, threshold = pipeline.train_scenario(
+            panel, scenario.config.train_end, run.window, run.margin
+        )
+        config, options = run.cf_config(threshold), run.solver_options()
+        cf = None
+        for t in detector.detect(ensemble, panel, threshold).alarm_steps()[: run.alarm_steps]:
+            x = explain.snapshot_at_alarm(panel, ensemble, int(t))
+            cf = explain.ensemble_counterfactual(
+                ensemble, x, config, solver_options=options, warm_start=cf
+            )
+            if cf.feasible_without_slack:
+                margin = explain.certificate_margin(ensemble, cf, threshold, dist)
+                assert struct.pack("<d", cf.excess) == struct.pack("<d", margin)
+                checked += 1
+    assert checked == 5 * run.alarm_steps  # every explanation is slack-free
+
+
+def test_certificate_margin_rejects_an_unknown_distance():
+    ensemble = toy_ensemble()
+    cf = explain.ensemble_counterfactual(ensemble, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="'bogus'"):
+        explain.certificate_margin(ensemble, cf, 0.0, dist="bogus")
+
+
 def test_slack_total_is_monotone_in_penalty():
     rng = np.random.default_rng(17)
     for case in range(100):
@@ -357,7 +394,9 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
         program.residual = lambda x: at_x_cf
         return explain._decode(solution, program, r0, np.zeros(2))
 
-    assert decode(0.5 * explain.FEASIBLE_SLACK_TOL).feasible_without_slack
+    cf = decode(0.5 * explain.FEASIBLE_SLACK_TOL)
+    assert cf.feasible_without_slack
+    assert cf.excess == pytest.approx(0.5 * explain.FEASIBLE_SLACK_TOL)
     with pytest.raises(explain.ExplainError, match="re-evaluation"):
         decode(2.0 * explain.FEASIBLE_SLACK_TOL)
 
@@ -394,6 +433,8 @@ def test_classification_contradictory_targets_need_slack():
     # two-sided margin 2 * 1e-6, which is nonzero by construction
     assert not cf.feasible_without_slack
     assert np.max(cf.slacks) > explain.FEASIBLE_SLACK_TOL
+    # a slacked result is kept, with the excess measured at x_cf
+    assert cf.excess == pytest.approx(np.max(cf.slacks))
     assert cf.slacks.sum() == pytest.approx(2e-6, rel=0.5)
 
 
@@ -405,23 +446,63 @@ def test_classification_rejects_bad_targets():
         explain.classification_ensemble_cf([clf], np.zeros(1), [1, 1])
 
 
+def explain_three_sensor_snapshot(entry, x):
+    """Explain ``x`` through one of the three entry points, each for 3 sensors."""
+    if entry == "ensemble":
+        return explain.ensemble_counterfactual(toy_ensemble(), x)
+    if entry == "independent":
+        return explain.independent_counterfactual(single_model([1.0, 1.0]), x)
+    clf = explain.LinearClassifier(weights=np.ones(3), bias=0.0)
+    return explain.classification_ensemble_cf([clf], x, [1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", ["ensemble", "independent", "classifier"])
 def test_non_finite_snapshot_is_rejected_before_any_solve(monkeypatch, entry, bad):
     solutions = record_solves(monkeypatch)
-    x = np.array([1.0, bad, 1.0])
-    explainers = {
-        "ensemble": lambda: explain.ensemble_counterfactual(toy_ensemble(), x),
-        "independent": lambda: explain.independent_counterfactual(
-            single_model([1.0, 1.0]), x
-        ),
-        "classifier": lambda: explain.classification_ensemble_cf(
-            [explain.LinearClassifier(weights=np.ones(3), bias=0.0)], x, [1]
-        ),
-    }
     with pytest.raises(ValueError, match="snapshot"):
-        explainers[entry]()
+        explain_three_sensor_snapshot(entry, np.array([1.0, bad, 1.0]))
     assert not solutions
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.ones(4), np.ones(2), np.ones((1, 3)), np.float64(1.0)],
+    ids=["longer", "shorter", "row", "scalar"],
+)
+@pytest.mark.parametrize("entry", ["ensemble", "independent", "classifier"])
+def test_snapshot_of_another_shape_is_rejected_before_any_solve(monkeypatch, entry, x):
+    solutions = record_solves(monkeypatch)
+    message = re.escape(f"snapshot has shape {x.shape}, expected (3,)")
+    with pytest.raises(ValueError, match=message):
+        explain_three_sensor_snapshot(entry, x)
+    assert not solutions
+
+
+@pytest.mark.parametrize(
+    "field, given",
+    [
+        ("targets", np.zeros(2)),
+        ("targets", np.zeros(4)),
+        ("tolerances", np.full(2, 0.1)),
+        ("tolerances", np.full((3, 1), 0.1)),  # 2-D, with the model count
+        ("tolerances", np.full((1, 1), 0.1)),
+    ],
+    ids=["targets-short", "targets-long", "tolerances-short", "tolerances-2d", "tolerances-1x1"],
+)
+def test_per_model_arrays_of_another_length_are_named(field, given):
+    # One value per model, or a scalar; numpy's broadcasting error is not
+    # an answer a caller can act on.
+    ensemble = toy_ensemble()
+    config = explain.CfConfig(tolerances=given if field == "tolerances" else 0.0)
+    targets = given if field == "targets" else 0.0
+    shape = re.escape(str(given.shape))
+    with pytest.raises(ValueError, match=rf"{field} has shape {shape}, not \(\) or \(3,\) for 3 models"):
+        explain.ensemble_counterfactual(ensemble, np.ones(3), config, targets)
+    if field == "tolerances":  # the per-model path has one model
+        model = ensemble.models[0]
+        with pytest.raises(ValueError, match=rf"tolerances has shape {shape}, .* for 1 models"):
+            explain.independent_counterfactual(model, np.ones(3), 0.0, config)
 
 
 def test_classifier_keeps_a_frozen_copy_of_its_weights():
@@ -599,7 +680,7 @@ def test_per_model_l1_matches_closed_form_cold_and_warm():
         assert np.abs(cold.delta - expected).max() <= 1e-6
         assert np.abs(warm.delta - expected).max() <= 1e-6
         # same residual sign, same optimal vertex: the warm start must hit
-        assert warm.iterations == 0
+        assert warm.solution.iterations == 0
         assert np.array_equal(warm.delta, cold.delta)
 
 
@@ -621,8 +702,8 @@ def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
         warm = explain.independent_counterfactual(
             model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
         )
-        assert warm.iterations > 0
-        assert warm.iterations == cold.iterations
+        assert warm.solution.iterations > 0
+        assert warm.solution.iterations == cold.solution.iterations
         assert np.array_equal(warm.delta, cold.delta)
         solution = warm.solution
         assert solution.status is optim.SolveStatus.OPTIMAL
@@ -946,7 +1027,7 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             cf = explain_step(x, previous)
             problem = _slot_problem(owner, x)
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
-            if cf.iterations == 0:
+            if cf.solution.iterations == 0:
                 warm_hits.append((problem, previous.solution, cf.solution))
             previous = cf
     assert len(built) == len(chains)

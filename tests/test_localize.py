@@ -12,7 +12,7 @@ def make_cf(delta) -> explain.Counterfactual:
         slacks=np.zeros(1),
         objective=float(np.abs(delta).sum()),
         feasible_without_slack=True,
-        iterations=1,
+        excess=-1.0,
     )
 
 

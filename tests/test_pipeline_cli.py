@@ -236,8 +236,8 @@ def test_readme_library_example_runs(capsys):
     namespace: dict = {}
     for block in blocks:  # in order: the second warm-starts from the first
         exec(compile(block, "README.md", "exec"), namespace)
-    assert capsys.readouterr().out == "4\n"
-    assert namespace["cf_next"].iterations == 0
+    assert capsys.readouterr().out == "4\n0 True\n"
+    assert namespace["cf_next"].solution.iterations == 0
 
 
 def test_build_scenario_rejects_unknown_fault_kind():

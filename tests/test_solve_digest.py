@@ -1,5 +1,6 @@
 """The solve-digest script that compares two source trees solve by solve."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,9 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     assert "warm=" in first["paths"]
     assert len(first["sha256"]) == 64
     assert len(first["points_sha256"]) == 64
+    # the explanations and the scenario's localize_scenario result
+    assert len(first["explanations_sha256"]) == 64
+    assert first["explanations_sha256"] != hashlib.sha256().hexdigest()
 
 
 def test_solve_digest_of_random_problems_is_repeatable():
@@ -34,3 +38,4 @@ def test_solve_digest_of_random_problems_is_repeatable():
     assert first["solves"] == "80"
     assert int(first["polish"]) > 0
     assert first["points_sha256"] != first["sha256"]
+    assert first["explanations_sha256"] == hashlib.sha256().hexdigest()  # none made
