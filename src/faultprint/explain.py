@@ -447,6 +447,13 @@ def classification_ensemble_cf(
         raise ValueError("one target label per classifier is required")
     if not np.all(np.isin(targets, (-1.0, 1.0))):
         raise ValueError("targets must be -1 or +1")
+    n = classifiers[0].weights.shape[0]
+    for index, clf in enumerate(classifiers):
+        if clf.weights.shape != (n,):
+            raise ValueError(
+                f"classifier {index} has {clf.weights.shape[0]} weights, "
+                f"expected {n} as classifier 0 has"
+            )
     V = np.vstack([c.weights for c in classifiers])
     program = _Program(
         targets[:, None] * V,

@@ -17,12 +17,13 @@ result with zero iterations if it passes; on a miss it runs the cold
 iteration unchanged, so the result is then exactly what a cold solve gives.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
-its P, q and A, and with them two factorizations: the KKT factors of their
-latest polished point, and the iteration map of the ADMM start, keyed by
-the starting rho vector.  So a family of such problems factors a KKT matrix
-only when the kept active rows change, and starts ADMM without factoring
-when its bounds give the same equality and free rows.  Solutions are plain
-data and hold no factors.
+its P, q and A, and with them two kinds of factorization: the KKT factors
+of the last ``_KKT_KEPT`` active row sets their polishes used, and the
+iteration map of the ADMM start, keyed by the starting rho vector.  So a
+family of such problems factors a KKT matrix only when a polish pins rows
+none of its kept factors holds, and starts ADMM without factoring when its
+bounds give the same equality and free rows.  Solutions are plain data and
+hold no factors.
 
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
@@ -61,6 +62,9 @@ _POLISH_REG = 1e-6
 _POLISH_REFINE_STEPS = 3
 _POLISH_ROUNDS = 3  # rounds before any release; twice this in all
 _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
+# KKT factors a problem family keeps.  Its polishes alternate between a few
+# row sets one row apart; each kept factor costs (n + k)^2 doubles.
+_KKT_KEPT = 4
 
 
 class SolveStatus(enum.Enum):
@@ -113,10 +117,11 @@ class ConvexProblem:
         for name, arr in (("P", P), ("q", q), ("A", A)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # Shared by the with_bounds family: (kept active rows as bytes,
-        # _KktFactor) of its latest polished point, (starting rho as bytes,
-        # iteration map (T, c)) of its latest ADMM start, and max |q|.
-        object.__setattr__(self, "_kkt_slot", [None])
+        # Shared by the with_bounds family: up to _KKT_KEPT (kept active rows
+        # as bytes, _KktFactor) entries, most recently used first, led by
+        # the best round of its latest polish; (starting rho as bytes,
+        # iteration map (T, c)) of its latest ADMM start; and max |q|.
+        object.__setattr__(self, "_kkt_slot", [])
         object.__setattr__(self, "_x_step_slot", [None])
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
         self._set_bounds(self.l, self.u)
@@ -153,9 +158,10 @@ class ConvexProblem:
         depend on P, A and the kept active rows alone, and the starting
         iteration map on P, q, A and the rows that l and u make equalities
         or leave free: a solve of either problem reuses the factors the
-        other left when those match.  Rows the family kept are kept whole
-        when a polish pins them again, without a new row selection (see
-        :func:`_active_set_solve`).
+        other left when those match.  The family keeps the factors of its
+        ``_KKT_KEPT`` most recently used row sets, and a polish that pins
+        one of those sets again keeps it whole, without a new row
+        selection (see :func:`_active_set_solve`).
         """
         problem = object.__new__(ConvexProblem)
         problem.__dict__.update(self.__dict__)
@@ -422,19 +428,20 @@ def _active_set_solve(
 ) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor], np.ndarray] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
-    Candidates that are exactly the rows the problem family kept at its
-    latest polished point are kept whole, with its KKT factors: a selection
-    found them linearly independent.  Other candidates, which degenerate
-    guesses can make more (possibly contradictory) than there are
-    variables, go through a pivoted QR that keeps a linearly independent
-    subset, with pivot priority given by dual magnitude so noise-level duals
-    are the ones dropped; ``preferred`` rows (violated in an earlier polish
-    round) and equality rows outrank everything.  The family's factors are
-    reused whenever the kept rows are its rows; they also refine the
-    regularized solve towards the unregularized one.  Returns the point,
-    the kept rows with their factors, and the kept rows whose dual had the
-    wrong sign for the bound they were pinned to; that dual is returned as
-    zero.  An equality row's dual is free in sign.
+    Candidates that are exactly the rows of one of the problem family's kept
+    KKT factors are kept whole, with those factors: a selection found them
+    linearly independent.  Other candidates, which degenerate guesses can
+    make more (possibly contradictory) than there are variables, go through
+    a pivoted QR that keeps a linearly independent subset, with pivot
+    priority given by dual magnitude so noise-level duals are the ones
+    dropped; ``preferred`` rows (violated in an earlier polish round) and
+    equality rows outrank everything.  A kept factor is reused whenever the
+    kept rows are its rows, and a new one goes first in the family's slot,
+    past the least recently used; the factors also refine the regularized
+    solve towards the unregularized one.  Returns the point, the kept rows
+    with their factors, and the kept rows whose dual had the wrong sign for
+    the bound they were pinned to; that dual is returned as zero.  An
+    equality row's dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -442,14 +449,17 @@ def _active_set_solve(
     bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
     # Rows are compared as bytes: np.array_equal costs more than this check.
     rows = active.tobytes()
-    kept = problem._kkt_slot[0]
-    if active.shape[0] and (kept is None or kept[0] != rows):
+    slot = problem._kkt_slot
+    kept = _kept_factor(slot, rows)
+    if kept is None and active.shape[0]:
         keep = _independent_rows(problem, y, active, preferred)
         active, is_lower, bounds = active[keep], is_lower[keep], bounds[keep]
         rows = active.tobytes()
+        kept = _kept_factor(slot, rows)
     # The same matrix gives the same factors, so reuse changes no bit.
-    if kept is None or kept[0] != rows:
+    if kept is None:
         kept = (rows, _factor_kkt(problem, problem.A[active]))
+    _keep_first(slot, kept)
     factor = kept[1]
     rhs = np.concatenate([-problem.q, bounds])
     # A singular system leaves a zero pivot, so the solve turns non-finite.
@@ -474,6 +484,24 @@ def _active_set_solve(
     y_pol = np.zeros(problem.n_constraints)
     y_pol[active] = signed
     return x_pol, y_pol, kept, active[signed != duals]
+
+
+def _kept_factor(slot: list, rows: bytes) -> tuple[bytes, _KktFactor] | None:
+    """The entry of a family's KKT slot for these rows, or None."""
+    for entry in slot:  # the first entry, the likeliest, is compared first
+        if entry[0] == rows:
+            return entry
+    return None
+
+
+def _keep_first(slot: list, entry: tuple[bytes, _KktFactor]) -> None:
+    """Move or add ``entry`` to the front of a family's KKT slot.
+
+    Past ``_KKT_KEPT`` entries the last, least recently used, is dropped.
+    """
+    if slot and slot[0] is entry:
+        return
+    slot[:] = [entry, *(kept for kept in slot if kept is not entry)][:_KKT_KEPT]
 
 
 def _independent_rows(
@@ -514,8 +542,10 @@ def _polish(
     certificate and its violated rows.  The round with the smallest
     residual in tolerance units (the earliest on a tie) is returned with its
     certificate if that certificate passes.  Its kept rows and KKT factors
-    replace the family's slot either way: a warm start from this point tries
-    the same rows first, and keeps them whole if it pins exactly those.
+    go first in the family's slot either way: a warm start from this point
+    tries the same rows first, and keeps them whole if it pins exactly
+    those.  The other rounds' factors stay behind it, so the next polish
+    that repeats these rounds factors nothing.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -550,7 +580,7 @@ def _polish(
     if best is None:
         return None
     (z_pol, y_pol, factored, _), cert = best
-    problem._kkt_slot[0] = factored
+    _keep_first(problem._kkt_slot, factored)
     return (z_pol, y_pol, cert) if cert.passes() else None
 
 

@@ -446,6 +446,19 @@ def test_classification_rejects_bad_targets():
         explain.classification_ensemble_cf([clf], np.zeros(1), [1, 1])
 
 
+def test_classification_rejects_classifiers_of_different_lengths():
+    # Named before any stacking: numpy's own concatenation error names no
+    # classifier.
+    classifiers = [
+        explain.LinearClassifier(weights=np.ones(2), bias=0.0),
+        explain.LinearClassifier(weights=np.ones(2), bias=1.0),
+        explain.LinearClassifier(weights=np.ones(3), bias=0.0),
+    ]
+    message = r"^classifier 2 has 3 weights, expected 2 as classifier 0 has$"
+    with pytest.raises(ValueError, match=message):
+        explain.classification_ensemble_cf(classifiers, np.zeros(2), [1, 1, 1])
+
+
 def explain_three_sensor_snapshot(entry, x):
     """Explain ``x`` through one of the three entry points, each for 3 sensors."""
     if entry == "ensemble":
@@ -801,8 +814,9 @@ def test_early_polish_releases_rows_after_a_repair_round():
 
 
 def test_a_kept_polish_holds_only_its_lu_factors():
-    # The family's slot keeps the rows and KKT factors of its latest polish.
-    # Refinement runs through those factors, so no copy of the matrix stays.
+    # The family's slot keeps the rows and KKT factors of its most recently
+    # used row sets, its latest polish's best round first.  Refinement runs
+    # through those factors, so no copy of the matrix stays.
     run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
     config = run.cf_config(threshold)
     cf = None
@@ -812,11 +826,16 @@ def test_a_kept_polish_holds_only_its_lu_factors():
             ensemble, snapshot, config, solver_options=run.solver_options(), warm_start=cf
         )
     problem = _slot_problem(ensemble, snapshot)
-    rows, factor = problem._kkt_slot[0]
-    size = problem.n_vars + len(rows) // np.dtype(np.intp).itemsize
-    assert factor.lu.shape == (size, size)
-    held = sum(part.nbytes for part in factor if isinstance(part, np.ndarray))
-    assert held == factor.lu.nbytes + factor.piv.nbytes
+    # the returned polish pushes only on the front entry's rows
+    assert cf.solution.path != "admm"
+    front = np.frombuffer(problem._kkt_slot[0][0], np.intp)
+    assert np.isin(np.flatnonzero(cf.solution.y), front).all()
+    assert 1 < len(problem._kkt_slot) <= optim._KKT_KEPT
+    for rows, factor in problem._kkt_slot:
+        size = problem.n_vars + len(rows) // np.dtype(np.intp).itemsize
+        assert factor.lu.shape == (size, size)
+        held = sum(part.nbytes for part in factor if isinstance(part, np.ndarray))
+        assert held == factor.lu.nbytes + factor.piv.nbytes
 
 
 def test_squared_error_explanations_match_a_tight_reference():

@@ -734,6 +734,7 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
     for r in (3.0, 2.0):
         problem = base.with_bounds(l1_equation_lp(r).l, l1_equation_lp(r).u)
         lower, upper = np.flatnonzero(previous.y < 0), np.flatnonzero(previous.y > 0)
+        # the front entry holds the rows of the latest polish's best round
         assert base._kkt_slot[0][0] == np.concatenate([lower, upper]).tobytes()
         del lworks[:]
         result = optim._active_set_solve(problem, previous.y, lower, upper)
@@ -745,9 +746,9 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
 
 
 def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
-    # The with_bounds copies of one problem share the factors of their
-    # latest polished point, used only for the same kept rows; every result
-    # must stay bit-equal to the reference either way.
+    # The with_bounds copies of one problem share their kept KKT factors,
+    # used only for the same kept rows; every result must stay bit-equal to
+    # the reference either way.
     calls = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(17)
     empty = np.empty(0, dtype=int)
@@ -761,7 +762,7 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
             before = len(calls)
             result = optim._active_set_solve(candidate, y, lower, empty)
             _assert_same_bits(result[:2], active_set_solve_reference(candidate, y, lower, empty))
-            candidate._kkt_slot[0] = result[2]  # as _polish keeps its returned round
+            assert candidate._kkt_slot[0] is result[2]  # the rows just used go first
             return len(calls) - before
 
         assert factorizations(problem, first) == 1
@@ -772,11 +773,103 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
         assert factorizations(problem, other) == 0  # the slot is the family's
         # equal arrays, or the same arrays through replace, start a new family
         rebuilt = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+        assert rebuilt._kkt_slot == [] and len(problem._kkt_slot) == 2
         assert factorizations(rebuilt, other) == 1
         assert factorizations(dataclasses.replace(problem), other) == 1
         # same rows, other matrix of the same shape
         for changed in ({"A": problem.A * 1.5}, {"P": problem.P * 2.0}):
             assert factorizations(dataclasses.replace(problem, **changed), other) == 1
+
+
+def _count_lapack(monkeypatch, name: str) -> list:
+    """Every factorization through ``optim.<name>``; workspace queries are not."""
+    calls = []
+    routine = getattr(optim, name)
+
+    def counted(*args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            calls.append(args)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(optim, name, counted)
+    return calls
+
+
+def _record_active_set_solves(monkeypatch) -> list:
+    """``(arguments, result)`` of every ``optim._active_set_solve`` call."""
+    records = []
+    active_set_solve = optim._active_set_solve
+
+    def recorded(*args):
+        result = active_set_solve(*args)
+        records.append((args, result))
+        return result
+
+    monkeypatch.setattr(optim, "_active_set_solve", recorded)
+    return records
+
+
+def test_a_repeated_two_round_polish_refactors_nothing(monkeypatch):
+    # Round 1 pins S = {0} from the dual guess, and its point violates row
+    # 1, which round 2 adds.  The family keeps both rounds' factors, so the
+    # same polish at the next snapshot runs no row selection and no LU, and
+    # every round stays bit-equal to the reference, which always runs both.
+    records = _record_active_set_solves(monkeypatch)
+    getrf, geqp3 = _count_lapack(monkeypatch, "_getrf"), _count_lapack(monkeypatch, "_geqp3")
+    base = optim.ConvexProblem(
+        P=np.eye(2),
+        q=np.array([-2.0, -0.5]),
+        A=np.array([[1.0, 0.0], [1.0, 1.0]]),
+        l=np.full(2, -np.inf),
+        u=np.array([1.0, 1.2]),
+    )
+    guess = np.array([1.0, 0.0])
+    factorizations = []
+    for shift in (0.0, 0.05):
+        problem = base.with_bounds(base.l, base.u + shift)
+        del records[:], getrf[:], geqp3[:]
+        assert optim._polish(problem, guess, 1e-7, 1e-7) is not None
+        pinned = [np.concatenate(args[2:4]).tolist() for args, _ in records]
+        assert pinned == [[0], [0, 1]]
+        for args, result in records:
+            _assert_same_bits(result[:2], active_set_solve_reference(*args))
+        assert problem._kkt_slot[0] is records[1][1][2]  # the best round first
+        assert len(problem._kkt_slot) == 2
+        factorizations.append((len(getrf), len(geqp3)))
+    assert factorizations == [(2, 2), (0, 0)]
+
+
+def test_a_family_keeps_its_most_recently_used_kkt_factors(monkeypatch):
+    # One more row set than the slot holds: the least recently used set is
+    # the one dropped, and it is factored again when it returns.
+    getrf = _count_lapack(monkeypatch, "_getrf")
+    rng = np.random.default_rng(23)
+    sets = [np.array([2 * i, 2 * i + 1]) for i in range(optim._KKT_KEPT + 1)]
+    problem = _random_qp(rng, 6, 2 * len(sets))
+    y = rng.normal(size=problem.n_constraints)
+    empty = np.empty(0, dtype=int)
+
+    def factorizations(i):
+        before = len(getrf)
+        result = optim._active_set_solve(problem, y, sets[i], empty)
+        _assert_same_bits(result[:2], active_set_solve_reference(problem, y, sets[i], empty))
+        assert problem._kkt_slot[0] is result[2]
+        assert len(problem._kkt_slot) <= optim._KKT_KEPT
+        return len(getrf) - before
+
+    def kept():
+        return [[s.tobytes() for s in sets].index(rows) for rows, _ in problem._kkt_slot]
+
+    assert [factorizations(i) for i in range(optim._KKT_KEPT)] == [1] * optim._KKT_KEPT
+    assert kept() == [3, 2, 1, 0]
+    assert factorizations(0) == 0
+    assert kept() == [0, 3, 2, 1]
+    assert factorizations(4) == 1
+    assert kept() == [4, 0, 3, 2]  # set 1, the least recently used, is dropped
+    assert factorizations(1) == 1
+    assert kept() == [1, 4, 0, 3]
+    assert factorizations(3) == 0  # still kept, last
+    assert kept() == [3, 1, 4, 0]
 
 
 def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
