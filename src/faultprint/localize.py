@@ -23,7 +23,7 @@ DEFAULT_ALARM_STEPS = 20
 
 def normalize_explanation(delta: np.ndarray) -> np.ndarray:
     """Scale so the largest magnitude is 1; the zero vector stays zero."""
-    delta = np.asarray(delta, dtype=float)
+    delta = _finite(delta)
     peak = np.abs(delta).max(initial=0.0)
     if peak <= ZERO_DELTA_TOL:
         return np.zeros_like(delta)
@@ -36,16 +36,29 @@ def predict_faulty_sensor(
     """Channel with the largest |change|; ties go to the smallest index.
 
     ``exclude`` removes channels that can never be faulty (flow channels in
-    the synthetic pipeline).  An all-zero change vector yields None, the
-    distinguished no-prediction outcome, which scoring counts as incorrect.
+    the synthetic pipeline); each must be a channel index in ``[0, n)``.
+    An all-zero change vector yields None, the distinguished no-prediction
+    outcome, which scoring counts as incorrect.
     """
-    magnitude = np.abs(np.asarray(delta, dtype=float))
+    magnitude = np.abs(_finite(delta))
+    n = magnitude.shape[0]
+    outside = [c for c in exclude if not 0 <= c < n]
+    if outside:
+        raise ValueError(f"excluded channels {outside} are not in [0, {n})")
     if len(exclude):
         magnitude = magnitude.copy()
         magnitude[list(exclude)] = -np.inf
     if magnitude.max(initial=-np.inf) <= ZERO_DELTA_TOL:
         return None
     return int(np.argmax(magnitude))
+
+
+def _finite(delta) -> np.ndarray:
+    """``delta`` as a float array; a non-finite change names no channel."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.isfinite(delta).all():
+        raise ValueError("a change vector must be finite")
+    return delta
 
 
 def _mode(predictions: Iterable[Optional[int]]) -> Optional[int]:
@@ -66,6 +79,8 @@ def aggregate_alarm_sequence(
     """
     if not len(predictions):
         raise ValueError("at least one alarm-step prediction is required")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     return _mode(predictions[:limit])
 
 

@@ -101,6 +101,8 @@ class ConvexProblem:
         P = np.array(self.P, dtype=float, order="C")
         q = np.array(self.q, dtype=float, order="C")
         A = np.array(self.A, dtype=float, order="C")
+        if q.ndim != 1:
+            raise ValueError(f"q must be a vector, got shape {q.shape}")
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {P.shape}")
@@ -117,12 +119,12 @@ class ConvexProblem:
         for name, arr in (("P", P), ("q", q), ("A", A)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # Shared by the with_bounds family: up to _KKT_KEPT (kept active rows
-        # as bytes, _KktFactor) entries, most recently used first, led by
-        # the best round of its latest polish; (starting rho as bytes,
-        # iteration map (T, c)) of its latest ADMM start; and max |q|.
-        object.__setattr__(self, "_kkt_slot", [])
-        object.__setattr__(self, "_x_step_slot", [None])
+        # Shared by the with_bounds family: {kept rows as bytes: _KktFactor}
+        # for up to _KKT_KEPT row sets, least recently used first; {starting
+        # rho as bytes: iteration map (T, c)} of its latest ADMM start; and
+        # max |q|.
+        object.__setattr__(self, "_kkt_slot", {})
+        object.__setattr__(self, "_x_step_slot", {})
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
         self._set_bounds(self.l, self.u)
 
@@ -171,7 +173,7 @@ class ConvexProblem:
     @staticmethod
     def linear(q: np.ndarray, A: np.ndarray, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
         q = np.asarray(q, dtype=float)
-        return ConvexProblem(P=np.zeros((q.shape[0], q.shape[0])), q=q, A=A, l=l, u=u)
+        return ConvexProblem(P=np.zeros((q.size, q.size)), q=q, A=A, l=l, u=u)
 
     @property
     def n_vars(self) -> int:
@@ -436,12 +438,12 @@ def _active_set_solve(
     priority given by dual magnitude so noise-level duals are the ones
     dropped; ``preferred`` rows (violated in an earlier polish round) and
     equality rows outrank everything.  A kept factor is reused whenever the
-    kept rows are its rows, and a new one goes first in the family's slot,
-    past the least recently used; the factors also refine the regularized
-    solve towards the unregularized one.  Returns the point, the kept rows
-    with their factors, and the kept rows whose dual had the wrong sign for
-    the bound they were pinned to; that dual is returned as zero.  An
-    equality row's dual is free in sign.
+    kept rows are its rows, and the factors used become the family's most
+    recently used (see :func:`_keep_last`); they also refine the
+    regularized solve towards the unregularized one.  Returns the point,
+    the kept rows with their factors, and the kept rows whose dual had the
+    wrong sign for the bound they were pinned to; that dual is returned as
+    zero.  An equality row's dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
@@ -450,17 +452,16 @@ def _active_set_solve(
     # Rows are compared as bytes: np.array_equal costs more than this check.
     rows = active.tobytes()
     slot = problem._kkt_slot
-    kept = _kept_factor(slot, rows)
-    if kept is None and active.shape[0]:
+    factor = slot.pop(rows, None)
+    if factor is None and active.shape[0]:
         keep = _independent_rows(problem, y, active, preferred)
         active, is_lower, bounds = active[keep], is_lower[keep], bounds[keep]
         rows = active.tobytes()
-        kept = _kept_factor(slot, rows)
+        factor = slot.pop(rows, None)
     # The same matrix gives the same factors, so reuse changes no bit.
-    if kept is None:
-        kept = (rows, _factor_kkt(problem, problem.A[active]))
-    _keep_first(slot, kept)
-    factor = kept[1]
+    if factor is None:
+        factor = _factor_kkt(problem, problem.A[active])
+    _keep_last(slot, rows, factor)
     rhs = np.concatenate([-problem.q, bounds])
     # A singular system leaves a zero pivot, so the solve turns non-finite.
     sol = _getrs(factor.lu, factor.piv, rhs)[0]
@@ -483,25 +484,15 @@ def _active_set_solve(
         signed = np.where(problem._equality[active], duals, signed)
     y_pol = np.zeros(problem.n_constraints)
     y_pol[active] = signed
-    return x_pol, y_pol, kept, active[signed != duals]
+    return x_pol, y_pol, (rows, factor), active[signed != duals]
 
 
-def _kept_factor(slot: list, rows: bytes) -> tuple[bytes, _KktFactor] | None:
-    """The entry of a family's KKT slot for these rows, or None."""
-    for entry in slot:  # the first entry, the likeliest, is compared first
-        if entry[0] == rows:
-            return entry
-    return None
-
-
-def _keep_first(slot: list, entry: tuple[bytes, _KktFactor]) -> None:
-    """Move or add ``entry`` to the front of a family's KKT slot.
-
-    Past ``_KKT_KEPT`` entries the last, least recently used, is dropped.
-    """
-    if slot and slot[0] is entry:
-        return
-    slot[:] = [entry, *(kept for kept in slot if kept is not entry)][:_KKT_KEPT]
+def _keep_last(slot: dict, rows: bytes, factor: _KktFactor) -> None:
+    """Make ``rows`` the last, most recently used key; past ``_KKT_KEPT`` drop the first."""
+    slot.pop(rows, None)
+    slot[rows] = factor
+    if len(slot) > _KKT_KEPT:
+        del slot[next(iter(slot))]
 
 
 def _independent_rows(
@@ -542,10 +533,10 @@ def _polish(
     certificate and its violated rows.  The round with the smallest
     residual in tolerance units (the earliest on a tie) is returned with its
     certificate if that certificate passes.  Its kept rows and KKT factors
-    go first in the family's slot either way: a warm start from this point
-    tries the same rows first, and keeps them whole if it pins exactly
-    those.  The other rounds' factors stay behind it, so the next polish
-    that repeats these rounds factors nothing.
+    become the family's most recently used either way, so they are the
+    last to be dropped: a warm start from this point keeps them whole if
+    it pins exactly those rows.  The other rounds' factors are kept too, so
+    the next polish that repeats these rounds factors nothing.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -579,8 +570,8 @@ def _polish(
             preferred = np.union1d(preferred, violated)
     if best is None:
         return None
-    (z_pol, y_pol, factored, _), cert = best
-    _keep_first(problem._kkt_slot, factored)
+    (z_pol, y_pol, (rows, factor), _), cert = best
+    _keep_last(problem._kkt_slot, rows, factor)
     return (z_pol, y_pol, cert) if cert.passes() else None
 
 
@@ -591,7 +582,7 @@ def solve(
     max_iters: int = DEFAULT_MAX_ITERS,
     warm_start: Solution | None = None,
 ) -> Solution:
-    """Solve the problem; the result is a pure function of its arguments.
+    """Solve the problem.
 
     Optimality is declared only for a point whose independently recomputed
     KKT residuals pass the scaled tolerances: a polished point, or else a
@@ -603,15 +594,19 @@ def solve(
     first: a re-solve on its active set is returned with zero iterations if
     it passes, and otherwise ignored.  The ADMM start and polishing reuse
     the factors of the problem's family (see
-    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
+    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  A
+    reused factor is bit-equal to a new one, but a polish keeps a kept row
+    set whole where a new selection might drop a row, so its rounds can
+    depend on earlier solves; on the workloads measured no solution does
+    (``test_kept_programs_and_factors_change_no_solution``).
     """
     # Each check is written so that NaN fails it.
     if not 0 < tol_abs < np.inf:
         raise ValueError(f"tol_abs must be positive and finite, got {tol_abs}")
     if not 0 <= tol_rel < np.inf:
         raise ValueError(f"tol_rel must be nonnegative and finite, got {tol_rel}")
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     n, m = problem.n_vars, problem.n_constraints
     if warm_start is not None:
         if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
@@ -635,12 +630,11 @@ def solve(
     # P_s, q_s and A are the family's own, so the same starting rho gives
     # the same map.
     start = rho.tobytes()
-    cached = problem._x_step_slot[0]
-    if cached is not None and cached[0] == start:
-        T, c = cached[1]
-    else:
-        T, c = _x_step_map(P_s, q_s, A, rho)
-        problem._x_step_slot[0] = (start, (T, c))
+    x_step = problem._x_step_slot
+    if start not in x_step:
+        x_step.clear()
+        x_step[start] = _x_step_map(P_s, q_s, A, rho)
+    T, c = x_step[start]
 
     s = np.zeros(n + 2 * m)
     x, z, y = s[:n], s[n : n + m], s[n + m :]

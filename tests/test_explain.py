@@ -815,8 +815,8 @@ def test_early_polish_releases_rows_after_a_repair_round():
 
 def test_a_kept_polish_holds_only_its_lu_factors():
     # The family's slot keeps the rows and KKT factors of its most recently
-    # used row sets, its latest polish's best round first.  Refinement runs
-    # through those factors, so no copy of the matrix stays.
+    # used row sets, its latest polish's best round the most recent.
+    # Refinement runs through those factors, so no copy of the matrix stays.
     run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
     config = run.cf_config(threshold)
     cf = None
@@ -826,16 +826,100 @@ def test_a_kept_polish_holds_only_its_lu_factors():
             ensemble, snapshot, config, solver_options=run.solver_options(), warm_start=cf
         )
     problem = _slot_problem(ensemble, snapshot)
-    # the returned polish pushes only on the front entry's rows
+    # the returned polish pushes only on the most recently used set's rows
     assert cf.solution.path != "admm"
-    front = np.frombuffer(problem._kkt_slot[0][0], np.intp)
-    assert np.isin(np.flatnonzero(cf.solution.y), front).all()
+    latest = np.frombuffer(list(problem._kkt_slot)[-1], np.intp)
+    assert np.isin(np.flatnonzero(cf.solution.y), latest).all()
     assert 1 < len(problem._kkt_slot) <= optim._KKT_KEPT
-    for rows, factor in problem._kkt_slot:
+    for rows, factor in problem._kkt_slot.items():
         size = problem.n_vars + len(rows) // np.dtype(np.intp).itemsize
         assert factor.lu.shape == (size, size)
         held = sum(part.nbytes for part in factor if isinstance(part, np.ndarray))
         assert held == factor.lu.nbytes + factor.piv.nbytes
+
+
+def _solutions_of(monkeypatch, explain_all, fresh):
+    """Every solve ``explain_all()`` makes, and how many KKT and x-step
+    factorizations they take.  With ``fresh`` each explanation first drops
+    the program its owner keeps, so its problem shares no factor with any
+    earlier solve."""
+    factored = collections.Counter()
+    with monkeypatch.context() as patch:
+        for name in ("_factor_kkt", "_x_step_map"):
+            def counted(*args, _name=name, _original=getattr(optim, name)):
+                factored[_name] += 1
+                return _original(*args)
+
+            patch.setattr(optim, name, counted)
+        if fresh:
+            for name in ("ensemble_counterfactual", "independent_counterfactual"):
+                def dropping(owner, *args, _original=getattr(explain, name), **kwargs):
+                    owner._program_slot[0] = None
+                    return _original(owner, *args, **kwargs)
+
+                patch.setattr(explain, name, dropping)
+        solutions = record_solves(patch)
+        result = explain_all()
+    return result, solutions, factored
+
+
+def _lp_alarm_chains(scenario_id):
+    """The seed-1 LP grid's explanations of one scenario, as ``evaluate``
+    makes them: warm-started ensemble and per-model chains."""
+    run = pipeline.RunConfig(seeds=(1,))
+    spec = next(s for s in pipeline.expand_grid(run) if s.scenario_id == scenario_id)
+    scenario = pipeline.build_scenario(run, spec)
+    panel = scenario.faulty
+    ensemble, threshold = pipeline.train_scenario(
+        panel, scenario.config.train_end, run.window, run.margin
+    )
+    stream = detector.detect(ensemble, panel, threshold)
+    return lambda: pipeline.localize_scenario(run, panel, ensemble, threshold, stream)
+
+
+def _cold_squared_error_alarms(scenario_id, count):
+    """One-off l2/squared explanations of a seed-1 scenario's first alarms,
+    as the alarm stream makes them."""
+    run, ensemble, threshold, panel, steps = _squared_error_alarms(1, scenario_id)
+    config, options = run.cf_config(threshold), run.solver_options()
+
+    def explain_all():
+        return [
+            explain.ensemble_counterfactual(
+                ensemble, explain.snapshot_at_alarm(panel, ensemble, int(t)), config,
+                solver_options=options,
+            ).delta.tobytes()
+            for t in steps[:count]
+        ]
+
+    return explain_all
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _cold_squared_error_alarms("power_failure-m2-s1", 67),
+        lambda: _cold_squared_error_alarms("gaussian_noise-m2-s1", 67),
+        lambda: _lp_alarm_chains("power_failure-m2-s1"),
+        lambda: _lp_alarm_chains("drift-m1-s1"),
+    ],
+    ids=["l2-power_failure", "l2-gaussian_noise", "lp-power_failure", "lp-drift"],
+)
+def test_kept_programs_and_factors_change_no_solution(make, monkeypatch):
+    # The same explanations, once with the programs and factors the pipeline
+    # keeps across calls and once with a new program for every call, give
+    # bit-equal solutions, while the kept factors save factorizations.  A
+    # polish that pins a kept row set keeps it whole where a fresh selection
+    # could drop a row, so equal solutions are measured, not implied.
+    shared = _solutions_of(monkeypatch, make(), fresh=False)
+    fresh = _solutions_of(monkeypatch, make(), fresh=True)
+    assert shared[0] == fresh[0]  # the explanations or localization results
+    assert len(shared[1]) == len(fresh[1]) > 0
+    for ours, reference in zip(shared[1], fresh[1]):
+        _assert_same_solution(ours, reference)
+        assert ours.path == reference.path
+    assert shared[2]["_factor_kkt"] < fresh[2]["_factor_kkt"]
+    assert shared[2]["_x_step_map"] <= fresh[2]["_x_step_map"]
 
 
 def test_squared_error_explanations_match_a_tight_reference():

@@ -138,3 +138,27 @@ def test_report_flags_recomputable_from_rows():
     for r in report.rows:
         assert r.ensemble_correct == (r.ensemble_prediction == r.true_sensor)
         assert r.baseline_correct == (r.baseline_prediction == r.true_sensor)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_aggregate_alarm_sequence_rejects_a_limit_below_one(limit):
+    # limit=-1 used to drop the last step silently, and limit=0 to give None.
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        localize.aggregate_alarm_sequence([1, 2, 2], limit=limit)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_change_is_rejected(bad):
+    # A NaN channel used to be predicted faulty, and normalized to all NaN.
+    delta = np.array([bad, 1.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        localize.predict_faulty_sensor(delta)
+    with pytest.raises(ValueError, match="must be finite"):
+        localize.normalize_explanation(delta)
+
+
+@pytest.mark.parametrize("exclude", [(-1,), (3,), (0, 5)])
+def test_excluded_channels_must_be_channels(exclude):
+    # (-1,) used to exclude the last channel, and (5,) on 3 raised IndexError.
+    with pytest.raises(ValueError, match=r"not in \[0, 3\)"):
+        localize.predict_faulty_sensor(np.array([0.5, 0.1, 2.0]), exclude=exclude)

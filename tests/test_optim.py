@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -215,11 +216,25 @@ def test_converged_iterate_is_certified_when_polish_fails(monkeypatch):
         ("tol_rel", -1e-9),
         ("max_iters", 0),
         ("max_iters", -3),
+        # not integers: range() raised a TypeError naming neither
+        ("max_iters", 10.5),
+        ("max_iters", np.inf),
     ],
 )
 def test_solve_rejects_bad_arguments(argument, value):
-    with pytest.raises(ValueError, match=argument):
+    with pytest.raises(ValueError, match=rf"{argument} .*got {re.escape(repr(value))}$"):
         optim.solve(simple_qp(), **{argument: value})
+
+
+@pytest.mark.parametrize("q", [np.zeros((2, 1)), np.float64(1.0)])
+def test_q_must_be_a_vector(q):
+    # A column q used to pass construction and fail inside solve with a
+    # broadcast error; a scalar q raised an IndexError.
+    shape = np.shape(q)
+    with pytest.raises(ValueError, match=rf"q must be a vector, got shape {re.escape(str(shape))}"):
+        optim.ConvexProblem(P=np.eye(2), q=q, A=np.eye(2), l=-np.ones(2), u=np.ones(2))
+    with pytest.raises(ValueError, match="q must be a vector"):
+        optim.ConvexProblem.linear(q, np.eye(2), -np.ones(2), np.ones(2))
 
 
 def test_removing_a_constraint_never_increases_optimum():
@@ -734,8 +749,9 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
     for r in (3.0, 2.0):
         problem = base.with_bounds(l1_equation_lp(r).l, l1_equation_lp(r).u)
         lower, upper = np.flatnonzero(previous.y < 0), np.flatnonzero(previous.y > 0)
-        # the front entry holds the rows of the latest polish's best round
-        assert base._kkt_slot[0][0] == np.concatenate([lower, upper]).tobytes()
+        # the most recently used key holds the rows of the latest polish's
+        # best round
+        assert list(base._kkt_slot)[-1] == np.concatenate([lower, upper]).tobytes()
         del lworks[:]
         result = optim._active_set_solve(problem, previous.y, lower, upper)
         reference = active_set_solve_reference(problem, previous.y, lower, upper)
@@ -762,7 +778,10 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
             before = len(calls)
             result = optim._active_set_solve(candidate, y, lower, empty)
             _assert_same_bits(result[:2], active_set_solve_reference(candidate, y, lower, empty))
-            assert candidate._kkt_slot[0] is result[2]  # the rows just used go first
+            # the rows just used are the most recently used, with their factor
+            rows, factor = result[2]
+            assert list(candidate._kkt_slot)[-1] == rows
+            assert candidate._kkt_slot[rows] is factor
             return len(calls) - before
 
         assert factorizations(problem, first) == 1
@@ -773,7 +792,7 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
         assert factorizations(problem, other) == 0  # the slot is the family's
         # equal arrays, or the same arrays through replace, start a new family
         rebuilt = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
-        assert rebuilt._kkt_slot == [] and len(problem._kkt_slot) == 2
+        assert rebuilt._kkt_slot == {} and len(problem._kkt_slot) == 2
         assert factorizations(rebuilt, other) == 1
         assert factorizations(dataclasses.replace(problem), other) == 1
         # same rows, other matrix of the same shape
@@ -833,7 +852,8 @@ def test_a_repeated_two_round_polish_refactors_nothing(monkeypatch):
         assert pinned == [[0], [0, 1]]
         for args, result in records:
             _assert_same_bits(result[:2], active_set_solve_reference(*args))
-        assert problem._kkt_slot[0] is records[1][1][2]  # the best round first
+        rows, factor = records[1][1][2]  # the best round, the most recently used
+        assert list(problem._kkt_slot)[-1] == rows and problem._kkt_slot[rows] is factor
         assert len(problem._kkt_slot) == 2
         factorizations.append((len(getrf), len(geqp3)))
     assert factorizations == [(2, 2), (0, 0)]
@@ -853,23 +873,25 @@ def test_a_family_keeps_its_most_recently_used_kkt_factors(monkeypatch):
         before = len(getrf)
         result = optim._active_set_solve(problem, y, sets[i], empty)
         _assert_same_bits(result[:2], active_set_solve_reference(problem, y, sets[i], empty))
-        assert problem._kkt_slot[0] is result[2]
+        rows, factor = result[2]
+        assert list(problem._kkt_slot)[-1] == rows and problem._kkt_slot[rows] is factor
         assert len(problem._kkt_slot) <= optim._KKT_KEPT
         return len(getrf) - before
 
     def kept():
-        return [[s.tobytes() for s in sets].index(rows) for rows, _ in problem._kkt_slot]
+        """The kept sets, least recently used first."""
+        return [[s.tobytes() for s in sets].index(rows) for rows in problem._kkt_slot]
 
     assert [factorizations(i) for i in range(optim._KKT_KEPT)] == [1] * optim._KKT_KEPT
-    assert kept() == [3, 2, 1, 0]
+    assert kept() == [0, 1, 2, 3]
     assert factorizations(0) == 0
-    assert kept() == [0, 3, 2, 1]
+    assert kept() == [1, 2, 3, 0]
     assert factorizations(4) == 1
-    assert kept() == [4, 0, 3, 2]  # set 1, the least recently used, is dropped
+    assert kept() == [2, 3, 0, 4]  # set 1, the least recently used, is dropped
     assert factorizations(1) == 1
-    assert kept() == [1, 4, 0, 3]
-    assert factorizations(3) == 0  # still kept, last
-    assert kept() == [3, 1, 4, 0]
+    assert kept() == [3, 0, 4, 1]
+    assert factorizations(3) == 0  # still kept, the least recently used
+    assert kept() == [0, 4, 1, 3]
 
 
 def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
