@@ -20,19 +20,10 @@ MIN_CALIBRATION_STEPS = 50
 
 @dataclass(frozen=True)
 class AlarmStream:
-    """Per-step residuals and alarm flags for steps t in [start, n_steps)."""
+    """Alarm flags for steps t in [start, n_steps); residuals: :func:`residual_matrix`."""
 
     start: int
-    residuals: np.ndarray  # shape (n_steps - start, n_models)
     alarms: np.ndarray  # bool, shape (n_steps - start,)
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if self.residuals.shape[0] != self.alarms.shape[0]:
-            raise ValueError("residuals and alarms must cover the same steps")
-        expected = np.abs(self.residuals).max(axis=1) > self.threshold
-        if not np.array_equal(expected, self.alarms):
-            raise ValueError("alarm flags are inconsistent with the residuals")
 
     @property
     def end(self) -> int:
@@ -45,20 +36,23 @@ class AlarmStream:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Step-level confusion rates plus scenario-level detection outcome."""
+    """Measured step-level rates and delay; the complements and ``detected`` are derived."""
 
     true_positive_rate: float
-    true_negative_rate: float
     false_positive_rate: float
-    false_negative_rate: float
     detection_delay: float  # steps; math.inf when never detected
-    detected: bool
 
-    def __post_init__(self) -> None:
-        if not math.isclose(self.true_positive_rate + self.false_negative_rate, 1.0):
-            raise ValueError("post-onset rates must sum to 1")
-        if not math.isclose(self.true_negative_rate + self.false_positive_rate, 1.0):
-            raise ValueError("pre-onset rates must sum to 1")
+    @property
+    def true_negative_rate(self) -> float:
+        return 1.0 - self.false_positive_rate
+
+    @property
+    def false_negative_rate(self) -> float:
+        return 1.0 - self.true_positive_rate
+
+    @property
+    def detected(self) -> bool:
+        return self.detection_delay < math.inf
 
 
 def residual_matrix(ensemble: Ensemble, panel: ReadingsPanel) -> np.ndarray:
@@ -104,12 +98,9 @@ def calibrate_threshold(
 
 
 def detect(ensemble: Ensemble, panel: ReadingsPanel, threshold: float) -> AlarmStream:
-    """Evaluate the alarm rule; residuals are retained for explanation."""
-    residuals = residual_matrix(ensemble, panel)
-    alarms = np.abs(residuals).max(axis=1) > threshold
-    return AlarmStream(
-        start=ensemble.window, residuals=residuals, alarms=alarms, threshold=threshold
-    )
+    """Evaluate the alarm rule: any absolute residual above the threshold."""
+    alarms = np.abs(residual_matrix(ensemble, panel)).max(axis=1) > threshold
+    return AlarmStream(start=ensemble.window, alarms=alarms)
 
 
 def detection_metrics(alarms: AlarmStream, fault: FaultSpec) -> DetectionReport:
@@ -133,10 +124,5 @@ def detection_metrics(alarms: AlarmStream, fault: FaultSpec) -> DetectionReport:
     hits = np.flatnonzero(post)
     delay = float(hits[0]) if hits.size else math.inf
     return DetectionReport(
-        true_positive_rate=tp,
-        true_negative_rate=1.0 - fp,
-        false_positive_rate=fp,
-        false_negative_rate=1.0 - tp,
-        detection_delay=delay,
-        detected=bool(hits.size),
+        true_positive_rate=tp, false_positive_rate=fp, detection_delay=delay
     )

@@ -14,7 +14,8 @@ A sequence of closely related problems (the same program at consecutive
 alarm steps) can pass the previous :class:`Solution` as ``warm_start``.
 The solver first re-solves on that solution's active set and returns the
 result with zero iterations if it passes; on a miss it runs the cold
-iteration unchanged, so the result is then exactly what a cold solve gives.
+iteration, whose polish can run other rounds than a first solve's: the
+missed re-solve has updated the family's kept KKT factors (below).
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two kinds of factorization: the KKT factors
@@ -575,6 +576,11 @@ def _polish(
     return (z_pol, y_pol, cert) if cert.passes() else None
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def solve(
     problem: ConvexProblem,
     tol_abs: float = DEFAULT_TOL_ABS,
@@ -605,7 +611,7 @@ def solve(
         raise ValueError(f"tol_abs must be positive and finite, got {tol_abs}")
     if not 0 <= tol_rel < np.inf:
         raise ValueError(f"tol_rel must be nonnegative and finite, got {tol_rel}")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+    if not is_integer(max_iters) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     n, m = problem.n_vars, problem.n_constraints
     if warm_start is not None:

@@ -64,8 +64,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one grid seed is required")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"grid seeds must be nonnegative, got seeds = {self.seeds}")
+        if not all(optim.is_integer(seed) and seed >= 0 for seed in self.seeds):
+            raise ConfigError(f"grid seeds must be nonnegative integers, got seeds = {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"grid seeds must not repeat, got seeds = {self.seeds}")
+        for name in ("window", "alarm_steps", "max_iters"):
+            value = getattr(self, name)
+            if not optim.is_integer(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
         if not self.magnitudes:
             raise ConfigError("the fault grid must not be empty")
         # Each check is written so that NaN fails it.
@@ -78,16 +84,10 @@ class RunConfig:
                 raise ConfigError(f"fault kind {kind!r} has a non-finite magnitude: {values}")
             if kind == "gaussian_noise" and min(values) < 0:
                 raise ConfigError(f"fault kind {kind!r} has a negative noise sigma: {values}")
-        if self.window < 1:
-            raise ConfigError("detector window must be at least 1")
         if not 1.0 <= self.margin < math.inf:
             raise ConfigError("detector margin must be finite and at least 1")
         if math.isnan(self.drift_cap):  # an infinite cap leaves drift uncapped
             raise ConfigError("drift_cap must not be NaN")
-        if self.alarm_steps < 1:
-            raise ConfigError("alarm_steps must be positive")
-        if not self.max_iters >= 1:
-            raise ConfigError("solver max_iters must be at least 1")
         if not 0 < self.tol_abs < math.inf:
             raise ConfigError("solver tol_abs must be positive and finite")
         if not 0 <= self.tol_rel < math.inf:
@@ -154,7 +154,7 @@ def expand_grid(run: RunConfig) -> tuple[ScenarioSpec, ...]:
                         kind_name=kind_name,
                         magnitude=float(magnitude),
                         magnitude_index=m_idx,
-                        seed=seed,
+                        seed=int(seed),
                     )
                 )
     return tuple(specs)

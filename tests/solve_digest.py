@@ -29,10 +29,13 @@ solves: each ``Counterfactual``'s delta, x_cf, slacks, objective and
 slack-free flag, in call order (it wraps ``explain._decode``), and, on
 ``lp-grid`` and ``l2-grid``, each scenario's ``localize_scenario`` result
 (both predictions, the step count, the certificate excess's bytes and the
-solve audit).  It also prints how many ``_polish`` calls, pivoted-QR
-(``geqp3``) and KKT LU (``getrf``) factorizations and ADMM x-step maps
-(``x_step_maps``: one x-step Cholesky factorization each) the solves made;
-those counts are in no digest.
+solve audit).  A fourth, ``detection_sha256``, covers each grid scenario's
+detection: its threshold, ``stream.start``, the bytes of ``stream.alarms``
+and the six values of ``detection_metrics(stream, scenario.fault)``, read by
+attribute (``DETECTION_FIELDS``).  It also prints how many ``_polish``
+calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``) factorizations and
+ADMM x-step maps (``x_step_maps``: one x-step Cholesky factorization each)
+the solves made; those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -54,6 +57,10 @@ RANDOM_PROBLEMS = 600
 RANDOM_TOLERANCES = (1e-7, 1e-10)
 RANDOM_MAX_ITERS = 5000
 RANDOM_WIDEN = 1e-3
+DETECTION_FIELDS = (
+    "true_positive_rate", "true_negative_rate", "false_positive_rate",
+    "false_negative_rate", "detection_delay", "detected",
+)
 
 
 def parse_args(argv):
@@ -136,7 +143,7 @@ def main(argv=None) -> int:
     detector, explain, optim, pipeline = import_faultprint(Path(args.src))
 
     digest, points_digest = hashlib.sha256(), hashlib.sha256()
-    explanations_digest = hashlib.sha256()
+    explanations_digest, detection_digest = hashlib.sha256(), hashlib.sha256()
     statuses: collections.Counter = collections.Counter()
     paths: collections.Counter = collections.Counter()
     counts = collections.Counter()
@@ -202,7 +209,9 @@ def main(argv=None) -> int:
         solve_random(optim, args.seeds, count)
         errors = 0
     else:
-        errors = solve_grid(args, detector, explain, pipeline, explanations_digest)
+        errors = solve_grid(
+            args, detector, explain, pipeline, explanations_digest, detection_digest
+        )
 
     print(f"solves: {counts['solves']}")
     print(f"iterations: {counts['iterations']}")
@@ -216,13 +225,15 @@ def main(argv=None) -> int:
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")
     print(f"explanations_sha256: {explanations_digest.hexdigest()}")
+    print(f"detection_sha256: {detection_digest.hexdigest()}")
     return 0
 
 
-def solve_grid(args, detector, explain, pipeline, explanations_digest) -> int:
+def solve_grid(args, detector, explain, pipeline, explanations_digest, detection_digest) -> int:
     """Explain the grid workload's alarm steps; returns the explain errors.
 
-    Each ``localize_scenario`` result goes into ``explanations_digest``.
+    Each ``localize_scenario`` result goes into ``explanations_digest``, each
+    scenario's detection into ``detection_digest``.
     """
     l1 = args.workload == "lp-grid"
     run = pipeline.RunConfig(
@@ -238,6 +249,15 @@ def solve_grid(args, detector, explain, pipeline, explanations_digest) -> int:
             panel, scenario.config.train_end, run.window, run.margin
         )
         stream = detector.detect(ensemble, panel, threshold)
+        report = detector.detection_metrics(stream, scenario.fault)
+        metrics = tuple(getattr(report, name) for name in DETECTION_FIELDS)
+        for part in (
+            struct.pack("<d", threshold),
+            str(stream.start).encode(),
+            stream.alarms.tobytes(),
+            repr(metrics).encode(),
+        ):
+            update(detection_digest, part)
         if args.workload != "stream":
             ensemble_pred, baseline_pred, steps, excess, audit = pipeline.localize_scenario(
                 run, panel, ensemble, threshold, stream

@@ -17,13 +17,9 @@ def exact_fit_ensemble(panel: netgen.ReadingsPanel, value: float) -> sensors.Ens
     return sensors.Ensemble(models=models, window=3)
 
 
-def offset_stream(alarm_flags, threshold=1.0, start=3) -> detector.AlarmStream:
-    """AlarmStream whose residuals are consistent with the given flags."""
-    flags = np.asarray(alarm_flags, dtype=bool)
-    residuals = np.where(flags, 2.0 * threshold, 0.0)[:, None]
-    return detector.AlarmStream(
-        start=start, residuals=residuals, alarms=flags, threshold=threshold
-    )
+def offset_stream(alarm_flags, start=3) -> detector.AlarmStream:
+    """AlarmStream with the given flags from step ``start`` on."""
+    return detector.AlarmStream(start, np.asarray(alarm_flags, dtype=bool))
 
 
 def test_calibrate_zero_residuals_gives_zero_threshold():
@@ -86,7 +82,8 @@ def test_alarm_stream_invariant_recheckable(default_ensemble, default_threshold,
     stream = detector.detect(
         default_ensemble, power_failure_scenario.faulty, default_threshold
     )
-    recomputed = np.abs(stream.residuals).max(axis=1) > stream.threshold
+    residuals = detector.residual_matrix(default_ensemble, power_failure_scenario.faulty)
+    recomputed = np.abs(residuals).max(axis=1) > default_threshold
     assert np.array_equal(recomputed, stream.alarms)
 
 
@@ -133,6 +130,28 @@ def test_metrics_rates_partition_segments():
         assert report.true_negative_rate + report.false_positive_rate == pytest.approx(1.0)
         if report.detected:
             assert report.detection_delay >= 0
+
+
+def test_metrics_derive_complements_and_detection_bit_for_bit(
+    default_ensemble, default_threshold, power_failure_scenario
+):
+    steps = np.arange(100)
+    cases = [  # the streams and onsets of the metric tests above
+        (offset_stream(steps >= 50), 53),
+        (offset_stream(np.zeros(100, dtype=bool)), 60),
+        (offset_stream(steps >= 61), 63),
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        cases.append((offset_stream(rng.random(80) < 0.3), int(rng.integers(4, 83))))
+    stream = detector.detect(default_ensemble, power_failure_scenario.faulty, default_threshold)
+    cases.append((stream, power_failure_scenario.fault.onset))
+    for stream, onset in cases:
+        fault = netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=0, onset=onset)
+        report = detector.detection_metrics(stream, fault)
+        assert report.true_negative_rate == 1.0 - report.false_positive_rate
+        assert report.false_negative_rate == 1.0 - report.true_positive_rate
+        assert report.detected is bool((stream.alarm_steps() >= onset).any())
 
 
 def test_metrics_rejects_onset_outside_range():

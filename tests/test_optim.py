@@ -219,6 +219,7 @@ def test_converged_iterate_is_certified_when_polish_fails(monkeypatch):
         # not integers: range() raised a TypeError naming neither
         ("max_iters", 10.5),
         ("max_iters", np.inf),
+        ("max_iters", True),  # a bool is not an integer count
     ],
 )
 def test_solve_rejects_bad_arguments(argument, value):

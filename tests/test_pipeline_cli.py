@@ -187,6 +187,7 @@ def test_config_error_names_the_bad_value(tmp_path, section, line):
         ("grid", "power_failure = -inf"),
         ("grid", "gaussian_noise = 1, -1"),  # a negative noise sigma
         ("grid", "seeds = 1, -2"),  # a negative seed
+        ("grid", "seeds = 1, 1"),  # a repeated seed
         ("solver", "tol_abs = nan"),
         ("solver", "tol_abs = inf"),
         ("solver", "tol_rel = nan"),
@@ -212,6 +213,44 @@ def test_negative_seed_flag_fails_before_writing(tmp_path, capsys):
     assert main(["--config", str(path), "--seed", "-1", "simulate"]) == 2
     assert "seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field_name,value",
+    [
+        ("seeds", (1.5,)),
+        ("seeds", (True,)),
+        ("seeds", (1, 2, 1)),
+        ("window", 2.5),
+        ("window", True),
+        ("alarm_steps", 2.5),
+        ("max_iters", 10.5),
+        ("max_iters", True),
+    ],
+)
+def test_run_config_rejects_non_integers_before_writing(tmp_path, field_name, value):
+    out = tmp_path / "out"
+    with pytest.raises(pipeline.ConfigError, match=field_name):
+        pipeline.simulate_batch(pipeline.RunConfig(outdir=str(out), **{field_name: value}))
+    assert not out.exists()
+
+
+def test_run_config_accepts_numpy_integers(tmp_path):
+    run = pipeline.RunConfig(
+        seeds=(np.int64(2),),
+        magnitudes={"constant_offset": (2.0,)},
+        window=np.int32(10),
+        alarm_steps=np.int64(5),
+        max_iters=np.int64(optim.DEFAULT_MAX_ITERS),
+        outdir=str(tmp_path / "out"),
+    )
+    assert pipeline.simulate_batch(run) == ["constant_offset-m0-s2"]
+    meta = tmp_path / "out/scenarios/constant_offset-m0-s2/fault.json"
+    assert json.loads(meta.read_text(encoding="utf-8"))["seed"] == 2
+    pipeline.train_batch(run)
+    (result,) = pipeline.evaluate_batch(run)
+    assert result.prediction.scenario_id == "constant_offset-m0-s2"
+    assert result.detection.detected
 
 
 def test_config_allows_an_infinite_drift_cap(tmp_path):

@@ -29,6 +29,9 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     # the explanations and the scenario's localize_scenario result
     assert len(first["explanations_sha256"]) == 64
     assert first["explanations_sha256"] != hashlib.sha256().hexdigest()
+    # the scenario's threshold, alarm flags and detection metrics
+    assert len(first["detection_sha256"]) == 64
+    assert first["detection_sha256"] != hashlib.sha256().hexdigest()
 
 
 def test_solve_digest_of_random_problems_is_repeatable():
@@ -39,3 +42,4 @@ def test_solve_digest_of_random_problems_is_repeatable():
     assert int(first["polish"]) > 0
     assert first["points_sha256"] != first["sha256"]
     assert first["explanations_sha256"] == hashlib.sha256().hexdigest()  # none made
+    assert first["detection_sha256"] == hashlib.sha256().hexdigest()
