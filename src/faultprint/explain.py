@@ -25,6 +25,7 @@ from .sensors import Ensemble, LinearModel
 
 FEASIBLE_SLACK_TOL = 1e-6
 _CLASSIFIER_MARGIN = 1e-6  # excludes exact decision-boundary solutions
+_KEPT_PROGRAM = "_kept_program"  # an owner's attribute: (key, program) of its latest call
 
 
 class ExplainError(RuntimeError):
@@ -176,13 +177,12 @@ class _Program:
 
     The snapshot enters through r0 = G x + bias - targets, and r0 only
     through the bounds: P, q and A are built and validated once, and
-    :meth:`at` fills in each snapshot's l and u.  ``key`` identifies the
-    arguments the program was built from, for a caller that keeps it.
+    :meth:`at` fills in each snapshot's l and u.
     """
 
-    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig, key=None):
+    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig):
         self.G, self.bias, self.targets = G, bias, targets
-        self.tol, self.one_sided, self.cfg, self.key = tol, one_sided, cfg, key
+        self.tol, self.one_sided, self.cfg = tol, one_sided, cfg
         k = G.shape[0]
         l1 = cfg.complexity == "l1"
         squared = cfg.dist == "squared"
@@ -246,8 +246,7 @@ class _Program:
         source = np.concatenate([order % k, np.zeros(n_nonneg, dtype=int)])
         source = np.concatenate([source, source])
         self._moving = np.flatnonzero(sign)
-        self._bounds = offset
-        self._offset, self._sign = offset[self._moving], sign[self._moving]
+        self._bounds, self._sign = offset, sign[self._moving]
         self._source = source[self._moving]
         m = order.shape[0] + n_nonneg
         self._base = optim.ConvexProblem(
@@ -264,7 +263,7 @@ class _Program:
     def at(self, r0: np.ndarray) -> optim.ConvexProblem:
         """The program for residuals r0; only its bounds are computed."""
         bounds = self._bounds.copy()
-        bounds[self._moving] = self._offset + self._sign * r0[self._source]
+        bounds[self._moving] += self._sign * r0[self._source]
         m = self._base.n_constraints
         return self._base.with_bounds(bounds[:m], bounds[m:])
 
@@ -357,10 +356,12 @@ def _linear_counterfactual(
 ) -> Counterfactual:
     """Explain ``x_orig`` against ``models``, with the program kept on ``owner``.
 
-    The owner's one-entry slot holds the program of its latest call, which
-    is reused when the targets and tolerances, as given (shape and bytes),
-    and the config's other settings are the same.  Models are frozen, so
-    the program is a function of those alone.
+    The owner keeps the program of its latest call, which is reused when the
+    targets and tolerances, as given (shape and bytes), and the config's
+    other settings are the same.  Models are frozen, so the program is a
+    function of those alone.  It is kept as a plain attribute of the owner,
+    not a dataclass field, so it is not compared, shown or saved, nor
+    returned by ``fields`` or ``asdict``; a ``copy.copy`` keeps its own.
     """
     targets = np.asarray(targets, dtype=float)
     tolerances = np.asarray(config.tolerances, dtype=float)
@@ -368,8 +369,8 @@ def _linear_counterfactual(
         targets.shape, targets.tobytes(), tolerances.shape, tolerances.tobytes(),
         config.slack_penalty, config.complexity, config.dist,
     )
-    program = owner._program_slot[0]
-    if program is None or program.key != key:
+    kept_key, program = vars(owner).get(_KEPT_PROGRAM, (None, None))
+    if kept_key != key:
         k = len(models)
         for name, given in (("targets", targets), ("tolerances", tolerances)):
             if given.ndim and given.shape != (k,):
@@ -377,9 +378,9 @@ def _linear_counterfactual(
         G, bias = _residual_geometry(models, models[0].n_sensors)
         program = _Program(
             G, bias, np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k),
-            np.zeros(k, dtype=bool), config, key,
+            np.zeros(k, dtype=bool), config,
         )
-        owner._program_slot[0] = program
+        object.__setattr__(owner, _KEPT_PROGRAM, (key, program))  # owners are frozen
     return _counterfactual(program, x_orig, solver_options, warm_start)
 
 

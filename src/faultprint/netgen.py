@@ -12,11 +12,13 @@ import csv
 import enum
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count
 from operator import itemgetter
 from typing import Union, get_args
 
 import numpy as np
+
+from .optim import is_integer
 
 DIURNAL_PERIOD = 96  # steps per daily cycle (15-minute cadence analogy)
 
@@ -52,6 +54,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_pressure", "n_flow", "n_steps", "train_end", "latent_dim", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_pressure < 2:
             raise ValueError("n_pressure must be at least 2")
         if self.n_flow < 0:
@@ -383,15 +391,6 @@ def _fast_body(path, fh, width: int) -> np.ndarray | None:
     return values
 
 
-def _record_line(path, index: int) -> int:
-    """File line, counted from 1, on which data record ``index`` ends."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, index + 2):  # the header, then the records
-            pass
-        return reader.line_num
-
-
 def _records(path, reader):
     """The records of ``reader``; one csv cannot read raises PanelFormatError."""
     while True:
@@ -410,6 +409,7 @@ def _load_csv_records(path) -> ReadingsPanel:
         reader = csv.reader(fh)
         kinds, labels = _read_header(path, reader)
         rows: list[list[float]] = []
+        line_nums: list[int] = []  # the file line on which each record ends
         for row in _records(path, reader):
             if len(row) != len(labels):
                 raise PanelFormatError(
@@ -426,6 +426,7 @@ def _load_csv_records(path) -> ReadingsPanel:
                         f"non-numeric cell {cell!r}"
                     ) from None
             rows.append(parsed)
+            line_nums.append(reader.line_num)
 
     if not rows:
         raise PanelFormatError(f"{path}: no data rows")
@@ -434,7 +435,7 @@ def _load_csv_records(path) -> ReadingsPanel:
     if non_finite.size:
         i, col = non_finite[0]
         raise PanelFormatError(
-            f"{path}: line {_record_line(path, i)}, column {labels[col]!r}: "
+            f"{path}: line {line_nums[i]}, column {labels[col]!r}: "
             f"non-finite cell {float(values[i, col])!r}"
         )
     return ReadingsPanel(values=values, kinds=kinds, labels=labels)

@@ -86,8 +86,10 @@ class RunConfig:
                 raise ConfigError(f"fault kind {kind!r} has a negative noise sigma: {values}")
         if not 1.0 <= self.margin < math.inf:
             raise ConfigError("detector margin must be finite and at least 1")
-        if math.isnan(self.drift_cap):  # an infinite cap leaves drift uncapped
-            raise ConfigError("drift_cap must not be NaN")
+        if not self.drift_cap > -math.inf:  # an infinite cap leaves drift uncapped
+            raise ConfigError(f"drift_cap must be above -inf, got {self.drift_cap}")
+        if not self.outdir:
+            raise ConfigError("outdir ([output] dir) must not be empty")
         if not 0 < self.tol_abs < math.inf:
             raise ConfigError("solver tol_abs must be positive and finite")
         if not 0 <= self.tol_rel < math.inf:
@@ -127,7 +129,10 @@ class RunConfig:
         }
 
     def resolved_outdir(self) -> Path:
-        return Path(os.environ.get(ENV_OUTDIR, self.outdir))
+        outdir = os.environ.get(ENV_OUTDIR, self.outdir)
+        if not outdir:
+            raise ConfigError(f"{ENV_OUTDIR} must not be empty")
+        return Path(outdir)
 
 
 @dataclass(frozen=True)

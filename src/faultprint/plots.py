@@ -6,6 +6,7 @@ deterministic (no timestamps or version metadata) and text-diffable.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Optional, Sequence
 
 _BAR_W = 28
@@ -32,9 +33,14 @@ def bar_chart_svg(
     highlight: Optional[int] = None,
     y_limit: Optional[float] = None,
 ) -> str:
-    """Vertical bar chart; bars below zero hang from the axis."""
+    """Vertical bar chart; bars below zero hang from the axis.
+
+    Labels and the title are escaped as XML text, so a label such as ``T&P``
+    keeps the markup well-formed.
+    """
     if len(labels) != len(values):
         raise ValueError("labels and values must have equal length")
+    title = escape(title, quote=False)
     n = len(values)
     top = max((abs(float(v)) for v in values), default=0.0)
     span = y_limit if y_limit is not None else max(top, 1e-12)
@@ -64,7 +70,7 @@ def bar_chart_svg(
         )
         parts.append(
             f'<text x="{x + _BAR_W / 2}" y="{height - 14}" text-anchor="middle">'
-            f"{label}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
     parts.append(f'<text x="{_MARGIN_L}" y="{_MARGIN_TOP - 4}">{title}</text>')
     parts.append("</svg>")

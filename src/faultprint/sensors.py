@@ -8,7 +8,7 @@ independent oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class LinearModel:
     bias: float
     target: int
     window: int
-    # The counterfactual program explain built last for this model alone.
-    _program_slot: list = field(
-        default_factory=lambda: [None], init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
@@ -63,10 +59,6 @@ class Ensemble:
 
     models: tuple[LinearModel, ...]
     window: int
-    # The counterfactual program explain built last for this ensemble.
-    _program_slot: list = field(
-        default_factory=lambda: [None], init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.models:

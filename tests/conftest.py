@@ -52,6 +52,11 @@ def fresh_copy(ensemble: sensors.Ensemble) -> sensors.Ensemble:
     return sensors.Ensemble(models=models, window=ensemble.window)
 
 
+def kept_program(owner):
+    """The counterfactual program an ensemble or model keeps, or None."""
+    return vars(owner).get(explain._KEPT_PROGRAM, (None, None))[1]
+
+
 def count_program_builds(monkeypatch) -> list:
     """The arguments of every counterfactual program built from now on."""
     built = []

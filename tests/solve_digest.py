@@ -35,7 +35,8 @@ and the six values of ``detection_metrics(stream, scenario.fault)``, read by
 attribute (``DETECTION_FIELDS``).  It also prints how many ``_polish``
 calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``) factorizations and
 ADMM x-step maps (``x_step_maps``: one x-step Cholesky factorization each)
-the solves made; those counts are in no digest.
+the solves made, and how many counterfactual programs (``explain._Program``)
+were built; those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -199,10 +200,15 @@ def main(argv=None) -> int:
         counts["x_step_maps"] += 1
         return factorize(*a, **kw)
 
+    class CountedProgram(explain._Program):
+        def __init__(self, *a):
+            counts["programs"] += 1
+            super().__init__(*a)
+
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
     optim._factorize_scaled = counted_factorize
-    explain._decode = hashed_decode
+    explain._decode, explain._Program = hashed_decode, CountedProgram
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
@@ -222,6 +228,7 @@ def main(argv=None) -> int:
     print(f"geqp3: {counts['geqp3']}")
     print(f"getrf: {counts['getrf']}")
     print(f"x_step_maps: {counts['x_step_maps']}")
+    print(f"programs: {counts['programs']}")
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")
     print(f"explanations_sha256: {explanations_digest.hexdigest()}")

@@ -1,4 +1,5 @@
 import collections
+import copy
 import re
 import struct
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from faultprint import detector, explain, optim, pipeline, sensors
-from conftest import count_program_builds, fresh_copy, record_solves
+from conftest import count_program_builds, fresh_copy, kept_program, record_solves
 from oracles import (
     counterfactual_program_rows,
     kkt_residuals_reference,
@@ -791,7 +792,7 @@ def test_degenerate_stream_alarms_are_polished_and_exact():
             ensemble, snapshot, config, solver_options=run.solver_options()
         )
         assert cf.solution.path in ("early_polish", "final_polish"), alarm
-        reference = _tight_reference(_slot_problem(ensemble, snapshot), snapshot.shape[0])
+        reference = _tight_reference(_kept_problem(ensemble, snapshot), snapshot.shape[0])
         assert np.abs(cf.delta - reference).max() <= 1e-9, alarm
 
 
@@ -809,7 +810,7 @@ def test_early_polish_releases_rows_after_a_repair_round():
         ensemble, snapshot, run.cf_config(threshold), solver_options=run.solver_options()
     )
     assert (cf.solution.path, cf.solution.iterations) == ("early_polish", 25)
-    reference = _tight_reference(_slot_problem(ensemble, snapshot), snapshot.shape[0])
+    reference = _tight_reference(_kept_problem(ensemble, snapshot), snapshot.shape[0])
     assert np.abs(cf.delta - reference).max() <= 1e-9
 
 
@@ -825,7 +826,7 @@ def test_a_kept_polish_holds_only_its_lu_factors():
         cf = explain.ensemble_counterfactual(
             ensemble, snapshot, config, solver_options=run.solver_options(), warm_start=cf
         )
-    problem = _slot_problem(ensemble, snapshot)
+    problem = _kept_problem(ensemble, snapshot)
     # the returned polish pushes only on the most recently used set's rows
     assert cf.solution.path != "admm"
     latest = np.frombuffer(list(problem._kkt_slot)[-1], np.intp)
@@ -854,7 +855,7 @@ def _solutions_of(monkeypatch, explain_all, fresh):
         if fresh:
             for name in ("ensemble_counterfactual", "independent_counterfactual"):
                 def dropping(owner, *args, _original=getattr(explain, name), **kwargs):
-                    owner._program_slot[0] = None
+                    vars(owner).pop(explain._KEPT_PROGRAM, None)
                     return _original(owner, *args, **kwargs)
 
                 patch.setattr(explain, name, dropping)
@@ -943,13 +944,13 @@ def test_squared_error_explanations_match_a_tight_reference():
             ensemble, x, config, targets=rng.normal(size=k), solver_options=options
         )
         assert cf.solution.path in ("early_polish", "final_polish")
-        reference = _tight_reference(_slot_problem(ensemble, x), n)
+        reference = _tight_reference(_kept_problem(ensemble, x), n)
         assert np.abs(cf.delta - reference).max() <= 1e-9
 
 
-def _slot_problem(owner, x):
+def _kept_problem(owner, x):
     """The problem of the program ``owner`` keeps, for the snapshot ``x``."""
-    program = owner._program_slot[0]
+    program = kept_program(owner)
     assert program is not None
     return program.at(program.residual(x))
 
@@ -992,18 +993,18 @@ def test_program_is_reused_only_for_the_same_models_targets_and_config():
     config = explain.CfConfig(tolerances=0.05)
     x0, x1, x2 = (rng.normal(size=6) for _ in range(3))
     first = explain.ensemble_counterfactual(ensemble, x0, config, solver_options=TIGHT)
-    program = ensemble._program_slot[0]
+    program = kept_program(ensemble)
     assert program is not None
     # a one-off call reuses it as a warm-started one does
     explain.ensemble_counterfactual(ensemble, x1, config, solver_options=TIGHT)
     chained = explain.ensemble_counterfactual(
         ensemble, x1, config, solver_options=TIGHT, warm_start=first
     )
-    assert ensemble._program_slot[0] is program
+    assert kept_program(ensemble) is program
     # an equal config object is the same config
     equal = explain.CfConfig(tolerances=0.05)
     explain.ensemble_counterfactual(ensemble, x2, equal, solver_options=TIGHT)
-    assert ensemble._program_slot[0] is program
+    assert kept_program(ensemble) is program
 
     reweighted = sensors.Ensemble(
         models=tuple(
@@ -1018,18 +1019,44 @@ def test_program_is_reused_only_for_the_same_models_targets_and_config():
         (ensemble, config, 0.3),
     ]
     for other, other_config, targets in variants:
-        # each variant differs from the program in the slot in one term
+        # each variant differs from the kept program in one term
         explain.ensemble_counterfactual(ensemble, x2, config, solver_options=TIGHT)
-        kept = ensemble._program_slot[0]
+        kept = kept_program(ensemble)
         cf = explain.ensemble_counterfactual(
             other, x2, other_config, targets, solver_options=TIGHT, warm_start=chained
         )
-        assert other._program_slot[0] is not kept
-        _assert_program_is_reference(_slot_problem(other, x2), other, x2, targets, other_config)
+        assert kept_program(other) is not kept
+        _assert_program_is_reference(_kept_problem(other, x2), other, x2, targets, other_config)
         reference = explain.ensemble_counterfactual(
             fresh_copy(other), x2, other_config, targets, solver_options=TIGHT, warm_start=chained
         )
         assert cf.delta.tobytes() == reference.delta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "owner_of, explain_one",
+    [
+        (lambda e: e, explain.ensemble_counterfactual),
+        (lambda e: e.models[0], explain.independent_counterfactual),
+    ],
+    ids=["ensemble", "model"],
+)
+def test_explaining_a_copy_leaves_the_original_program_in_place(owner_of, explain_one, monkeypatch):
+    # A copy keeps its own program: explaining it under another config
+    # neither replaces nor rebuilds the original's.
+    rng = np.random.default_rng(79)
+    original = owner_of(random_ensemble(rng, 5, 3))
+    config = explain.CfConfig(tolerances=0.05)
+    x = rng.normal(size=5)
+    explain_one(original, x, config=config)
+    program = kept_program(original)
+    built = count_program_builds(monkeypatch)
+    duplicate = copy.copy(original)
+    explain_one(duplicate, x, config=explain.CfConfig(tolerances=0.05, slack_penalty=10.0))
+    assert kept_program(duplicate) is not program
+    explain_one(original, x, config=config)
+    assert kept_program(original) is program
+    assert len(built) == 1
 
 
 def test_per_model_warm_start_from_another_model_uses_its_own_program():
@@ -1046,10 +1073,10 @@ def test_per_model_warm_start_from_another_model_uses_its_own_program():
         warm_start=explain.independent_counterfactual(first, x0, 0.0, config),
     )
     explain.independent_counterfactual(second, x1, 0.0, config, warm_start=chained)
-    assert second._program_slot[0] is not first._program_slot[0]
-    assert ensemble._program_slot[0] is None  # the models keep theirs apart
+    assert kept_program(second) is not kept_program(first)
+    assert kept_program(ensemble) is None  # the models keep theirs apart
     single = sensors.Ensemble(models=(second,), window=3)
-    _assert_program_is_reference(_slot_problem(second, x1), single, x1, 0.0, config)
+    _assert_program_is_reference(_kept_problem(second, x1), single, x1, 0.0, config)
 
 
 @pytest.mark.parametrize("complexity, dist", [("l1", "abs"), ("l2", "squared")])
@@ -1128,7 +1155,7 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
         for t in steps:
             x = explain.snapshot_at_alarm(panel, as_ensemble, int(t))
             cf = explain_step(x, previous)
-            problem = _slot_problem(owner, x)
+            problem = _kept_problem(owner, x)
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
                 warm_hits.append((problem, previous.solution, cf.solution))

@@ -65,6 +65,38 @@ def test_config_invariants_rejected():
         netgen.ScenarioConfig(noise_std=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field_name,value",
+    [
+        ("n_pressure", 12.0),
+        ("n_pressure", True),
+        ("n_flow", True),
+        ("n_flow", 2.5),
+        ("n_steps", 2000.5),
+        ("train_end", 700.5),
+        ("latent_dim", 3.0),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", -1),
+    ],
+)
+def test_config_rejects_non_integer_sizes_and_seeds(field_name, value):
+    with pytest.raises(ValueError, match=f"^{field_name} must be (an integer|nonnegative)"):
+        netgen.ScenarioConfig(**{field_name: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = netgen.ScenarioConfig(
+        n_pressure=np.int64(4), n_flow=np.int32(1), n_steps=np.int64(300),
+        train_end=np.int64(100), latent_dim=np.int16(2), seed=np.uint32(5),
+    )
+    panel = netgen.generate_clean(cfg)
+    assert panel.values.shape == (300, 5)
+    assert panel.values.tobytes() == netgen.generate_clean(
+        netgen.ScenarioConfig(n_pressure=4, n_flow=1, n_steps=300, train_end=100, latent_dim=2, seed=5)
+    ).values.tobytes()
+
+
 def test_power_failure_zeroes_readings(default_panel):
     fault = netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=2, onset=800)
     faulty = netgen.inject_fault(default_panel, fault, seed=0)

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, netgen, optim, pipeline
+from faultprint import detector, explain, netgen, optim, pipeline, plots
 from faultprint.cli import main
 from conftest import count_program_builds, fresh_copy, record_solves
 
@@ -181,6 +182,7 @@ def test_config_error_names_the_bad_value(tmp_path, section, line):
         ("scenario", "noise_std = nan"),
         ("scenario", "noise_std = inf"),
         ("grid", "drift_cap = nan"),
+        ("grid", "drift_cap = -inf"),
         ("grid", "constant_offset = nan"),
         ("grid", "proportional_offset = inf"),
         ("grid", "drift = nan"),
@@ -536,6 +538,40 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     assert main(["--config", str(cfg_path), "simulate"]) == 0
     assert (override / "scenarios").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_explain_chart_of_labels_with_markup_characters_is_well_formed(tiny_run):
+    cfg_path, out = tiny_run
+    assert main(["--config", str(cfg_path), "simulate"]) == 0
+    assert main(["--config", str(cfg_path), "train"]) == 0
+    sid = "constant_offset-m0-s1"
+    csv_path = out / "scenarios" / sid / "faulty.csv"
+    panel = netgen.load_csv(csv_path)
+    labels = ("T&P", "a<b", "c>d") + panel.labels[3:]
+    netgen.write_csv(dataclasses.replace(panel, labels=labels), csv_path)
+    assert main(["--config", str(cfg_path), "explain", "--scenario", sid]) == 0
+    (svg_path,) = (out / "explain" / sid).glob("fingerprint-t*.svg")
+    root = ET.fromstring(svg_path.read_text(encoding="utf-8"))
+    texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[2 : 2 + len(labels)] == list(labels)  # after the two tick labels
+    chart = ET.fromstring(plots.bar_chart_svg(["a&b"], [1.0], title="<T&P>"))
+    assert chart.find("{http://www.w3.org/2000/svg}title").text == "<T&P>"
+
+
+def test_empty_output_dir_fails_before_writing(tmp_path, monkeypatch, capsys):
+    # An empty path would put every output in the working directory.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text("[output]\ndir =\n", encoding="utf-8")
+    with pytest.raises(pipeline.ConfigError, match=r"\[output\] dir"):
+        pipeline.load_run_config(path)
+    assert main(["--config", str(path), "simulate"]) == 2
+    assert "[output] dir" in capsys.readouterr().err
+    monkeypatch.setenv(pipeline.ENV_OUTDIR, "")
+    path.write_text(TINY_CONFIG.format(out=tmp_path / "out"), encoding="utf-8")
+    assert main(["--config", str(path), "simulate"]) == 2
+    assert pipeline.ENV_OUTDIR in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_seed_flag_restricts_grid(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faultprint import explain, netgen, sensors
-from conftest import constant_panel, fresh_copy
+from conftest import constant_panel, fresh_copy, kept_program
 from oracles import normal_equations_fit, predict, window_average
 
 
@@ -257,15 +257,30 @@ def test_explained_ensemble_equals_its_saved_copy(tmp_path, default_ensemble, de
     x = default_panel.values[1000]
     explain.ensemble_counterfactual(ensemble, x)
     explain.independent_counterfactual(ensemble.models[0], x)
-    assert ensemble._program_slot[0] is not None
-    assert ensemble.models[0]._program_slot[0] is not None
+    assert kept_program(ensemble) is not None
+    assert kept_program(ensemble.models[0]) is not None
     path = tmp_path / "models.txt"
     sensors.save_ensemble(ensemble, path)
     loaded = sensors.load_ensemble(path)
-    assert loaded._program_slot == [None]
+    assert kept_program(loaded) is None
     assert loaded == ensemble and ensemble == loaded
     assert loaded.models[0] == ensemble.models[0]
     assert "program" not in repr(ensemble)
     other = dataclasses.replace(ensemble.models[0], bias=ensemble.models[0].bias + 1.0)
     assert other != ensemble.models[0]
     assert ensemble != sensors.Ensemble(models=(other,), window=ensemble.window)
+
+
+def test_explained_ensemble_fields_hold_only_model_data(default_ensemble, default_panel):
+    ensemble = fresh_copy(default_ensemble)
+    x = default_panel.values[1000]
+    explain.ensemble_counterfactual(ensemble, x)
+    explain.independent_counterfactual(ensemble.models[0], x)
+    model_fields = ["weights", "bias", "target", "window"]
+    assert [f.name for f in dataclasses.fields(ensemble)] == ["models", "window"]
+    assert [f.name for f in dataclasses.fields(ensemble.models[0])] == model_fields
+    as_dict = dataclasses.asdict(ensemble)
+    assert list(as_dict) == ["models", "window"]
+    assert [list(model) for model in as_dict["models"]] == [model_fields] * len(ensemble.models)
+    assert len(dataclasses.astuple(ensemble)) == 2
+    assert len(dataclasses.astuple(ensemble.models[0])) == 4

@@ -23,6 +23,8 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     assert first == second
     # 20 alarm steps, each explained by the ensemble and its 12 models
     assert first["solves"] == "260"
+    # one program for the ensemble and one for each of its 12 models
+    assert first["programs"] == "13"
     assert "warm=" in first["paths"]
     assert len(first["sha256"]) == 64
     assert len(first["points_sha256"]) == 64
@@ -39,6 +41,7 @@ def test_solve_digest_of_random_problems_is_repeatable():
     assert first == second
     # each problem cold and warm from the cold solution, at two tolerances
     assert first["solves"] == "80"
+    assert first["programs"] == "0"
     assert int(first["polish"]) > 0
     assert first["points_sha256"] != first["sha256"]
     assert first["explanations_sha256"] == hashlib.sha256().hexdigest()  # none made
