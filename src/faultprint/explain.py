@@ -256,9 +256,40 @@ class _Program:
             l=np.full(m, -np.inf),
             u=np.full(m, np.inf),
         )
+        # A one-row, two-sided l1/abs program has a closed-form vertex.
+        self._has_vertex = k == 1 and l1 and not squared and not one_sided[0]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.G @ x + self.bias - self.targets
+
+    def vertex_duals(self, r0: np.ndarray) -> np.ndarray | None:
+        """Dual signs of the optimal vertex for residual r0; None without a closed form.
+
+        Only a one-row, two-sided l1/abs program (a per-model explanation,
+        or an ensemble of one) has one.  If ``|r0| <= tol`` no change is
+        needed, and every variable's nonnegativity row is pinned.  Otherwise
+        the violated residual row is pinned (row 0 when r0 > 0, row 1
+        otherwise), and so is every nonnegativity row but that of the one
+        variable that moves: the slack when ``1 / |g_i|`` exceeds the slack
+        penalty for the largest ``|g_i|``, else the part of ``delta_i`` with
+        sign ``-sign(g_i r0)``.  A pinned residual row pushes on its upper
+        bound (+1), a pinned nonnegativity row on its lower bound (-1).
+        """
+        if not self._has_vertex:
+            return None
+        r, tol, g = float(r0[0]), float(self.tol[0]), self.G[0]
+        n = g.shape[0]
+        duals = np.zeros(self._base.n_constraints)
+        duals[2:] = -1.0  # nonnegativity rows, in variable order [delta+, delta-, s]
+        if abs(r) > tol:
+            duals[0 if r > 0 else 1] = 1.0
+            i = int(np.argmax(np.abs(g)))
+            if abs(g[i]) * self.cfg.slack_penalty < 1.0:
+                moving = 2 * n  # the slack
+            else:
+                moving = i if g[i] * r < 0 else n + i
+            duals[2 + moving] = 0.0
+        return duals
 
     def at(self, r0: np.ndarray) -> optim.ConvexProblem:
         """The program for residuals r0; only its bounds are computed."""
@@ -335,7 +366,12 @@ def _counterfactual(
         raise ValueError("snapshot contains non-finite readings")
     r0 = program.residual(x_orig)
     previous = warm_start.solution if warm_start is not None else None
-    solution = optim.solve(program.at(r0), **(solver_options or {}), warm_start=previous)
+    solution = optim.solve(
+        program.at(r0),
+        **(solver_options or {}),
+        warm_start=previous,
+        _dual_guess=program.vertex_duals(r0),
+    )
     if solution.status is not optim.SolveStatus.OPTIMAL:
         raise ExplainError(
             f"counterfactual solve ended with status {solution.status.value} "
@@ -399,9 +435,11 @@ def ensemble_counterfactual(
     the no-alarm condition; slack keeps the program feasible.
     ``warm_start``, the explanation of a nearby snapshot by the same
     ensemble and config, lets the solver try that optimum's active set
-    first; the result is certified either way.  The ensemble keeps its
-    latest program, so calls with the same targets and config build and
-    validate it once.
+    first; the result is certified either way.  An ensemble of one model
+    with l1 complexity and absolute error starts at its closed-form vertex
+    instead, as :func:`independent_counterfactual` does.  The ensemble
+    keeps its latest program, so calls with the same targets and config
+    build and validate it once.
     """
     return _linear_counterfactual(
         ensemble, ensemble.models, x_orig, config, targets, solver_options, warm_start
@@ -420,7 +458,11 @@ def independent_counterfactual(
 
     Same construction as the ensemble path restricted to one constraint, so
     an ensemble of one reproduces this optimum.  The model keeps its latest
-    program, as an ensemble does.
+    program, as an ensemble does.  With l1 complexity and absolute error
+    the optimum is known in closed form, and the solve starts at that
+    vertex (:meth:`_Program.vertex_duals`): it still runs and is certified,
+    and ``warm_start`` is checked for its shape but not used.  Other
+    configs start from ``warm_start``, as the ensemble path does.
     """
     return _linear_counterfactual(
         model, (model,), x_orig, config, float(y_cf), solver_options, warm_start

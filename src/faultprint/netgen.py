@@ -173,6 +173,10 @@ class FaultSpec:
     onset: int
 
     def __post_init__(self) -> None:
+        for name in ("sensor", "onset"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.sensor < 0:
             raise ValueError("sensor index must be nonnegative")
         if self.onset < 0:

@@ -15,7 +15,10 @@ alarm steps) can pass the previous :class:`Solution` as ``warm_start``.
 The solver first re-solves on that solution's active set and returns the
 result with zero iterations if it passes; on a miss it runs the cold
 iteration, whose polish can run other rounds than a first solve's: the
-missed re-solve has updated the family's kept KKT factors (below).
+missed re-solve has updated the family's kept KKT factors (below).  A
+caller that knows the optimal vertex in closed form (a one-row l1/abs
+counterfactual) passes its dual signs privately instead, and the solver
+starts from them in the same way.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two kinds of factorization: the KKT factors
@@ -199,8 +202,9 @@ class _KktFactor(NamedTuple):
 class Solution:
     """A solve's result and how it was reached.
 
-    ``path`` names the point returned: ``warm`` (the warm start's active
-    set re-solved, no iterations), ``early_polish`` (an active-set re-solve
+    ``path`` names the point returned: ``warm`` (the active set of the
+    warm start, or of the caller's closed-form vertex guess, re-solved, no
+    iterations), ``early_polish`` (an active-set re-solve
     during the ADMM loop), ``final_polish`` (the re-solve after ADMM
     converged) or ``admm`` (the ADMM iterate itself, unpolished).
     """
@@ -587,6 +591,8 @@ def solve(
     tol_rel: float = DEFAULT_TOL_REL,
     max_iters: int = DEFAULT_MAX_ITERS,
     warm_start: Solution | None = None,
+    *,
+    _dual_guess: np.ndarray | None = None,
 ) -> Solution:
     """Solve the problem.
 
@@ -598,7 +604,11 @@ def solve(
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes, and otherwise ignored.  The ADMM start and polishing reuse
+    it passes, and otherwise ignored.  ``_dual_guess``, dual signs of a
+    vertex the caller computed in closed form (see
+    ``explain._Program.vertex_duals``), is tried the same way, in place of
+    the warm start's duals; a warm start given with it is only checked for
+    its shape.  The ADMM start and polishing reuse
     the factors of the problem's family (see
     :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  A
     reused factor is bit-equal to a new one, but a polish keeps a kept row
@@ -620,7 +630,10 @@ def solve(
                 f"warm start has {warm_start.z.shape[0]} variables and "
                 f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
             )
-        guess = _polish(problem, warm_start.y, tol_abs, tol_rel)
+        if _dual_guess is None:
+            _dual_guess = warm_start.y
+    if _dual_guess is not None:
+        guess = _polish(problem, _dual_guess, tol_abs, tol_rel)
         if guess is not None:
             return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, "warm")
 

@@ -252,7 +252,10 @@ def load_scenario_files(
         )
     panel = netgen.load_csv(faulty_path)
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return panel, _fault_from_json(meta["fault"]), int(meta["train_end"])
+    train_end = meta.get("train_end")
+    if not optim.is_integer(train_end):
+        raise ConfigError(f"{meta_path}: train_end must be an integer, got {train_end!r}")
+    return panel, _fault_from_json(meta["fault"]), train_end
 
 
 def load_model_files(run: RunConfig, scenario_id: str) -> tuple[sensors.Ensemble, float]:
@@ -321,9 +324,10 @@ def localize_scenario(
     certificate_excess = -math.inf
 
     # Consecutive alarm steps have near-identical snapshots, so each step's
-    # explanations warm-start the next step's; the ensemble and each model
-    # keep their program, and its factorizations, across the steps.  The
-    # audit reads the certified solution each explanation returns.
+    # explanations warm-start the next step's (an l1/abs per-model solve
+    # starts at its closed-form vertex instead); the ensemble and each
+    # model keep their program, and its factorizations, across the steps.
+    # The audit reads the certified solution each explanation returns.
     cf: Optional[explain.Counterfactual] = None
     per_model: list[Optional[explain.Counterfactual]] = [None] * len(ensemble.models)
     solutions: list[optim.Solution] = []

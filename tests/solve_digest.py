@@ -22,8 +22,9 @@ every finite bound widened by 1e-3.
 Prints the solve count, the ADMM iterations, the count of each status and
 solution path, and two SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
-``points_sha256`` over the same fields without the iterations, so a change
-that keeps every point and only saves iterations keeps it.  A third,
+``points_sha256`` over the same fields without the iterations and the
+path, so a change that keeps every point and only saves iterations, or
+reaches a point by another path, keeps it.  A third,
 ``explanations_sha256``, covers what the explanations decode from those
 solves: each ``Counterfactual``'s delta, x_cf, slacks, objective and
 slack-free flag, in call order (it wraps ``explain._decode``), and, on
@@ -157,19 +158,16 @@ def main(argv=None) -> int:
         counts["iterations"] += sol.iterations
         statuses[sol.status.value] += 1
         paths[sol.path] += 1
-        iterations = str(sol.iterations).encode()
-        for part in (
-            sol.z.tobytes(),
-            sol.y.tobytes(),
-            sol.status.value.encode(),
-            iterations,
-            sol.path.encode(),
+        point = (sol.z.tobytes(), sol.y.tobytes(), sol.status.value.encode())
+        certificate = (
             repr(tuple(float(v) for v in sol.kkt)).encode(),
             repr(tuple(float(v) for v in sol.kkt_tol)).encode(),
-        ):
+        )
+        how = (str(sol.iterations).encode(), sol.path.encode())
+        for part in point + how + certificate:
             update(digest, part)
-            if part is not iterations:
-                update(points_digest, part)
+        for part in point + certificate:
+            update(points_digest, part)
         return sol
 
     def hashed_decode(*a, **kw):

@@ -12,6 +12,7 @@ from oracles import (
     counterfactual_program_rows,
     kkt_residuals_reference,
     kkt_tolerances_reference,
+    lp_vertex_objective,
 )
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
@@ -553,13 +554,15 @@ def test_classifiers_compare_field_by_field():
 
 
 def test_solver_failure_is_propagated_with_diagnostics():
+    # Squared error: an l1/abs per-model solve starts at its closed-form
+    # vertex and needs no iteration.
     model = single_model([2.0, 1.0], bias=0.0, target=2)
     with pytest.raises(explain.ExplainError, match="max_iters"):
         explain.independent_counterfactual(
             model,
             np.array([5.0, 5.0, 0.0]),
             0.0,
-            explain.CfConfig(),
+            explain.CfConfig(dist="squared"),
             solver_options={"max_iters": 1},
         )
 
@@ -646,16 +649,21 @@ def random_single_model(rng, n):
 
 
 def l1_single_model_oracle(model, x, tol):
-    """Closed-form optimum of the per-model L1 program with ample penalty.
+    """Closed-form optimum of the per-model L1 program with ample penalty."""
+    g = residual_coefficients(model, x.shape[0])
+    return l1_one_row_oracle(g, float(g @ x + model.bias), tol, np.inf)
+
+
+def l1_one_row_oracle(g, r0, tol, penalty):
+    """Closed-form optimum of a one-row l1/abs program.
 
     One residual row g'delta + r0: the cheapest change puts everything on
-    the largest-|g_i| channel, just enough to bring |r0| down to tol.
+    the largest-|g_i| channel, just enough to bring |r0| down to tol,
+    unless the slack, at ``penalty`` per unit, is cheaper than 1/|g_i|.
     """
-    g = residual_coefficients(model, x.shape[0])
-    r0 = float(g @ x + model.bias)
-    delta = np.zeros_like(x)
-    if abs(r0) > tol:
-        i = int(np.argmax(np.abs(g)))
+    delta = np.zeros_like(g)
+    i = int(np.argmax(np.abs(g)))
+    if abs(r0) > tol and abs(g[i]) * penalty >= 1.0:
         delta[i] = -np.sign(g[i] * r0) * (abs(r0) - tol) / abs(g[i])
     return delta
 
@@ -691,6 +699,8 @@ def test_per_model_l1_matches_closed_form_cold_and_warm():
         expected = l1_single_model_oracle(model, x, float(config.tolerances))
         for cf in (previous, cold, warm):
             assert cf.solution.status is optim.SolveStatus.OPTIMAL
+        # the closed-form vertex starts the solve, with or without a warm start
+        assert cold.solution.iterations == 0
         assert np.abs(cold.delta - expected).max() <= 1e-6
         assert np.abs(warm.delta - expected).max() <= 1e-6
         # same residual sign, same optimal vertex: the warm start must hit
@@ -699,11 +709,14 @@ def test_per_model_l1_matches_closed_form_cold_and_warm():
 
 
 def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
+    # An l1/squared per-model program has no closed-form start, so a
+    # caller's warm start decides where its solve starts.  (The polish
+    # repairs an l2/squared warm start from the opposite residual sign.)
     rng = np.random.default_rng(43)
     for _ in range(20):
         n = int(rng.integers(3, 9))
         model = random_single_model(rng, n)
-        config = explain.CfConfig(tolerances=0.1)
+        config = explain.CfConfig(tolerances=0.1, dist="squared")
         # the opposite residual sign needs the opposite constraint active
         x_prev = snapshot_with_residual(rng, model, n, 2.0)
         x = snapshot_with_residual(rng, model, n, -1.5)
@@ -723,7 +736,114 @@ def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
         assert solution.status is optim.SolveStatus.OPTIMAL
         assert solution.kkt.primal <= solution.kkt_tol.primal
         assert solution.kkt.dual <= solution.kkt_tol.dual
-        assert np.abs(warm.delta - l1_single_model_oracle(model, x, 0.1)).max() <= 1e-6
+        # with this penalty the change stops at the dead zone's edge,
+        # |e| = sqrt(tol), as the l1/abs optimum stops at |e| = tol
+        expected = l1_single_model_oracle(model, x, np.sqrt(0.1))
+        assert np.abs(warm.delta - expected).max() <= 1e-6
+
+
+def test_per_model_l1_ignores_a_warm_start_from_an_unrelated_snapshot():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        model = random_single_model(rng, n)
+        config = explain.CfConfig(tolerances=0.1)
+        x_prev = snapshot_with_residual(rng, model, n, 2.0)
+        x = snapshot_with_residual(rng, model, n, -1.5)
+        previous = explain.independent_counterfactual(
+            model, x_prev, 0.0, config, solver_options=TIGHT
+        )
+        cold = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT
+        )
+        warm = explain.independent_counterfactual(
+            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
+        )
+        _assert_same_solution(warm.solution, cold.solution)
+        assert warm.solution.path == cold.solution.path == "warm"
+        assert warm.delta.tobytes() == cold.delta.tobytes()
+
+
+VERTEX_CASES = ("above", "below", "inside", "slack", "tie")
+
+
+def _one_row_l1_program(rng, case):
+    """A one-row, two-sided l1/abs program, a snapshot, its residual r0 and
+    whether the program's optimum is unique.
+
+    ``above`` and ``below`` put r0 past +tol and -tol, ``inside`` within
+    them; ``slack`` prices the slack below 1/max|g_i|, and ``tie`` gives two
+    channels the largest |g_i|.
+    """
+    n = int(rng.integers(2, 8))
+    while True:
+        g = rng.normal(scale=1.5, size=n)
+        if case == "tie":
+            i, j = rng.choice(n, size=2, replace=False)
+            g[[i, j]] = 1.2 * np.abs(g).max() * rng.choice([-1.0, 1.0], size=2)
+        top, runner_up = np.sort(np.abs(g))[::-1][:2]
+        if top > 0.1 and (case == "tie" or top - runner_up > 0.05):
+            break
+    tol = float(rng.uniform(0.05, 0.3))
+    penalty = float(rng.uniform(0.1, 0.9)) / top if case == "slack" else 1e3
+    if case == "inside":
+        r0 = float(rng.uniform(-0.9, 0.9)) * tol
+    else:
+        r0 = (tol + float(rng.uniform(0.5, 3.0))) * (-1.0 if case == "below" else 1.0)
+    x = rng.normal(size=n)
+    program = explain._Program(
+        g[None, :], np.array([r0 - g @ x]), np.zeros(1), np.array([tol]),
+        np.zeros(1, dtype=bool), explain.CfConfig(slack_penalty=penalty, tolerances=tol),
+    )
+    return program, x, r0, case != "tie"
+
+
+@pytest.mark.parametrize("case", VERTEX_CASES)
+def test_one_row_l1_programs_start_at_their_closed_form_vertex(case):
+    rng = np.random.default_rng(97 + VERTEX_CASES.index(case))
+    for _ in range(25):
+        program, x, r0, unique = _one_row_l1_program(rng, case)
+        assert program.residual(x)[0] == pytest.approx(r0, abs=1e-12)
+        cf = explain._counterfactual(program, x, TIGHT)
+        solution = cf.solution
+        assert solution.status is optim.SolveStatus.OPTIMAL
+        assert (solution.iterations, solution.path) == (0, "warm") or solution.iterations > 0
+        problem = program.at(program.residual(x))
+        best = lp_vertex_objective(problem.q, problem.A, problem.l, problem.u)
+        assert solution.objective == pytest.approx(best, abs=1e-8)
+        g, tol = program.G[0], float(program.tol[0])
+        expected = l1_one_row_oracle(g, program.residual(x)[0], tol, program.cfg.slack_penalty)
+        if unique:
+            assert solution.iterations == 0
+            assert np.abs(cf.delta - expected).max() <= 1e-9
+            cold = _fresh_solve(problem, TIGHT)
+            assert cold.iterations > 0
+            assert solution.z.tobytes() == cold.z.tobytes()
+            assert solution.y.tobytes() == cold.y.tobytes()
+        else:
+            # the optima are a face: any split of the change between the
+            # tied channels that has the closed form's l1 norm
+            off_peak = np.abs(g) < np.abs(g).max()
+            assert np.abs(cf.delta[off_peak]).max(initial=0.0) <= 1e-9
+            assert np.abs(cf.delta).sum() == pytest.approx(np.abs(expected).sum(), abs=1e-9)
+
+
+def test_only_one_row_two_sided_l1_abs_programs_have_a_vertex_guess():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(2, 4))
+    r0 = np.array([1.0, -1.0])
+
+    def program(rows, one_sided=False, **config):
+        return explain._Program(
+            g[:rows], np.zeros(rows), np.zeros(rows), np.full(rows, 0.1),
+            np.full(rows, one_sided), explain.CfConfig(**config),
+        )
+
+    assert program(1).vertex_duals(r0[:1]) is not None
+    assert program(2).vertex_duals(r0) is None
+    assert program(1, one_sided=True).vertex_duals(r0[:1]) is None
+    assert program(1, complexity="l2").vertex_duals(r0[:1]) is None
+    assert program(1, dist="squared").vertex_duals(r0[:1]) is None
 
 
 def test_warm_start_shape_mismatch_is_rejected():
@@ -981,10 +1101,10 @@ def _assert_same_solution(ours, expected):
     assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
 
 
-def _fresh_solve(problem, options, warm_start=None):
+def _fresh_solve(problem, options, warm_start=None, dual_guess=None):
     """``optim.solve`` on a newly built problem, which shares no factors."""
     fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
-    return optim.solve(fresh, **options, warm_start=warm_start)
+    return optim.solve(fresh, **options, warm_start=warm_start, _dual_guess=dual_guess)
 
 
 def test_program_is_reused_only_for_the_same_models_targets_and_config():
@@ -1118,8 +1238,9 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
 ):
     # Each chain builds its program once, every step's program is the
     # row-by-row reference, and every warm hit is exactly the solve of a
-    # freshly built problem, which shares no factors: reusing programs and
-    # factors changes no bit.
+    # freshly built problem from the same start, which shares no factors:
+    # reusing programs and factors changes no bit.  An l1/abs model starts
+    # at its closed-form vertex, the first step included.
     ensemble = fresh_copy(default_ensemble)
     panel = power_failure_scenario.faulty
     config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
@@ -1158,11 +1279,14 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             problem = _kept_problem(owner, x)
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
-                warm_hits.append((problem, previous.solution, cf.solution))
+                program = kept_program(owner)
+                guess = program.vertex_duals(program.residual(x))
+                start = previous.solution if previous is not None else None
+                warm_hits.append((problem, start, guess, cf.solution))
             previous = cf
     assert len(built) == len(chains)
     assert len(warm_hits) >= len(steps)  # most steps are warm hits
     # and some of the chains' active-set solves skipped the factorization
     assert calls["_factor_kkt"] < calls["_active_set_solve"]
-    for problem, warm_start, ours in warm_hits:
-        _assert_same_solution(ours, _fresh_solve(problem, options, warm_start))
+    for problem, warm_start, guess, ours in warm_hits:
+        _assert_same_solution(ours, _fresh_solve(problem, options, warm_start, guess))

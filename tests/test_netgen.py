@@ -97,6 +97,21 @@ def test_config_accepts_numpy_integers():
     ).values.tobytes()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sensor", True), ("sensor", 2.0), ("sensor", 2.5), ("onset", False), ("onset", 800.0), ("onset", "800")],
+)
+def test_fault_spec_rejects_a_non_integer_sensor_or_onset(field, value):
+    fields = {"sensor": 2, "onset": 800, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        netgen.FaultSpec(kind=netgen.PowerFailure(), **fields)
+
+
+def test_fault_spec_accepts_numpy_integers():
+    fault = netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=np.int64(2), onset=np.int32(800))
+    assert (fault.sensor, fault.onset) == (2, 800)
+
+
 def test_power_failure_zeroes_readings(default_panel):
     fault = netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=2, onset=800)
     faulty = netgen.inject_fault(default_panel, fault, seed=0)

@@ -463,6 +463,28 @@ def test_cli_errors_on_corrupt_threshold_file(tiny_run, capsys, text):
     assert not (out / "detection.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "train_end", [100.9, 100.0, True, "100", None], ids=["fraction", "float", "bool", "text", "missing"]
+)
+def test_cli_errors_on_a_non_integer_train_end(tiny_run, capsys, train_end):
+    cfg_path, out = tiny_run
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    meta_path = out / "scenarios" / "constant_offset-m0-s1" / "fault.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if train_end is None:
+        del meta["train_end"]
+    else:
+        meta["train_end"] = train_end
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "detect"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faultprint: error:")
+    assert f"{meta_path}: train_end must be an integer, got {train_end!r}" in err
+    assert not (out / "detection.csv").exists()
+
+
 def test_cli_explains_the_given_step_inside_the_evaluated_range(tiny_run, capsys):
     cfg_path, out = tiny_run
     for command in ("simulate", "train"):
@@ -641,9 +663,12 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
     def without_warm_start(cold_solver):
         return lambda *args, warm_start=None, **kwargs: cold_solver(*args, **kwargs)
 
-    # The per-model path does not go through ensemble_counterfactual.
+    # The per-model path does not go through ensemble_counterfactual, and
+    # an l1/abs per-model solve starts at its closed-form vertex unless
+    # that start is taken away too.
     for name in ("ensemble_counterfactual", "independent_counterfactual"):
         monkeypatch.setattr(explain, name, without_warm_start(getattr(explain, name)))
+    monkeypatch.setattr(explain._Program, "vertex_duals", lambda program, r0: None)
     cold, cold_iterations = localize_all()
     assert warm == cold
     assert 0 in warm_iterations
