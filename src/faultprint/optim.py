@@ -41,12 +41,37 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+
+
+def _bound_on_first_call(name: str):
+    """Stand-in for the float64 LAPACK routine ``name`` until its first call.
+
+    The call imports scipy's LAPACK bindings, puts the routine in place of
+    the stand-in (unless something else has taken the module name since)
+    and runs it; later calls through the module name reach the routine
+    directly.
+    """
+    routine = None
+
+    def stand_in(*args, **kwargs):
+        nonlocal routine
+        if routine is None:
+            from scipy.linalg.lapack import get_lapack_funcs
+
+            (routine,) = get_lapack_funcs((name,), dtype=np.float64)
+        if globals()["_" + name] is stand_in:
+            globals()["_" + name] = routine
+        return routine(*args, **kwargs)
+
+    return stand_in
+
 
 # LAPACK bound directly: scipy.linalg's wrappers cost more per call than the
-# factorizations of these tens-of-rows systems.
-_potrf, _potrs, _getrf, _getrs, _geqp3 = get_lapack_funcs(
-    ("potrf", "potrs", "getrf", "getrs", "geqp3"), dtype=np.float64
+# factorizations of these tens-of-rows systems.  Each routine is bound on its
+# first use, so importing this module (and every command that solves
+# nothing) loads no scipy module.
+_potrf, _potrs, _getrf, _getrs, _geqp3 = map(
+    _bound_on_first_call, ("potrf", "potrs", "getrf", "getrs", "geqp3")
 )
 
 DEFAULT_TOL_ABS = 1e-7

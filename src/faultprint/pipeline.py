@@ -214,9 +214,43 @@ def _fault_to_json(fault: netgen.FaultSpec) -> dict:
     }
 
 
-def _fault_from_json(data: dict) -> netgen.FaultSpec:
-    kind = netgen.FAULT_KINDS[data["kind"]](**data["params"])
-    return netgen.FaultSpec(kind=kind, sensor=data["sensor"], onset=data["onset"])
+def _fault_from_json(
+    data, where: Path, train_end: int, panel: netgen.ReadingsPanel
+) -> netgen.FaultSpec:
+    """The fault in ``data``, ``fault.json``'s ``fault`` object, checked key by key.
+
+    The sensor must be a channel of ``panel`` and the onset must fall after
+    the training prefix and inside the panel; ``where`` names the file in
+    the error.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: fault must be an object, got {data!r}")
+    for key in ("kind", "params", "sensor", "onset"):
+        if key not in data:
+            raise ConfigError(f"{where}: fault.{key} is missing")
+    name, params = data["kind"], data["params"]
+    if name not in netgen.FAULT_KIND_NAMES:
+        raise ConfigError(f"{where}: unknown fault.kind {name!r}")
+    if not isinstance(params, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in params.values()
+    ):
+        raise ConfigError(f"{where}: fault.params must map names to numbers, got {params!r}")
+    try:
+        kind = netgen.FAULT_KINDS[name](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: fault.params {params!r} do not fit {name}: {exc}") from None
+    sensor, onset = data["sensor"], data["onset"]
+    if not optim.is_integer(sensor) or not 0 <= sensor < panel.n_sensors:
+        raise ConfigError(
+            f"{where}: fault.sensor must be a channel index in [0, {panel.n_sensors}), "
+            f"got {sensor!r}"
+        )
+    if not optim.is_integer(onset) or not train_end < onset < panel.n_steps:
+        raise ConfigError(
+            f"{where}: fault.onset must be an integer in ({train_end}, {panel.n_steps}), "
+            f"got {onset!r}"
+        )
+    return netgen.FaultSpec(kind=kind, sensor=sensor, onset=onset)
 
 
 def write_scenario(run: RunConfig, spec: ScenarioSpec, scenario: netgen.Scenario) -> None:
@@ -251,11 +285,22 @@ def load_scenario_files(
             f"scenario {scenario_id!r} not found under {folder}; run 'simulate' first"
         )
     panel = netgen.load_csv(faulty_path)
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also undecodable bytes
+        raise ConfigError(f"{meta_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: must hold a JSON object, got {meta!r}")
     train_end = meta.get("train_end")
     if not optim.is_integer(train_end):
         raise ConfigError(f"{meta_path}: train_end must be an integer, got {train_end!r}")
-    return panel, _fault_from_json(meta["fault"]), train_end
+    if not 0 < train_end < panel.n_steps:
+        raise ConfigError(
+            f"{meta_path}: train_end must lie in [1, {panel.n_steps}), got {train_end}"
+        )
+    if "fault" not in meta:
+        raise ConfigError(f"{meta_path}: fault is missing")
+    return panel, _fault_from_json(meta["fault"], meta_path, train_end, panel), train_end
 
 
 def load_model_files(run: RunConfig, scenario_id: str) -> tuple[sensors.Ensemble, float]:

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +84,22 @@ def record_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(optim, "solve", recorded)
     return solutions
+
+
+def run_fresh(code: str, *args: str):
+    """The JSON value ``code`` prints last, run by a fresh interpreter.
+
+    The interpreter imports faultprint from this tree and has loaded
+    nothing else yet, so the modules it holds are the ones ``code`` loads;
+    this process already holds scipy through the oracles.
+    """
+    src = str(Path(optim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

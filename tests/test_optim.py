@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from faultprint import detector, explain, optim, pipeline
+from conftest import run_fresh
 from oracles import (
     active_set_solve_reference,
     kkt_residuals_reference,
@@ -813,6 +814,64 @@ def _count_lapack(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(optim, name, counted)
     return calls
+
+
+_HOOKS_BEFORE_THE_FIRST_SOLVE = """
+import json, sys
+import numpy as np
+from faultprint import optim
+
+assert not [name for name in sys.modules if name.startswith("scipy")]
+counts = dict.fromkeys(["_getrf", "_geqp3", "_factor_kkt", "_independent_rows"], 0)
+
+def counted(name):
+    inner = getattr(optim, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += kwargs.get("lwork") != -1  # a workspace query factors nothing
+        return inner(*args, **kwargs)
+
+    return wrapper
+
+wrappers = {name: counted(name) for name in counts}
+for name, wrapper in wrappers.items():
+    setattr(optim, name, wrapper)
+
+def solve():
+    # min |z1| + |z2| s.t. 2 z1 + z2 = 4, in epigraph form [z1, z2, t1, t2]
+    A = [[-1, 0, 1, 0], [1, 0, 1, 0], [0, -1, 0, 1], [0, 1, 0, 1], [2, 1, 0, 0]]
+    l, u = [0, 0, 0, 0, 4], [np.inf] * 4 + [4]
+    return optim.solve(optim.ConvexProblem.linear(np.array([0, 0, 1, 1]), A, l, u))
+
+first = solve()
+counts_first = dict(counts)
+second = solve()  # a new family: it keeps no factor of the first
+from scipy.linalg import lapack
+print(json.dumps({
+    "counts": [counts_first, {name: counts[name] - counts_first[name] for name in counts}],
+    "status": first.status.value,
+    "still_wrapped": all(getattr(optim, name) is w for name, w in wrappers.items()),
+    "bound": [getattr(optim, "_" + name) is getattr(lapack, "d" + name)
+              for name in ("potrf", "potrs", "getrs")],
+    "same_bits": [first.z.tobytes() == second.z.tobytes(), first.y.tobytes() == second.y.tobytes()],
+}))
+"""
+
+
+def test_lapack_hooks_set_before_the_first_solve_see_every_factorization():
+    # Wrappers put on the LAPACK names before anything binds them see every
+    # factorization: one geqp3 per row selection and one getrf per KKT
+    # factor.  Binding leaves them in place, and the names nobody wrapped
+    # end up as scipy's routines themselves.
+    result = run_fresh(_HOOKS_BEFORE_THE_FIRST_SOLVE)
+    first, second = result["counts"]
+    assert result["status"] == "optimal"
+    assert first["_getrf"] == first["_factor_kkt"] > 0
+    assert first["_geqp3"] == first["_independent_rows"] > 0
+    assert second == first
+    assert result["still_wrapped"]
+    assert result["bound"] == [True, True, True]
+    assert result["same_bits"] == [True, True]
 
 
 def _record_active_set_solves(monkeypatch) -> list:

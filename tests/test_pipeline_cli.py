@@ -1,10 +1,7 @@
 import ast
 import dataclasses
 import json
-import os
 import re
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +10,7 @@ import pytest
 
 from faultprint import detector, explain, netgen, optim, pipeline, plots
 from faultprint.cli import main
-from conftest import count_program_builds, fresh_copy, record_solves
+from conftest import count_program_builds, fresh_copy, record_solves, run_fresh
 
 TINY_CONFIG = """
 [scenario]
@@ -485,6 +482,74 @@ def test_cli_errors_on_a_non_integer_train_end(tiny_run, capsys, train_end):
     assert not (out / "detection.csv").exists()
 
 
+_MISSING = object()
+
+
+# Each case sets the value at a key path of a written fault.json (deletes it
+# for _MISSING), or with no keys replaces the whole text.  The tiny panel has
+# 9 channels and 1200 steps; training ends at step 500.
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        ((), "{", "not valid JSON"),
+        ((), "[]", "must hold a JSON object"),
+        (("train_end",), 0, "train_end must lie in [1, 1200), got 0"),
+        (("train_end",), 1200, "train_end must lie in [1, 1200), got 1200"),
+        (("fault",), _MISSING, "fault is missing"),
+        (("fault",), None, "fault must be an object, got None"),
+        (("fault", "kind"), _MISSING, "fault.kind is missing"),
+        (("fault", "params"), _MISSING, "fault.params is missing"),
+        (("fault", "sensor"), _MISSING, "fault.sensor is missing"),
+        (("fault", "onset"), _MISSING, "fault.onset is missing"),
+        (("fault", "kind"), "meteor", "unknown fault.kind 'meteor'"),
+        (("fault", "kind"), "gaussian_noise", "fault.params {'offset': 2.0} do not fit gaussian_noise"),
+        (("fault", "params"), {}, "fault.params {} do not fit constant_offset"),
+        (("fault", "params"), {"offset": "2"}, "fault.params must map names to numbers"),
+        (("fault", "params"), [2.0], "fault.params must map names to numbers"),
+        (("fault", "sensor"), 9, "fault.sensor must be a channel index in [0, 9), got 9"),
+        (("fault", "sensor"), -1, "fault.sensor must be a channel index in [0, 9), got -1"),
+        (("fault", "sensor"), 1.0, "fault.sensor must be a channel index in [0, 9), got 1.0"),
+        (("fault", "onset"), 500, "fault.onset must be an integer in (500, 1200), got 500"),
+        (("fault", "onset"), 1200, "fault.onset must be an integer in (500, 1200), got 1200"),
+        (("fault", "onset"), True, "fault.onset must be an integer in (500, 1200), got True"),
+    ],
+    ids=[
+        "malformed", "not-an-object", "train_end-zero", "train_end-past-the-panel",
+        "no-fault", "fault-null", "no-kind", "no-params", "no-sensor", "no-onset",
+        "unknown-kind", "params-of-another-kind", "params-empty", "params-text", "params-list",
+        "sensor-past-the-panel", "sensor-negative", "sensor-float",
+        "onset-in-training", "onset-past-the-panel", "onset-bool",
+    ],
+)
+def test_cli_names_the_bad_key_of_fault_json(tiny_run, capsys, keys, value, message):
+    cfg_path, out = tiny_run
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    meta_path = out / "scenarios" / "constant_offset-m0-s1" / "fault.json"
+    text = value
+    if keys:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        *parents, last = keys
+        target = meta
+        for key in parents:
+            target = target[key]
+        if value is _MISSING:
+            del target[last]
+        else:
+            target[last] = value
+        text = json.dumps(meta)
+    meta_path.write_text(text, encoding="utf-8")
+    for command in ("detect", "evaluate"):
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"faultprint: error: {meta_path}: ")
+        assert message in err
+        assert err.count("\n") == 1
+    for name in ("detection.csv", "localization.csv", "summary.md"):
+        assert not (out / name).exists()
+
+
 def test_cli_explains_the_given_step_inside_the_evaluated_range(tiny_run, capsys):
     cfg_path, out = tiny_run
     for command in ("simulate", "train"):
@@ -702,17 +767,43 @@ def _scipy_imports(module) -> set[str]:
     return {name for name in names if name.split(".")[0] == "scipy"}
 
 
-def test_cli_import_leaves_out_heavy_scipy_modules():
-    src = str(Path(optim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, faultprint.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "faultprint.cli" in loaded
-    assert "scipy.signal" not in loaded
-    assert "scipy.stats" not in loaded
+_SCIPY_BY_STAGE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+stages = {}
+import faultprint
+stages["import faultprint"] = scipy_modules()
+from faultprint import cli, optim
+stages["import faultprint.cli"] = scipy_modules()
+for command in ("simulate", "train", "detect"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--config", sys.argv[1], command]) == 0
+    stages[command] = scipy_modules()
+import numpy as np
+one = np.ones(1)
+optim.solve(optim.ConvexProblem.linear(one, np.eye(1), one, np.full(1, np.inf)))
+stages["solve"] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules(tiny_run):
+    # simulate, train and detect solve nothing, so a fresh process that
+    # imports faultprint.cli and runs them holds no scipy module; its first
+    # solve binds LAPACK through scipy.linalg.lapack.
+    cfg_path, out = tiny_run
+    stages = run_fresh(_SCIPY_BY_STAGE, str(cfg_path))
+    assert (out / "detection.csv").exists()
+    solve = stages.pop("solve")
+    assert stages == dict.fromkeys(
+        ["import faultprint", "import faultprint.cli", "simulate", "train", "detect"], []
+    )
+    assert "scipy.linalg.lapack" in solve
+    assert "scipy.signal" not in solve
+    assert "scipy.stats" not in solve
     assert _scipy_imports(netgen) == set()
     assert _scipy_imports(optim) == {"scipy.linalg.lapack"}
 
