@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count
@@ -124,10 +126,23 @@ class ReadingsPanel:
         return ReadingsPanel(values=values, kinds=self.kinds, labels=self.labels)
 
 
+def _check_real(name: str, value, infinite_ok: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number (a bool is not
+    one) that is finite, or with ``infinite_ok`` above -inf (so not NaN)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (value > -math.inf if infinite_ok else math.isfinite(value)):
+        bound = "above -inf" if infinite_ok else "finite"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantOffset:
     offset: float
     name = "constant_offset"
+
+    def __post_init__(self) -> None:
+        _check_real("offset", self.offset)
 
 
 @dataclass(frozen=True)
@@ -136,6 +151,7 @@ class GaussianNoise:
     name = "gaussian_noise"
 
     def __post_init__(self) -> None:
+        _check_real("sigma", self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
@@ -150,12 +166,21 @@ class ProportionalOffset:
     alpha: float
     name = "proportional_offset"
 
+    def __post_init__(self) -> None:
+        _check_real("alpha", self.alpha)
+
 
 @dataclass(frozen=True)
 class Drift:
+    """A ramp of ``rate`` per step, clipped at ``cap``; a cap of +inf leaves it uncapped."""
+
     rate: float
     cap: float
     name = "drift"
+
+    def __post_init__(self) -> None:
+        _check_real("rate", self.rate)
+        _check_real("cap", self.cap, infinite_ok=True)
 
 
 FaultKind = Union[ConstantOffset, GaussianNoise, PowerFailure, ProportionalOffset, Drift]

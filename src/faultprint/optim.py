@@ -18,16 +18,22 @@ iteration, whose polish can run other rounds than a first solve's: the
 missed re-solve has updated the family's kept KKT factors (below).  A
 caller that knows the optimal vertex in closed form (a one-row l1/abs
 counterfactual) passes its dual signs privately instead, and the solver
-starts from them in the same way.
+starts from them in the same way.  With its rows fixed, a refined
+active-set re-solve is affine in the pinned bounds, so a re-solve from
+such a guess reads its point off the row set's affine map: one gather and
+one matrix-vector product.  Polishes of ADMM iterates solve through the
+LU factors instead.  Every point is certified from P, q, A, l and u, never
+through a map.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two kinds of factorization: the KKT factors
-of the last ``_KKT_KEPT`` active row sets their polishes used, and the
-iteration map of the ADMM start, keyed by the starting rho vector.  So a
-family of such problems factors a KKT matrix only when a polish pins rows
-none of its kept factors holds, and starts ADMM without factoring when its
-bounds give the same equality and free rows.  Solutions are plain data and
-hold no factors.
+of the last ``_KKT_KEPT`` active row sets their polishes used (each with
+its affine map once a guess has pinned it), and the iteration map of the
+ADMM start, keyed by the starting rho vector.  So a family of such
+problems factors a KKT matrix only when a polish pins rows none of its
+kept factors holds, and starts ADMM without factoring when its bounds give
+the same equality and free rows.  Solutions are plain data and hold no
+factors.
 
 Problem sizes here are small (tens of variables), so all linear algebra is
 dense and each solver instance is single-threaded; run solves concurrently
@@ -70,8 +76,8 @@ def _bound_on_first_call(name: str):
 # factorizations of these tens-of-rows systems.  Each routine is bound on its
 # first use, so importing this module (and every command that solves
 # nothing) loads no scipy module.
-_potrf, _potrs, _getrf, _getrs, _geqp3 = map(
-    _bound_on_first_call, ("potrf", "potrs", "getrf", "getrs", "geqp3")
+_potrf, _potrs, _getrf, _getrs, _getri, _geqp3 = map(
+    _bound_on_first_call, ("potrf", "potrs", "getrf", "getrs", "getri", "geqp3")
 )
 
 DEFAULT_TOL_ABS = 1e-7
@@ -186,13 +192,13 @@ class ConvexProblem:
         Only the bounds are validated: a program whose snapshot enters
         through its bounds alone pays the P, q, A checks once.  The copy
         also shares this problem's factorizations.  The polishing factors
-        depend on P, A and the kept active rows alone, and the starting
-        iteration map on P, q, A and the rows that l and u make equalities
-        or leave free: a solve of either problem reuses the factors the
-        other left when those match.  The family keeps the factors of its
-        ``_KKT_KEPT`` most recently used row sets, and a polish that pins
-        one of those sets again keeps it whole, without a new row
-        selection (see :func:`_active_set_solve`).
+        depend on P, A and the kept active rows alone (their affine maps on
+        q too), and the starting iteration map on P, q, A and the rows that
+        l and u make equalities or leave free: a solve of either problem
+        reuses the factors the other left when those match.  The family
+        keeps the factors of its ``_KKT_KEPT`` most recently used row sets,
+        and a polish that pins one of those sets again keeps it whole,
+        without a new row selection (see :func:`_active_set_solve`).
         """
         problem = object.__new__(ConvexProblem)
         problem.__dict__.update(self.__dict__)
@@ -217,10 +223,15 @@ class ConvexProblem:
 
 
 class _KktFactor(NamedTuple):
-    """LU factors of a regularized KKT system, which also serve its refinement."""
+    """LU factors of a regularized KKT system, which also serve its refinement.
+
+    ``map``, once a polish from a caller's guess has pinned these rows, is
+    their affine map (see :func:`_kkt_map`).
+    """
 
     lu: np.ndarray
     piv: np.ndarray
+    map: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -457,6 +468,7 @@ def _active_set_solve(
     lower_active: np.ndarray,
     upper_active: np.ndarray,
     preferred: np.ndarray | None = None,
+    by_map: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple[bytes, _KktFactor], np.ndarray] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
@@ -470,14 +482,17 @@ def _active_set_solve(
     equality rows outrank everything.  A kept factor is reused whenever the
     kept rows are its rows, and the factors used become the family's most
     recently used (see :func:`_keep_last`); they also refine the
-    regularized solve towards the unregularized one.  Returns the point,
-    the kept rows with their factors, and the kept rows whose dual had the
-    wrong sign for the bound they were pinned to; that dual is returned as
-    zero.  An equality row's dual is free in sign.
+    regularized solve towards the unregularized one.  With ``by_map`` the
+    refined point is instead the kept rows' affine map applied to their
+    bounds (see :func:`_kkt_map`), built from the factors on the first such
+    solve and kept with them.  Returns the point, the kept rows with their
+    factors, and the kept rows whose dual had the wrong sign for the bound
+    they were pinned to; that dual is returned as zero.  An equality row's
+    dual is free in sign.
     """
     n = problem.n_vars
     active = np.concatenate([lower_active, upper_active])
-    is_lower = np.arange(active.shape[0]) < lower_active.shape[0]
+    split = lower_active.shape[0]  # the rows pinned to their lower bound come first
     bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
     # Rows are compared as bytes: np.array_equal costs more than this check.
     rows = active.tobytes()
@@ -485,36 +500,76 @@ def _active_set_solve(
     factor = slot.pop(rows, None)
     if factor is None and active.shape[0]:
         keep = _independent_rows(problem, y, active, preferred)
-        active, is_lower, bounds = active[keep], is_lower[keep], bounds[keep]
+        split = int(np.searchsorted(keep, split))  # keep is sorted
+        active, bounds = active[keep], bounds[keep]
         rows = active.tobytes()
         factor = slot.pop(rows, None)
-    # The same matrix gives the same factors, so reuse changes no bit.
+    # The same matrix gives the same factors, and they the same map, so
+    # reuse changes no bit.
     if factor is None:
         factor = _factor_kkt(problem, problem.A[active])
+    if by_map and factor.map is None:
+        factor = factor._replace(map=_kkt_map(problem, factor))
     _keep_last(slot, rows, factor)
-    rhs = np.concatenate([-problem.q, bounds])
-    # A singular system leaves a zero pivot, so the solve turns non-finite.
-    sol = _getrs(factor.lu, factor.piv, rhs)[0]
-    if not np.isfinite(sol).all():
-        return None
-
-    # Proximal refinement: K_reg = K + D with D = +reg on the variable rows and
-    # -reg on the kept rows, so sol = K_reg^-1 (rhs + D sol) has K sol = rhs.
-    shift = np.where(np.arange(sol.shape[0]) < n, _POLISH_REG, -_POLISH_REG)
-    for _ in range(_POLISH_REFINE_STEPS):
-        sol = _getrs(factor.lu, factor.piv, rhs + shift * sol)[0]
+    if by_map:
+        M, c0 = factor.map
+        sol = M @ bounds
+        sol += c0
+    else:
+        rhs = np.concatenate([-problem.q, bounds])
+        # A singular system leaves a zero pivot, so the solve turns non-finite.
+        sol = _getrs(factor.lu, factor.piv, rhs)[0]
+        if not np.isfinite(sol).all():
+            return None
+        # Proximal refinement: K_reg = K + D with D = +reg on the variable
+        # rows and -reg on the kept rows, so sol = K_reg^-1 (rhs + D sol)
+        # has K sol = rhs.
+        shift = _proximal_shift(n, sol.shape[0])
+        for _ in range(_POLISH_REFINE_STEPS):
+            sol = _getrs(factor.lu, factor.piv, rhs + shift * sol)[0]
 
     if not np.isfinite(sol).all():
         return None
     x_pol = sol[:n]
     duals = sol[n:]
     # Enforce the sign convention; wrong-signed duals mean a bad active set.
-    signed = np.where(is_lower, np.minimum(duals, 0.0), np.maximum(duals, 0.0))
+    signed = np.concatenate([np.minimum(duals[:split], 0.0), np.maximum(duals[split:], 0.0)])
     if problem._equality is not None:
         signed = np.where(problem._equality[active], duals, signed)
     y_pol = np.zeros(problem.n_constraints)
     y_pol[active] = signed
     return x_pol, y_pol, (rows, factor), active[signed != duals]
+
+
+def _proximal_shift(n: int, size: int) -> np.ndarray:
+    """``K_reg - K`` of a KKT system on ``n`` variables, as its diagonal."""
+    return np.where(np.arange(size) < n, _POLISH_REG, -_POLISH_REG)
+
+
+def _kkt_map(problem: ConvexProblem, factor: _KktFactor) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, c0)``: ``M @ bounds + c0`` is the refined polish of the factor's rows.
+
+    With the rows fixed, the refined solve of :func:`_active_set_solve` is
+    linear in its right-hand side ``[-q; bounds]``: with ``R = K_reg^-1``
+    and ``D`` the proximal shift, ``sol = R rhs`` and then, at each step,
+    ``sol = R rhs + R D sol``.  The same steps run here on the ``k + 1``
+    columns ``R [-q; 0]`` and ``R[:, n:]`` (the bounds' unit vectors), from
+    one explicit inverse.  A singular system gives a non-finite map, as it
+    gives non-finite solves.
+    """
+    n = problem.n_vars
+    inverse, info = _getri(factor.lu, factor.piv)
+    if info:  # an exact zero pivot
+        inverse.fill(np.nan)
+    size = inverse.shape[0]
+    start = np.empty((size, size - n + 1))
+    start[:, 0] = inverse[:, :n] @ -problem.q
+    start[:, 1:] = inverse[:, n:]
+    shift = _proximal_shift(n, size)[:, None]
+    mapped = start
+    for _ in range(_POLISH_REFINE_STEPS):
+        mapped = start + inverse @ (shift * mapped)
+    return mapped[:, 1:], mapped[:, 0]
 
 
 def _keep_last(slot: dict, rows: bytes, factor: _KktFactor) -> None:
@@ -546,7 +601,7 @@ def _independent_rows(
 
 
 def _polish(
-    problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float
+    problem: ConvexProblem, y: np.ndarray, tol_abs: float, tol_rel: float, by_map: bool = False
 ) -> tuple[np.ndarray, np.ndarray, _Certificate] | None:
     """Re-solve on the active set guessed from dual signs; None unless it passes.
 
@@ -566,7 +621,9 @@ def _polish(
     become the family's most recently used either way, so they are the
     last to be dropped: a warm start from this point keeps them whole if
     it pins exactly those rows.  The other rounds' factors are kept too, so
-    the next polish that repeats these rounds factors nothing.
+    the next polish that repeats these rounds factors nothing.  ``by_map``
+    (a polish from a caller's guess) solves each round through its row
+    set's affine map, built once and kept with the factors.
     """
     # A dual pushing on an infinite bound is iterate noise, never active.
     lower = (y < 0) & problem._finite_l
@@ -579,7 +636,7 @@ def _polish(
     preferred = np.empty(0, dtype=int)
     for round_ in range(2 * _POLISH_ROUNDS):
         result = _active_set_solve(
-            problem, y, lower.nonzero()[0], upper.nonzero()[0], preferred
+            problem, y, lower.nonzero()[0], upper.nonzero()[0], preferred, by_map
         )
         if result is None:
             break
@@ -635,10 +692,13 @@ def solve(
     the warm start's duals; a warm start given with it is only checked for
     its shape.  The ADMM start and polishing reuse
     the factors of the problem's family (see
-    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  A
-    reused factor is bit-equal to a new one, but a polish keeps a kept row
-    set whole where a new selection might drop a row, so its rounds can
-    depend on earlier solves; on the workloads measured no solution does
+    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  The
+    re-solve from a guess reads each round's point off its row set's
+    affine map (see :func:`_kkt_map`), which moves it from the LU solve a
+    polish of an ADMM iterate makes by rounding only.  A reused factor or
+    map is bit-equal to a new one, but a polish keeps a kept row set whole
+    where a new selection might drop a row, so its rounds can depend on
+    earlier solves; on the workloads measured no solution does
     (``test_kept_programs_and_factors_change_no_solution``).
     """
     # Each check is written so that NaN fails it.
@@ -658,7 +718,7 @@ def solve(
         if _dual_guess is None:
             _dual_guess = warm_start.y
     if _dual_guess is not None:
-        guess = _polish(problem, _dual_guess, tol_abs, tol_rel)
+        guess = _polish(problem, _dual_guess, tol_abs, tol_rel, by_map=True)
         if guess is not None:
             return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, "warm")
 

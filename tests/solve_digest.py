@@ -36,8 +36,9 @@ and the six values of ``detection_metrics(stream, scenario.fault)``, read by
 attribute (``DETECTION_FIELDS``).  It also prints how many ``_polish``
 calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``) factorizations and
 ADMM x-step maps (``x_step_maps``: one x-step Cholesky factorization each)
-the solves made, and how many counterfactual programs (``explain._Program``)
-were built; those counts are in no digest.
+and affine maps of kept KKT row sets (``kkt_maps``; 0 on a tree without
+``optim._kkt_map``) the solves made, and how many counterfactual programs
+(``explain._Program``) were built; those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -151,6 +152,7 @@ def main(argv=None) -> int:
     counts = collections.Counter()
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
     factorize, decode = optim._factorize_scaled, explain._decode
+    kkt_map = getattr(optim, "_kkt_map", None)
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
@@ -198,6 +200,10 @@ def main(argv=None) -> int:
         counts["x_step_maps"] += 1
         return factorize(*a, **kw)
 
+    def counted_kkt_map(*a, **kw):
+        counts["kkt_maps"] += 1
+        return kkt_map(*a, **kw)
+
     class CountedProgram(explain._Program):
         def __init__(self, *a):
             counts["programs"] += 1
@@ -206,6 +212,8 @@ def main(argv=None) -> int:
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
     optim._factorize_scaled = counted_factorize
+    if kkt_map is not None:
+        optim._kkt_map = counted_kkt_map
     explain._decode, explain._Program = hashed_decode, CountedProgram
 
     if args.workload == "random":
@@ -226,6 +234,7 @@ def main(argv=None) -> int:
     print(f"geqp3: {counts['geqp3']}")
     print(f"getrf: {counts['getrf']}")
     print(f"x_step_maps: {counts['x_step_maps']}")
+    print(f"kkt_maps: {counts['kkt_maps']}")
     print(f"programs: {counts['programs']}")
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")

@@ -818,8 +818,13 @@ def test_one_row_l1_programs_start_at_their_closed_form_vertex(case):
             assert np.abs(cf.delta - expected).max() <= 1e-9
             cold = _fresh_solve(problem, TIGHT)
             assert cold.iterations > 0
-            assert solution.z.tobytes() == cold.z.tobytes()
-            assert solution.y.tobytes() == cold.y.tobytes()
+            # The vertex start reads its point off the row set's affine map
+            # and the cold polish solves by LU: the same dual signs, and
+            # points apart by rounding (at most 3.4e-16 here, relative to
+            # max(1, max |.|)).
+            assert (np.sign(solution.y) == np.sign(cold.y)).all()
+            for ours, theirs in ((solution.z, cold.z), (solution.y, cold.y)):
+                assert np.abs(ours - theirs).max() <= 1e-15 * max(1.0, np.abs(theirs).max())
         else:
             # the optima are a face: any split of the change between the
             # tied channels that has the closed form's l1 norm
@@ -937,7 +942,8 @@ def test_early_polish_releases_rows_after_a_repair_round():
 def test_a_kept_polish_holds_only_its_lu_factors():
     # The family's slot keeps the rows and KKT factors of its most recently
     # used row sets, its latest polish's best round the most recent.
-    # Refinement runs through those factors, so no copy of the matrix stays.
+    # Refinement runs through those factors, so no copy of the matrix stays;
+    # a set a warm start pinned also keeps its affine map beside them.
     run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
     config = run.cf_config(threshold)
     cf = None
@@ -957,6 +963,10 @@ def test_a_kept_polish_holds_only_its_lu_factors():
         assert factor.lu.shape == (size, size)
         held = sum(part.nbytes for part in factor if isinstance(part, np.ndarray))
         assert held == factor.lu.nbytes + factor.piv.nbytes
+        if factor.map is not None:
+            M, c0 = factor.map
+            assert M.shape == (size, size - problem.n_vars) and c0.shape == (size,)
+    assert any(factor.map is not None for factor in problem._kkt_slot.values())
 
 
 def _solutions_of(monkeypatch, explain_all, fresh):

@@ -112,6 +112,37 @@ def test_fault_spec_accepts_numpy_integers():
     assert (fault.sensor, fault.onset) == (2, 800)
 
 
+_FAULT_PARAMETERS = {
+    "offset": (netgen.ConstantOffset, {"offset": 1.0}),
+    "sigma": (netgen.GaussianNoise, {"sigma": 1.0}),
+    "alpha": (netgen.ProportionalOffset, {"alpha": 0.2}),
+    "rate": (netgen.Drift, {"rate": 0.1, "cap": 100.0}),
+    "cap": (netgen.Drift, {"rate": 0.1, "cap": 100.0}),
+}
+_NOT_REAL = [True, False, np.bool_(True), "2", None, [1.0], 1j]
+_NON_FINITE = [np.nan, np.inf, -np.inf, np.float32(np.nan)]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [(field, value, "a real number") for field in _FAULT_PARAMETERS for value in _NOT_REAL]
+    + [
+        (field, value, "finite")
+        for field in ("offset", "sigma", "alpha", "rate")
+        for value in _NON_FINITE
+    ]
+    + [("cap", np.nan, "above -inf"), ("cap", -np.inf, "above -inf"), ("sigma", -0.5, "nonnegative")],
+)
+def test_fault_kinds_reject_a_bad_parameter_by_name(field, value, message):
+    kind, fields = _FAULT_PARAMETERS[field]
+    with pytest.raises(ValueError, match=f"^{field} must be .*{message}"):
+        kind(**{**fields, field: value})
+    # the same kind takes numpy and Python numbers, and a cap of +inf (uncapped)
+    for number in (np.float64(0.5), np.int64(2), 3):
+        assert getattr(kind(**{**fields, field: number}), field) == number
+    assert netgen.Drift(rate=0.1, cap=np.inf).cap == np.inf
+
+
 def test_power_failure_zeroes_readings(default_panel):
     fault = netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=2, onset=800)
     faulty = netgen.inject_fault(default_panel, fault, seed=0)

@@ -486,9 +486,9 @@ def test_a_row_with_slack_is_never_pinned(monkeypatch):
     polishes = []
     active_set_solve = optim._active_set_solve
 
-    def recorded(problem, y, lower, upper, preferred=None):
+    def recorded(problem, y, lower, upper, preferred=None, by_map=False):
         polishes.append(set(lower.tolist()) | set(upper.tolist()))
-        return active_set_solve(problem, y, lower, upper, preferred)
+        return active_set_solve(problem, y, lower, upper, preferred, by_map)
 
     monkeypatch.setattr(optim, "_active_set_solve", recorded)
     solution = optim.solve(problem, tol_abs=1e-7, tol_rel=1e-7, max_iters=5000)
@@ -590,14 +590,53 @@ def test_active_set_solve_preferred_rows_match_wrapper_reference():
     assert kept_weak[0] == 0.0 and kept_weak[1] < 0.0
 
 
-def test_singular_active_set_system_gives_none_like_the_reference():
+def _fresh(problem) -> optim.ConvexProblem:
+    """A newly built copy of ``problem``, which shares no kept factors."""
+    return optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+
+
+def _singular_problem() -> optim.ConvexProblem:
     # P + 1e-6 I rounds back to a singular P: the LU meets an exact zero pivot.
-    problem = optim.ConvexProblem(
+    return optim.ConvexProblem(
         P=np.full((2, 2), 1e12), q=np.array([1.0, 0.0]), A=np.eye(2), l=-np.ones(2), u=np.ones(2)
     )
+
+
+def test_singular_active_set_system_gives_none_like_the_reference():
+    problem = _singular_problem()
     empty = np.empty(0, dtype=int)
     assert active_set_solve_reference(problem, np.zeros(2), empty, empty) is None
     assert optim._active_set_solve(problem, np.zeros(2), empty, empty) is None
+
+
+def test_the_affine_map_path_matches_the_reference_to_rounding():
+    # A re-solve through the kept rows' affine map keeps the rows the LU
+    # path keeps, gives the reference's dual signs and its None on a
+    # singular system, and moves z and y from the reference by less than
+    # eps * cond(K_reg) relative to max(1, max |.|), the first-order bound
+    # of a linear solve (at most 0.44 of it measured here).
+    empty = np.empty(0, dtype=int)
+    cases = [*_active_set_cases(), (_singular_problem(), np.zeros(2), empty, empty, None)]
+    for problem, y, lower, upper, preferred in cases:
+        reference = active_set_solve_reference(problem, y, lower, upper, preferred)
+        mapped = optim._active_set_solve(_fresh(problem), y, lower, upper, preferred, True)
+        if reference is None:
+            assert mapped is None
+            continue
+        by_lu = optim._active_set_solve(_fresh(problem), y, lower, upper, preferred)
+        assert mapped[2][0] == by_lu[2][0]
+        assert mapped[2][1].map is not None and by_lu[2][1].map is None
+        assert (np.sign(mapped[1]) == np.sign(reference[1])).all()
+        kept = np.frombuffer(mapped[2][0], np.intp)
+        n, k = problem.n_vars, kept.size
+        reg = optim._POLISH_REG
+        kkt = np.block([
+            [problem.P + reg * np.eye(n), problem.A[kept].T],
+            [problem.A[kept], -reg * np.eye(k)],
+        ])
+        bound = np.finfo(float).eps * np.linalg.cond(kkt)
+        for ours, theirs in zip(mapped[:2], reference):
+            assert np.abs(ours - theirs).max() <= bound * max(1.0, np.abs(theirs).max())
 
 
 def test_refined_polish_solves_the_unregularized_kkt_system():
@@ -803,7 +842,7 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
 
 
 def _count_lapack(monkeypatch, name: str) -> list:
-    """Every factorization through ``optim.<name>``; workspace queries are not."""
+    """Every call of ``optim.<name>`` but a LAPACK workspace query (``lwork=-1``)."""
     calls = []
     routine = getattr(optim, name)
 
@@ -911,7 +950,9 @@ def test_a_repeated_two_round_polish_refactors_nothing(monkeypatch):
         pinned = [np.concatenate(args[2:4]).tolist() for args, _ in records]
         assert pinned == [[0], [0, 1]]
         for args, result in records:
-            _assert_same_bits(result[:2], active_set_solve_reference(*args))
+            *arguments, by_map = args
+            assert not by_map  # _polish solves by LU unless told to use maps
+            _assert_same_bits(result[:2], active_set_solve_reference(*arguments))
         rows, factor = records[1][1][2]  # the best round, the most recently used
         assert list(problem._kkt_slot)[-1] == rows and problem._kkt_slot[rows] is factor
         assert len(problem._kkt_slot) == 2
@@ -954,6 +995,69 @@ def test_a_family_keeps_its_most_recently_used_kkt_factors(monkeypatch):
     assert kept() == [0, 4, 1, 3]
 
 
+def test_a_second_guess_polish_of_a_kept_set_is_one_product(monkeypatch):
+    # The first warm and vertex starts of a family build the affine map of
+    # each row set they pin; the next start that pins a kept set reads its
+    # point off that map: no triangular solve, factorization, row selection
+    # or map build.
+    names = ("_getrs", "_getri", "_getrf", "_geqp3", "_kkt_map")
+    calls = {name: _count_lapack(monkeypatch, name) for name in names}
+    for start in ("warm", "vertex"):
+        family = l1_equation_lp(4.0)
+        cold = optim.solve(family)
+        if start == "warm":
+            options = {"warm_start": cold}
+        else:
+            options = {"_dual_guess": np.sign(cold.y)}  # the vertex's dual signs
+        for r in (3.0, 2.0, 1.0):
+            for made in calls.values():
+                del made[:]
+            shifted = l1_equation_lp(r)
+            solution = optim.solve(family.with_bounds(shifted.l, shifted.u), **options)
+            assert (solution.path, solution.iterations) == ("warm", 0), start
+            made = [len(calls[name]) for name in names]
+            # the first start maps the cold polish's best set, kept without a map
+            assert made == ([0, 1, 0, 0, 1] if r == 3.0 else [0] * len(names)), start
+        assert [factor.map is not None for factor in family._kkt_slot.values()] == [True]
+        # a new family factors and maps again, to the same bits
+        fresh = optim.solve(_fresh(family.with_bounds(shifted.l, shifted.u)), **options)
+        assert fresh.z.tobytes() == solution.z.tobytes()
+        assert fresh.y.tobytes() == solution.y.tobytes()
+
+
+def test_an_evicted_set_gets_its_map_rebuilt_when_it_returns(monkeypatch):
+    # The map lives with its row set's LU factors, so the one LRU rule drops
+    # both: a set pushed out by _KKT_KEPT others is factored and mapped again.
+    getrf, maps = _count_lapack(monkeypatch, "_getrf"), _count_lapack(monkeypatch, "_kkt_map")
+    rng = np.random.default_rng(23)
+    sets = [np.array([2 * i, 2 * i + 1]) for i in range(optim._KKT_KEPT + 1)]
+    problem = _random_qp(rng, 6, 2 * len(sets))
+    y = rng.normal(size=problem.n_constraints)
+    empty = np.empty(0, dtype=int)
+
+    def built(i):
+        del getrf[:], maps[:]
+        rows, factor = optim._active_set_solve(problem, y, sets[i], empty, None, True)[2]
+        assert problem._kkt_slot[rows] is factor and factor.map is not None
+        return len(getrf), len(maps)
+
+    assert [built(i) for i in range(optim._KKT_KEPT + 1)] == [(1, 1)] * (optim._KKT_KEPT + 1)
+    assert sets[0].tobytes() not in problem._kkt_slot  # the least recently used, dropped
+    assert built(0) == (1, 1)
+    assert built(4) == (0, 0)  # still kept, with its map
+
+
+def test_cold_solves_build_no_map(monkeypatch):
+    # Only a polish from a caller's guess reads points off maps; a cold
+    # solve's polishes solve by LU and leave the kept factors unmapped.
+    maps = _count_lapack(monkeypatch, "_kkt_map")
+    problems = [l1_equation_lp(4.0), simple_qp(), *random_problems(optim, 5, 40)]
+    for problem in problems:
+        assert optim.solve(problem).status is optim.SolveStatus.OPTIMAL
+        assert all(factor.map is None for factor in problem._kkt_slot.values())
+    assert maps == []
+
+
 def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
     # Reuse follows the problem, not the solution: a cold solve leaves its
     # factors for the next solve of its family, and solutions hold none.
@@ -985,10 +1089,10 @@ def _record_polish_rounds(monkeypatch) -> list:
         polishes.append([])
         return polish(*args)
 
-    def counted_solve(problem, y, lower, upper, preferred=None):
+    def counted_solve(problem, y, lower, upper, preferred=None, by_map=False):
         pinned = {(int(row), "l") for row in lower} | {(int(row), "u") for row in upper}
         polishes[-1].append(pinned)
-        return active_set_solve(problem, y, lower, upper, preferred)
+        return active_set_solve(problem, y, lower, upper, preferred, by_map)
 
     monkeypatch.setattr(optim, "_polish", counted_polish)
     monkeypatch.setattr(optim, "_active_set_solve", counted_solve)

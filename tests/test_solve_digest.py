@@ -26,6 +26,7 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     # one program for the ensemble and one for each of its 12 models
     assert first["programs"] == "13"
     assert "warm=" in first["paths"]
+    assert int(first["kkt_maps"]) > 0  # the warm and vertex starts' affine maps
     assert len(first["sha256"]) == 64
     assert len(first["points_sha256"]) == 64
     # the explanations and the scenario's localize_scenario result
