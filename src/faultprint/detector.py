@@ -99,6 +99,8 @@ def calibrate_threshold(
 
 def detect(ensemble: Ensemble, panel: ReadingsPanel, threshold: float) -> AlarmStream:
     """Evaluate the alarm rule: any absolute residual above the threshold."""
+    if not 0 <= threshold < math.inf:  # NaN fails too
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold!r}")
     alarms = np.abs(residual_matrix(ensemble, panel)).max(axis=1) > threshold
     return AlarmStream(start=ensemble.window, alarms=alarms)
 

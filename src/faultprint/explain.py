@@ -131,6 +131,8 @@ def snapshot_at_alarm(panel: ReadingsPanel, ensemble: Ensemble, t: int) -> np.nd
     sensor applied to the snapshot's other channels), not on the trailing
     window the detector used, which keeps the program small and linear.
     """
+    if not optim.is_integer(t):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < ensemble.window:
         raise ValueError(f"step {t} precedes the first full model window")
     if t >= panel.n_steps:
@@ -393,21 +395,18 @@ def _linear_counterfactual(
     """Explain ``x_orig`` against ``models``, with the program kept on ``owner``.
 
     The owner keeps the program of its latest call, which is reused when the
-    targets and tolerances, as given (shape and bytes), and the config's
-    other settings are the same.  Models are frozen, so the program is a
-    function of those alone.  It is kept as a plain attribute of the owner,
-    not a dataclass field, so it is not compared, shown or saved, nor
-    returned by ``fields`` or ``asdict``; a ``copy.copy`` keeps its own.
+    targets, as given (shape and bytes), are the same and the config is
+    equal.  Models are frozen, so the program is a function of those alone.
+    It is kept as a plain attribute of the owner, not a dataclass field, so
+    it is not compared, shown or saved, nor returned by ``fields`` or
+    ``asdict``; a ``copy.copy`` keeps its own.
     """
     targets = np.asarray(targets, dtype=float)
-    tolerances = np.asarray(config.tolerances, dtype=float)
-    key = (
-        targets.shape, targets.tobytes(), tolerances.shape, tolerances.tobytes(),
-        config.slack_penalty, config.complexity, config.dist,
-    )
+    key = (targets.shape, targets.tobytes(), config)  # a tuple takes `is` before __eq__
     kept_key, program = vars(owner).get(_KEPT_PROGRAM, (None, None))
     if kept_key != key:
         k = len(models)
+        tolerances = np.asarray(config.tolerances)
         for name, given in (("targets", targets), ("tolerances", tolerances)):
             if given.ndim and given.shape != (k,):
                 raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")

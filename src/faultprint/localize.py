@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .explain import Counterfactual
+from .optim import is_integer
 
 ZERO_DELTA_TOL = 1e-12
 DEFAULT_ALARM_STEPS = 20
@@ -42,9 +43,9 @@ def predict_faulty_sensor(
     """
     magnitude = np.abs(_finite(delta))
     n = magnitude.shape[0]
-    outside = [c for c in exclude if not 0 <= c < n]
+    outside = [c for c in exclude if not (is_integer(c) and 0 <= c < n)]
     if outside:
-        raise ValueError(f"excluded channels {outside} are not in [0, {n})")
+        raise ValueError(f"exclude entries {outside} are not in [0, {n})")
     if len(exclude):
         magnitude = magnitude.copy()
         magnitude[list(exclude)] = -np.inf
@@ -79,6 +80,8 @@ def aggregate_alarm_sequence(
     """
     if not len(predictions):
         raise ValueError("at least one alarm-step prediction is required")
+    if not is_integer(limit):
+        raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     return _mode(predictions[:limit])

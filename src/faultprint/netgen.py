@@ -202,10 +202,8 @@ class FaultSpec:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.sensor < 0:
-            raise ValueError("sensor index must be nonnegative")
-        if self.onset < 0:
-            raise ValueError("onset must be nonnegative")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -321,14 +319,21 @@ def generate_clean(config: ScenarioConfig) -> ReadingsPanel:
     return ReadingsPanel(values=values, kinds=kinds, labels=labels)
 
 
+def check_placement(panel: ReadingsPanel, fault: FaultSpec) -> None:
+    """The one placement rule: ``fault`` must hit a pressure channel of
+    ``panel`` at one of its steps.  A ``ValueError`` opens with the field's name."""
+    if fault.sensor not in panel.pressure_indices:
+        raise ValueError(
+            f"sensor must be one of the pressure channels {panel.pressure_indices}, "
+            f"got {fault.sensor!r}"
+        )
+    if not fault.onset < panel.n_steps:  # FaultSpec keeps it nonnegative
+        raise ValueError(f"onset must be a step below {panel.n_steps}, got {fault.onset!r}")
+
+
 def inject_fault(clean: ReadingsPanel, fault: FaultSpec, seed: int = 0) -> ReadingsPanel:
-    """Apply ``fault`` to one pressure channel from ``fault.onset`` onwards."""
-    if not 0 <= fault.sensor < clean.n_sensors:
-        raise ValueError(f"fault sensor {fault.sensor} out of range")
-    if clean.kinds[fault.sensor] is not SensorKind.PRESSURE:
-        raise ValueError("faults can only target pressure channels")
-    if not 0 <= fault.onset < clean.n_steps:
-        raise ValueError(f"fault onset {fault.onset} out of range")
+    """Apply ``fault`` from ``fault.onset`` onwards; it must pass :func:`check_placement`."""
+    check_placement(clean, fault)
 
     values = clean.values.copy()
     k, t0 = fault.sensor, fault.onset

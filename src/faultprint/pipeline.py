@@ -219,9 +219,10 @@ def _fault_from_json(
 ) -> netgen.FaultSpec:
     """The fault in ``data``, ``fault.json``'s ``fault`` object, checked key by key.
 
-    The sensor must be a channel of ``panel`` and the onset must fall after
-    the training prefix and inside the panel; ``where`` names the file in
-    the error.
+    The fault kind checks ``params`` and :class:`netgen.FaultSpec` the
+    integers; :func:`netgen.check_placement` holds the sensor to a pressure
+    channel of ``panel`` and the onset to its steps.  The file adds that the
+    onset falls after ``train_end``.  ``where`` names the file in the error.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: fault must be an object, got {data!r}")
@@ -231,26 +232,18 @@ def _fault_from_json(
     name, params = data["kind"], data["params"]
     if name not in netgen.FAULT_KIND_NAMES:
         raise ConfigError(f"{where}: unknown fault.kind {name!r}")
-    if not isinstance(params, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in params.values()
-    ):
-        raise ConfigError(f"{where}: fault.params must map names to numbers, got {params!r}")
     try:
         kind = netgen.FAULT_KINDS[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a huge int overflows a float
         raise ConfigError(f"{where}: fault.params {params!r} do not fit {name}: {exc}") from None
-    sensor, onset = data["sensor"], data["onset"]
-    if not optim.is_integer(sensor) or not 0 <= sensor < panel.n_sensors:
-        raise ConfigError(
-            f"{where}: fault.sensor must be a channel index in [0, {panel.n_sensors}), "
-            f"got {sensor!r}"
-        )
-    if not optim.is_integer(onset) or not train_end < onset < panel.n_steps:
-        raise ConfigError(
-            f"{where}: fault.onset must be an integer in ({train_end}, {panel.n_steps}), "
-            f"got {onset!r}"
-        )
-    return netgen.FaultSpec(kind=kind, sensor=sensor, onset=onset)
+    try:
+        fault = netgen.FaultSpec(kind=kind, sensor=data["sensor"], onset=data["onset"])
+        netgen.check_placement(panel, fault)
+    except ValueError as exc:  # its message begins with the field's name
+        raise ConfigError(f"{where}: fault.{exc}") from None
+    if fault.onset <= train_end:
+        raise ConfigError(f"{where}: fault.onset {fault.onset} is not after train_end {train_end}")
+    return fault
 
 
 def write_scenario(run: RunConfig, spec: ScenarioSpec, scenario: netgen.Scenario) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgen import ReadingsPanel
+from .optim import is_integer
 
 DEFAULT_WINDOW = 3
 
@@ -32,6 +33,10 @@ class LinearModel:
             raise ValueError("weights must be a vector")
         if not np.isfinite(weights).all() or not np.isfinite(self.bias):
             raise ValueError("model coefficients must be finite")
+        for name in ("target", "window"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.target <= weights.shape[0]:
             raise ValueError(
                 f"target index {self.target} out of range for {weights.shape[0] + 1} sensors"
@@ -86,6 +91,8 @@ def lagged_window_means(values: np.ndarray, window: int) -> np.ndarray:
     Row t of the result averages rows t-window .. t-1 and is valid for
     t >= window; earlier rows are NaN.
     """
+    if not is_integer(window):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 1:
         raise ValueError("window must be positive")
     n_steps = values.shape[0]
@@ -107,6 +114,8 @@ def fit_virtual_sensor(
     Solved through an orthogonal factorization; a rank-deficient design
     yields the minimum-norm coefficient vector.
     """
+    if not is_integer(target):
+        raise ValueError(f"target must be an integer, got {target!r}")
     if not 0 <= target < panel.n_sensors:
         raise ValueError(f"target index {target} out of range")
     t_a, t_b = fit_range if fit_range is not None else (window, panel.n_steps)

@@ -1145,6 +1145,8 @@ def test_program_is_reused_only_for_the_same_models_targets_and_config():
     variants = [
         (reweighted, config, 0.0),
         (ensemble, explain.CfConfig(tolerances=0.05, slack_penalty=10.0), 0.0),
+        (ensemble, explain.CfConfig(tolerances=0.05, complexity="l2"), 0.0),
+        (ensemble, explain.CfConfig(tolerances=0.05, dist="squared"), 0.0),
         (ensemble, explain.CfConfig(tolerances=0.2), 0.0),
         (ensemble, config, 0.3),
     ]
@@ -1152,13 +1154,16 @@ def test_program_is_reused_only_for_the_same_models_targets_and_config():
         # each variant differs from the kept program in one term
         explain.ensemble_counterfactual(ensemble, x2, config, solver_options=TIGHT)
         kept = kept_program(ensemble)
+        # the l1/abs explanation cannot warm-start a program of another size
+        same_size = (other_config.complexity, other_config.dist) == ("l1", "abs")
+        warm = chained if same_size else None
         cf = explain.ensemble_counterfactual(
-            other, x2, other_config, targets, solver_options=TIGHT, warm_start=chained
+            other, x2, other_config, targets, solver_options=TIGHT, warm_start=warm
         )
         assert kept_program(other) is not kept
         _assert_program_is_reference(_kept_problem(other, x2), other, x2, targets, other_config)
         reference = explain.ensemble_counterfactual(
-            fresh_copy(other), x2, other_config, targets, solver_options=TIGHT, warm_start=chained
+            fresh_copy(other), x2, other_config, targets, solver_options=TIGHT, warm_start=warm
         )
         assert cf.delta.tobytes() == reference.delta.tobytes()
 

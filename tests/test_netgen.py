@@ -190,12 +190,12 @@ def test_gaussian_noise_fault_is_seeded(default_panel):
 
 def test_inject_rejects_bad_targets(default_panel):
     flow = default_panel.flow_indices[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^sensor must be one of the pressure channels .*, got {flow}$"):
         netgen.inject_fault(
             default_panel,
             netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=flow, onset=800),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^onset must be a step below 2000, got 5000$"):
         netgen.inject_fault(
             default_panel,
             netgen.FaultSpec(kind=netgen.PowerFailure(), sensor=0, onset=5000),

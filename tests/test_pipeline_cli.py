@@ -483,11 +483,13 @@ def test_cli_errors_on_a_non_integer_train_end(tiny_run, capsys, train_end):
 
 
 _MISSING = object()
+_PRESSURE = tuple(range(8))
 
 
 # Each case sets the value at a key path of a written fault.json (deletes it
 # for _MISSING), or with no keys replaces the whole text.  The tiny panel has
-# 9 channels and 1200 steps; training ends at step 500.
+# 9 channels, pressure channels 0-7 and flow channel 8, and 1200 steps;
+# training ends at step 500.
 @pytest.mark.parametrize(
     "keys, value, message",
     [
@@ -504,20 +506,25 @@ _MISSING = object()
         (("fault", "kind"), "meteor", "unknown fault.kind 'meteor'"),
         (("fault", "kind"), "gaussian_noise", "fault.params {'offset': 2.0} do not fit gaussian_noise"),
         (("fault", "params"), {}, "fault.params {} do not fit constant_offset"),
-        (("fault", "params"), {"offset": "2"}, "fault.params must map names to numbers"),
-        (("fault", "params"), [2.0], "fault.params must map names to numbers"),
-        (("fault", "sensor"), 9, "fault.sensor must be a channel index in [0, 9), got 9"),
-        (("fault", "sensor"), -1, "fault.sensor must be a channel index in [0, 9), got -1"),
-        (("fault", "sensor"), 1.0, "fault.sensor must be a channel index in [0, 9), got 1.0"),
-        (("fault", "onset"), 500, "fault.onset must be an integer in (500, 1200), got 500"),
-        (("fault", "onset"), 1200, "fault.onset must be an integer in (500, 1200), got 1200"),
-        (("fault", "onset"), True, "fault.onset must be an integer in (500, 1200), got True"),
+        (("fault", "params"), {"offset": "2"},
+         "fault.params {'offset': '2'} do not fit constant_offset: "
+         "offset must be a real number, got '2'"),
+        (("fault", "params"), [2.0], "fault.params [2.0] do not fit constant_offset: "),
+        (("fault", "params"), {"offset": 10**400},
+         f"fault.params {{'offset': {10**400}}} do not fit constant_offset: int too large"),
+        (("fault", "sensor"), 9, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 9"),
+        (("fault", "sensor"), 8, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 8"),
+        (("fault", "sensor"), -1, "fault.sensor must be nonnegative, got -1"),
+        (("fault", "sensor"), 1.0, "fault.sensor must be an integer, got 1.0"),
+        (("fault", "onset"), 500, "fault.onset 500 is not after train_end 500"),
+        (("fault", "onset"), 1200, "fault.onset must be a step below 1200, got 1200"),
+        (("fault", "onset"), True, "fault.onset must be an integer, got True"),
     ],
     ids=[
         "malformed", "not-an-object", "train_end-zero", "train_end-past-the-panel",
         "no-fault", "fault-null", "no-kind", "no-params", "no-sensor", "no-onset",
         "unknown-kind", "params-of-another-kind", "params-empty", "params-text", "params-list",
-        "sensor-past-the-panel", "sensor-negative", "sensor-float",
+        "params-huge", "sensor-past-the-panel", "sensor-flow", "sensor-negative", "sensor-float",
         "onset-in-training", "onset-past-the-panel", "onset-bool",
     ],
 )

@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from faultprint import explain, netgen, sensors
+from faultprint import explain, localize, netgen, sensors
 from conftest import constant_panel, fresh_copy, kept_program
 from oracles import normal_equations_fit, predict, window_average
 
@@ -284,3 +285,29 @@ def test_explained_ensemble_fields_hold_only_model_data(default_ensemble, defaul
     assert [list(model) for model in as_dict["models"]] == [model_fields] * len(ensemble.models)
     assert len(dataclasses.astuple(ensemble)) == 2
     assert len(dataclasses.astuple(ensemble.models[0])) == 4
+
+
+@pytest.mark.parametrize(
+    "name, call, good",
+    [
+        ("target", lambda panel, v: sensors.LinearModel(np.zeros(4), 0.0, target=v, window=3), 1),
+        ("window", lambda panel, v: sensors.LinearModel(np.zeros(4), 0.0, target=1, window=v), 3),
+        ("target", lambda panel, v: sensors.fit_virtual_sensor(panel, v), 1),
+        ("window", lambda panel, v: sensors.train_ensemble(panel, window=v), 3),
+        ("window", lambda panel, v: sensors.lagged_window_means(panel.values, v), 3),
+        ("t", lambda panel, v: explain.snapshot_at_alarm(panel, sensors.train_ensemble(panel), v), 5),
+        ("exclude", lambda panel, v: localize.predict_faulty_sensor(np.ones(5), exclude=[v]), 4),
+        ("limit", lambda panel, v: localize.aggregate_alarm_sequence([1, 2], limit=v), 1),
+    ],
+    ids=[
+        "LinearModel-target", "LinearModel-window", "fit_virtual_sensor-target",
+        "train_ensemble-window", "lagged_window_means-window", "snapshot_at_alarm-t",
+        "predict_faulty_sensor-exclude", "aggregate_alarm_sequence-limit",
+    ],
+)
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_index_and_size_arguments_must_be_integers(name, call, good, bad):
+    panel = random_panel(np.random.default_rng(3))
+    with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}"):
+        call(panel, bad)
+    call(panel, np.int64(good))  # a numpy integer is an integer

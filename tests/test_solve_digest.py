@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).with_name("solve_digest.py")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,6 +37,23 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     # the scenario's threshold, alarm flags and detection metrics
     assert len(first["detection_sha256"]) == 64
     assert first["detection_sha256"] != hashlib.sha256().hexdigest()
+
+
+@pytest.mark.parametrize(
+    "workload, counts",
+    [
+        # the first 67 alarms, each explained once by the l2/squared ensemble
+        ("stream", {"solves": "67", "programs": "1", "x_step_maps": "1"}),
+        # 20 alarm steps, each explained by the ensemble and its 12 models
+        ("l2-grid", {"solves": "260", "programs": "13"}),
+    ],
+)
+def test_solve_digest_of_one_squared_error_scenario(workload, counts):
+    digest = _digest(workload, 1)
+    assert {key: digest[key] for key in counts} == counts
+    assert digest["explain_errors"] == "0"
+    assert digest["explanations_sha256"] != hashlib.sha256().hexdigest()
+    assert digest["detection_sha256"] != hashlib.sha256().hexdigest()
 
 
 def test_solve_digest_of_random_problems_is_repeatable():
