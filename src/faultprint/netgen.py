@@ -126,11 +126,17 @@ class ReadingsPanel:
         return ReadingsPanel(values=values, kinds=self.kinds, labels=self.labels)
 
 
-def _check_real(name: str, value, infinite_ok: bool = False) -> None:
-    """Raise ``ValueError`` unless ``value`` is a real number (a bool is not
-    one) that is finite, or with ``infinite_ok`` above -inf (so not NaN)."""
+def check_real(name: str, value, infinite_ok: bool = False) -> None:
+    """The fault kinds' rule for a parameter: raise ``ValueError``, naming
+    it, unless ``value`` is a real number (a bool is not one) that a float
+    can hold and that is finite, or with ``infinite_ok`` above -inf (so not
+    NaN)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError as exc:  # say, an int past 2**1024
+        raise ValueError(f"{name} must be a real number a float can hold: {exc}") from None
     if not (value > -math.inf if infinite_ok else math.isfinite(value)):
         bound = "above -inf" if infinite_ok else "finite"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
@@ -142,7 +148,7 @@ class ConstantOffset:
     name = "constant_offset"
 
     def __post_init__(self) -> None:
-        _check_real("offset", self.offset)
+        check_real("offset", self.offset)
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,9 @@ class GaussianNoise:
     name = "gaussian_noise"
 
     def __post_init__(self) -> None:
-        _check_real("sigma", self.sigma)
+        check_real("sigma", self.sigma)
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ class ProportionalOffset:
     name = "proportional_offset"
 
     def __post_init__(self) -> None:
-        _check_real("alpha", self.alpha)
+        check_real("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,8 @@ class Drift:
     name = "drift"
 
     def __post_init__(self) -> None:
-        _check_real("rate", self.rate)
-        _check_real("cap", self.cap, infinite_ok=True)
+        check_real("rate", self.rate)
+        check_real("cap", self.cap, infinite_ok=True)
 
 
 FaultKind = Union[ConstantOffset, GaussianNoise, PowerFailure, ProportionalOffset, Drift]

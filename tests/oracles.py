@@ -178,11 +178,28 @@ def x_step_reference(P_s, A, rho, rhs):
     return cho_solve(cho_factor(K, lower=True, check_finite=False), rhs, check_finite=False)
 
 
+def independent_rows_reference(problem, y, active, preferred=None):
+    """Positions in ``active`` of the rows scipy's pivoted QR keeps, sorted.
+
+    The rows are weighted by dual magnitude, ``preferred`` and equality rows
+    first; a row is kept when its ``|R_ii|`` exceeds 1e-12 of the largest.
+    """
+    strength = np.abs(y[active])
+    weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
+    if preferred is not None and preferred.size:
+        weights[np.isin(active, preferred)] = 1e6
+    weights[(problem.l == problem.u)[active]] = 1e6
+    _, r_diag, pivots = qr(problem.A[active].T * weights, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_diag))
+    rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
+    return np.sort(pivots[:rank])
+
+
 def active_set_solve_reference(problem, y, lower_active, upper_active, preferred=None):
     """``optim._active_set_solve`` through scipy's QR and LU wrappers.
 
-    Same steps: pivoted-QR row selection weighted by dual magnitude
-    (``preferred`` and equality rows first), a regularized LU solve of the
+    Same steps: the pivoted-QR row selection of
+    :func:`independent_rows_reference`, a regularized LU solve of the
     reduced KKT system, proximal refinement towards the unregularized one
     through the same LU, dual sign clamping on inequality rows.  Returns
     None where the reduced system is singular.
@@ -197,15 +214,7 @@ def active_set_solve_reference(problem, y, lower_active, upper_active, preferred
     bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
 
     if active.shape[0]:
-        strength = np.abs(y[active])
-        weights = np.clip(strength / max(strength.max(initial=0.0), 1e-300), 1e-6, None)
-        if preferred is not None and preferred.size:
-            weights[np.isin(active, preferred)] = 1e6
-        weights[equality[active]] = 1e6
-        _, r_diag, pivots = qr(a_red.T * weights, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r_diag))
-        rank = int((diag > diag.max(initial=0.0) * 1e-12).sum())
-        keep = np.sort(pivots[:rank])
+        keep = independent_rows_reference(problem, y, active, preferred)
         active, is_lower = active[keep], is_lower[keep]
         a_red, bounds = a_red[keep], bounds[keep]
     k = active.shape[0]

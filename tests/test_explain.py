@@ -941,7 +941,7 @@ def test_early_polish_releases_rows_after_a_repair_round():
 
 def test_a_kept_polish_holds_only_its_lu_factors():
     # The family's slot keeps the rows and KKT factors of its most recently
-    # used row sets, its latest polish's best round the most recent.
+    # used row sets, its latest polish's last round the most recent.
     # Refinement runs through those factors, so no copy of the matrix stays;
     # a set a warm start pinned also keeps its affine map beside them.
     run, ensemble, threshold, panel, steps = _squared_error_alarms(1, "power_failure-m2-s1")
@@ -953,7 +953,8 @@ def test_a_kept_polish_holds_only_its_lu_factors():
             ensemble, snapshot, config, solver_options=run.solver_options(), warm_start=cf
         )
     problem = _kept_problem(ensemble, snapshot)
-    # the returned polish pushes only on the most recently used set's rows
+    # the returned polish, here its last round, pushes only on the most
+    # recently used set's rows
     assert cf.solution.path != "admm"
     latest = np.frombuffer(list(problem._kkt_slot)[-1], np.intp)
     assert np.isin(np.flatnonzero(cf.solution.y), latest).all()

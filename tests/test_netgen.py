@@ -131,7 +131,12 @@ _NON_FINITE = [np.nan, np.inf, -np.inf, np.float32(np.nan)]
         for field in ("offset", "sigma", "alpha", "rate")
         for value in _NON_FINITE
     ]
-    + [("cap", np.nan, "above -inf"), ("cap", -np.inf, "above -inf"), ("sigma", -0.5, "nonnegative")],
+    + [("cap", np.nan, "above -inf"), ("cap", -np.inf, "above -inf"), ("sigma", -0.5, "nonnegative")]
+    # Past float range, where float() overflows
+    + [
+        pytest.param(field, sign * 10**400, "a float can hold", id=f"{field}-{sign * 10}**400")
+        for field, sign in [(field, 1) for field in _FAULT_PARAMETERS] + [("cap", -1)]
+    ],
 )
 def test_fault_kinds_reject_a_bad_parameter_by_name(field, value, message):
     kind, fields = _FAULT_PARAMETERS[field]

@@ -8,6 +8,7 @@ from faultprint import detector, explain, optim, pipeline
 from conftest import run_fresh
 from oracles import (
     active_set_solve_reference,
+    independent_rows_reference,
     kkt_residuals_reference,
     kkt_tolerances_reference,
     lp_vertex_objective,
@@ -571,6 +572,38 @@ def test_active_set_solve_matches_wrapper_reference():
     assert over_pinned > 0  # the rank-deficient cases did reach the selection
 
 
+def test_row_selection_at_program_size_matches_scipy_qr():
+    # The programs' shapes (variables x rows): a per-model and an ensemble
+    # l1/abs program and the stream's l2/squared one, which has equality
+    # rows.  Candidate sets of the sizes their polishes pin (29, 40 and 37
+    # rows) and of every row, with duals over nine orders of magnitude; the
+    # last case repeats rows, so its candidates are rank-deficient.
+    # _independent_rows passes dgeqp3 a fixed workspace, scipy's qr what a
+    # workspace query returns: both must keep the same rows.
+    rng = np.random.default_rng(59)
+    dropped = 0
+    for n, m, k, equalities, repeats in (
+        (29, 31, 29, 0, 0), (29, 31, 31, 0, 0), (40, 64, 40, 0, 0), (40, 64, 64, 0, 0),
+        (50, 48, 37, 10, 0), (50, 48, 48, 10, 0), (50, 48, 48, 10, 12),
+    ):
+        for _ in range(10):
+            A = rng.normal(size=(m, n))
+            if repeats:
+                A[-repeats:] = A[rng.integers(0, m - repeats, size=repeats)]
+            l = rng.uniform(-2.0, -0.1, m)
+            u = rng.uniform(0.1, 2.0, m)
+            u[:equalities] = l[:equalities]
+            problem = optim.ConvexProblem.linear(rng.normal(size=n), A, l, u)
+            y = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-9, 0, m)
+            active = np.sort(rng.permutation(m)[:k])
+            preferred = np.sort(rng.choice(active, size=int(rng.integers(0, 3)), replace=False))
+            keep = optim._independent_rows(problem, y, active, preferred)
+            reference = independent_rows_reference(problem, y, active, preferred)
+            assert keep.tolist() == reference.tolist()
+            dropped += k - keep.size
+    assert dropped  # over-full and repeated candidates reached the rank cut-off
+
+
 def test_active_set_solve_preferred_rows_match_wrapper_reference():
     # Two copies of one row: only one survives, and a repair preference on
     # the weaker copy must pick it over the stronger one.
@@ -593,6 +626,11 @@ def test_active_set_solve_preferred_rows_match_wrapper_reference():
 def _fresh(problem) -> optim.ConvexProblem:
     """A newly built copy of ``problem``, which shares no kept factors."""
     return optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
+
+
+def _last_kept(problem) -> tuple[bytes, optim._KktFactor]:
+    """The kept rows and factors its family used most recently."""
+    return next(reversed(problem._kkt_slot.items()))
 
 
 def _singular_problem() -> optim.ConvexProblem:
@@ -619,15 +657,17 @@ def test_the_affine_map_path_matches_the_reference_to_rounding():
     cases = [*_active_set_cases(), (_singular_problem(), np.zeros(2), empty, empty, None)]
     for problem, y, lower, upper, preferred in cases:
         reference = active_set_solve_reference(problem, y, lower, upper, preferred)
-        mapped = optim._active_set_solve(_fresh(problem), y, lower, upper, preferred, True)
+        mapped_family, lu_family = _fresh(problem), _fresh(problem)
+        mapped = optim._active_set_solve(mapped_family, y, lower, upper, preferred, True)
         if reference is None:
             assert mapped is None
             continue
-        by_lu = optim._active_set_solve(_fresh(problem), y, lower, upper, preferred)
-        assert mapped[2][0] == by_lu[2][0]
-        assert mapped[2][1].map is not None and by_lu[2][1].map is None
+        optim._active_set_solve(lu_family, y, lower, upper, preferred)
+        (rows, mapped_factor), (lu_rows, lu_factor) = map(_last_kept, (mapped_family, lu_family))
+        assert rows == lu_rows
+        assert mapped_factor.map is not None and lu_factor.map is None
         assert (np.sign(mapped[1]) == np.sign(reference[1])).all()
-        kept = np.frombuffer(mapped[2][0], np.intp)
+        kept = np.frombuffer(rows, np.intp)
         n, k = problem.n_vars, kept.size
         reg = optim._POLISH_REG
         kkt = np.block([
@@ -662,9 +702,9 @@ def test_refined_polish_solves_the_unregularized_kkt_system():
         pinned = np.sort(rng.permutation(m)[:k])
         on_lower = rng.random(k) < 0.5
         lower, upper = pinned[on_lower], pinned[~on_lower]
-        x, y, (rows, _), _ = optim._active_set_solve(problem, rng.normal(size=m), lower, upper)
+        x, y, _ = optim._active_set_solve(problem, rng.normal(size=m), lower, upper)
         kept = np.concatenate([lower, upper])
-        assert rows == kept.tobytes()  # every row kept: A[kept] has full rank
+        assert _last_kept(problem)[0] == kept.tobytes()  # every row kept: A[kept] has full rank
         kkt = np.block([[P, A[kept].T], [A[kept], np.zeros((k, k))]])
         if optim._POLISH_REG * np.linalg.norm(np.linalg.inv(kkt), 2) > 1e-3:
             continue
@@ -776,30 +816,23 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
     # A warm start that pins exactly the rows its problem family kept at its
     # latest polished point reuses them whole: no pivoted QR runs.  The
     # point is bit-equal to the reference's, which always runs the QR.
-    lworks = []
-    geqp3 = optim._geqp3
-
-    def counted(*args, **kwargs):
-        lworks.append(kwargs["lwork"])
-        return geqp3(*args, **kwargs)
-
-    monkeypatch.setattr(optim, "_geqp3", counted)
+    geqp3 = _count_lapack(monkeypatch, "_geqp3")
     base = l1_equation_lp(4.0)
     previous = optim.solve(base)
-    assert lworks  # the cold solve's polish selected its rows
+    assert geqp3  # the cold solve's polish selected its rows
     for r in (3.0, 2.0):
         problem = base.with_bounds(l1_equation_lp(r).l, l1_equation_lp(r).u)
         lower, upper = np.flatnonzero(previous.y < 0), np.flatnonzero(previous.y > 0)
         # the most recently used key holds the rows of the latest polish's
-        # best round
+        # last round, here the round it returned
         assert list(base._kkt_slot)[-1] == np.concatenate([lower, upper]).tobytes()
-        del lworks[:]
+        del geqp3[:]
         result = optim._active_set_solve(problem, previous.y, lower, upper)
         reference = active_set_solve_reference(problem, previous.y, lower, upper)
         _assert_same_bits(result[:2], reference)
         previous = optim.solve(problem, warm_start=previous)
         assert previous.path == "warm"
-        assert lworks == []
+        assert geqp3 == []
 
 
 def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
@@ -816,13 +849,14 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
         first, other = np.sort(rows[:3]), np.sort(rows[3:6])
 
         def factorizations(candidate, lower):
-            before = len(calls)
+            before, kept = len(calls), candidate._kkt_slot.get(lower.tobytes())
             result = optim._active_set_solve(candidate, y, lower, empty)
             _assert_same_bits(result[:2], active_set_solve_reference(candidate, y, lower, empty))
-            # the rows just used are the most recently used, with their factor
-            rows, factor = result[2]
-            assert list(candidate._kkt_slot)[-1] == rows
-            assert candidate._kkt_slot[rows] is factor
+            # the rows just used are the most recently used, with the factor
+            # they kept if none was made
+            rows, factor = _last_kept(candidate)
+            assert rows == lower.tobytes()
+            assert (factor is kept) == (len(calls) == before)
             return len(calls) - before
 
         assert factorizations(problem, first) == 1
@@ -842,13 +876,12 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
 
 
 def _count_lapack(monkeypatch, name: str) -> list:
-    """Every call of ``optim.<name>`` but a LAPACK workspace query (``lwork=-1``)."""
+    """Every call of ``optim.<name>``."""
     calls = []
     routine = getattr(optim, name)
 
     def counted(*args, **kwargs):
-        if kwargs.get("lwork") != -1:
-            calls.append(args)
+        calls.append(args)
         return routine(*args, **kwargs)
 
     monkeypatch.setattr(optim, name, counted)
@@ -867,7 +900,7 @@ def counted(name):
     inner = getattr(optim, name)
 
     def wrapper(*args, **kwargs):
-        counts[name] += kwargs.get("lwork") != -1  # a workspace query factors nothing
+        counts[name] += 1
         return inner(*args, **kwargs)
 
     return wrapper
@@ -953,9 +986,7 @@ def test_a_repeated_two_round_polish_refactors_nothing(monkeypatch):
             *arguments, by_map = args
             assert not by_map  # _polish solves by LU unless told to use maps
             _assert_same_bits(result[:2], active_set_solve_reference(*arguments))
-        rows, factor = records[1][1][2]  # the best round, the most recently used
-        assert list(problem._kkt_slot)[-1] == rows and problem._kkt_slot[rows] is factor
-        assert len(problem._kkt_slot) == 2
+        assert list(problem._kkt_slot) == [np.array([0]).tobytes(), np.array([0, 1]).tobytes()]
         factorizations.append((len(getrf), len(geqp3)))
     assert factorizations == [(2, 2), (0, 0)]
 
@@ -974,8 +1005,7 @@ def test_a_family_keeps_its_most_recently_used_kkt_factors(monkeypatch):
         before = len(getrf)
         result = optim._active_set_solve(problem, y, sets[i], empty)
         _assert_same_bits(result[:2], active_set_solve_reference(problem, y, sets[i], empty))
-        rows, factor = result[2]
-        assert list(problem._kkt_slot)[-1] == rows and problem._kkt_slot[rows] is factor
+        assert list(problem._kkt_slot)[-1] == sets[i].tobytes()
         assert len(problem._kkt_slot) <= optim._KKT_KEPT
         return len(getrf) - before
 
@@ -1037,8 +1067,9 @@ def test_an_evicted_set_gets_its_map_rebuilt_when_it_returns(monkeypatch):
 
     def built(i):
         del getrf[:], maps[:]
-        rows, factor = optim._active_set_solve(problem, y, sets[i], empty, None, True)[2]
-        assert problem._kkt_slot[rows] is factor and factor.map is not None
+        optim._active_set_solve(problem, y, sets[i], empty, None, True)
+        rows, factor = _last_kept(problem)
+        assert rows == sets[i].tobytes() and factor.map is not None
         return len(getrf), len(maps)
 
     assert [built(i) for i in range(optim._KKT_KEPT + 1)] == [(1, 1)] * (optim._KKT_KEPT + 1)

@@ -234,6 +234,39 @@ def test_run_config_rejects_non_integers_before_writing(tmp_path, field_name, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, fields",
+    [
+        ("drift_cap", {"drift_cap": True}),
+        ("drift_cap", {"drift_cap": "100"}),
+        ("drift_cap", {"drift_cap": 10**400}),
+        ("constant_offset", {"magnitudes": {"constant_offset": (1.0, True)}}),
+        ("gaussian_noise", {"magnitudes": {"gaussian_noise": ("1.0",)}}),
+        ("gaussian_noise", {"magnitudes": {"gaussian_noise": (10**400,)}}),
+        ("gaussian_noise", {"magnitudes": {"gaussian_noise": (-1.0,)}}),
+        ("power_failure", {"magnitudes": {"power_failure": (0.0, True)}}),
+        ("power_failure", {"magnitudes": {"power_failure": ("0",)}}),
+        ("power_failure", {"magnitudes": {"power_failure": (np.nan,)}}),
+        ("proportional_offset", {"magnitudes": {"proportional_offset": (-np.inf,)}}),
+        ("drift", {"magnitudes": {"drift": (10**400,)}}),
+    ],
+    ids=[
+        "drift_cap-bool", "drift_cap-str", "drift_cap-huge", "constant_offset-bool",
+        "gaussian_noise-str", "gaussian_noise-huge", "gaussian_noise-negative",
+        "power_failure-bool", "power_failure-str", "power_failure-nan",
+        "proportional_offset-inf", "drift-huge",
+    ],
+)
+def test_run_config_holds_magnitudes_and_drift_cap_to_the_fault_kinds_rules(tmp_path, key, fields):
+    # A bad value fails as a ConfigError naming its key before any scenario
+    # is written, not while the grid is simulated (a drift_cap of True got
+    # 12 of 15 seed-1 scenarios written) or as a TypeError or OverflowError.
+    out = tmp_path / "out"
+    with pytest.raises(pipeline.ConfigError, match=key):
+        pipeline.simulate_batch(pipeline.RunConfig(outdir=str(out), **fields))
+    assert not out.exists()
+
+
 def test_run_config_accepts_numpy_integers(tmp_path):
     run = pipeline.RunConfig(
         seeds=(np.int64(2),),
@@ -511,7 +544,8 @@ _PRESSURE = tuple(range(8))
          "offset must be a real number, got '2'"),
         (("fault", "params"), [2.0], "fault.params [2.0] do not fit constant_offset: "),
         (("fault", "params"), {"offset": 10**400},
-         f"fault.params {{'offset': {10**400}}} do not fit constant_offset: int too large"),
+         f"fault.params {{'offset': {10**400}}} do not fit constant_offset: "
+         "offset must be a real number a float can hold: int too large"),
         (("fault", "sensor"), 9, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 9"),
         (("fault", "sensor"), 8, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 8"),
         (("fault", "sensor"), -1, "fault.sensor must be nonnegative, got -1"),
