@@ -258,39 +258,46 @@ class _Program:
             l=np.full(m, -np.inf),
             u=np.full(m, np.inf),
         )
-        # A one-row, two-sided l1/abs program has a closed-form vertex.
-        self._has_vertex = k == 1 and l1 and not squared and not one_sided[0]
+        self._has_vertex = k == 1 and not one_sided[0]  # see vertex_duals
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.G @ x + self.bias - self.targets
 
-    def vertex_duals(self, r0: np.ndarray) -> np.ndarray | None:
-        """Dual signs of the optimal vertex for residual r0; None without a closed form.
+    def vertex_duals(self, problem: optim.ConvexProblem, r0: np.ndarray) -> np.ndarray | None:
+        """Dual signs of the optimum of ``problem``, this program at r0; None
+        unless the program has one two-sided row (a per-model explanation).
 
-        Only a one-row, two-sided l1/abs program (a per-model explanation,
-        or an ensemble of one) has one.  If ``|r0| <= tol`` no change is
-        needed, and every variable's nonnegativity row is pinned.  Otherwise
-        the violated residual row is pinned (row 0 when r0 > 0, row 1
-        otherwise), and so is every nonnegativity row but that of the one
-        variable that moves: the slack when ``1 / |g_i|`` exceeds the slack
-        penalty for the largest ``|g_i|``, else the part of ``delta_i`` with
-        sign ``-sign(g_i r0)``.  A pinned residual row pushes on its upper
-        bound (+1), a pinned nonnegativity row on its lower bound (-1).
+        The optimum's final residual e has the sign of r0 and ``|e| =
+        min(|r0|, max(edge, stop))``: the penalty starts at ``edge`` (tol, or
+        sqrt(tol) for squared error), and the change's marginal cost meets
+        the penalty's at ``stop``.  The change goes on the largest |g_i| (l1)
+        or along g (l2).  A row where the point sits at ``u`` gets +1, at ``l`` -1.
         """
         if not self._has_vertex:
             return None
-        r, tol, g = float(r0[0]), float(self.tol[0]), self.G[0]
-        n = g.shape[0]
-        duals = np.zeros(self._base.n_constraints)
-        duals[2:] = -1.0  # nonnegativity rows, in variable order [delta+, delta-, s]
-        if abs(r) > tol:
-            duals[0 if r > 0 else 1] = 1.0
-            i = int(np.argmax(np.abs(g)))
-            if abs(g[i]) * self.cfg.slack_penalty < 1.0:
-                moving = 2 * n  # the slack
-            else:
-                moving = i if g[i] * r < 0 else n + i
-            duals[2 + moving] = 0.0
+        r, tol, g, lam = float(r0[0]), float(self.tol[0]), self.G[0], self.cfg.slack_penalty
+        l1, squared = self.cfg.complexity == "l1", self.cfg.dist == "squared"
+        edge = math.sqrt(tol) if squared else tol
+        i = int(np.abs(g).argmax())
+        top, norm2 = abs(float(g[i])), float(g @ g)
+        if l1:
+            stop = 0.5 / (lam * top) if squared else (math.inf if lam * top < 1.0 else -math.inf)
+        else:
+            stop = abs(r) / (1.0 + lam * norm2) if squared else abs(r) - lam * norm2 / 2.0
+        e = math.copysign(min(abs(r), max(edge, stop)), r)
+        boxed = min(max(e, -edge), edge)
+        rest = [boxed, e - boxed, abs(e - boxed)] if squared else [max(0.0, abs(e) - tol)]
+        z = np.zeros(problem.n_vars)
+        z[z.size - len(rest) :] = rest
+        if l1:  # on the largest |g_i|, as its positive or its negative part
+            z[i if (e > r) == (g[i] > 0) else g.size + i] = abs(e - r) / top
+        else:
+            z[: g.size] = (e - r) / norm2 * g
+        Az = problem.A @ z
+        gap = 1e-9 * (1.0 + np.abs(Az).max())
+        duals = np.zeros(problem.n_constraints)
+        duals[problem.u - Az <= gap] = 1.0
+        duals[Az - problem.l <= gap] = -1.0
         return duals
 
     def at(self, r0: np.ndarray) -> optim.ConvexProblem:
@@ -367,12 +374,12 @@ def _counterfactual(
     if not np.isfinite(x_orig).all():
         raise ValueError("snapshot contains non-finite readings")
     r0 = program.residual(x_orig)
-    previous = warm_start.solution if warm_start is not None else None
+    problem = program.at(r0)
     solution = optim.solve(
-        program.at(r0),
+        problem,
         **(solver_options or {}),
-        warm_start=previous,
-        _dual_guess=program.vertex_duals(r0),
+        warm_start=warm_start.solution if warm_start is not None else None,
+        _dual_guess=program.vertex_duals(problem, r0),
     )
     if solution.status is not optim.SolveStatus.OPTIMAL:
         raise ExplainError(
@@ -435,10 +442,10 @@ def ensemble_counterfactual(
     ``warm_start``, the explanation of a nearby snapshot by the same
     ensemble and config, lets the solver try that optimum's active set
     first; the result is certified either way.  An ensemble of one model
-    with l1 complexity and absolute error starts at its closed-form vertex
-    instead, as :func:`independent_counterfactual` does.  The ensemble
-    keeps its latest program, so calls with the same targets and config
-    build and validate it once.
+    starts at its closed-form optimum instead, as
+    :func:`independent_counterfactual` does, and only checks ``warm_start``
+    for its shape.  The ensemble keeps its latest program, so calls with
+    the same targets and config build and validate it once.
     """
     return _linear_counterfactual(
         ensemble, ensemble.models, x_orig, config, targets, solver_options, warm_start
@@ -451,20 +458,18 @@ def independent_counterfactual(
     y_cf: float = 0.0,
     config: CfConfig = CfConfig(),
     solver_options: dict | None = None,
-    warm_start: Counterfactual | None = None,
 ) -> Counterfactual:
     """Counterfactual for a single model; the per-model baseline.
 
     Same construction as the ensemble path restricted to one constraint, so
     an ensemble of one reproduces this optimum.  The model keeps its latest
-    program, as an ensemble does.  With l1 complexity and absolute error
-    the optimum is known in closed form, and the solve starts at that
-    vertex (:meth:`_Program.vertex_duals`): it still runs and is certified,
-    and ``warm_start`` is checked for its shape but not used.  Other
-    configs start from ``warm_start``, as the ensemble path does.
+    program, as an ensemble does.  In every config the optimum is known in
+    closed form, and the solve starts there
+    (:meth:`_Program.vertex_duals`): it still runs and is certified, and
+    its result depends on the model, the snapshot and the config alone.
     """
     return _linear_counterfactual(
-        model, (model,), x_orig, config, float(y_cf), solver_options, warm_start
+        model, (model,), x_orig, config, float(y_cf), solver_options, None
     )
 
 

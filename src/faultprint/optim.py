@@ -16,9 +16,9 @@ The solver first re-solves on that solution's active set and returns the
 result with zero iterations if it passes; on a miss it runs the cold
 iteration, whose polish can run other rounds than a first solve's: the
 missed re-solve has updated the family's kept KKT factors (below).  A
-caller that knows the optimal vertex in closed form (a one-row l1/abs
-counterfactual) passes its dual signs privately instead, and the solver
-starts from them in the same way.  With its rows fixed, a refined
+caller that knows the optimum in closed form (a one-row counterfactual,
+in any of its configs) passes its dual signs privately instead, and the
+solver starts from them in the same way.  With its rows fixed, a refined
 active-set re-solve is affine in the pinned bounds, so a re-solve from
 such a guess reads its point off the row set's affine map: one gather and
 one matrix-vector product.  Polishes of ADMM iterates solve through the
@@ -239,7 +239,7 @@ class Solution:
     """A solve's result and how it was reached.
 
     ``path`` names the point returned: ``warm`` (the active set of the
-    warm start, or of the caller's closed-form vertex guess, re-solved, no
+    warm start, or of the caller's closed-form guess, re-solved, no
     iterations), ``early_polish`` (an active-set re-solve
     during the ADMM loop), ``final_polish`` (the re-solve after ADMM
     converged) or ``admm`` (the ADMM iterate itself, unpolished).
@@ -675,12 +675,12 @@ def solve(
 
     ``warm_start``, a solution of a problem of the same shape, is tried
     first: a re-solve on its active set is returned with zero iterations if
-    it passes, and otherwise ignored.  ``_dual_guess``, dual signs of a
-    vertex the caller computed in closed form (see
-    ``explain._Program.vertex_duals``), is tried the same way, in place of
-    the warm start's duals; a warm start given with it is only checked for
-    its shape.  The ADMM start and polishing reuse
-    the factors of the problem's family (see
+    it passes, and otherwise ignored.  ``_dual_guess``, dual signs of an
+    optimum the caller computed in closed form (every one-row
+    counterfactual program, see ``explain._Program.vertex_duals``), is
+    tried the same way, in place of the warm start's duals; a warm start
+    given with it is only checked for its shape.  The ADMM start and
+    polishing reuse the factors of the problem's family (see
     :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  The
     re-solve from a guess reads each round's point off its row set's
     affine map (see :func:`_kkt_map`), which moves it from the LU solve a

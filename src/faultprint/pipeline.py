@@ -14,6 +14,7 @@ import json
 import math
 import multiprocessing
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -82,6 +83,8 @@ class RunConfig:
         for kind, values in self.magnitudes.items():
             if kind not in netgen.FAULT_KIND_NAMES:
                 raise ConfigError(f"unknown fault kind in grid: {kind!r}")
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ConfigError(f"{kind} magnitudes must be a sequence, got {values!r}")
             if not values:
                 raise ConfigError(f"fault kind {kind!r} has no magnitudes")
             for value in values:
@@ -373,12 +376,11 @@ def localize_scenario(
     certificate_excess = -math.inf
 
     # Consecutive alarm steps have near-identical snapshots, so each step's
-    # explanations warm-start the next step's (an l1/abs per-model solve
-    # starts at its closed-form vertex instead); the ensemble and each
+    # ensemble explanation warm-starts the next step's; a per-model solve
+    # starts at its snapshot's closed-form optimum.  The ensemble and each
     # model keep their program, and its factorizations, across the steps.
     # The audit reads the certified solution each explanation returns.
     cf: Optional[explain.Counterfactual] = None
-    per_model: list[Optional[explain.Counterfactual]] = [None] * len(ensemble.models)
     solutions: list[optim.Solution] = []
     for t in steps:
         snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
@@ -389,15 +391,8 @@ def localize_scenario(
         if cf.feasible_without_slack:
             certificate_excess = max(certificate_excess, cf.excess)
         per_model = [
-            explain.independent_counterfactual(
-                model,
-                snapshot,
-                0.0,
-                cf_config,
-                solver_options=solver_options,
-                warm_start=previous,
-            )
-            for model, previous in zip(ensemble.models, per_model)
+            explain.independent_counterfactual(model, snapshot, 0.0, cf_config, solver_options)
+            for model in ensemble.models
         ]
         baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
         solutions += [cf.solution] + [m.solution for m in per_model]

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 These deliberately use different algorithms from the code under test:
-brute-force vertex enumeration instead of operator splitting, normal
+brute-force vertex enumeration instead of operator splitting, a bounded
+scalar search for one-row programs instead of their closed form, normal
 equations instead of orthogonal factorizations.  The solver's linear
 algebra is checked against the same steps written with scipy.linalg's
 wrappers instead of direct LAPACK calls, and its one-pass certificate
@@ -19,6 +20,7 @@ from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
+from scipy.optimize import minimize_scalar
 
 from faultprint import netgen, optim
 
@@ -56,6 +58,49 @@ def lp_vertex_objective(q, A, l, u, feas_tol=1e-8):
             if best is None or value < best:
                 best = value
     return best
+
+
+def l1_one_row_oracle(g, r0, tol, penalty):
+    """Closed-form optimum of a one-row l1/abs program.
+
+    One residual row g'delta + r0: the cheapest change puts everything on
+    the largest-|g_i| channel, just enough to bring |r0| down to tol,
+    unless the slack, at ``penalty`` per unit, is cheaper than 1/|g_i|.
+    """
+    delta = np.zeros_like(g)
+    i = int(np.argmax(np.abs(g)))
+    if abs(r0) > tol and abs(g[i]) * penalty >= 1.0:
+        delta[i] = -np.sign(g[i] * r0) * (abs(r0) - tol) / abs(g[i])
+    return delta
+
+
+def one_row_oracle(g, r0, tol, penalty, complexity, dist):
+    """Optimal value and final residual e of a one-row, two-sided program.
+
+    The program is a scalar problem in e: the cheapest change that moves
+    the residual from r0 to e costs |e - r0| / max|g_i| (l1) or
+    (e - r0)^2 / |g|^2 (l2), and the penalty is ``penalty`` times
+    max(0, |e| - tol) (abs) or max(0, e^2 - tol) (squared).  Minimized
+    numerically over e between 0 and r0, apart from any closed form.  The
+    search closes in on a kink only to its relative tolerance (about 1e-8),
+    so the objective's break points, the end points and +-tol or
+    +-sqrt(tol), are candidates too.
+    """
+    g = np.asarray(g, dtype=float)
+
+    def cost(e):
+        change = abs(e - r0) / np.abs(g).max() if complexity == "l1" else (e - r0) ** 2 / (g @ g)
+        measure = abs(e) if dist == "abs" else e * e
+        return change + penalty * max(0.0, measure - tol)
+
+    if r0 == 0.0:
+        return 0.0, 0.0
+    result = minimize_scalar(
+        cost, bounds=sorted((0.0, r0)), method="bounded", options={"xatol": 1e-12}
+    )
+    edge = np.sqrt(tol) if dist == "squared" else tol
+    breaks = [e for e in (0.0, r0, edge, -edge) if min(0.0, r0) <= e <= max(0.0, r0)]
+    return min((float(cost(e)), float(e)) for e in [result.x, *breaks])
 
 
 def normal_equations_fit(inputs: np.ndarray, response: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ Grid workloads (the default grid of the given seeds, built, trained and
 detected in memory as the CLI does it from its files):
 
 - ``lp-grid``: each scenario's alarm steps explained as ``faultprint
-  evaluate`` explains them (l1/abs, warm-started chains).
+  evaluate`` explains them (l1/abs: a warm-started ensemble chain, and
+  per-model solves from their closed-form start).
 - ``l2-grid``: the same with complexity l2 and squared error.
 - ``stream``: the first 67 alarms of each l2/squared scenario, each
   explained once without a warm start (the loop of the ``alarm-stream-qp``
@@ -20,7 +21,8 @@ The ``random`` workload solves, for each seed, 600 random bounded problems
 every finite bound widened by 1e-3.
 
 Prints the solve count, the ADMM iterations, the count of each status and
-solution path, and two SHA-256 digests over every solve in call order:
+solution path (``guessed_paths``: those of the solves given a closed-form
+``_dual_guess``, or ``none``), and two SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations and the
 path, so a change that keeps every point and only saves iterations, or
@@ -149,6 +151,7 @@ def main(argv=None) -> int:
     explanations_digest, detection_digest = hashlib.sha256(), hashlib.sha256()
     statuses: collections.Counter = collections.Counter()
     paths: collections.Counter = collections.Counter()
+    guessed_paths: collections.Counter = collections.Counter()
     counts = collections.Counter()
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
     factorize, decode = optim._factorize_scaled, explain._decode
@@ -160,6 +163,8 @@ def main(argv=None) -> int:
         counts["iterations"] += sol.iterations
         statuses[sol.status.value] += 1
         paths[sol.path] += 1
+        if kw.get("_dual_guess") is not None:
+            guessed_paths[sol.path] += 1
         point = (sol.z.tobytes(), sol.y.tobytes(), sol.status.value.encode())
         certificate = (
             repr(tuple(float(v) for v in sol.kkt)).encode(),
@@ -229,6 +234,8 @@ def main(argv=None) -> int:
     print(f"iterations: {counts['iterations']}")
     print("statuses: " + " ".join(f"{s}={n}" for s, n in sorted(statuses.items())))
     print("paths: " + " ".join(f"{p}={n}" for p, n in sorted(paths.items())))
+    guessed = " ".join(f"{p}={n}" for p, n in sorted(guessed_paths.items()))
+    print(f"guessed_paths: {guessed or 'none'}")
     print(f"explain_errors: {errors}")
     print(f"polish: {counts['polish']}")
     print(f"geqp3: {counts['geqp3']}")

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import re
 import struct
 
@@ -12,7 +13,9 @@ from oracles import (
     counterfactual_program_rows,
     kkt_residuals_reference,
     kkt_tolerances_reference,
+    l1_one_row_oracle,
     lp_vertex_objective,
+    one_row_oracle,
 )
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
@@ -554,15 +557,20 @@ def test_classifiers_compare_field_by_field():
 
 
 def test_solver_failure_is_propagated_with_diagnostics():
-    # Squared error: an l1/abs per-model solve starts at its closed-form
-    # vertex and needs no iteration.
-    model = single_model([2.0, 1.0], bias=0.0, target=2)
+    # Two models: a one-row program starts at its closed-form optimum and
+    # needs no iteration.
+    ensemble = sensors.Ensemble(
+        models=(
+            single_model([2.0, 1.0], bias=0.0, target=2),
+            single_model([1.0, -1.0], bias=0.5, target=0),
+        ),
+        window=3,
+    )
     with pytest.raises(explain.ExplainError, match="max_iters"):
-        explain.independent_counterfactual(
-            model,
+        explain.ensemble_counterfactual(
+            ensemble,
             np.array([5.0, 5.0, 0.0]),
-            0.0,
-            explain.CfConfig(dist="squared"),
+            explain.CfConfig(complexity="l2", dist="squared"),
             solver_options={"max_iters": 1},
         )
 
@@ -654,20 +662,6 @@ def l1_single_model_oracle(model, x, tol):
     return l1_one_row_oracle(g, float(g @ x + model.bias), tol, np.inf)
 
 
-def l1_one_row_oracle(g, r0, tol, penalty):
-    """Closed-form optimum of a one-row l1/abs program.
-
-    One residual row g'delta + r0: the cheapest change puts everything on
-    the largest-|g_i| channel, just enough to bring |r0| down to tol,
-    unless the slack, at ``penalty`` per unit, is cheaper than 1/|g_i|.
-    """
-    delta = np.zeros_like(g)
-    i = int(np.argmax(np.abs(g)))
-    if abs(r0) > tol and abs(g[i]) * penalty >= 1.0:
-        delta[i] = -np.sign(g[i] * r0) * (abs(r0) - tol) / abs(g[i])
-    return delta
-
-
 def snapshot_with_residual(rng, model, n, r0):
     """A random snapshot on which the model's residual is exactly r0."""
     x = rng.normal(scale=2.0, size=n)
@@ -679,55 +673,61 @@ def snapshot_with_residual(rng, model, n, r0):
 
 
 def test_per_model_l1_matches_closed_form_cold_and_warm():
+    # "cold" is a copy of the model that has built no program; "warm" has
+    # explained another snapshot, of either residual sign, and keeps its
+    # program and factors.  Both start at the closed-form vertex of their
+    # snapshot, so the call history changes no bit.
     rng = np.random.default_rng(41)
     for _ in range(40):
         n = int(rng.integers(3, 9))
         model = random_single_model(rng, n)
         config = explain.CfConfig(tolerances=float(rng.uniform(0.0, 0.3)))
-        sign = rng.choice([-1.0, 1.0])
-        x_prev = snapshot_with_residual(rng, model, n, sign * rng.uniform(0.5, 3.0))
+        sign, sign_prev = rng.choice([-1.0, 1.0], size=2)
+        x_prev = snapshot_with_residual(rng, model, n, sign_prev * rng.uniform(0.5, 3.0))
         x = snapshot_with_residual(rng, model, n, sign * rng.uniform(0.5, 3.0))
         previous = explain.independent_counterfactual(
             model, x_prev, 0.0, config, solver_options=TIGHT
         )
-        cold = explain.independent_counterfactual(
+        warm = explain.independent_counterfactual(
             model, x, 0.0, config, solver_options=TIGHT
         )
-        warm = explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
+        cold = explain.independent_counterfactual(
+            dataclasses.replace(model), x, 0.0, config, solver_options=TIGHT
         )
         expected = l1_single_model_oracle(model, x, float(config.tolerances))
         for cf in (previous, cold, warm):
             assert cf.solution.status is optim.SolveStatus.OPTIMAL
-        # the closed-form vertex starts the solve, with or without a warm start
         assert cold.solution.iterations == 0
         assert np.abs(cold.delta - expected).max() <= 1e-6
-        assert np.abs(warm.delta - expected).max() <= 1e-6
-        # same residual sign, same optimal vertex: the warm start must hit
-        assert warm.solution.iterations == 0
-        assert np.array_equal(warm.delta, cold.delta)
+        _assert_same_solution(warm.solution, cold.solution)
+        assert warm.solution.path == cold.solution.path == "warm"
+        assert warm.delta.tobytes() == cold.delta.tobytes()
+
+
+def snapshot_with_residuals(rng, ensemble, n, r0):
+    """A random snapshot on which the ensemble's residuals are r0."""
+    x = rng.normal(scale=2.0, size=n)
+    G, bias = explain._residual_geometry(ensemble.models, n)
+    return x + np.linalg.lstsq(G, r0 - (G @ x + bias), rcond=None)[0]
 
 
 def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
-    # An l1/squared per-model program has no closed-form start, so a
-    # caller's warm start decides where its solve starts.  (The polish
-    # repairs an l2/squared warm start from the opposite residual sign.)
+    # A program of two or more rows has no closed-form start, so a caller's
+    # warm start decides where its solve starts.
     rng = np.random.default_rng(43)
     for _ in range(20):
         n = int(rng.integers(3, 9))
-        model = random_single_model(rng, n)
+        ensemble = random_ensemble(rng, n, 2)
         config = explain.CfConfig(tolerances=0.1, dist="squared")
-        # the opposite residual sign needs the opposite constraint active
-        x_prev = snapshot_with_residual(rng, model, n, 2.0)
-        x = snapshot_with_residual(rng, model, n, -1.5)
-        previous = explain.independent_counterfactual(
-            model, x_prev, 0.0, config, solver_options=TIGHT
+        # the opposite residual signs need the opposite constraints active
+        x_prev = snapshot_with_residuals(rng, ensemble, n, np.array([2.0, 2.0]))
+        x = snapshot_with_residuals(rng, ensemble, n, np.array([-1.5, -1.5]))
+        previous = explain.ensemble_counterfactual(
+            ensemble, x_prev, config, solver_options=TIGHT
         )
-        cold = explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=TIGHT
-        )
-        warm = explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
+        cold = explain.ensemble_counterfactual(ensemble, x, config, solver_options=TIGHT)
+        warm = explain.ensemble_counterfactual(
+            ensemble, x, config, solver_options=TIGHT, warm_start=previous
         )
         assert warm.solution.iterations > 0
         assert warm.solution.iterations == cold.solution.iterations
@@ -736,44 +736,22 @@ def test_warm_start_from_unrelated_snapshot_falls_back_to_admm():
         assert solution.status is optim.SolveStatus.OPTIMAL
         assert solution.kkt.primal <= solution.kkt_tol.primal
         assert solution.kkt.dual <= solution.kkt_tol.dual
-        # with this penalty the change stops at the dead zone's edge,
-        # |e| = sqrt(tol), as the l1/abs optimum stops at |e| = tol
-        expected = l1_single_model_oracle(model, x, np.sqrt(0.1))
-        assert np.abs(warm.delta - expected).max() <= 1e-6
-
-
-def test_per_model_l1_ignores_a_warm_start_from_an_unrelated_snapshot():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        model = random_single_model(rng, n)
-        config = explain.CfConfig(tolerances=0.1)
-        x_prev = snapshot_with_residual(rng, model, n, 2.0)
-        x = snapshot_with_residual(rng, model, n, -1.5)
-        previous = explain.independent_counterfactual(
-            model, x_prev, 0.0, config, solver_options=TIGHT
-        )
-        cold = explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=TIGHT
-        )
-        warm = explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=TIGHT, warm_start=previous
-        )
-        _assert_same_solution(warm.solution, cold.solution)
-        assert warm.solution.path == cold.solution.path == "warm"
-        assert warm.delta.tobytes() == cold.delta.tobytes()
 
 
 VERTEX_CASES = ("above", "below", "inside", "slack", "tie")
+ONE_ROW_CONFIGS = (("l1", "abs"), ("l1", "squared"), ("l2", "abs"), ("l2", "squared"))
 
 
-def _one_row_l1_program(rng, case):
-    """A one-row, two-sided l1/abs program, a snapshot, its residual r0 and
+def _one_row_program(rng, case, complexity, dist):
+    """A one-row, two-sided program, a snapshot, its residual r0 and
     whether the program's optimum is unique.
 
-    ``above`` and ``below`` put r0 past +tol and -tol, ``inside`` within
-    them; ``slack`` prices the slack below 1/max|g_i|, and ``tie`` gives two
-    channels the largest |g_i|.
+    ``above`` and ``below`` put r0 past +edge and -edge, where the penalty
+    starts (tol, or sqrt(tol) for squared error), ``inside`` within them.
+    ``slack`` prices the penalty so low that the change stops short of the
+    edge: l1/abs makes no change (the slack is cheaper than 1/max|g_i|),
+    and the other configs stop between the edge and r0.  ``tie`` gives two
+    channels the largest |g_i|, which makes an l1 optimum a face.
     """
     n = int(rng.integers(2, 8))
     while True:
@@ -785,70 +763,105 @@ def _one_row_l1_program(rng, case):
         if top > 0.1 and (case == "tie" or top - runner_up > 0.05):
             break
     tol = float(rng.uniform(0.05, 0.3))
-    penalty = float(rng.uniform(0.1, 0.9)) / top if case == "slack" else 1e3
+    edge = np.sqrt(tol) if dist == "squared" else tol
+    share = float(rng.uniform(0.1, 0.9)) if case == "slack" else None
     if case == "inside":
-        r0 = float(rng.uniform(-0.9, 0.9)) * tol
+        r0 = float(rng.uniform(-0.9, 0.9)) * edge
     else:
-        r0 = (tol + float(rng.uniform(0.5, 3.0))) * (-1.0 if case == "below" else 1.0)
+        r0 = (edge + float(rng.uniform(0.5, 3.0))) * (-1.0 if case == "below" else 1.0)
+    if share is None:
+        penalty = 1e3
+    elif (complexity, dist) == ("l1", "abs"):
+        penalty = share / top
+    else:
+        # the penalty whose marginal cost meets the change's at |e| = stop
+        stop = edge + share * (abs(r0) - edge)
+        norm2 = float(g @ g)
+        penalty = {
+            ("l1", "squared"): 1.0 / (2.0 * top * stop),
+            ("l2", "abs"): 2.0 * (abs(r0) - stop) / norm2,
+            ("l2", "squared"): (abs(r0) / stop - 1.0) / norm2,
+        }[complexity, dist]
     x = rng.normal(size=n)
+    config = explain.CfConfig(
+        slack_penalty=penalty, complexity=complexity, dist=dist, tolerances=tol
+    )
     program = explain._Program(
         g[None, :], np.array([r0 - g @ x]), np.zeros(1), np.array([tol]),
-        np.zeros(1, dtype=bool), explain.CfConfig(slack_penalty=penalty, tolerances=tol),
+        np.zeros(1, dtype=bool), config,
     )
-    return program, x, r0, case != "tie"
+    return program, x, r0, case != "tie" or complexity == "l2"
 
 
-@pytest.mark.parametrize("case", VERTEX_CASES)
-def test_one_row_l1_programs_start_at_their_closed_form_vertex(case):
+@pytest.mark.parametrize(
+    "complexity, dist, case",
+    [
+        # an l1/abs id is the bare case name
+        pytest.param(c, d, case, id=case if (c, d) == ("l1", "abs") else f"{c}-{d}-{case}")
+        for c, d in ONE_ROW_CONFIGS
+        for case in VERTEX_CASES
+    ],
+)
+def test_one_row_l1_programs_start_at_their_closed_form_vertex(complexity, dist, case):
     rng = np.random.default_rng(97 + VERTEX_CASES.index(case))
     for _ in range(25):
-        program, x, r0, unique = _one_row_l1_program(rng, case)
+        program, x, r0, unique = _one_row_program(rng, case, complexity, dist)
         assert program.residual(x)[0] == pytest.approx(r0, abs=1e-12)
         cf = explain._counterfactual(program, x, TIGHT)
         solution = cf.solution
         assert solution.status is optim.SolveStatus.OPTIMAL
         assert (solution.iterations, solution.path) == (0, "warm") or solution.iterations > 0
         problem = program.at(program.residual(x))
-        best = lp_vertex_objective(problem.q, problem.A, problem.l, problem.u)
-        assert solution.objective == pytest.approx(best, abs=1e-8)
-        g, tol = program.G[0], float(program.tol[0])
-        expected = l1_one_row_oracle(g, program.residual(x)[0], tol, program.cfg.slack_penalty)
+        g, tol, penalty = program.G[0], float(program.tol[0]), program.cfg.slack_penalty
+        best, e = one_row_oracle(g, program.residual(x)[0], tol, penalty, complexity, dist)
+        assert solution.objective == pytest.approx(best, rel=1e-8)
+        assert float(g @ cf.delta) + r0 == pytest.approx(e, abs=1e-7)
+        if (complexity, dist) == ("l1", "abs"):
+            vertex = lp_vertex_objective(problem.q, problem.A, problem.l, problem.u)
+            assert solution.objective == pytest.approx(vertex, abs=1e-8)
         if unique:
             assert solution.iterations == 0
-            assert np.abs(cf.delta - expected).max() <= 1e-9
+            if (complexity, dist) == ("l1", "abs"):
+                expected = l1_one_row_oracle(g, program.residual(x)[0], tol, penalty)
+                assert np.abs(cf.delta - expected).max() <= 1e-9
             cold = _fresh_solve(problem, TIGHT)
             assert cold.iterations > 0
-            # The vertex start reads its point off the row set's affine map
-            # and the cold polish solves by LU: the same dual signs, and
-            # points apart by rounding (at most 3.4e-16 here, relative to
-            # max(1, max |.|)).
-            assert (np.sign(solution.y) == np.sign(cold.y)).all()
+            # The closed-form start reads its point off the row set's affine
+            # map and the cold polish solves by LU: the same dual signs
+            # (beyond rounding: inside the dead zone, the squared-error
+            # equality row's dual is zero), and points apart by rounding
+            # (at most 8.9e-16 here, relative to max(1, max |.|)).
+            scale = max(1.0, np.abs(cold.y).max())
+            signed = np.abs(cold.y) > 1e-12 * scale
+            assert (np.sign(solution.y) == np.sign(cold.y))[signed].all()
             for ours, theirs in ((solution.z, cold.z), (solution.y, cold.y)):
                 assert np.abs(ours - theirs).max() <= 1e-15 * max(1.0, np.abs(theirs).max())
         else:
             # the optima are a face: any split of the change between the
-            # tied channels that has the closed form's l1 norm
+            # tied channels that has the scalar optimum's l1 norm
             off_peak = np.abs(g) < np.abs(g).max()
             assert np.abs(cf.delta[off_peak]).max(initial=0.0) <= 1e-9
-            assert np.abs(cf.delta).sum() == pytest.approx(np.abs(expected).sum(), abs=1e-9)
+            assert np.abs(cf.delta).sum() == pytest.approx(
+                abs(e - r0) / np.abs(g).max(), abs=1e-7
+            )
 
 
-def test_only_one_row_two_sided_l1_abs_programs_have_a_vertex_guess():
+def test_only_one_row_two_sided_programs_have_a_vertex_guess():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(2, 4))
     r0 = np.array([1.0, -1.0])
 
-    def program(rows, one_sided=False, **config):
-        return explain._Program(
+    def guess(rows, one_sided=False, **config):
+        program = explain._Program(
             g[:rows], np.zeros(rows), np.zeros(rows), np.full(rows, 0.1),
             np.full(rows, one_sided), explain.CfConfig(**config),
         )
+        return program.vertex_duals(program.at(r0[:rows]), r0[:rows])
 
-    assert program(1).vertex_duals(r0[:1]) is not None
-    assert program(2).vertex_duals(r0) is None
-    assert program(1, one_sided=True).vertex_duals(r0[:1]) is None
-    assert program(1, complexity="l2").vertex_duals(r0[:1]) is None
-    assert program(1, dist="squared").vertex_duals(r0[:1]) is None
+    for complexity, dist in ONE_ROW_CONFIGS:
+        assert guess(1, complexity=complexity, dist=dist) is not None
+        assert guess(2, complexity=complexity, dist=dist) is None
+    assert guess(1, one_sided=True) is None
 
 
 def test_warm_start_shape_mismatch_is_rejected():
@@ -1201,14 +1214,9 @@ def test_per_model_warm_start_from_another_model_uses_its_own_program():
     config = explain.CfConfig(tolerances=0.05)
     x0, x1 = rng.normal(size=5), rng.normal(size=5)
     first, second = ensemble.models
-    chained = explain.independent_counterfactual(
-        first,
-        x1,
-        0.0,
-        config,
-        warm_start=explain.independent_counterfactual(first, x0, 0.0, config),
-    )
-    explain.independent_counterfactual(second, x1, 0.0, config, warm_start=chained)
+    explain.independent_counterfactual(first, x0, 0.0, config)
+    explain.independent_counterfactual(first, x1, 0.0, config)
+    explain.independent_counterfactual(second, x1, 0.0, config)
     assert kept_program(second) is not kept_program(first)
     assert kept_program(ensemble) is None  # the models keep theirs apart
     single = sensors.Ensemble(models=(second,), window=3)
@@ -1255,8 +1263,8 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
     # Each chain builds its program once, every step's program is the
     # row-by-row reference, and every warm hit is exactly the solve of a
     # freshly built problem from the same start, which shares no factors:
-    # reusing programs and factors changes no bit.  An l1/abs model starts
-    # at its closed-form vertex, the first step included.
+    # reusing programs and factors changes no bit.  The model takes no warm
+    # start: it starts at its closed-form optimum, the first step included.
     ensemble = fresh_copy(default_ensemble)
     panel = power_failure_scenario.faulty
     config = explain.CfConfig(tolerances=default_threshold, complexity=complexity, dist=dist)
@@ -1269,7 +1277,7 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             ensemble, x, config, solver_options=options, warm_start=prev
         )),
         "model": (model, single, lambda x, prev: explain.independent_counterfactual(
-            model, x, 0.0, config, solver_options=options, warm_start=prev
+            model, x, 0.0, config, solver_options=options
         )),
     }
     calls = collections.Counter()
@@ -1296,10 +1304,10 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
                 program = kept_program(owner)
-                guess = program.vertex_duals(program.residual(x))
+                guess = program.vertex_duals(problem, program.residual(x))
                 start = previous.solution if previous is not None else None
                 warm_hits.append((problem, start, guess, cf.solution))
-            previous = cf
+            previous = cf if owner is ensemble else None
     assert len(built) == len(chains)
     assert len(warm_hits) >= len(steps)  # most steps are warm hits
     # and some of the chains' active-set solves skipped the factorization

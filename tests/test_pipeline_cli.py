@@ -249,12 +249,14 @@ def test_run_config_rejects_non_integers_before_writing(tmp_path, field_name, va
         ("power_failure", {"magnitudes": {"power_failure": (np.nan,)}}),
         ("proportional_offset", {"magnitudes": {"proportional_offset": (-np.inf,)}}),
         ("drift", {"magnitudes": {"drift": (10**400,)}}),
+        ("drift", {"magnitudes": {"drift": 0.1}}),
+        ("drift", {"magnitudes": {"drift": "0.1"}}),
     ],
     ids=[
         "drift_cap-bool", "drift_cap-str", "drift_cap-huge", "constant_offset-bool",
         "gaussian_noise-str", "gaussian_noise-huge", "gaussian_noise-negative",
         "power_failure-bool", "power_failure-str", "power_failure-nan",
-        "proportional_offset-inf", "drift-huge",
+        "proportional_offset-inf", "drift-huge", "drift-scalar", "drift-str",
     ],
 )
 def test_run_config_holds_magnitudes_and_drift_cap_to_the_fault_kinds_rules(tmp_path, key, fields):
@@ -769,12 +771,14 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
     def without_warm_start(cold_solver):
         return lambda *args, warm_start=None, **kwargs: cold_solver(*args, **kwargs)
 
-    # The per-model path does not go through ensemble_counterfactual, and
-    # an l1/abs per-model solve starts at its closed-form vertex unless
-    # that start is taken away too.
-    for name in ("ensemble_counterfactual", "independent_counterfactual"):
-        monkeypatch.setattr(explain, name, without_warm_start(getattr(explain, name)))
-    monkeypatch.setattr(explain._Program, "vertex_duals", lambda program, r0: None)
+    # Only the ensemble takes a warm start; a per-model solve starts at its
+    # closed-form optimum unless that start is taken away too.
+    monkeypatch.setattr(
+        explain,
+        "ensemble_counterfactual",
+        without_warm_start(explain.ensemble_counterfactual),
+    )
+    monkeypatch.setattr(explain._Program, "vertex_duals", lambda program, problem, r0: None)
     cold, cold_iterations = localize_all()
     assert warm == cold
     assert 0 in warm_iterations

@@ -28,6 +28,8 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     # one program for the ensemble and one for each of its 12 models
     assert first["programs"] == "13"
     assert "warm=" in first["paths"]
+    # every per-model solve starts from its closed form, and hits
+    assert first["guessed_paths"] == "warm=240"
     assert int(first["kkt_maps"]) > 0  # the warm and vertex starts' affine maps
     assert len(first["sha256"]) == 64
     assert len(first["points_sha256"]) == 64
@@ -43,9 +45,10 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     "workload, counts",
     [
         # the first 67 alarms, each explained once by the l2/squared ensemble
-        ("stream", {"solves": "67", "programs": "1", "x_step_maps": "1"}),
-        # 20 alarm steps, each explained by the ensemble and its 12 models
-        ("l2-grid", {"solves": "260", "programs": "13"}),
+        ("stream", {"solves": "67", "programs": "1", "x_step_maps": "1", "guessed_paths": "none"}),
+        # 20 alarm steps, each explained by the ensemble and its 12 models,
+        # every per-model solve from its closed form
+        ("l2-grid", {"solves": "260", "programs": "13", "guessed_paths": "warm=240"}),
     ],
 )
 def test_solve_digest_of_one_squared_error_scenario(workload, counts):
