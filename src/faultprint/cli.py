@@ -21,8 +21,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import detector, explain, localize, optim, pipeline, plots
 
 
@@ -163,11 +161,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
             for model in ensemble.models
         ]
-        votes = np.zeros(len(panel.labels), dtype=int)
-        for model_cf in per_model:
-            est = localize.predict_faulty_sensor(model_cf.delta, exclude=flow)
-            if est is not None:
-                votes[est] += 1
+        votes = localize.baseline_votes(per_model, exclude=flow)
         _write_csv(
             out / f"baseline-t{t}.csv",
             ["label", "votes"],
@@ -177,7 +171,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             panel.labels,
             votes.astype(float),
             title=f"{args.scenario} t={t} baseline estimates",
-            highlight=int(np.argmax(votes)) if votes.any() else None,
+            highlight=localize.aggregate_baseline(per_model, exclude=flow),
         )
         (out / f"baseline-t{t}.svg").write_text(svg, encoding="utf-8")
         print(f"wrote {out / f'baseline-t{t}'}.csv and .svg")

@@ -88,7 +88,7 @@ class Counterfactual:
     objective: float
     feasible_without_slack: bool
     excess: float  # largest miss of a row's tolerance, re-evaluated at x_cf
-    solution: optim.Solution | None = None  # the certified solve it came from
+    solution: optim.Solution  # the certified solve it came from
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
@@ -364,6 +364,8 @@ def _counterfactual(
 ) -> Counterfactual:
     """Explain ``x_orig`` against the program's residual rows.
 
+    The solve starts from the program's closed-form duals when it has them
+    (:meth:`_Program.vertex_duals`), and otherwise from the warm start's.
     Every problem made from one program shares its factorizations (see
     :meth:`optim.ConvexProblem.with_bounds`), with or without a warm start.
     """
@@ -375,11 +377,13 @@ def _counterfactual(
         raise ValueError("snapshot contains non-finite readings")
     r0 = program.residual(x_orig)
     problem = program.at(r0)
+    start = None if warm_start is None else warm_start.solution.y
+    m = problem.n_constraints
+    if start is not None and start.shape != (m,):
+        raise ValueError(f"warm start has {start.shape[0]} rows, the program {m}")
+    guess = program.vertex_duals(problem, r0)
     solution = optim.solve(
-        problem,
-        **(solver_options or {}),
-        warm_start=warm_start.solution if warm_start is not None else None,
-        _dual_guess=program.vertex_duals(problem, r0),
+        problem, **(solver_options or {}), dual_guess=start if guess is None else guess
     )
     if solution.status is not optim.SolveStatus.OPTIMAL:
         raise ExplainError(
@@ -439,13 +443,14 @@ def ensemble_counterfactual(
     With zero targets the constraints ask every virtual sensor's residual on
     the corrected snapshot to vanish within its tolerance, which is exactly
     the no-alarm condition; slack keeps the program feasible.
-    ``warm_start``, the explanation of a nearby snapshot by the same
-    ensemble and config, lets the solver try that optimum's active set
-    first; the result is certified either way.  An ensemble of one model
-    starts at its closed-form optimum instead, as
-    :func:`independent_counterfactual` does, and only checks ``warm_start``
-    for its shape.  The ensemble keeps its latest program, so calls with
-    the same targets and config build and validate it once.
+    A solve starts from one dual guess: the closed-form optimum's when the
+    ensemble has one model (as :func:`independent_counterfactual` starts),
+    and otherwise ``warm_start``'s, the explanation of a nearby snapshot by
+    the same ensemble and config, whose active set the solver then tries
+    first.  The result is certified either way, and a warm start of another
+    row count is rejected in both cases.
+    The ensemble keeps its latest program, so calls with the same targets
+    and config build and validate it once.
     """
     return _linear_counterfactual(
         ensemble, ensemble.models, x_orig, config, targets, solver_options, warm_start

@@ -87,13 +87,31 @@ def aggregate_alarm_sequence(
     return _mode(predictions[:limit])
 
 
+def baseline_votes(
+    counterfactuals: Sequence[Counterfactual], exclude: Sequence[int] = ()
+) -> np.ndarray:
+    """Per channel, how many per-model counterfactuals change it the most.
+
+    A counterfactual that names no channel (see :func:`predict_faulty_sensor`)
+    casts no vote.
+    """
+    if not len(counterfactuals):
+        raise ValueError("at least one per-model counterfactual is required")
+    votes = np.zeros(counterfactuals[0].delta.shape[0], dtype=int)
+    for cf in counterfactuals:
+        channel = predict_faulty_sensor(cf.delta, exclude)
+        if channel is not None:
+            votes[channel] += 1
+    return votes
+
+
 def aggregate_baseline(
     counterfactuals: Sequence[Counterfactual], exclude: Sequence[int] = ()
 ) -> Optional[int]:
-    """Most common largest-change channel across per-model counterfactuals."""
-    if not len(counterfactuals):
-        raise ValueError("at least one per-model counterfactual is required")
-    return _mode(predict_faulty_sensor(cf.delta, exclude) for cf in counterfactuals)
+    """The channel with the most :func:`baseline_votes`; ties go to the
+    smallest index, and None means no counterfactual named a channel."""
+    votes = baseline_votes(counterfactuals, exclude)
+    return int(votes.argmax()) if votes.any() else None
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,19 @@ convergence are polished on the active set, and a point is reported as
 optimal only when independently recomputed KKT residuals pass their
 tolerances; until one does, the iteration goes on.
 
-A sequence of closely related problems (the same program at consecutive
-alarm steps) can pass the previous :class:`Solution` as ``warm_start``.
-The solver first re-solves on that solution's active set and returns the
-result with zero iterations if it passes; on a miss it runs the cold
-iteration, whose polish can run other rounds than a first solve's: the
-missed re-solve has updated the family's kept KKT factors (below).  A
-caller that knows the optimum in closed form (a one-row counterfactual,
-in any of its configs) passes its dual signs privately instead, and the
-solver starts from them in the same way.  With its rows fixed, a refined
-active-set re-solve is affine in the pinned bounds, so a re-solve from
-such a guess reads its point off the row set's affine map: one gather and
-one matrix-vector product.  Polishes of ADMM iterates solve through the
-LU factors instead.  Every point is certified from P, q, A, l and u, never
-through a map.
+A caller that can guess the optimum's active set passes dual signs as
+``dual_guess``: the duals of the previous :class:`Solution` in a sequence
+of closely related problems (the same program at consecutive alarm
+steps), or those of an optimum known in closed form (a one-row
+counterfactual).  The solver first re-solves on the rows the guess pins
+and returns the result with zero iterations if it passes; on a miss it
+runs the cold iteration, whose polish can run other rounds than a first
+solve's: the missed re-solve has updated the family's kept KKT factors
+(below).  With its rows fixed, a refined active-set re-solve is affine in
+the pinned bounds, so a re-solve from a guess reads its point off the row
+set's affine map: one gather and one matrix-vector product.  Polishes of
+ADMM iterates solve through the LU factors instead.  Every point is
+certified from P, q, A, l and u, never through a map.
 
 The problems :meth:`ConvexProblem.with_bounds` makes from one base share
 its P, q and A, and with them two kinds of factorization: the KKT factors
@@ -239,10 +238,10 @@ class Solution:
     """A solve's result and how it was reached.
 
     ``path`` names the point returned: ``warm`` (the active set of the
-    warm start, or of the caller's closed-form guess, re-solved, no
-    iterations), ``early_polish`` (an active-set re-solve
-    during the ADMM loop), ``final_polish`` (the re-solve after ADMM
-    converged) or ``admm`` (the ADMM iterate itself, unpolished).
+    caller's dual guess re-solved, no iterations), ``early_polish`` (an
+    active-set re-solve during the ADMM loop), ``final_polish`` (the
+    re-solve after ADMM converged) or ``admm`` (the ADMM iterate itself,
+    unpolished).
     """
 
     z: np.ndarray
@@ -661,9 +660,7 @@ def solve(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    warm_start: Solution | None = None,
-    *,
-    _dual_guess: np.ndarray | None = None,
+    dual_guess: np.ndarray | None = None,
 ) -> Solution:
     """Solve the problem.
 
@@ -673,16 +670,15 @@ def solve(
     the status reports its exhaustion.  A divergence certificate (infeasible
     or unbounded problem) is reported as infeasible, never silently.
 
-    ``warm_start``, a solution of a problem of the same shape, is tried
-    first: a re-solve on its active set is returned with zero iterations if
-    it passes, and otherwise ignored.  ``_dual_guess``, dual signs of an
-    optimum the caller computed in closed form (every one-row
-    counterfactual program, see ``explain._Program.vertex_duals``), is
-    tried the same way, in place of the warm start's duals; a warm start
-    given with it is only checked for its shape.  The ADMM start and
-    polishing reuse the factors of the problem's family (see
-    :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.  The
-    re-solve from a guess reads each round's point off its row set's
+    ``dual_guess``, one finite dual per row, is tried first: a re-solve on
+    the rows its signs pin is returned with zero iterations if it passes,
+    and otherwise ignored.  It is the one way to start a solve: pass the
+    ``y`` of a solution of a nearby problem of the same shape (a warm
+    start), or the dual signs of an optimum known in closed form (every
+    one-row counterfactual program, see ``explain._Program.vertex_duals``).
+    The ADMM start and polishing reuse the factors of the problem's family
+    (see :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
+    The re-solve from a guess reads each round's point off its row set's
     affine map (see :func:`_kkt_map`), which moves it from the LU solve a
     polish of an ADMM iterate makes by rounding only.  A reused factor or
     map is bit-equal to a new one, but a polish keeps a kept row set whole
@@ -701,16 +697,13 @@ def solve(
     if not is_integer(max_iters) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     n, m = problem.n_vars, problem.n_constraints
-    if warm_start is not None:
-        if warm_start.z.shape != (n,) or warm_start.y.shape != (m,):
-            raise ValueError(
-                f"warm start has {warm_start.z.shape[0]} variables and "
-                f"{warm_start.y.shape[0]} constraints, the problem {n} and {m}"
-            )
-        if _dual_guess is None:
-            _dual_guess = warm_start.y
-    if _dual_guess is not None:
-        guess = _polish(problem, _dual_guess, tol_abs, tol_rel, by_map=True)
+    if dual_guess is not None:
+        dual_guess = np.asarray(dual_guess, dtype=float)
+        if dual_guess.shape != (m,):
+            raise ValueError(f"dual_guess has shape {dual_guess.shape}, expected ({m},)")
+        if not np.isfinite(dual_guess).all():
+            raise ValueError("dual_guess must be finite")
+        guess = _polish(problem, dual_guess, tol_abs, tol_rel, by_map=True)
         if guess is not None:
             return _finish(problem, *guess, SolveStatus.OPTIMAL, 0, "warm")
 

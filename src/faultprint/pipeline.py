@@ -17,7 +17,7 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -356,17 +356,36 @@ class ScenarioResult:
     audit: optim.SolveAudit
 
 
+class Localization(NamedTuple):
+    """Both methods' estimates for one scenario, and what explaining cost.
+
+    ``alarm_steps`` counts the steps explained; ``certificate_excess`` is
+    the largest excess of a slack-free ensemble explanation (``-inf`` when
+    there is none); ``audit`` summarizes every solve.
+    """
+
+    ensemble_prediction: Optional[int]
+    baseline_prediction: Optional[int]
+    alarm_steps: int
+    certificate_excess: float
+    audit: optim.SolveAudit
+
+
 def localize_scenario(
     run: RunConfig,
     panel: netgen.ReadingsPanel,
     ensemble: sensors.Ensemble,
     threshold: float,
     stream: detector.AlarmStream,
-) -> tuple[Optional[int], Optional[int], int, float, optim.SolveAudit]:
-    """Explain the first alarm steps and aggregate both methods' estimates."""
+) -> Localization:
+    """Explain the first alarm steps and aggregate both methods' estimates.
+
+    An explanation that cannot be certified raises :class:`ExplainError`
+    naming its alarm step.
+    """
     steps = stream.alarm_steps()[: run.alarm_steps]
     if steps.size == 0:
-        return None, None, 0, -math.inf, optim.SolveAudit()
+        return Localization(None, None, 0, -math.inf, optim.SolveAudit())
 
     cf_config = run.cf_config(threshold)
     solver_options = run.solver_options()
@@ -384,21 +403,24 @@ def localize_scenario(
     solutions: list[optim.Solution] = []
     for t in steps:
         snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
-        cf = explain.ensemble_counterfactual(
-            ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
-        )
+        try:
+            cf = explain.ensemble_counterfactual(
+                ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
+            )
+            per_model = [
+                explain.independent_counterfactual(model, snapshot, 0.0, cf_config, solver_options)
+                for model in ensemble.models
+            ]
+        except explain.ExplainError as exc:
+            raise explain.ExplainError(f"alarm step {t}: {exc}") from exc
         ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
         if cf.feasible_without_slack:
             certificate_excess = max(certificate_excess, cf.excess)
-        per_model = [
-            explain.independent_counterfactual(model, snapshot, 0.0, cf_config, solver_options)
-            for model in ensemble.models
-        ]
         baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
         solutions += [cf.solution] + [m.solution for m in per_model]
     ensemble_pred = localize.aggregate_alarm_sequence(ensemble_steps, run.alarm_steps)
     baseline_pred = localize.aggregate_alarm_sequence(baseline_steps, run.alarm_steps)
-    return (
+    return Localization(
         ensemble_pred,
         baseline_pred,
         int(steps.size),
@@ -408,23 +430,28 @@ def localize_scenario(
 
 
 def evaluate_scenario_files(run: RunConfig, spec: ScenarioSpec) -> ScenarioResult:
-    """Full per-scenario evaluation from on-disk artifacts."""
+    """Full per-scenario evaluation from on-disk artifacts.
+
+    An explanation that cannot be certified raises :class:`ExplainError`
+    naming the scenario and its alarm step.
+    """
     panel, fault, _ = load_scenario_files(run, spec.scenario_id)
     ensemble, threshold = load_model_files(run, spec.scenario_id)
     stream = detector.detect(ensemble, panel, threshold)
     report = detector.detection_metrics(stream, fault)
-    ens_pred, base_pred, _, excess, audit = localize_scenario(
-        run, panel, ensemble, threshold, stream
-    )
+    try:
+        found = localize_scenario(run, panel, ensemble, threshold, stream)
+    except explain.ExplainError as exc:
+        raise explain.ExplainError(f"scenario {spec.scenario_id}: {exc}") from exc
     prediction = localize.ScenarioPrediction(
         scenario_id=spec.scenario_id,
         fault_kind=spec.kind_name,
         magnitude=spec.magnitude,
         true_sensor=fault.sensor,
-        ensemble_prediction=ens_pred,
-        baseline_prediction=base_pred,
+        ensemble_prediction=found.ensemble_prediction,
+        baseline_prediction=found.baseline_prediction,
     )
-    return ScenarioResult(prediction, report, excess, audit)
+    return ScenarioResult(prediction, report, found.certificate_excess, found.audit)
 
 
 # ---------------------------------------------------------------------------

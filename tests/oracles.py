@@ -1,14 +1,14 @@
 """Independent oracles the tests check the library against.
 
 These deliberately use different algorithms from the code under test:
-brute-force vertex enumeration instead of operator splitting, a bounded
-scalar search for one-row programs instead of their closed form, normal
-equations instead of orthogonal factorizations.  The solver's linear
-algebra is checked against the same steps written with scipy.linalg's
-wrappers instead of direct LAPACK calls, and its one-pass certificate
-against the residuals, tolerances and violated rows each recomputed on
-its own.  Panel CSV files are checked against the csv-module reader and
-writer that preceded numpy's C parser.
+brute-force vertex enumeration and HiGHS (scipy's ``linprog``) instead
+of operator splitting, a bounded scalar search for one-row programs
+instead of their closed form, normal equations instead of orthogonal
+factorizations.  The solver's linear algebra is checked against the same
+steps written with scipy.linalg's wrappers instead of direct LAPACK
+calls, and its one-pass certificate against the residuals, tolerances and
+violated rows each recomputed on its own.  Panel CSV files are checked
+against the csv-module reader and writer that preceded numpy's C parser.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 from faultprint import netgen, optim
 
@@ -58,6 +58,31 @@ def lp_vertex_objective(q, A, l, u, feas_tol=1e-8):
             if best is None or value < best:
                 best = value
     return best
+
+
+def highs_objective(problem: optim.ConvexProblem) -> float:
+    """Optimal value of the LP ``problem`` (P = 0), solved by HiGHS.
+
+    Rows with ``l == u`` go in as equalities, every other finite bound as
+    one inequality row; the variables are free.  A problem HiGHS does not
+    solve to optimality fails the calling test.
+    """
+    if problem.P.any():
+        raise ValueError("highs_objective solves LPs only (P = 0)")
+    A, l, u = problem.A, problem.l, problem.u
+    equality = l == u
+    upper, lower = np.isfinite(u) & ~equality, np.isfinite(l) & ~equality
+    result = linprog(
+        problem.q,
+        A_ub=np.concatenate([A[upper], -A[lower]]),
+        b_ub=np.concatenate([u[upper], -l[lower]]),
+        A_eq=A[equality] if equality.any() else None,
+        b_eq=l[equality] if equality.any() else None,
+        bounds=(None, None),
+        method="highs",
+    )
+    assert result.status == 0, f"HiGHS status {result.status}: {result.message}"
+    return float(result.fun)
 
 
 def l1_one_row_oracle(g, r0, tol, penalty):

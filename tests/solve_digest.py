@@ -17,12 +17,15 @@ detected in memory as the CLI does it from its files):
 
 The ``random`` workload solves, for each seed, 600 random bounded problems
 (:func:`random_problems`) at ``tol_abs = tol_rel`` = 1e-7 and 1e-10 with
-``max_iters`` 5000, and re-solves each warm, from that solution, with
-every finite bound widened by 1e-3.
+``max_iters`` 5000, and re-solves each warm, from that solution's duals,
+with every finite bound widened by 1e-3.  The warm start goes in as
+``optim.solve`` takes it: ``dual_guess=y`` or, on a tree whose ``solve``
+has no such parameter, ``warm_start=solution``.
 
 Prints the solve count, the ADMM iterations, the count of each status and
-solution path (``guessed_paths``: those of the solves given a closed-form
-``_dual_guess``, or ``none``), and two SHA-256 digests over every solve in call order:
+solution path (``guessed_paths``: those of the solves that follow a
+``explain._Program.vertex_duals`` call that gave a closed-form guess, or
+``none``), and two SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations and the
 path, so a change that keeps every point and only saves iterations, or
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
+import inspect
 import struct
 import sys
 from pathlib import Path
@@ -116,15 +120,19 @@ def random_problems(optim, seed: int, count: int = RANDOM_PROBLEMS):
         yield optim.ConvexProblem(P=P, q=q, A=A, l=l, u=u)
 
 
-def solve_random(optim, seeds, count: int) -> None:
-    """Cold and widened warm solves of each random problem at each tolerance."""
+def solve_random(optim, seeds, count: int, takes_guess: bool) -> None:
+    """Cold and widened warm solves of each random problem at each tolerance.
+
+    ``takes_guess``: ``optim.solve`` has the ``dual_guess`` parameter.
+    """
     for seed in seeds:
         for problem in random_problems(optim, seed, count):
             wider = problem.with_bounds(problem.l - RANDOM_WIDEN, problem.u + RANDOM_WIDEN)
             for tol in RANDOM_TOLERANCES:
                 options = dict(tol_abs=tol, tol_rel=tol, max_iters=RANDOM_MAX_ITERS)
                 cold = optim.solve(problem, **options)
-                optim.solve(wider, warm_start=cold, **options)
+                start = {"dual_guess": cold.y} if takes_guess else {"warm_start": cold}
+                optim.solve(wider, **start, **options)
 
 
 def update(digest, part: bytes) -> None:
@@ -156,6 +164,9 @@ def main(argv=None) -> int:
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
     factorize, decode = optim._factorize_scaled, explain._decode
     kkt_map = getattr(optim, "_kkt_map", None)
+    takes_guess = "dual_guess" in inspect.signature(solve).parameters
+    # Whether the latest vertex_duals call gave a guess, for the solve after it.
+    guessed = []
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
@@ -163,7 +174,7 @@ def main(argv=None) -> int:
         counts["iterations"] += sol.iterations
         statuses[sol.status.value] += 1
         paths[sol.path] += 1
-        if kw.get("_dual_guess") is not None:
+        if guessed and guessed.pop():
             guessed_paths[sol.path] += 1
         point = (sol.z.tobytes(), sol.y.tobytes(), sol.status.value.encode())
         certificate = (
@@ -214,6 +225,11 @@ def main(argv=None) -> int:
             counts["programs"] += 1
             super().__init__(*a)
 
+        def vertex_duals(self, *a):
+            duals = super().vertex_duals(*a)
+            guessed[:] = [duals is not None]
+            return duals
+
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
     optim._factorize_scaled = counted_factorize
@@ -223,7 +239,7 @@ def main(argv=None) -> int:
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
-        solve_random(optim, args.seeds, count)
+        solve_random(optim, args.seeds, count, takes_guess)
         errors = 0
     else:
         errors = solve_grid(

@@ -869,8 +869,16 @@ def test_warm_start_shape_mismatch_is_rejected():
     x = np.array([3.0, 1.0, 2.0])
     config = explain.CfConfig(tolerances=0.1)
     single = explain.independent_counterfactual(ensemble.models[0], x, 0.0, config)
-    with pytest.raises(ValueError, match="warm start"):
+    with pytest.raises(ValueError, match="warm start has 9 rows, the program 15"):
         explain.ensemble_counterfactual(ensemble, x, config, warm_start=single)
+    # an ensemble of one starts at its closed form, and still checks the
+    # warm start it is given
+    whole = explain.ensemble_counterfactual(ensemble, x, config)
+    one = sensors.Ensemble(models=ensemble.models[:1], window=ensemble.window)
+    with pytest.raises(ValueError, match="warm start has 15 rows, the program 9"):
+        explain.ensemble_counterfactual(one, x, config, warm_start=whole)
+    fitting = explain.ensemble_counterfactual(one, x, config, warm_start=single)
+    assert fitting.delta.tobytes() == single.delta.tobytes()
 
 
 def _squared_error_alarms(seed, scenario_id):
@@ -1125,10 +1133,10 @@ def _assert_same_solution(ours, expected):
     assert (ours.kkt, ours.kkt_tol) == (expected.kkt, expected.kkt_tol)
 
 
-def _fresh_solve(problem, options, warm_start=None, dual_guess=None):
+def _fresh_solve(problem, options, dual_guess=None):
     """``optim.solve`` on a newly built problem, which shares no factors."""
     fresh = optim.ConvexProblem(*(np.array(getattr(problem, name)) for name in "PqAlu"))
-    return optim.solve(fresh, **options, warm_start=warm_start, _dual_guess=dual_guess)
+    return optim.solve(fresh, **options, dual_guess=dual_guess)
 
 
 def test_program_is_reused_only_for_the_same_models_targets_and_config():
@@ -1304,13 +1312,16 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
                 program = kept_program(owner)
+                # the closed form's duals if the program has them, else the
+                # warm start's
                 guess = program.vertex_duals(problem, program.residual(x))
-                start = previous.solution if previous is not None else None
-                warm_hits.append((problem, start, guess, cf.solution))
+                if guess is None and previous is not None:
+                    guess = previous.solution.y
+                warm_hits.append((problem, guess, cf.solution))
             previous = cf if owner is ensemble else None
     assert len(built) == len(chains)
     assert len(warm_hits) >= len(steps)  # most steps are warm hits
     # and some of the chains' active-set solves skipped the factorization
     assert calls["_factor_kkt"] < calls["_active_set_solve"]
-    for problem, warm_start, guess, ours in warm_hits:
-        _assert_same_solution(ours, _fresh_solve(problem, options, warm_start, guess))
+    for problem, guess, ours in warm_hits:
+        _assert_same_solution(ours, _fresh_solve(problem, options, guess))

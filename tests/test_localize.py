@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from faultprint import explain, localize
+from faultprint import explain, localize, optim
+
+# Localization reads only the change vector; any certified solve will do.
+SOLUTION = optim.solve(optim.ConvexProblem.linear(np.ones(1), np.eye(1), np.zeros(1), np.ones(1)))
 
 
 def make_cf(delta) -> explain.Counterfactual:
@@ -13,6 +16,7 @@ def make_cf(delta) -> explain.Counterfactual:
         objective=float(np.abs(delta).sum()),
         feasible_without_slack=True,
         excess=-1.0,
+        solution=SOLUTION,
     )
 
 
@@ -87,11 +91,30 @@ def test_aggregate_baseline_mode_over_models():
     assert localize.aggregate_baseline(cfs) == 1
     cfs = [make_cf([1.0, 0, 0]), make_cf([1.0, 0, 0]), make_cf([0, 1.0, 0]), make_cf([0, 0, 1.0])]
     assert localize.aggregate_baseline(cfs) == 0
+    # a tie goes to the smallest index, in any order
+    cfs = [make_cf([0, 0, 1.0]), make_cf([0, 1.0, 0]), make_cf([0, 0, 5.0]), make_cf([0, 2.0, 0])]
+    assert localize.baseline_votes(cfs).tolist() == [0, 2, 2]
+    assert localize.aggregate_baseline(cfs) == localize.aggregate_baseline(cfs[::-1]) == 1
 
 
 def test_aggregate_baseline_rejects_empty():
     with pytest.raises(ValueError):
         localize.aggregate_baseline([])
+    with pytest.raises(ValueError):
+        localize.baseline_votes([])
+
+
+def test_baseline_votes_count_each_models_largest_change():
+    cfs = [make_cf([0.0, 1.0, 0.0]), make_cf([2.0, 0.0, 0.0]), make_cf([0.0, 0.0, 0.0]),
+           make_cf([0.0, -3.0, 0.0])]
+    assert localize.baseline_votes(cfs).tolist() == [1, 2, 0]
+    assert localize.aggregate_baseline(cfs) == 1
+    # an excluded channel gets no vote, and a change only there casts none
+    assert localize.baseline_votes(cfs, exclude=[1]).tolist() == [1, 0, 0]
+    assert localize.aggregate_baseline(cfs, exclude=[1]) == 0
+    # no vote at all names no channel
+    assert localize.baseline_votes(cfs[2:3]).tolist() == [0, 0, 0]
+    assert localize.aggregate_baseline(cfs[2:3]) is None
 
 
 def row(sid, true, ens, base):

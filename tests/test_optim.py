@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_optimal_status_implies_certified_kkt():
     _assert_carries_own_certificate(box, optim.solve(box, 1e-6, 1e-6), 1e-6, 1e-6)
 
     shifted = l1_equation_lp(3.0)
-    warm = optim.solve(shifted, warm_start=optim.solve(l1_equation_lp(4.0)))
+    warm = optim.solve(shifted, dual_guess=optim.solve(l1_equation_lp(4.0)).y)
     assert warm.iterations == 0  # a warm-start hit
     _assert_carries_own_certificate(
         shifted, warm, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
@@ -373,7 +374,7 @@ def test_nan_bounds_are_rejected(side):
 def test_warm_start_on_shifted_bounds_is_certified_without_iterations():
     cold = optim.solve(l1_equation_lp(4.0))
     shifted = l1_equation_lp(3.0)  # same active set, new right-hand side
-    warm = optim.solve(shifted, warm_start=cold)
+    warm = optim.solve(shifted, dual_guess=cold.y)
     assert warm.status is optim.SolveStatus.OPTIMAL
     assert warm.iterations == 0
     assert warm.z[0] == pytest.approx(1.5, abs=1e-9)
@@ -386,7 +387,7 @@ def test_warm_start_miss_is_a_cold_solve():
     # active set of r = 3 from there.
     start = dataclasses.replace(optim.solve(l1_equation_lp(4.0)), y=np.zeros(5))
     problem = l1_equation_lp(3.0)
-    warm = optim.solve(problem, warm_start=start)
+    warm = optim.solve(problem, dual_guess=start.y)
     cold = optim.solve(problem)
     assert warm.iterations == cold.iterations > 0
     assert warm.path == cold.path == "early_polish"
@@ -410,7 +411,7 @@ def test_equality_row_duals_are_free_in_sign():
     # The sign flip of r flips the equality multiplier, and the repair round
     # finds the other rows: the warm start hits, with the cold solve's point.
     problem = l1_equation_lp(-3.0)
-    warm = optim.solve(problem, warm_start=optim.solve(l1_equation_lp(4.0)))
+    warm = optim.solve(problem, dual_guess=optim.solve(l1_equation_lp(4.0)).y)
     cold = optim.solve(problem)
     assert (warm.iterations, warm.path) == (0, "warm")
     assert warm.z == pytest.approx(cold.z, abs=1e-12)
@@ -431,7 +432,7 @@ def test_polish_releases_a_row_pinned_by_a_noise_dual():
     assert z == pytest.approx([1.0, 0.0], abs=1e-12)
     assert y == pytest.approx([0.0, -1.0], abs=1e-12)
     start = dataclasses.replace(optim.solve(problem), y=noisy)
-    warm = optim.solve(problem, warm_start=start)
+    warm = optim.solve(problem, dual_guess=start.y)
     assert (warm.status, warm.iterations, warm.path) == (optim.SolveStatus.OPTIMAL, 0, "warm")
 
 
@@ -439,7 +440,7 @@ def test_solution_path_names_each_route():
     cold = optim.solve(l1_equation_lp(4.0))
     assert (cold.path, cold.status) == ("early_polish", optim.SolveStatus.OPTIMAL)
     assert cold.iterations > 0
-    warm = optim.solve(l1_equation_lp(3.0), warm_start=cold)
+    warm = optim.solve(l1_equation_lp(3.0), dual_guess=cold.y)
     assert (warm.path, warm.iterations) == ("warm", 0)
     # at r = 0 the iterates meet the tolerance before an early polish is tried
     converged = optim.solve(l1_equation_lp(0.0))
@@ -501,8 +502,23 @@ def test_a_row_with_slack_is_never_pinned(monkeypatch):
 
 
 def test_warm_start_shape_mismatch():
-    with pytest.raises(ValueError, match="warm start"):
-        optim.solve(l1_equation_lp(1.0), warm_start=optim.solve(simple_qp()))
+    # A guess is one finite dual per row, and a bad one is named.
+    problem = l1_equation_lp(1.0)
+    with pytest.raises(ValueError, match=r"dual_guess has shape \(1,\), expected \(5,\)"):
+        optim.solve(problem, dual_guess=optim.solve(simple_qp()).y)
+    with pytest.raises(ValueError, match="dual_guess has shape"):
+        optim.solve(problem, dual_guess=np.zeros((5, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        guess = np.zeros(5)
+        guess[2] = bad
+        with pytest.raises(ValueError, match="dual_guess must be finite"):
+            optim.solve(problem, dual_guess=guess)
+
+
+def test_a_solve_has_one_start_parameter():
+    assert list(inspect.signature(optim.solve).parameters) == [
+        "problem", "tol_abs", "tol_rel", "max_iters", "dual_guess"
+    ]
 
 
 def _random_qp(rng, n, m):
@@ -830,7 +846,7 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
         result = optim._active_set_solve(problem, previous.y, lower, upper)
         reference = active_set_solve_reference(problem, previous.y, lower, upper)
         _assert_same_bits(result[:2], reference)
-        previous = optim.solve(problem, warm_start=previous)
+        previous = optim.solve(problem, dual_guess=previous.y)
         assert previous.path == "warm"
         assert geqp3 == []
 
@@ -1036,9 +1052,9 @@ def test_a_second_guess_polish_of_a_kept_set_is_one_product(monkeypatch):
         family = l1_equation_lp(4.0)
         cold = optim.solve(family)
         if start == "warm":
-            options = {"warm_start": cold}
+            options = {"dual_guess": cold.y}
         else:
-            options = {"_dual_guess": np.sign(cold.y)}  # the vertex's dual signs
+            options = {"dual_guess": np.sign(cold.y)}  # the vertex's dual signs
         for r in (3.0, 2.0, 1.0):
             for made in calls.values():
                 del made[:]
@@ -1101,10 +1117,10 @@ def test_cold_and_warm_solves_reuse_the_factors_of_their_family(monkeypatch):
     assert cold.iterations > 0 and calls
     shifted = l1_equation_lp(3.0)
     before = len(calls)
-    warm = optim.solve(base.with_bounds(shifted.l, shifted.u), warm_start=cold)
+    warm = optim.solve(base.with_bounds(shifted.l, shifted.u), dual_guess=cold.y)
     assert warm.iterations == 0 and len(calls) == before
     # a new problem from equal arrays factors again, with the same bits
-    fresh = optim.solve(shifted, warm_start=cold)
+    fresh = optim.solve(shifted, dual_guess=cold.y)
     assert len(calls) > before
     assert fresh.z.tobytes() == warm.z.tobytes()
     assert fresh.y.tobytes() == warm.y.tobytes()

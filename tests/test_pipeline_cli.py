@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, netgen, optim, pipeline, plots
+from faultprint import detector, explain, localize, netgen, optim, pipeline, plots
 from faultprint.cli import main
 from conftest import count_program_builds, fresh_copy, record_solves, run_fresh
 
@@ -375,7 +375,22 @@ def test_cli_full_pipeline(tiny_run, capsys):
     fingerprints = list(explain_dir.glob("fingerprint-t*.csv"))
     assert fingerprints
     assert list(explain_dir.glob("fingerprint-t*.svg"))
-    assert list(explain_dir.glob("baseline-t*.csv"))
+    baseline = next(explain_dir.glob("baseline-t*.csv"))
+    # one count per channel: how many models' own explanations change it most
+    run = pipeline.load_run_config(cfg_path)
+    panel, _, _ = pipeline.load_scenario_files(run, sid)
+    ensemble, threshold = pipeline.load_model_files(run, sid)
+    snapshot = explain.snapshot_at_alarm(panel, ensemble, int(baseline.stem.split("-t")[1]))
+    per_model = [
+        explain.independent_counterfactual(
+            model, snapshot, 0.0, run.cf_config(threshold), run.solver_options()
+        )
+        for model in ensemble.models
+    ]
+    votes = localize.baseline_votes(per_model, exclude=panel.flow_indices)
+    assert baseline.read_text().splitlines() == ["label,votes"] + [
+        f"{label},{count}" for label, count in zip(panel.labels, votes)
+    ]
     header = fingerprints[0].read_text().splitlines()[0]
     assert header == "label,delta,normalized,slack"
 
@@ -723,6 +738,38 @@ def _trained_tiny_run(cfg_path):
     return run, pipeline.expand_grid(run)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_explanation_that_fails_names_its_scenario_and_alarm_step(tmp_path, capsys, jobs):
+    # 20 ADMM iterations do not reach a certified l2/squared optimum, so the
+    # first ensemble explanation fails; its one error line says where.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        TINY_CONFIG.format(out=tmp_path / "out")
+        + "\n[counterfactual]\ncomplexity = l2\ndist = squared\n"
+        + "\n[solver]\nmax_iters = 20\n",
+        encoding="utf-8",
+    )
+    run, specs = _trained_tiny_run(cfg_path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--jobs", jobs, "evaluate"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    ids = "|".join(re.escape(spec.scenario_id) for spec in specs)
+    assert len(err) == 1
+    assert re.fullmatch(
+        rf"faultprint: error: scenario ({ids}): alarm step \d+: counterfactual solve "
+        rf"ended with status max_iters after 20 iterations \(.*\)",
+        err[0],
+    )
+    if jobs == "1":  # the grid's first scenario fails first
+        assert err[0].startswith(f"faultprint: error: scenario {specs[0].scenario_id}: ")
+    # and the step is one the scenario's detector raised an alarm at
+    spec = next(spec for spec in specs if f"scenario {spec.scenario_id}:" in err[0])
+    panel, _, _ = pipeline.load_scenario_files(run, spec.scenario_id)
+    ensemble, threshold = pipeline.load_model_files(run, spec.scenario_id)
+    alarms = detector.detect(ensemble, panel, threshold).alarm_steps()
+    assert int(re.search(r"alarm step (\d+)", err[0]).group(1)) in alarms
+
+
 def test_squared_error_certificate_is_measured_squared(tmp_path):
     # With dist = squared the program bounds e**2 by the threshold, so the
     # certificate of a slack-free explanation must measure e**2 as well.
@@ -760,10 +807,11 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
             panel, _, _ = pipeline.load_scenario_files(run, spec.scenario_id)
             ensemble, threshold = pipeline.load_model_files(run, spec.scenario_id)
             stream = detector.detect(ensemble, panel, threshold)
-            ens, base, used, _, audit = pipeline.localize_scenario(
-                run, panel, ensemble, threshold, stream
-            )
-            outcomes.append((ens, base, used, audit.solves, audit.non_optimal))
+            found = pipeline.localize_scenario(run, panel, ensemble, threshold, stream)
+            outcomes.append((
+                found.ensemble_prediction, found.baseline_prediction, found.alarm_steps,
+                found.audit.solves, found.audit.non_optimal,
+            ))
         return outcomes, [s.iterations for s in solutions[first:]]
 
     warm, warm_iterations = localize_all()
@@ -864,7 +912,7 @@ def test_localize_scenario_builds_one_program_per_ensemble_and_model(
     stream = detector.detect(ensemble, panel, default_threshold)
     run = pipeline.RunConfig()
     first = pipeline.localize_scenario(run, panel, ensemble, default_threshold, stream)
-    assert first[2] == run.alarm_steps
+    assert first.alarm_steps == run.alarm_steps
     assert len(built) == 1 + len(ensemble.models) == 13
     again = pipeline.localize_scenario(run, panel, ensemble, default_threshold, stream)
     assert len(built) == 13
