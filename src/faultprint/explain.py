@@ -164,18 +164,24 @@ def snapshot_residuals(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
 class _Program:
     """The relaxed program for residual rows e = G delta + r0, for any r0.
 
-    A two-sided row asks |e| <= tol, a one-sided row e >= tol; slack, priced
-    by ``cfg.slack_penalty``, softens each.  Variables are the change block
-    (split into positive and negative parts for l1), then the per-row
-    blocks.  Each residual row contributes consecutive constraint rows, and
-    the nonnegativity rows come last.
+    A two-sided row asks |e| <= tol (absolute error) or e^2 <= tol (squared
+    error), a one-sided row e >= tol; slack, priced by ``cfg.slack_penalty``,
+    softens each.  Variables are the change block (split into positive and
+    negative parts for l1), then one slack s per residual row.  Every
+    two-sided row has one layout, e - c s <= edge and -e - c s <= edge, with
+    edge = tol (absolute) or sqrt(tol) (squared); a one-sided row is
+    e + s >= tol.  Each residual row contributes consecutive constraint rows,
+    and the nonnegativity rows (s >= 0, and the l1 change parts) come last.
 
-    Absolute error keeps one explicit slack per row.  Squared error
-    eliminates the slack analytically: the penalty max(0, e^2 - tol) equals
-    min over |a| <= sqrt(tol) of (e - a)^2 + 2 sqrt(tol) |e - a|, which adds
-    one boxed variable, one free variable and one epigraph variable per row
-    while staying a plain QP.  One-sided rows exist in the absolute form only,
-    so ``cfg.dist`` must be ``abs`` when any row is one-sided.
+    The two errors differ only in ``edge``, the slack's price and its column
+    scale c.  Absolute error prices lam s with c = 1.  Squared error prices
+    lam (v^2 + 2 edge v) for v = c s, which at the optimum, v = max(0, |e| -
+    edge), equals lam max(0, e^2 - tol): the solver's objective is the
+    explanation's.  c = 1 / (2 sqrt(lam)) makes the slack's curvature 1/2 at
+    every penalty, which keeps the polish's KKT systems well conditioned (near
+    5 on the seed-1 stream at lam = 1e3, against 4e6 with c = 1).  One-sided
+    rows are priced as absolute error, so ``cfg.dist`` must be ``abs`` when
+    any row is one-sided.
 
     The snapshot enters through r0 = G x + bias - targets, and r0 only
     through the bounds: P, q and A are built and validated once, and
@@ -187,51 +193,35 @@ class _Program:
         self.tol, self.one_sided, self.cfg = tol, one_sided, cfg
         k = G.shape[0]
         l1 = cfg.complexity == "l1"
-        squared = cfg.dist == "squared"
         Gd = np.concatenate([G, -G], axis=1) if l1 else G
         nd = Gd.shape[1]
         lam = cfg.slack_penalty
-        I = np.eye(k)
-        N = 0.0 - I  # -I without negative zeros
-        zero, inf = np.zeros(k), np.full(k, np.inf)
-        # Each bound of a block is (offset, sign): offset + sign * r0 per row,
-        # where sign 0 marks a bound that does not move with the snapshot.
-        fixed = zero
-        if squared:
-            # variables [delta, a, s, t]; per row: e - a - s = 0,
-            # |a| <= sqrt(tol), t - s >= 0, t + s >= 0
-            root_tol = np.sqrt(tol)
-            Z, Zd = np.zeros((k, k)), np.zeros((k, nd))
-            # -0.0 + (-r0) is -r0, signed zeros included
-            minus_r0 = (np.full(k, -0.0), np.full(k, -1.0))
-            blocks = [
-                ([Gd, N, N, Z], minus_r0, minus_r0),
-                ([Zd, I, Z, Z], (-root_tol, fixed), (root_tol, fixed)),
-                ([Zd, Z, N, I], (zero, fixed), (inf, fixed)),
-                ([Zd, Z, I, I], (zero, fixed), (inf, fixed)),
-            ]
-            q_rows = np.concatenate([zero, zero, 2.0 * lam * root_tol])
-            p_rows = np.concatenate([zero, np.full(k, 2.0 * lam), zero])
-            keep = np.ones((k, 4), dtype=bool)
+        if cfg.dist == "squared":
+            c, edge = 0.5 / math.sqrt(lam), np.sqrt(tol)
+            p_rows, q_rows = np.full(k, 2.0 * lam * c * c), 2.0 * lam * c * edge
         else:
-            # variables [delta, s]; per row: e - s <= tol and -e - s <= tol,
-            # or e + s >= tol when one-sided; tol - r0 and tol + r0 on the right
-            blocks = [
-                (
-                    [Gd, np.diag(np.where(one_sided, 1.0, -1.0))],
-                    (np.where(one_sided, tol, -inf), np.where(one_sided, -1.0, fixed)),
-                    (np.where(one_sided, inf, tol), np.where(one_sided, fixed, -1.0)),
-                ),
-                ([-Gd, N], (-inf, fixed), (tol, np.ones(k))),
-            ]
-            q_rows, p_rows = np.full(k, lam), zero
-            keep = np.ones((k, 2), dtype=bool)
-            keep[:, 1] = ~one_sided
-        n_vars = nd + q_rows.shape[0]
+            c, edge = 1.0, tol
+            p_rows, q_rows = np.zeros(k), np.full(k, lam)
+        self._slack_scale = c
+        inf, fixed = np.full(k, np.inf), np.zeros(k)
+        # variables [delta, s]; per row: e - c s <= edge and -e - c s <= edge,
+        # or e + s >= tol when one-sided.  Each bound of a block is (offset,
+        # sign): offset + sign * r0 per row, where sign 0 marks a bound that
+        # does not move with the snapshot.
+        blocks = [
+            (
+                [Gd, np.diag(np.where(one_sided, c, -c))],
+                (np.where(one_sided, edge, -inf), np.where(one_sided, -1.0, fixed)),
+                (np.where(one_sided, inf, edge), np.where(one_sided, fixed, -1.0)),
+            ),
+            ([-Gd, 0.0 - c * np.eye(k)], (-inf, fixed), (edge, np.ones(k))),  # no -0.0 in -c I
+        ]
+        n_vars = nd + k
         A = np.concatenate([np.concatenate(cols, axis=1) for cols, _, _ in blocks])
         # Residual row j contributes its row of each block in turn.
-        order = np.arange(len(blocks) * k).reshape(len(blocks), k).T[keep]
-        nonneg = np.eye(n_vars)[(0 if l1 else nd) : (nd if squared else n_vars)]
+        keep = np.stack([np.ones(k, dtype=bool), ~one_sided], axis=1)
+        order = np.arange(2 * k).reshape(2, k).T[keep]
+        nonneg = np.eye(n_vars)[0 if l1 else nd :]
         n_nonneg = nonneg.shape[0]
 
         # l and u as one vector, so one assignment per snapshot fills both;
@@ -271,7 +261,8 @@ class _Program:
         min(|r0|, max(edge, stop))``: the penalty starts at ``edge`` (tol, or
         sqrt(tol) for squared error), and the change's marginal cost meets
         the penalty's at ``stop``.  The change goes on the largest |g_i| (l1)
-        or along g (l2).  A row where the point sits at ``u`` gets +1, at ``l`` -1.
+        or along g (l2), and the slack is max(0, |e| - edge) / c.  A row where
+        the point sits at ``u`` gets +1, at ``l`` -1.
         """
         if not self._has_vertex:
             return None
@@ -285,10 +276,8 @@ class _Program:
         else:
             stop = abs(r) / (1.0 + lam * norm2) if squared else abs(r) - lam * norm2 / 2.0
         e = math.copysign(min(abs(r), max(edge, stop)), r)
-        boxed = min(max(e, -edge), edge)
-        rest = [boxed, e - boxed, abs(e - boxed)] if squared else [max(0.0, abs(e) - tol)]
         z = np.zeros(problem.n_vars)
-        z[z.size - len(rest) :] = rest
+        z[-1] = max(0.0, abs(e) - edge) / self._slack_scale
         if l1:  # on the largest |g_i|, as its positive or its negative part
             z[i if (e > r) == (g[i] > 0) else g.size + i] = abs(e - r) / top
         else:

@@ -3,12 +3,14 @@
 These deliberately use different algorithms from the code under test:
 brute-force vertex enumeration and HiGHS (scipy's ``linprog``) instead
 of operator splitting, a bounded scalar search for one-row programs
-instead of their closed form, normal equations instead of orthogonal
-factorizations.  The solver's linear algebra is checked against the same
-steps written with scipy.linalg's wrappers instead of direct LAPACK
-calls, and its one-pass certificate against the residuals, tolerances and
-violated rows each recomputed on its own.  Panel CSV files are checked
-against the csv-module reader and writer that preceded numpy's C parser.
+instead of their closed form, an epigraph formulation of the
+squared-error program instead of its scaled slack, normal equations
+instead of orthogonal factorizations.  The solver's linear algebra is
+checked against the same steps written with scipy.linalg's wrappers
+instead of direct LAPACK calls, and its one-pass certificate against the
+residuals, tolerances and violated rows each recomputed on its own.
+Panel CSV files are checked against the csv-module reader and writer that
+preceded numpy's C parser.
 """
 
 from __future__ import annotations
@@ -60,19 +62,18 @@ def lp_vertex_objective(q, A, l, u, feas_tol=1e-8):
     return best
 
 
-def highs_objective(problem: optim.ConvexProblem) -> float:
-    """Optimal value of the LP ``problem`` (P = 0), solved by HiGHS.
+def _highs(problem: optim.ConvexProblem):
+    """HiGHS's ``linprog`` result for the LP ``problem`` (P = 0).
 
     Rows with ``l == u`` go in as equalities, every other finite bound as
-    one inequality row; the variables are free.  A problem HiGHS does not
-    solve to optimality fails the calling test.
+    one inequality row; the variables are free.
     """
     if problem.P.any():
-        raise ValueError("highs_objective solves LPs only (P = 0)")
+        raise ValueError("HiGHS solves LPs only (P = 0)")
     A, l, u = problem.A, problem.l, problem.u
     equality = l == u
     upper, lower = np.isfinite(u) & ~equality, np.isfinite(l) & ~equality
-    result = linprog(
+    return linprog(
         problem.q,
         A_ub=np.concatenate([A[upper], -A[lower]]),
         b_ub=np.concatenate([u[upper], -l[lower]]),
@@ -81,8 +82,20 @@ def highs_objective(problem: optim.ConvexProblem) -> float:
         bounds=(None, None),
         method="highs",
     )
+
+
+def highs_objective(problem: optim.ConvexProblem) -> float:
+    """Optimal value of the LP ``problem``, solved by HiGHS; a problem HiGHS
+    does not solve to optimality fails the calling test."""
+    result = _highs(problem)
     assert result.status == 0, f"HiGHS status {result.status}: {result.message}"
     return float(result.fun)
+
+
+def highs_status(problem: optim.ConvexProblem) -> int:
+    """``linprog``'s status for the LP ``problem``: 0 optimal, 2 infeasible,
+    3 unbounded."""
+    return int(_highs(problem).status)
 
 
 def l1_one_row_oracle(g, r0, tol, penalty):
@@ -187,16 +200,18 @@ def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty
     """The counterfactual program built one constraint row at a time.
 
     Reference for the block assembler: residual row j gives, in order, the
-    rows |e_j| <= tol_j + s_j (two rows) or e_j + s_j >= tol_j (one row)
-    for absolute error, or e_j - a_j - s_j = 0, |a_j| <= sqrt(tol_j),
-    t_j >= s_j, t_j >= -s_j for squared error; nonnegativity rows follow.
-    Returns (P, q, A, l, u).
+    rows e_j - c s_j <= edge_j and -e_j - c s_j <= edge_j (two-sided) or
+    e_j + s_j >= tol_j (one-sided), with edge = tol and c = 1 for absolute
+    error, edge = sqrt(tol) and c = 1 / (2 sqrt(penalty)) for squared
+    error; nonnegativity rows follow.  Returns (P, q, A, l, u).
     """
     k, n = G.shape
     Gd = np.hstack([G, -G]) if complexity == "l1" else G
     nd = Gd.shape[1]
-    per_row = 3 if dist == "squared" else 1
-    n_vars = nd + per_row * k
+    n_vars = nd + k
+    squared = dist == "squared"
+    c = 0.5 / np.sqrt(penalty) if squared else 1.0
+    edge = np.sqrt(tol) if squared else tol
     rows, lo, hi = [], [], []
 
     def add(entries, low, high):
@@ -210,22 +225,13 @@ def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty
     for j in range(k):
         delta = list(enumerate(Gd[j]))
         minus = [(col, -v) for col, v in delta]
-        s = nd + j if dist == "abs" else nd + k + j
-        if dist == "squared":
-            a, t = nd + j, nd + 2 * k + j
-            add(delta + [(a, -1.0), (s, -1.0)], -r0[j], -r0[j])
-            add([(a, 1.0)], -np.sqrt(tol[j]), np.sqrt(tol[j]))
-            add([(t, 1.0), (s, -1.0)], 0.0, np.inf)
-            add([(t, 1.0), (s, 1.0)], 0.0, np.inf)
-        elif one_sided[j]:
+        s = nd + j
+        if one_sided[j]:
             add(delta + [(s, 1.0)], tol[j] - r0[j], np.inf)
         else:
-            add(delta + [(s, -1.0)], -np.inf, tol[j] - r0[j])
-            add(minus + [(s, -1.0)], -np.inf, tol[j] + r0[j])
-    nonneg = list(range(nd)) if complexity == "l1" else []
-    if dist == "abs":
-        nonneg += list(range(nd, n_vars))
-    for col in nonneg:
+            add(delta + [(s, -c)], -np.inf, edge[j] - r0[j])
+            add(minus + [(s, -c)], -np.inf, edge[j] + r0[j])
+    for col in range(0 if complexity == "l1" else nd, n_vars):
         add([(col, 1.0)], 0.0, np.inf)
 
     P = np.zeros((n_vars, n_vars))
@@ -234,12 +240,59 @@ def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty
         q[:nd] = 1.0
     else:
         P[np.arange(n), np.arange(n)] = 2.0
-    if dist == "abs":
-        q[nd:] = penalty
+    if squared:
+        P[np.arange(nd, n_vars), np.arange(nd, n_vars)] = 2.0 * penalty * c * c
+        q[nd:] = 2.0 * penalty * c * edge
     else:
-        P[np.arange(nd + k, nd + 2 * k), np.arange(nd + k, nd + 2 * k)] = 2.0 * penalty
-        q[nd + 2 * k :] = 2.0 * penalty * np.sqrt(tol)
+        q[nd:] = penalty
     return P, q, np.vstack(rows), np.array(lo), np.array(hi)
+
+
+def squared_error_epigraph_program(G, r0, tol, complexity, penalty):
+    """A squared-error program in a second, independent formulation.
+
+    The penalty max(0, e^2 - tol) equals the minimum over |a| <= sqrt(tol)
+    of (e - a)^2 + 2 sqrt(tol) |e - a|.  Residual row j gives the rows
+    e_j - a_j - s_j = 0, |a_j| <= sqrt(tol_j), t_j >= s_j and t_j >= -s_j
+    over variables [delta, a, s, t], priced penalty (s^2 + 2 sqrt(tol) t);
+    an l1 change's parts are nonnegative.  Its optimal value is the
+    program's.  Returns an ``optim.ConvexProblem``.
+    """
+    k, n = G.shape
+    l1 = complexity == "l1"
+    Gd = np.hstack([G, -G]) if l1 else G
+    nd = Gd.shape[1]
+    n_vars = nd + 3 * k
+    root_tol = np.sqrt(tol)
+    rows, lo, hi = [], [], []
+
+    def add(entries, low, high):
+        row = np.zeros(n_vars)
+        for col, value in entries:
+            row[col] = value
+        rows.append(row)
+        lo.append(low)
+        hi.append(high)
+
+    for j in range(k):
+        a, s, t = nd + j, nd + k + j, nd + 2 * k + j
+        add(list(enumerate(Gd[j])) + [(a, -1.0), (s, -1.0)], -r0[j], -r0[j])
+        add([(a, 1.0)], -root_tol[j], root_tol[j])
+        add([(t, 1.0), (s, -1.0)], 0.0, np.inf)
+        add([(t, 1.0), (s, 1.0)], 0.0, np.inf)
+    if l1:
+        for col in range(nd):
+            add([(col, 1.0)], 0.0, np.inf)
+
+    P = np.zeros((n_vars, n_vars))
+    q = np.zeros(n_vars)
+    if l1:
+        q[:nd] = 1.0
+    else:
+        P[np.arange(n), np.arange(n)] = 2.0
+    P[np.arange(nd + k, nd + 2 * k), np.arange(nd + k, nd + 2 * k)] = 2.0 * penalty
+    q[nd + 2 * k :] = 2.0 * penalty * root_tol
+    return optim.ConvexProblem(P=P, q=q, A=np.vstack(rows), l=np.array(lo), u=np.array(hi))
 
 
 def x_step_reference(P_s, A, rho, rhs):

@@ -38,11 +38,16 @@ slack-free flag, in call order (it wraps ``explain._decode``), and, on
 solve audit).  A fourth, ``detection_sha256``, covers each grid scenario's
 detection: its threshold, ``stream.start``, the bytes of ``stream.alarms``
 and the six values of ``detection_metrics(stream, scenario.fault)``, read by
-attribute (``DETECTION_FIELDS``).  It also prints how many ``_polish``
-calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``) factorizations and
-ADMM x-step maps (``x_step_maps``: one x-step Cholesky factorization each)
-and affine maps of kept KKT row sets (``kkt_maps``; 0 on a tree without
-``optim._kkt_map``) the solves made, and how many counterfactual programs
+attribute (``DETECTION_FIELDS``).  A fifth, ``predictions_sha256``, covers
+only what the explanations predict: on ``lp-grid`` and ``l2-grid`` each
+scenario's two predictions and step count, on ``stream`` each
+explanation's ``localize.predict_faulty_sensor(cf.delta, exclude=flow)``
+(flow: the panel's flow channels), so a change that moves points at
+rounding level but keeps every prediction keeps it.  It also prints how
+many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
+factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
+factorization each) and affine maps of kept KKT row sets (``kkt_maps``; 0
+on a tree without ``optim._kkt_map``) the solves made, and how many counterfactual programs
 (``explain._Program``) were built; those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
@@ -146,17 +151,18 @@ def import_faultprint(src: Path):
 
     if Path(faultprint.__file__).resolve().parent.parent != src.resolve():
         raise SystemExit(f"faultprint imported from {faultprint.__file__}, not {src}")
-    from faultprint import detector, explain, optim, pipeline
+    from faultprint import detector, explain, localize, optim, pipeline
 
-    return detector, explain, optim, pipeline
+    return detector, explain, localize, optim, pipeline
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    detector, explain, optim, pipeline = import_faultprint(Path(args.src))
+    detector, explain, localize, optim, pipeline = import_faultprint(Path(args.src))
 
     digest, points_digest = hashlib.sha256(), hashlib.sha256()
     explanations_digest, detection_digest = hashlib.sha256(), hashlib.sha256()
+    predictions_digest = hashlib.sha256()
     statuses: collections.Counter = collections.Counter()
     paths: collections.Counter = collections.Counter()
     guessed_paths: collections.Counter = collections.Counter()
@@ -242,9 +248,8 @@ def main(argv=None) -> int:
         solve_random(optim, args.seeds, count, takes_guess)
         errors = 0
     else:
-        errors = solve_grid(
-            args, detector, explain, pipeline, explanations_digest, detection_digest
-        )
+        digests = (explanations_digest, detection_digest, predictions_digest)
+        errors = solve_grid(args, detector, explain, localize, pipeline, *digests)
 
     print(f"solves: {counts['solves']}")
     print(f"iterations: {counts['iterations']}")
@@ -263,14 +268,20 @@ def main(argv=None) -> int:
     print(f"points_sha256: {points_digest.hexdigest()}")
     print(f"explanations_sha256: {explanations_digest.hexdigest()}")
     print(f"detection_sha256: {detection_digest.hexdigest()}")
+    print(f"predictions_sha256: {predictions_digest.hexdigest()}")
     return 0
 
 
-def solve_grid(args, detector, explain, pipeline, explanations_digest, detection_digest) -> int:
+def solve_grid(
+    args, detector, explain, localize, pipeline,
+    explanations_digest, detection_digest, predictions_digest,
+) -> int:
     """Explain the grid workload's alarm steps; returns the explain errors.
 
     Each ``localize_scenario`` result goes into ``explanations_digest``, each
-    scenario's detection into ``detection_digest``.
+    scenario's detection into ``detection_digest``, and what the scenario's
+    explanations predict into ``predictions_digest`` (an explanation that
+    fails enters it as ``error``).
     """
     l1 = args.workload == "lp-grid"
     run = pipeline.RunConfig(
@@ -299,7 +310,9 @@ def solve_grid(args, detector, explain, pipeline, explanations_digest, detection
             ensemble_pred, baseline_pred, steps, excess, audit = pipeline.localize_scenario(
                 run, panel, ensemble, threshold, stream
             )
-            update(explanations_digest, repr((ensemble_pred, baseline_pred, steps)).encode())
+            predictions = repr((ensemble_pred, baseline_pred, steps)).encode()
+            update(explanations_digest, predictions)
+            update(predictions_digest, predictions)
             update(explanations_digest, struct.pack("<d", excess))
             update(explanations_digest, repr((audit.solves, audit.non_optimal, audit.max_ratio)).encode())
             continue
@@ -307,11 +320,15 @@ def solve_grid(args, detector, explain, pipeline, explanations_digest, detection
         for t in stream.alarm_steps()[:STREAM_ALARMS]:
             snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
             try:
-                explain.ensemble_counterfactual(
+                cf = explain.ensemble_counterfactual(
                     ensemble, snapshot, cf_config, solver_options=run.solver_options()
                 )
             except explain.ExplainError:
                 errors += 1
+                update(predictions_digest, b"error")
+                continue
+            prediction = localize.predict_faulty_sensor(cf.delta, exclude=panel.flow_indices)
+            update(predictions_digest, repr(prediction).encode())
     return errors
 
 

@@ -16,6 +16,7 @@ from oracles import (
     l1_one_row_oracle,
     lp_vertex_objective,
     one_row_oracle,
+    squared_error_epigraph_program,
 )
 
 TIGHT = {"tol_abs": 1e-8, "tol_rel": 1e-8}
@@ -124,8 +125,8 @@ def test_program_matches_row_by_row_reference(complexity, dist):
 def test_decoded_objective_matches_solver_objective(complexity, dist):
     # The decoded objective prices slack from the change vector alone; at
     # the optimum it must equal the solver's objective over all variables.
-    # For squared error this is the slack-elimination identity
-    # max(0, e^2 - tol) = min_{|a| <= sqrt(tol)} (e - a)^2 + 2 sqrt(tol) |e - a|.
+    # For squared error this is the pricing identity: with v = c s at its
+    # optimum max(0, |e| - sqrt(tol)), v^2 + 2 sqrt(tol) v = max(0, e^2 - tol).
     rng = np.random.default_rng(47)
     for _ in range(25):
         n = int(rng.integers(3, 7))
@@ -828,8 +829,7 @@ def test_one_row_l1_programs_start_at_their_closed_form_vertex(complexity, dist,
             assert cold.iterations > 0
             # The closed-form start reads its point off the row set's affine
             # map and the cold polish solves by LU: the same dual signs
-            # (beyond rounding: inside the dead zone, the squared-error
-            # equality row's dual is zero), and points apart by rounding
+            # (of the duals beyond rounding), and points apart by rounding
             # (at most 8.9e-16 here, relative to max(1, max |.|)).
             scale = max(1.0, np.abs(cold.y).max())
             signed = np.abs(cold.y) > 1e-12 * scale
@@ -1098,6 +1098,48 @@ def test_squared_error_explanations_match_a_tight_reference():
         assert cf.solution.path in ("early_polish", "final_polish")
         reference = _tight_reference(_kept_problem(ensemble, x), n)
         assert np.abs(cf.delta - reference).max() <= 1e-9
+
+
+def test_squared_error_programs_match_the_epigraph_formulation():
+    # Differential check: each random squared-error ensemble program and
+    # the epigraph form in tests/oracles.py, which prices the same penalty
+    # through other variables and rows, solved tightly, reach one optimal
+    # value and agree on whether the explanation needs slack.  The decoded
+    # objective, priced from the change alone, is the solver's.
+    rng = np.random.default_rng(3)
+    tightest = {"tol_abs": 1e-10, "tol_rel": 1e-10}
+    slack_free = 0
+    for case in range(300):
+        complexity = ("l1", "l2")[case % 2]
+        k = int(rng.integers(1, 13))
+        n = int(rng.integers(k + 1, 15))
+        penalty = float(10.0 ** rng.uniform(-1.0, 3.0))
+        tol = np.zeros(k) if case % 10 == 0 else rng.uniform(0.0, 0.5, size=k)
+        ensemble = random_ensemble(rng, n, k)
+        config = explain.CfConfig(
+            slack_penalty=penalty, complexity=complexity, dist="squared", tolerances=tol
+        )
+        x, targets = rng.normal(scale=2.0, size=n), rng.normal(size=k)
+        cf = explain.ensemble_counterfactual(  # raises ExplainError unless optimal
+            ensemble, x, config, targets=targets, solver_options=tightest
+        )
+        G, bias = explain._residual_geometry(ensemble.models, n)
+        r0 = G @ x + bias - targets
+        reference = optim.solve(
+            squared_error_epigraph_program(G, r0, tol, complexity, penalty), **tightest
+        )
+        assert reference.status is optim.SolveStatus.OPTIMAL
+        scale = max(1.0, abs(reference.objective))
+        assert abs(cf.solution.objective - reference.objective) <= 1e-8 * scale
+        z = reference.z
+        delta = z[:n] - z[n : 2 * n] if complexity == "l1" else z[:n]
+        e = G @ delta + r0
+        needs_slack = np.max(e * e - tol) > explain.FEASIBLE_SLACK_TOL
+        assert cf.feasible_without_slack == (not needs_slack)
+        scale = max(1.0, abs(cf.solution.objective))
+        assert abs(cf.objective - cf.solution.objective) <= 1e-9 * scale
+        slack_free += cf.feasible_without_slack
+    assert 0 < slack_free < 300  # both kinds of explanation were compared
 
 
 def _kept_problem(owner, x):

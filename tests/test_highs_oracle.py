@@ -4,14 +4,15 @@ Every optimum ``optim`` reports is certified by its own KKT pass on the
 problem ``explain`` built, which cannot see an optimum of the wrong
 program.  HiGHS (scipy's ``linprog``), an LP code that shares no step with
 ``optim``, solves the same problems here, and each objective must
-agree within 1e-9 of ``max(1, |HiGHS objective|)``.  The module takes
-about 5 s (4.7 s measured on a 2-core VM).
+agree within 1e-9 of ``max(1, |HiGHS objective|)``.  Constructed
+infeasible and unbounded LPs must be reported so by both.  The module
+takes about 5 s (4.7 s measured on a 2-core VM).
 """
 
 import numpy as np
 
 from faultprint import detector, explain, optim, pipeline
-from oracles import highs_objective
+from oracles import highs_objective, highs_status
 
 REL_TOL = 1e-9
 
@@ -73,3 +74,35 @@ def test_highs_agrees_on_random_classifier_programs(monkeypatch):
         )
     assert len(solved) == 200
     assert_highs_agrees(solved)
+
+
+def test_infeasible_and_unbounded_lps_are_reported_by_both():
+    # Infeasible: a'z <= -1 and a'z >= 1 among random rows that z = 0
+    # satisfies.  Unbounded: every row a_i'z >= b_i with a_i'd >= 0 and b_i < 0,
+    # and q'd < 0, so the objective falls without bound along d from z = 0.
+    # HiGHS reports 2 (infeasible) or 3 (unbounded); optim reports both as
+    # infeasible.
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        n, extra = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        rows = rng.normal(size=(extra, n))
+        if case % 2:
+            d = rng.normal(size=n)
+            rows *= np.where(rows @ d < 0.0, -1.0, 1.0)[:, None]  # each a_i'd >= 0
+            problem = optim.ConvexProblem.linear(
+                -d * float(10.0 ** rng.uniform(-1.0, 1.0)),
+                rows,
+                l=-rng.uniform(0.1, 2.0, extra),
+                u=np.full(extra, np.inf),
+            )
+        else:
+            a = rng.normal(size=n)
+            width = rng.uniform(0.1, 2.0, extra)
+            problem = optim.ConvexProblem.linear(
+                rng.normal(size=n),
+                np.vstack([a, a, rows]),
+                l=np.concatenate([[-np.inf, 1.0], -width]),
+                u=np.concatenate([[-1.0, np.inf], width]),
+            )
+        assert highs_status(problem) in (2, 3)
+        assert optim.solve(problem).status is optim.SolveStatus.INFEASIBLE

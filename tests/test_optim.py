@@ -590,10 +590,11 @@ def test_active_set_solve_matches_wrapper_reference():
 
 def test_row_selection_at_program_size_matches_scipy_qr():
     # The programs' shapes (variables x rows): a per-model and an ensemble
-    # l1/abs program and the stream's l2/squared one, which has equality
-    # rows.  Candidate sets of the sizes their polishes pin (29, 40 and 37
-    # rows) and of every row, with duals over nine orders of magnitude; the
-    # last case repeats rows, so its candidates are rank-deficient.
+    # l1/abs program, the seed-1 stream's l2/squared one (26 x 36), and a
+    # 50 x 48 shape with ten equality rows, which optim still serves.
+    # Candidate sets of the sizes their polishes pin (29 and 40 rows; 12 to
+    # 24 on the stream; 37) and of every row, with duals over nine orders of
+    # magnitude; one case repeats rows, so its candidates are rank-deficient.
     # _independent_rows passes dgeqp3 a fixed workspace, scipy's qr what a
     # workspace query returns: both must keep the same rows.
     rng = np.random.default_rng(59)
@@ -601,6 +602,7 @@ def test_row_selection_at_program_size_matches_scipy_qr():
     for n, m, k, equalities, repeats in (
         (29, 31, 29, 0, 0), (29, 31, 31, 0, 0), (40, 64, 40, 0, 0), (40, 64, 64, 0, 0),
         (50, 48, 37, 10, 0), (50, 48, 48, 10, 0), (50, 48, 48, 10, 12),
+        (26, 36, 12, 0, 0), (26, 36, 24, 0, 0), (26, 36, 36, 0, 0),
     ):
         for _ in range(10):
             A = rng.normal(size=(m, n))

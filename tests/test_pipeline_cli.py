@@ -740,13 +740,13 @@ def _trained_tiny_run(cfg_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_an_explanation_that_fails_names_its_scenario_and_alarm_step(tmp_path, capsys, jobs):
-    # 20 ADMM iterations do not reach a certified l2/squared optimum, so the
+    # 10 ADMM iterations do not reach a certified l2/squared optimum, so the
     # first ensemble explanation fails; its one error line says where.
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
         TINY_CONFIG.format(out=tmp_path / "out")
         + "\n[counterfactual]\ncomplexity = l2\ndist = squared\n"
-        + "\n[solver]\nmax_iters = 20\n",
+        + "\n[solver]\nmax_iters = 10\n",
         encoding="utf-8",
     )
     run, specs = _trained_tiny_run(cfg_path)
@@ -757,7 +757,7 @@ def test_an_explanation_that_fails_names_its_scenario_and_alarm_step(tmp_path, c
     assert len(err) == 1
     assert re.fullmatch(
         rf"faultprint: error: scenario ({ids}): alarm step \d+: counterfactual solve "
-        rf"ended with status max_iters after 20 iterations \(.*\)",
+        rf"ended with status max_iters after 10 iterations \(.*\)",
         err[0],
     )
     if jobs == "1":  # the grid's first scenario fails first

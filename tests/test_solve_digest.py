@@ -39,6 +39,9 @@ def test_solve_digest_of_one_scenario_is_repeatable():
     # the scenario's threshold, alarm flags and detection metrics
     assert len(first["detection_sha256"]) == 64
     assert first["detection_sha256"] != hashlib.sha256().hexdigest()
+    # the scenario's two predictions and step count
+    assert len(first["predictions_sha256"]) == 64
+    assert first["predictions_sha256"] != hashlib.sha256().hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -57,6 +60,7 @@ def test_solve_digest_of_one_squared_error_scenario(workload, counts):
     assert digest["explain_errors"] == "0"
     assert digest["explanations_sha256"] != hashlib.sha256().hexdigest()
     assert digest["detection_sha256"] != hashlib.sha256().hexdigest()
+    assert digest["predictions_sha256"] != hashlib.sha256().hexdigest()
 
 
 def test_solve_digest_of_random_problems_is_repeatable():
@@ -69,3 +73,4 @@ def test_solve_digest_of_random_problems_is_repeatable():
     assert first["points_sha256"] != first["sha256"]
     assert first["explanations_sha256"] == hashlib.sha256().hexdigest()  # none made
     assert first["detection_sha256"] == hashlib.sha256().hexdigest()
+    assert first["predictions_sha256"] == hashlib.sha256().hexdigest()
