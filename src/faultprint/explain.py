@@ -15,7 +15,7 @@ of this program and is intentionally not a separate solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,49 +202,29 @@ class _Program:
         else:
             c, edge = 1.0, tol
             p_rows, q_rows = np.zeros(k), np.full(k, lam)
-        self._slack_scale = c
-        inf, fixed = np.full(k, np.inf), np.zeros(k)
-        # variables [delta, s]; per row: e - c s <= edge and -e - c s <= edge,
-        # or e + s >= tol when one-sided.  Each bound of a block is (offset,
-        # sign): offset + sign * r0 per row, where sign 0 marks a bound that
-        # does not move with the snapshot.
-        blocks = [
-            (
-                [Gd, np.diag(np.where(one_sided, c, -c))],
-                (np.where(one_sided, edge, -inf), np.where(one_sided, -1.0, fixed)),
-                (np.where(one_sided, inf, edge), np.where(one_sided, fixed, -1.0)),
-            ),
-            ([-Gd, 0.0 - c * np.eye(k)], (-inf, fixed), (edge, np.ones(k))),  # no -0.0 in -c I
-        ]
-        n_vars = nd + k
-        A = np.concatenate([np.concatenate(cols, axis=1) for cols, _, _ in blocks])
-        # Residual row j contributes its row of each block in turn.
-        keep = np.stack([np.ones(k, dtype=bool), ~one_sided], axis=1)
-        order = np.arange(2 * k).reshape(2, k).T[keep]
-        nonneg = np.eye(n_vars)[0 if l1 else nd :]
-        n_nonneg = nonneg.shape[0]
-
-        # l and u as one vector, so one assignment per snapshot fills both;
-        # the nonnegativity rows are fixed at [0, inf)
-        _, lows, highs = zip(*blocks)
-        (l_offset, l_sign), (u_offset, u_sign) = zip(*lows), zip(*highs)
-        none, open_end = np.zeros(n_nonneg), np.full(n_nonneg, np.inf)
-        offset = np.concatenate(
-            [np.concatenate(l_offset)[order], none, np.concatenate(u_offset)[order], open_end]
-        )
-        sign = np.concatenate(
-            [np.concatenate(l_sign)[order], none, np.concatenate(u_sign)[order], none]
-        )
-        source = np.concatenate([order % k, np.zeros(n_nonneg, dtype=int)])
-        source = np.concatenate([source, source])
-        self._moving = np.flatnonzero(sign)
-        self._bounds, self._sign = offset, sign[self._moving]
-        self._source = source[self._moving]
-        m = order.shape[0] + n_nonneg
+        self._slack_scale, self._edge = c, edge
+        # Constraint row i holds residual row src[i]: two-sided, sign e - c s
+        # <= edge - sign r0, with sign -1 on the pair's second row; one-sided,
+        # e + s >= edge - r0.  The nonnegativity rows follow.
+        src = np.repeat(np.arange(k), np.where(one_sided, 1, 2))
+        sign = np.where(np.diff(src, prepend=-1) == 0, -1.0, 1.0)
+        lower = one_sided[src]  # the bound that moves with r0 is l, else u
+        slack = np.zeros((src.size, k))
+        slack[np.arange(src.size), src] = np.where(lower, c, -c)
+        nonneg = np.eye(nd + k)[0 if l1 else nd :]
+        m = src.size + nonneg.shape[0]
+        # l and u as one vector, so one assignment per snapshot fills both
+        inf = np.full(src.size, np.inf)
+        self._bounds = np.concatenate([
+            np.where(lower, edge[src], -inf), np.zeros(nonneg.shape[0]),
+            np.where(lower, inf, edge[src]), np.full(nonneg.shape[0], np.inf),
+        ])
+        self._moving = np.arange(src.size) + np.where(lower, 0, m)
+        self._sign, self._source = -sign, src
         self._base = optim.ConvexProblem(
             P=np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows])),
             q=np.concatenate([np.full(nd, 1.0 if l1 else 0.0), q_rows]),
-            A=np.concatenate([A[order], nonneg]),
+            A=np.concatenate([np.hstack([sign[:, None] * Gd[src], slack]), nonneg]),
             l=np.full(m, -np.inf),
             u=np.full(m, np.inf),
         )
@@ -266,9 +246,8 @@ class _Program:
         """
         if not self._has_vertex:
             return None
-        r, tol, g, lam = float(r0[0]), float(self.tol[0]), self.G[0], self.cfg.slack_penalty
+        r, edge, g, lam = float(r0[0]), float(self._edge[0]), self.G[0], self.cfg.slack_penalty
         l1, squared = self.cfg.complexity == "l1", self.cfg.dist == "squared"
-        edge = math.sqrt(tol) if squared else tol
         i = int(np.abs(g).argmax())
         top, norm2 = abs(float(g[i])), float(g @ g)
         if l1:
@@ -478,8 +457,16 @@ def classification_ensemble_cf(
 
     Each constraint asks target * decision(x_cf) to be nonnegative (with a
     tiny strict margin so boundary points do not count), softened by slack:
-    a one-sided row of the same program, always with absolute error.
+    a one-sided row of the same program, priced as absolute error.  So
+    ``config.dist`` must be ``abs`` and ``config.tolerances`` zero; the
+    other fields apply as given.
     """
+    if config.dist != "abs":
+        raise ValueError(
+            f"classifier rows price absolute error: dist must be 'abs', not {config.dist!r}"
+        )
+    if np.any(config.tolerances):
+        raise ValueError("classifier rows have a fixed margin: tolerances must be 0")
     if not classifiers:
         raise ValueError("at least one classifier is required")
     targets = np.asarray(targets, dtype=float)
@@ -502,7 +489,7 @@ def classification_ensemble_cf(
         0.0,
         np.full(k, _CLASSIFIER_MARGIN),
         np.ones(k, dtype=bool),
-        replace(config, dist="abs"),
+        config,
     )
     return _counterfactual(program, x_orig, solver_options)
 

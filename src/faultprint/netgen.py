@@ -106,6 +106,13 @@ class ReadingsPanel:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    def __eq__(self, other) -> bool:
+        # Field by field: the generated tuple comparison cannot take arrays.
+        if not isinstance(other, ReadingsPanel):
+            return NotImplemented
+        same = (self.kinds, self.labels) == (other.kinds, other.labels)
+        return same and np.array_equal(self.values, other.values)
+
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]

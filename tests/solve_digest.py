@@ -3,6 +3,7 @@
     python tests/solve_digest.py --src src --workload lp-grid --seeds 1
     python tests/solve_digest.py --src ../other/src --workload stream --seeds 1 2 3
     python tests/solve_digest.py --src src --workload random --seeds 1
+    python tests/solve_digest.py --src src --workload classifier --seeds 1
 
 Grid workloads (the default grid of the given seeds, built, trained and
 detected in memory as the CLI does it from its files):
@@ -21,6 +22,11 @@ The ``random`` workload solves, for each seed, 600 random bounded problems
 with every finite bound widened by 1e-3.  The warm start goes in as
 ``optim.solve`` takes it: ``dual_guess=y`` or, on a tree whose ``solve``
 has no such parameter, ``warm_start=solution``.
+
+The ``classifier`` workload explains, for each seed, 300 random ensembles
+of binary linear classifiers (:func:`random_classifier_ensembles`) with
+``explain.classification_ensemble_cf``, whose program has only one-sided
+rows, at the solver's default options.
 
 Prints the solve count, the ADMM iterations, the count of each status and
 solution path (``guessed_paths``: those of the solves that follow a
@@ -42,8 +48,9 @@ attribute (``DETECTION_FIELDS``).  A fifth, ``predictions_sha256``, covers
 only what the explanations predict: on ``lp-grid`` and ``l2-grid`` each
 scenario's two predictions and step count, on ``stream`` each
 explanation's ``localize.predict_faulty_sensor(cf.delta, exclude=flow)``
-(flow: the panel's flow channels), so a change that moves points at
-rounding level but keeps every prediction keeps it.  It also prints how
+(flow: the panel's flow channels), on ``classifier`` each explanation's
+labels ``predict(x_cf)`` of its classifiers, so a change that moves points
+at rounding level but keeps every prediction keeps it.  It also prints how
 many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
 factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
 factorization each) and affine maps of kept KKT row sets (``kkt_maps``; 0
@@ -65,12 +72,13 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("lp-grid", "l2-grid", "stream", "random")
+WORKLOADS = ("lp-grid", "l2-grid", "stream", "random", "classifier")
 STREAM_ALARMS = 67
 RANDOM_PROBLEMS = 600
 RANDOM_TOLERANCES = (1e-7, 1e-10)
 RANDOM_MAX_ITERS = 5000
 RANDOM_WIDEN = 1e-3
+CLASSIFIER_ENSEMBLES = 300
 DETECTION_FIELDS = (
     "true_positive_rate", "true_negative_rate", "false_positive_rate",
     "false_negative_rate", "detection_delay", "detected",
@@ -83,7 +91,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--scenarios", type=int, default=None,
-                        help="only the first N scenarios of the grid (problems of a random seed)")
+                        help="only the first N scenarios of the grid (problems or ensembles of a seed)")
     return parser.parse_args(argv)
 
 
@@ -138,6 +146,51 @@ def solve_random(optim, seeds, count: int, takes_guess: bool) -> None:
                 cold = optim.solve(problem, **options)
                 start = {"dual_guess": cold.y} if takes_guess else {"warm_start": cold}
                 optim.solve(wider, **start, **options)
+
+
+def random_classifier_ensembles(explain, seed: int, count: int = CLASSIFIER_ENSEMBLES):
+    """Random classifier ensembles, each with a snapshot, targets and config.
+
+    Each has 1-8 classifiers over 2-10 inputs and random targets of +-1, so
+    some rows hold at the snapshot and some do not; complexity alternates
+    between l1 and l2 and the slack penalty is 10^U(-1, 3).  About a fifth
+    repeat their first classifier with its target flipped, which no change
+    satisfies, so their explanation needs slack.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+        classifiers = [
+            explain.LinearClassifier(rng.normal(size=n), float(rng.normal())) for _ in range(m)
+        ]
+        targets = rng.choice((-1.0, 1.0), size=m)
+        if rng.random() < 0.2:
+            classifiers.append(classifiers[0])
+            targets = np.append(targets, -targets[0])
+        config = explain.CfConfig(
+            slack_penalty=float(10.0 ** rng.uniform(-1.0, 3.0)), complexity=("l1", "l2")[k % 2]
+        )
+        yield classifiers, rng.normal(scale=2.0, size=n), targets, config
+
+
+def explain_classifiers(explain, seeds, count: int, predictions_digest) -> int:
+    """Explain each random classifier ensemble; returns the explain errors.
+
+    Each explanation's labels at x_cf go into ``predictions_digest`` (an
+    explanation that fails enters it as ``error``).
+    """
+    errors = 0
+    for seed in seeds:
+        for classifiers, x, targets, config in random_classifier_ensembles(explain, seed, count):
+            try:
+                cf = explain.classification_ensemble_cf(classifiers, x, targets, config)
+            except explain.ExplainError:
+                errors += 1
+                update(predictions_digest, b"error")
+                continue
+            labels = tuple(clf.predict(cf.x_cf) for clf in classifiers)
+            update(predictions_digest, repr(labels).encode())
+    return errors
 
 
 def update(digest, part: bytes) -> None:
@@ -247,6 +300,9 @@ def main(argv=None) -> int:
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
         solve_random(optim, args.seeds, count, takes_guess)
         errors = 0
+    elif args.workload == "classifier":
+        count = CLASSIFIER_ENSEMBLES if args.scenarios is None else args.scenarios
+        errors = explain_classifiers(explain, args.seeds, count, predictions_digest)
     else:
         digests = (explanations_digest, detection_digest, predictions_digest)
         errors = solve_grid(args, detector, explain, localize, pipeline, *digests)

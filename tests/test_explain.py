@@ -465,6 +465,42 @@ def test_classification_rejects_classifiers_of_different_lengths():
         explain.classification_ensemble_cf(classifiers, np.zeros(2), [1, 1, 1])
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (explain.CfConfig(dist="squared"), "dist"),
+        (explain.CfConfig(tolerances=0.5), "tolerances"),
+        (explain.CfConfig(tolerances=np.array([0.0, 0.1])), "tolerances"),
+        (explain.CfConfig(dist="squared", tolerances=0.5), "dist"),
+    ],
+)
+def test_classification_refuses_config_fields_its_rows_cannot_take(config, field):
+    # One-sided rows are priced as absolute error against a fixed margin, so
+    # a squared error or a tolerance would be dropped without a word.
+    clf = explain.LinearClassifier(weights=np.array([1.0, 0.0]), bias=-1.0)
+    with pytest.raises(ValueError, match=rf"^classifier rows [^:]*: {field} must be"):
+        explain.classification_ensemble_cf([clf, clf], np.zeros(2), [1, 1], config)
+
+
+def test_classification_takes_zero_tolerances_and_the_complexity_as_given():
+    classifiers = [
+        explain.LinearClassifier(weights=np.array([1.0, 2.0]), bias=-2.0),
+        explain.LinearClassifier(weights=np.array([1.0, 0.0]), bias=5.0),
+    ]
+    x = np.zeros(2)
+    config = explain.CfConfig(complexity="l2")
+    same = dataclasses.replace(config, tolerances=np.zeros(2))
+    ours, theirs = (
+        explain.classification_ensemble_cf(classifiers, x, [1, 1], c, solver_options=TIGHT)
+        for c in (config, same)
+    )
+    assert ours.delta.tobytes() == theirs.delta.tobytes()
+    l1 = explain.classification_ensemble_cf(classifiers, x, [1, 1], solver_options=TIGHT)
+    # the complexity applies: l2 moves along the weights, l1 one coordinate
+    assert np.allclose(ours.delta, [0.4, 0.8], atol=1e-6)
+    assert np.allclose(l1.delta, [0.0, 1.0], atol=1e-6)
+
+
 def explain_three_sensor_snapshot(entry, x):
     """Explain ``x`` through one of the three entry points, each for 3 sensors."""
     if entry == "ensemble":
@@ -1140,6 +1176,43 @@ def test_squared_error_programs_match_the_epigraph_formulation():
         assert abs(cf.objective - cf.solution.objective) <= 1e-9 * scale
         slack_free += cf.feasible_without_slack
     assert 0 < slack_free < 300  # both kinds of explanation were compared
+
+
+def test_stream_squared_error_programs_match_the_epigraph_formulation():
+    # The programs the seed-1 stream explains, not random ones: the l2/squared
+    # ensemble at the first 20 alarms of the first scenario of each fault
+    # kind, against the epigraph form, both solved tightly.
+    run = pipeline.RunConfig(seeds=(1,), complexity="l2", dist="squared")
+    tightest = {"tol_abs": 1e-10, "tol_rel": 1e-10}
+    first_of_kind = {}
+    for spec in pipeline.expand_grid(run):
+        first_of_kind.setdefault(spec.kind_name, spec)
+    compared = 0
+    for spec in first_of_kind.values():
+        scenario = pipeline.build_scenario(run, spec)
+        panel = scenario.faulty
+        ensemble, threshold = pipeline.train_scenario(
+            panel, scenario.config.train_end, run.window, run.margin
+        )
+        config = run.cf_config(threshold)
+        G, bias = explain._residual_geometry(ensemble.models, panel.n_sensors)
+        tol = config.tolerance_vector(G.shape[0])
+        for t in detector.detect(ensemble, panel, threshold).alarm_steps()[:20]:
+            x = explain.snapshot_at_alarm(panel, ensemble, int(t))
+            cf = explain.ensemble_counterfactual(ensemble, x, config, solver_options=tightest)
+            r0 = G @ x + bias
+            reference = optim.solve(
+                squared_error_epigraph_program(G, r0, tol, "l2", config.slack_penalty),
+                **tightest,
+            )
+            assert reference.status is optim.SolveStatus.OPTIMAL
+            scale = max(1.0, abs(reference.objective))
+            assert abs(cf.solution.objective - reference.objective) <= 1e-8 * scale
+            e = G @ reference.z[: panel.n_sensors] + r0
+            needs_slack = np.max(e * e - tol) > explain.FEASIBLE_SLACK_TOL
+            assert cf.feasible_without_slack == (not needs_slack)
+            compared += 1
+    assert compared == 20 * len(first_of_kind) == 100
 
 
 def _kept_problem(owner, x):

@@ -260,6 +260,22 @@ def test_csv_round_trip_is_exact(tmp_path, default_panel):
     assert loaded.kinds == default_panel.kinds
 
 
+def test_panels_compare_field_by_field(tmp_path, default_panel):
+    path = tmp_path / "panel.csv"
+    netgen.write_csv(default_panel, path)
+    assert netgen.load_csv(path) == default_panel  # a round trip is the same panel
+    values = default_panel.values.copy()
+    values[7, 2] += 1e-9
+    assert default_panel.with_values(values) != default_panel
+    kinds, labels = default_panel.kinds, default_panel.labels
+    flipped = (kinds[-1],) + kinds[:-1]
+    assert kinds != flipped
+    assert netgen.ReadingsPanel(default_panel.values, flipped, labels) != default_panel
+    renamed = labels[:-1] + ("other",)
+    assert netgen.ReadingsPanel(default_panel.values, kinds, renamed) != default_panel
+    assert default_panel != "panel"  # another type is never equal
+
+
 def _random_panel(rng, rows, cols, values=None) -> netgen.ReadingsPanel:
     if values is None:
         values = rng.normal(scale=10.0 ** rng.integers(-6, 7), size=(rows, cols))

@@ -74,3 +74,15 @@ def test_solve_digest_of_random_problems_is_repeatable():
     assert first["explanations_sha256"] == hashlib.sha256().hexdigest()  # none made
     assert first["detection_sha256"] == hashlib.sha256().hexdigest()
     assert first["predictions_sha256"] == hashlib.sha256().hexdigest()
+
+
+def test_solve_digest_of_classifier_ensembles_is_repeatable():
+    first, second = _digest("classifier", 20), _digest("classifier", 20)
+    assert first == second
+    # one program of one-sided rows and one solve per ensemble
+    assert first["solves"] == first["programs"] == "20"
+    assert first["explain_errors"] == "0"
+    assert first["guessed_paths"] == "none"
+    assert first["explanations_sha256"] != hashlib.sha256().hexdigest()
+    assert first["predictions_sha256"] != hashlib.sha256().hexdigest()
+    assert first["detection_sha256"] == hashlib.sha256().hexdigest()  # none made
