@@ -155,12 +155,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
 
     if args.baseline:
-        per_model = [
-            explain.independent_counterfactual(
-                model, snapshot, 0.0, cf_config, solver_options=run.solver_options()
-            )
-            for model in ensemble.models
-        ]
+        per_model = explain.baseline_counterfactuals(
+            ensemble, snapshot, cf_config, solver_options=run.solver_options()
+        )
         votes = localize.baseline_votes(per_model, exclude=flow)
         _write_csv(
             out / f"baseline-t{t}.csv",

@@ -25,7 +25,9 @@ from .sensors import Ensemble, LinearModel
 
 FEASIBLE_SLACK_TOL = 1e-6
 _CLASSIFIER_MARGIN = 1e-6  # excludes exact decision-boundary solutions
-_KEPT_PROGRAM = "_kept_program"  # an owner's attribute: (key, program) of its latest call
+# An owner's attributes: (key, _Stack) of its latest call, for its consistent
+# program and for its per-model programs.
+_KEPT_PROGRAM, _KEPT_BASELINE = "_kept_program", "_kept_baseline"
 
 
 class ExplainError(RuntimeError):
@@ -74,6 +76,12 @@ class CfConfig:
         )
         return same and np.array_equal(self.tolerances, other.tolerances)
 
+    def __hash__(self) -> int:
+        # Agrees with __eq__: equal arrays have equal shapes, not always
+        # equal bytes (0.0 == -0.0).
+        shape = np.shape(self.tolerances)
+        return hash((self.slack_penalty, self.complexity, self.dist, shape))
+
     def tolerance_vector(self, k: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.tolerances, dtype=float), (k,)).copy()
 
@@ -116,6 +124,11 @@ class LinearClassifier:
         if not isinstance(other, LinearClassifier):
             return NotImplemented
         return self.bias == other.bias and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self) -> int:
+        # Agrees with __eq__: equal arrays have equal shapes, not always
+        # equal bytes (0.0 == -0.0).
+        return hash((self.bias, self.weights.shape))
 
     def decision(self, x: np.ndarray) -> float:
         return float(self.weights @ np.asarray(x, dtype=float) + self.bias)
@@ -185,7 +198,7 @@ class _Program:
 
     The snapshot enters through r0 = G x + bias - targets, and r0 only
     through the bounds: P, q and A are built and validated once, and
-    :meth:`at` fills in each snapshot's l and u.
+    :class:`_Stack` fills in each snapshot's l and u.
     """
 
     def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig):
@@ -228,14 +241,60 @@ class _Program:
             l=np.full(m, -np.inf),
             u=np.full(m, np.inf),
         )
-        self._has_vertex = k == 1 and not one_sided[0]  # see vertex_duals
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.G @ x + self.bias - self.targets
 
-    def vertex_duals(self, problem: optim.ConvexProblem, r0: np.ndarray) -> np.ndarray | None:
-        """Dual signs of the optimum of ``problem``, this program at r0; None
-        unless the program has one two-sided row (a per-model explanation).
+class _Stack:
+    """Programs of one layout, each explained on one snapshot in one pass.
+
+    The programs share their config, their rows' sides and the snapshot
+    length: an ensemble's per-model programs, or one program alone (a stack
+    of one).  The pass computes every program's residuals r0, fills in and
+    validates every program's bounds at once, gives one-row programs their
+    closed-form duals and decodes every certified solution; each program
+    keeps its own problem family and its own ``optim.solve``.  Arrays carry
+    the programs on their first axis, and each product with G is one
+    ``np.matmul`` over them: its loop runs each program's product as that
+    program's own 2-D ``@`` does, so a program rounds alike in a stack and
+    alone.
+    ``prefixes`` start each program's error messages.
+    """
+
+    def __init__(self, programs: tuple[_Program, ...], prefixes: tuple[str, ...] | None = None):
+        first = programs[0]
+        self.programs, self.cfg, self.one_sided = programs, first.cfg, first.one_sided
+        self.prefixes = prefixes or ("",) * len(programs)
+        self.bases = tuple(p._base for p in programs)
+        for name in ("G", "bias", "targets", "tol", "_edge", "_bounds"):
+            setattr(self, name, np.stack([getattr(p, name) for p in programs]))
+        # Program j's moving bounds and their residual rows, as flat indices.
+        shift = np.arange(len(programs))[:, None]
+        self._moving = (first._moving + shift * first._bounds.size).ravel()
+        self._source = (first._source + shift * first.G.shape[0]).ravel()
+        self._sign = np.tile(first._sign, len(programs))
+        self._slack_scale = first._slack_scale
+        # Only a program of one two-sided row has a closed form (vertex_duals).
+        self._has_vertex = first.one_sided.shape == (1,) and not first.one_sided[0]
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Each program's r0 = G x + bias - targets at x, one snapshot for
+        all or one row of x per program."""
+        return np.matmul(self.G, x[..., None])[..., 0] + self.bias - self.targets
+
+    def bounds(self, r0: np.ndarray) -> np.ndarray:
+        """Each program's l and u at its row of r0, as one row ``[l, u]``."""
+        bounds = self._bounds.copy()
+        bounds.reshape(-1)[self._moving] += self._sign * r0.reshape(-1)[self._source]
+        return bounds
+
+    def problems(self, bounds: np.ndarray) -> tuple[optim.ConvexProblem, ...]:
+        """Each program's problem at its row of :meth:`bounds`."""
+        m = self.bases[0].n_constraints
+        return optim.ConvexProblem.each_with_bounds(self.bases, bounds[:, :m], bounds[:, m:])
+
+    def vertex_duals(self, bounds: np.ndarray, r0: np.ndarray) -> np.ndarray | None:
+        """Dual signs of each program's optimum at its row of :meth:`bounds`
+        and of r0; None unless the programs have one two-sided row each
+        (per-model explanations).
 
         The optimum's final residual e has the sign of r0 and ``|e| =
         min(|r0|, max(edge, stop))``: the penalty starts at ``edge`` (tol, or
@@ -246,71 +305,72 @@ class _Program:
         """
         if not self._has_vertex:
             return None
-        r, edge, g, lam = float(r0[0]), float(self._edge[0]), self.G[0], self.cfg.slack_penalty
-        l1, squared = self.cfg.complexity == "l1", self.cfg.dist == "squared"
-        i = int(np.abs(g).argmax())
-        top, norm2 = abs(float(g[i])), float(g @ g)
+        lam, l1 = self.cfg.slack_penalty, self.cfg.complexity == "l1"
+        squared = self.cfg.dist == "squared"
+        r, edge, g = r0[:, 0], self._edge[:, 0], self.G[:, 0]
+        rows, n = np.arange(g.shape[0]), g.shape[1]
+        i = np.abs(g).argmax(axis=1)
+        peak = g[rows, i]
+        top, norm2 = np.abs(peak), np.matmul(g[:, None], g[..., None])[:, 0, 0]
         if l1:
-            stop = 0.5 / (lam * top) if squared else (math.inf if lam * top < 1.0 else -math.inf)
+            stop = 0.5 / (lam * top) if squared else np.where(lam * top < 1.0, np.inf, -np.inf)
         else:
-            stop = abs(r) / (1.0 + lam * norm2) if squared else abs(r) - lam * norm2 / 2.0
-        e = math.copysign(min(abs(r), max(edge, stop)), r)
-        z = np.zeros(problem.n_vars)
-        z[-1] = max(0.0, abs(e) - edge) / self._slack_scale
+            stop = np.abs(r) / (1.0 + lam * norm2) if squared else np.abs(r) - lam * norm2 / 2.0
+        e = np.copysign(np.minimum(np.abs(r), np.maximum(edge, stop)), r)
+        z = np.zeros((rows.size, self.bases[0].n_vars))
+        z[:, -1] = np.maximum(0.0, np.abs(e) - edge) / self._slack_scale
         if l1:  # on the largest |g_i|, as its positive or its negative part
-            z[i if (e > r) == (g[i] > 0) else g.size + i] = abs(e - r) / top
+            z[rows, np.where((e > r) == (peak > 0), i, n + i)] = np.abs(e - r) / top
         else:
-            z[: g.size] = (e - r) / norm2 * g
-        Az = problem.A @ z
-        gap = 1e-9 * (1.0 + np.abs(Az).max())
-        duals = np.zeros(problem.n_constraints)
-        duals[problem.u - Az <= gap] = 1.0
-        duals[Az - problem.l <= gap] = -1.0
+            z[:, :n] = ((e - r) / norm2)[:, None] * g
+        Az = np.array([base.A @ point for base, point in zip(self.bases, z)])
+        gap = 1e-9 * (1.0 + np.abs(Az).max(axis=1, keepdims=True))
+        m = Az.shape[1]
+        duals = np.zeros_like(Az)
+        duals[bounds[:, m:] - Az <= gap] = 1.0
+        duals[Az - bounds[:, :m] <= gap] = -1.0
         return duals
-
-    def at(self, r0: np.ndarray) -> optim.ConvexProblem:
-        """The program for residuals r0; only its bounds are computed."""
-        bounds = self._bounds.copy()
-        bounds[self._moving] += self._sign * r0[self._source]
-        m = self._base.n_constraints
-        return self._base.with_bounds(bounds[:m], bounds[m:])
 
 
 def _decode(
-    solution: optim.Solution,
-    program: _Program,
+    solutions: list[optim.Solution],
+    stack: _Stack,
     r0: np.ndarray,
     x_orig: np.ndarray,
-) -> Counterfactual:
-    """The counterfactual a certified solution of ``program`` encodes.
+) -> tuple[Counterfactual, ...]:
+    """The counterfactual each certified solution of the stack's programs encodes.
 
     Slacks are recovered from the decoded change vector (the exact optimal
     slack given delta), not from the solver's internal slack variables.  The
-    residual rows are re-evaluated on the corrected snapshot itself; their
+    residual rows are re-evaluated on each corrected snapshot itself; their
     largest excess there is kept, and a slack-free result is rejected if it
-    is over ``FEASIBLE_SLACK_TOL``.
+    is over ``FEASIBLE_SLACK_TOL``, the error naming its program.
     """
-    G, tol, one_sided, cfg = program.G, program.tol, program.one_sided, program.cfg
-    n = G.shape[1]
+    cfg, n = stack.cfg, x_orig.shape[0]
     l1 = cfg.complexity == "l1"
-    delta = solution.z[:n] - solution.z[n : 2 * n] if l1 else solution.z[:n]
-    slacks = np.maximum(_excess(G @ delta + r0, tol, one_sided, cfg.dist), 0.0)
-    theta = float(np.abs(delta).sum()) if l1 else float(delta @ delta)
+    z = np.array([solution.z for solution in solutions])
+    delta = z[:, :n] - z[:, n : 2 * n] if l1 else z[:, :n]
     x_cf = x_orig + delta
-    cf = Counterfactual(
-        delta=delta,
-        x_cf=x_cf,
-        slacks=slacks,
-        objective=theta + cfg.slack_penalty * float(slacks.sum()),
-        feasible_without_slack=bool(np.max(slacks, initial=0.0) <= FEASIBLE_SLACK_TOL),
-        excess=float(np.max(_excess(program.residual(x_cf), tol, one_sided, cfg.dist))),
-        solution=solution,
-    )
-    if cf.feasible_without_slack and cf.excess > FEASIBLE_SLACK_TOL:
-        raise ExplainError(
-            f"slack-free counterfactual fails re-evaluation by {cf.excess:.2e}"
-        )
-    return cf
+    fitted = np.matmul(stack.G, delta[..., None])[..., 0] + r0
+    slacks = np.maximum(_excess(fitted, stack.tol, stack.one_sided, cfg.dist), 0.0)
+    if l1:
+        theta = np.add.reduce(np.abs(delta), axis=1)
+    else:
+        theta = np.matmul(delta[:, None], delta[..., None])[:, 0, 0]
+    objective = theta + cfg.slack_penalty * np.add.reduce(slacks, axis=1)
+    free = np.maximum.reduce(slacks, axis=1, initial=0.0) <= FEASIBLE_SLACK_TOL
+    refit = _excess(stack.residuals(x_cf), stack.tol, stack.one_sided, cfg.dist)
+    excess = np.maximum.reduce(refit, axis=1)
+    decoded = tuple(map(
+        Counterfactual, delta, x_cf, slacks, objective.tolist(), free.tolist(),
+        excess.tolist(), solutions,
+    ))
+    for prefix, cf in zip(stack.prefixes, decoded):
+        if cf.feasible_without_slack and cf.excess > FEASIBLE_SLACK_TOL:
+            raise ExplainError(
+                f"{prefix}slack-free counterfactual fails re-evaluation by {cf.excess:.2e}"
+            )
+    return decoded
 
 
 def _error_measure(errors: np.ndarray, dist: str) -> np.ndarray:
@@ -324,78 +384,89 @@ def _excess(
     return np.where(one_sided, tol - errors, _error_measure(errors, dist) - tol)
 
 
-def _counterfactual(
-    program: _Program,
+def _explain(
+    stack: _Stack,
     x_orig: np.ndarray,
     solver_options: dict | None,
     warm_start: Counterfactual | None = None,
-) -> Counterfactual:
-    """Explain ``x_orig`` against the program's residual rows.
+) -> tuple[Counterfactual, ...]:
+    """Explain ``x_orig`` against each of the stack's programs, in one pass.
 
-    The solve starts from the program's closed-form duals when it has them
-    (:meth:`_Program.vertex_duals`), and otherwise from the warm start's.
-    Every problem made from one program shares its factorizations (see
-    :meth:`optim.ConvexProblem.with_bounds`), with or without a warm start.
+    Each solve starts from its program's closed-form duals when the programs
+    have them (:meth:`_Stack.vertex_duals`), and otherwise from the warm
+    start's.  Every problem made from one program shares its factorizations
+    (see :meth:`optim.ConvexProblem.with_bounds`), with or without a warm
+    start.  A solve that ends other than optimal raises :class:`ExplainError`
+    naming its program.
     """
     x_orig = np.asarray(x_orig, dtype=float)
-    n = program.G.shape[1]
+    n = stack.G.shape[2]
     if x_orig.shape != (n,):
         raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
     if not np.isfinite(x_orig).all():
         raise ValueError("snapshot contains non-finite readings")
-    r0 = program.residual(x_orig)
-    problem = program.at(r0)
+    r0 = stack.residuals(x_orig)
+    bounds = stack.bounds(r0)
+    problems = stack.problems(bounds)
     start = None if warm_start is None else warm_start.solution.y
-    m = problem.n_constraints
+    m = problems[0].n_constraints
     if start is not None and start.shape != (m,):
         raise ValueError(f"warm start has {start.shape[0]} rows, the program {m}")
-    guess = program.vertex_duals(problem, r0)
-    solution = optim.solve(
-        problem, **(solver_options or {}), dual_guess=start if guess is None else guess
-    )
-    if solution.status is not optim.SolveStatus.OPTIMAL:
-        raise ExplainError(
-            f"counterfactual solve ended with status {solution.status.value} "
-            f"after {solution.iterations} iterations "
-            f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
-        )
-    return _decode(solution, program, r0, x_orig)
+    guesses = stack.vertex_duals(bounds, r0)
+    solutions = []
+    for j, problem in enumerate(problems):
+        guess = start if guesses is None else guesses[j]
+        solution = optim.solve(problem, **(solver_options or {}), dual_guess=guess)
+        if solution.status is not optim.SolveStatus.OPTIMAL:
+            raise ExplainError(
+                f"{stack.prefixes[j]}counterfactual solve ended with status "
+                f"{solution.status.value} after {solution.iterations} iterations "
+                f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
+            )
+        solutions.append(solution)
+    return _decode(solutions, stack, r0, x_orig)
 
 
-def _linear_counterfactual(
+def _kept_stack(
     owner: Ensemble | LinearModel,
+    slot: str,
     models: tuple[LinearModel, ...],
-    x_orig: np.ndarray,
     config: CfConfig,
     targets: np.ndarray | float,
-    solver_options: dict | None,
-    warm_start: Counterfactual | None,
-) -> Counterfactual:
-    """Explain ``x_orig`` against ``models``, with the program kept on ``owner``.
+    per_model: bool,
+) -> _Stack:
+    """The programs that explain snapshots against ``models``, kept on ``owner``.
 
-    The owner keeps the program of its latest call, which is reused when the
-    targets, as given (shape and bytes), are the same and the config is
-    equal.  Models are frozen, so the program is a function of those alone.
-    It is kept as a plain attribute of the owner, not a dataclass field, so
-    it is not compared, shown or saved, nor returned by ``fields`` or
-    ``asdict``; a ``copy.copy`` keeps its own.
+    ``per_model``: one program per model (its row of the ensemble's, with
+    its own target and tolerance), else one program for all of them.  The
+    owner keeps, in its attribute ``slot``, the programs of its latest call,
+    which are reused when the targets, as given (shape and bytes), are the
+    same and the config is equal.  Models are frozen, so the programs are a
+    function of those alone.  They are kept as a plain attribute of the
+    owner, not a dataclass field, so they are not compared, hashed, shown or
+    saved, nor returned by ``fields`` or ``asdict``; a ``copy.copy`` keeps
+    its own.
     """
     targets = np.asarray(targets, dtype=float)
     key = (targets.shape, targets.tobytes(), config)  # a tuple takes `is` before __eq__
-    kept_key, program = vars(owner).get(_KEPT_PROGRAM, (None, None))
-    if kept_key != key:
-        k = len(models)
-        tolerances = np.asarray(config.tolerances)
-        for name, given in (("targets", targets), ("tolerances", tolerances)):
-            if given.ndim and given.shape != (k,):
-                raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")
-        G, bias = _residual_geometry(models, models[0].n_sensors)
-        program = _Program(
-            G, bias, np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k),
-            np.zeros(k, dtype=bool), config,
-        )
-        object.__setattr__(owner, _KEPT_PROGRAM, (key, program))  # owners are frozen
-    return _counterfactual(program, x_orig, solver_options, warm_start)
+    kept_key, stack = vars(owner).get(slot, (None, None))
+    if kept_key == key:
+        return stack
+    k = len(models)
+    tolerances = np.asarray(config.tolerances)
+    for name, given in (("targets", targets), ("tolerances", tolerances)):
+        if given.ndim and given.shape != (k,):
+            raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")
+    G, bias = _residual_geometry(models, models[0].n_sensors)
+    targets, tol = np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k)
+    one_sided = np.zeros(k, dtype=bool)
+    rows = [slice(j, j + 1) for j in range(k)] if per_model else [slice(None)]
+    stack = _Stack(
+        tuple(_Program(G[r], bias[r], targets[r], tol[r], one_sided[r], config) for r in rows),
+        tuple(f"per-model baseline for sensor {m.target}: " for m in models) if per_model else None,
+    )
+    object.__setattr__(owner, slot, (key, stack))  # owners are frozen
+    return stack
 
 
 def ensemble_counterfactual(
@@ -420,9 +491,31 @@ def ensemble_counterfactual(
     The ensemble keeps its latest program, so calls with the same targets
     and config build and validate it once.
     """
-    return _linear_counterfactual(
-        ensemble, ensemble.models, x_orig, config, targets, solver_options, warm_start
-    )
+    stack = _kept_stack(ensemble, _KEPT_PROGRAM, ensemble.models, config, targets, False)
+    return _explain(stack, x_orig, solver_options, warm_start)[0]
+
+
+def baseline_counterfactuals(
+    ensemble: Ensemble,
+    x_orig: np.ndarray,
+    config: CfConfig = CfConfig(),
+    targets: np.ndarray | float = 0.0,
+    solver_options: dict | None = None,
+) -> tuple[Counterfactual, ...]:
+    """Each model's own counterfactual on one snapshot: the per-model baseline.
+
+    Model j's program is the ensemble's row j alone, with target j and
+    tolerance j (a scalar broadcasts), as :func:`independent_counterfactual`
+    builds it; so entry j equals that function's result for model j, on
+    programs that have made the same solves.  One stacked pass explains
+    every model, and each model's problem still gets its own certified
+    ``optim.solve`` from its closed-form optimum.  An explanation that
+    cannot be certified raises :class:`ExplainError` naming its model's
+    target sensor.  The ensemble keeps these programs apart from its
+    consistent program, so alternating the two builds neither again.
+    """
+    stack = _kept_stack(ensemble, _KEPT_BASELINE, ensemble.models, config, targets, True)
+    return _explain(stack, x_orig, solver_options)
 
 
 def independent_counterfactual(
@@ -435,15 +528,15 @@ def independent_counterfactual(
     """Counterfactual for a single model; the per-model baseline.
 
     Same construction as the ensemble path restricted to one constraint, so
-    an ensemble of one reproduces this optimum.  The model keeps its latest
-    program, as an ensemble does.  In every config the optimum is known in
-    closed form, and the solve starts there
-    (:meth:`_Program.vertex_duals`): it still runs and is certified, and
-    its result depends on the model, the snapshot and the config alone.
+    an ensemble of one reproduces this optimum; it is
+    :func:`baseline_counterfactuals` for one model.  The model keeps its
+    latest program, as an ensemble does.  In every config the optimum is
+    known in closed form, and the solve starts there
+    (:meth:`_Stack.vertex_duals`): it still runs and is certified, and its
+    result depends on the model, the snapshot and the config alone.
     """
-    return _linear_counterfactual(
-        model, (model,), x_orig, config, float(y_cf), solver_options, None
-    )
+    stack = _kept_stack(model, _KEPT_BASELINE, (model,), config, float(y_cf), True)
+    return _explain(stack, x_orig, solver_options)[0]
 
 
 def classification_ensemble_cf(
@@ -486,12 +579,12 @@ def classification_ensemble_cf(
     program = _Program(
         targets[:, None] * V,
         targets * np.array([c.bias for c in classifiers]),
-        0.0,
+        np.zeros(k),
         np.full(k, _CLASSIFIER_MARGIN),
         np.ones(k, dtype=bool),
         config,
     )
-    return _counterfactual(program, x_orig, solver_options)
+    return _explain(_Stack((program,)), x_orig, solver_options)[0]
 
 
 def certificate_margin(

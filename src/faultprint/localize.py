@@ -41,17 +41,22 @@ def predict_faulty_sensor(
     An all-zero change vector yields None, the distinguished no-prediction
     outcome, which scoring counts as incorrect.
     """
-    magnitude = np.abs(_finite(delta))
-    n = magnitude.shape[0]
+    (channel,) = _largest_changes(np.asarray(delta, dtype=float)[None], exclude)
+    return None if channel < 0 else int(channel)
+
+
+def _largest_changes(deltas: np.ndarray, exclude: Sequence[int]) -> np.ndarray:
+    """:func:`predict_faulty_sensor` of each row of ``deltas``, -1 for None."""
+    magnitude = np.abs(_finite(deltas))  # a new array, so excluding writes to no caller's
+    n = magnitude.shape[1]
     outside = [c for c in exclude if not (is_integer(c) and 0 <= c < n)]
     if outside:
         raise ValueError(f"exclude entries {outside} are not in [0, {n})")
-    if len(exclude):
-        magnitude = magnitude.copy()
-        magnitude[list(exclude)] = -np.inf
-    if magnitude.max(initial=-np.inf) <= ZERO_DELTA_TOL:
-        return None
-    return int(np.argmax(magnitude))
+    magnitude[:, list(exclude)] = -np.inf
+    peak = np.maximum.reduce(magnitude, axis=1, initial=-np.inf)
+    # argmax takes the first of tied maxima; a row of no channels names none
+    channels = magnitude.argmax(axis=1) if n else np.zeros(len(magnitude), dtype=int)
+    return np.where(peak > ZERO_DELTA_TOL, channels, -1)
 
 
 def _finite(delta) -> np.ndarray:
@@ -93,16 +98,13 @@ def baseline_votes(
     """Per channel, how many per-model counterfactuals change it the most.
 
     A counterfactual that names no channel (see :func:`predict_faulty_sensor`)
-    casts no vote.
+    casts no vote.  Every change vector must have the same length.
     """
     if not len(counterfactuals):
         raise ValueError("at least one per-model counterfactual is required")
-    votes = np.zeros(counterfactuals[0].delta.shape[0], dtype=int)
-    for cf in counterfactuals:
-        channel = predict_faulty_sensor(cf.delta, exclude)
-        if channel is not None:
-            votes[channel] += 1
-    return votes
+    deltas = np.stack([cf.delta for cf in counterfactuals])
+    channels = _largest_changes(deltas, exclude)
+    return np.bincount(channels[channels >= 0], minlength=deltas.shape[1])
 
 
 def aggregate_baseline(

@@ -113,6 +113,11 @@ class ReadingsPanel:
         same = (self.kinds, self.labels) == (other.kinds, other.labels)
         return same and np.array_equal(self.values, other.values)
 
+    def __hash__(self) -> int:
+        # Agrees with __eq__: equal arrays have equal shapes, not always
+        # equal bytes (0.0 == -0.0).
+        return hash((self.kinds, self.labels, self.values.shape))
+
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,30 +160,7 @@ class ConvexProblem:
         object.__setattr__(self, "_kkt_slot", {})
         object.__setattr__(self, "_x_step_slot", {})
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
-        self._set_bounds(self.l, self.u)
-
-    def _set_bounds(self, l, u) -> None:
-        l = np.array(l, dtype=float, order="C")
-        u = np.array(u, dtype=float, order="C")
-        m = self.A.shape[0]
-        if l.shape != (m,) or u.shape != (m,):
-            raise ValueError("l and u must match the constraint row count")
-        if not (l <= u).all():  # also false where a bound is NaN
-            if np.isnan(l).any() or np.isnan(u).any():
-                raise ValueError("constraint bounds must not be NaN")
-            raise ValueError("constraint bounds require l <= u elementwise")
-        if (l == np.inf).any() or (u == -np.inf).any():
-            raise ValueError("l must be < +inf and u > -inf")
-        for name, arr in (("l", l), ("u", u)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        # Row masks polishing reads on every call: finite bounds, and
-        # equality rows (None when there are none), whose multiplier is
-        # free in sign.
-        equality = l == u
-        object.__setattr__(self, "_finite_l", np.isfinite(l))
-        object.__setattr__(self, "_finite_u", np.isfinite(u))
-        object.__setattr__(self, "_equality", equality if equality.any() else None)
+        self.__dict__.update(_bound_fields([self.l], [self.u], A.shape[0])[0])
 
     def with_bounds(self, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
         """The same P, q and A (shared, not copied) with new bounds.
@@ -198,11 +175,29 @@ class ConvexProblem:
         keeps the factors of its ``_KKT_KEPT`` most recently used row sets,
         and a polish that pins one of those sets again keeps it whole,
         without a new row selection (see :func:`_active_set_solve`).
+        This is :meth:`each_with_bounds` for one problem.
         """
-        problem = object.__new__(ConvexProblem)
-        problem.__dict__.update(self.__dict__)
-        problem._set_bounds(l, u)
-        return problem
+        return ConvexProblem.each_with_bounds((self,), [l], [u])[0]
+
+    @staticmethod
+    def each_with_bounds(
+        problems: Sequence[ConvexProblem], l: np.ndarray, u: np.ndarray
+    ) -> tuple[ConvexProblem, ...]:
+        """Problem i's P, q and A with row i of ``l`` and ``u`` as its bounds.
+
+        As :meth:`with_bounds` for each problem, with every problem's bounds
+        validated in one pass over the stacked rows; every problem must have
+        as many constraint rows as ``l`` and ``u`` have columns.
+        """
+        m = problems[0].n_constraints
+        moved = []
+        for problem, bounds in zip(problems, _bound_fields(l, u, m, len(problems))):
+            if problem.n_constraints != m:
+                raise ValueError("l and u must match the constraint row count")
+            copy = object.__new__(ConvexProblem)
+            copy.__dict__.update(problem.__dict__, **bounds)
+            moved.append(copy)
+        return tuple(moved)
 
     @staticmethod
     def linear(q: np.ndarray, A: np.ndarray, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
@@ -219,6 +214,36 @@ class ConvexProblem:
 
     def objective(self, z: np.ndarray) -> float:
         return float(0.5 * z @ self.P @ z + self.q @ z)
+
+
+def _bound_fields(l, u, m: int, count: int = 1) -> list[dict]:
+    """The bound attributes of ``count`` problems of ``m`` constraint rows,
+    from row i of ``l`` and ``u`` for problem i, validated in one pass.
+
+    Each holds its frozen ``l`` and ``u`` and the row masks polishing reads
+    on every call: finite bounds, and equality rows (None when there are
+    none), whose multiplier is free in sign.
+    """
+    # Copies, so freezing them leaves the caller's arrays writable.
+    l = np.array(l, dtype=float, order="C")
+    u = np.array(u, dtype=float, order="C")
+    if l.shape != (count, m) or u.shape != (count, m):
+        raise ValueError("l and u must match the constraint row count")
+    if not (l <= u).all():  # also false where a bound is NaN
+        if np.isnan(l).any() or np.isnan(u).any():
+            raise ValueError("constraint bounds must not be NaN")
+        raise ValueError("constraint bounds require l <= u elementwise")
+    # With no NaN left, the extremes show an infinite bound on the wrong side.
+    highest_l = np.maximum.reduce(l, axis=None, initial=-np.inf)
+    if highest_l == np.inf or np.minimum.reduce(u, axis=None, initial=np.inf) == -np.inf:
+        raise ValueError("l must be < +inf and u > -inf")
+    l.flags.writeable = u.flags.writeable = False
+    finite_l, finite_u, equality = np.isfinite(l), np.isfinite(u), l == u
+    return [
+        {"l": l[i], "u": u[i], "_finite_l": finite_l[i], "_finite_u": finite_u[i],
+         "_equality": equality[i] if any_equal else None}
+        for i, any_equal in enumerate(equality.any(axis=1).tolist())
+    ]
 
 
 class _KktFactor(NamedTuple):
@@ -307,23 +332,26 @@ def _kkt_pass(
     aty = problem.A.T @ y
     to_lower = problem.l - az
     past_upper = az - problem.u
-    primal = float(np.max(np.maximum(to_lower, 0.0) + np.maximum(past_upper, 0.0), initial=0.0))
+    # The ufunc's own reduce: np.max and .max call it through Python-level
+    # wrappers that cost more than the reductions of these short vectors.
+    peak = np.maximum.reduce
+    primal = float(peak(np.maximum(to_lower, 0.0) + np.maximum(past_upper, 0.0), initial=0.0))
 
-    dual = float(np.abs(pz + problem.q + aty).max(initial=0.0))
+    dual = float(peak(np.abs(pz + problem.q + aty), initial=0.0))
 
     # On an infinite bound any push from the dual is itself the violation.
     comp_up = np.maximum(y, 0.0)
     comp_up[problem._finite_u] *= np.abs(past_upper)[problem._finite_u]
     comp_lo = np.maximum(-y, 0.0)
     comp_lo[problem._finite_l] *= np.abs(to_lower)[problem._finite_l]
-    comp = float(max(np.max(comp_up, initial=0.0), np.max(comp_lo, initial=0.0)))
+    comp = float(max(peak(comp_up, initial=0.0), peak(comp_lo, initial=0.0)))
 
-    az_norm = np.abs(az).max(initial=0.0)
-    eps_pri = tol_abs + tol_rel * max(az_norm, np.abs(z).max(initial=0.0))
+    az_norm = peak(np.abs(az), initial=0.0)
+    eps_pri = tol_abs + tol_rel * max(az_norm, peak(np.abs(z), initial=0.0))
     eps_dua = tol_abs + tol_rel * max(
-        np.abs(pz).max(initial=0.0), np.abs(aty).max(initial=0.0), problem._q_norm
+        peak(np.abs(pz), initial=0.0), peak(np.abs(aty), initial=0.0), problem._q_norm
     )
-    eps_comp = max(1.0, np.abs(y).max(initial=0.0)) * eps_pri
+    eps_comp = max(1.0, peak(np.abs(y), initial=0.0)) * eps_pri
     gap = 1e-9 * (1.0 + az_norm)
     return (
         KktResiduals(primal=primal, dual=dual, complementarity=comp),
@@ -675,7 +703,7 @@ def solve(
     and otherwise ignored.  It is the one way to start a solve: pass the
     ``y`` of a solution of a nearby problem of the same shape (a warm
     start), or the dual signs of an optimum known in closed form (every
-    one-row counterfactual program, see ``explain._Program.vertex_duals``).
+    one-row counterfactual program, see ``explain._Stack.vertex_duals``).
     The ADMM start and polishing reuse the factors of the problem's family
     (see :meth:`ConvexProblem.with_bounds`) alike for cold and warm solves.
     The re-solve from a guess reads each round's point off its row set's

@@ -395,9 +395,10 @@ def localize_scenario(
     certificate_excess = -math.inf
 
     # Consecutive alarm steps have near-identical snapshots, so each step's
-    # ensemble explanation warm-starts the next step's; a per-model solve
-    # starts at its snapshot's closed-form optimum.  The ensemble and each
-    # model keep their program, and its factorizations, across the steps.
+    # ensemble explanation warm-starts the next step's; the per-model
+    # baselines are one stacked pass, each solve from its snapshot's
+    # closed-form optimum.  The ensemble keeps both its consistent and its
+    # per-model programs, and their factorizations, across the steps.
     # The audit reads the certified solution each explanation returns.
     cf: Optional[explain.Counterfactual] = None
     solutions: list[optim.Solution] = []
@@ -407,10 +408,9 @@ def localize_scenario(
             cf = explain.ensemble_counterfactual(
                 ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
             )
-            per_model = [
-                explain.independent_counterfactual(model, snapshot, 0.0, cf_config, solver_options)
-                for model in ensemble.models
-            ]
+            per_model = explain.baseline_counterfactuals(
+                ensemble, snapshot, cf_config, solver_options=solver_options
+            )
         except explain.ExplainError as exc:
             raise explain.ExplainError(f"alarm step {t}: {exc}") from exc
         ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))

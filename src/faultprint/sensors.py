@@ -53,6 +53,11 @@ class LinearModel:
         same = (self.bias, self.target, self.window) == (other.bias, other.target, other.window)
         return same and np.array_equal(self.weights, other.weights)
 
+    def __hash__(self) -> int:
+        # Agrees with __eq__: equal arrays have equal shapes, not always
+        # equal bytes (0.0 == -0.0).
+        return hash((self.bias, self.target, self.window, self.weights.shape))
+
     @property
     def n_sensors(self) -> int:
         return self.weights.shape[0] + 1

@@ -56,8 +56,16 @@ def fresh_copy(ensemble: sensors.Ensemble) -> sensors.Ensemble:
 
 
 def kept_program(owner):
-    """The counterfactual program an ensemble or model keeps, or None."""
-    return vars(owner).get(explain._KEPT_PROGRAM, (None, None))[1]
+    """The programs (an ``explain._Stack``) an ensemble keeps for its
+    consistent explanation, or a model for its own; None if none."""
+    per_model = isinstance(owner, sensors.LinearModel)
+    slot = explain._KEPT_BASELINE if per_model else explain._KEPT_PROGRAM
+    return vars(owner).get(slot, (None, None))[1]
+
+
+def problem_at(stack, r0):
+    """The problem of a stack of one program at residuals ``r0``."""
+    return stack.problems(stack.bounds(r0[None]))[0]
 
 
 def count_program_builds(monkeypatch) -> list:

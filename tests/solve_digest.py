@@ -29,16 +29,19 @@ of binary linear classifiers (:func:`random_classifier_ensembles`) with
 rows, at the solver's default options.
 
 Prints the solve count, the ADMM iterations, the count of each status and
-solution path (``guessed_paths``: those of the solves that follow a
-``explain._Program.vertex_duals`` call that gave a closed-form guess, or
-``none``), and two SHA-256 digests over every solve in call order:
+solution path (``guessed_paths``: those of the solves a closed-form guess
+started, or ``none``; a guess is counted for each program of a stacked
+``explain._Stack.vertex_duals`` call, or, on a tree without ``_Stack``,
+for the solve after an ``explain._Program.vertex_duals`` call), and two
+SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations and the
 path, so a change that keeps every point and only saves iterations, or
 reaches a point by another path, keeps it.  A third,
 ``explanations_sha256``, covers what the explanations decode from those
 solves: each ``Counterfactual``'s delta, x_cf, slacks, objective and
-slack-free flag, in call order (it wraps ``explain._decode``), and, on
+slack-free flag, in call order (it wraps ``explain._decode``, and hashes
+each explanation of a stacked decode in turn), and, on
 ``lp-grid`` and ``l2-grid``, each scenario's ``localize_scenario`` result
 (both predictions, the step count, the certificate excess's bytes and the
 solve audit).  A fourth, ``detection_sha256``, covers each grid scenario's
@@ -248,16 +251,18 @@ def main(argv=None) -> int:
         return sol
 
     def hashed_decode(*a, **kw):
-        cf = decode(*a, **kw)
-        for part in (
-            cf.delta.tobytes(),
-            cf.x_cf.tobytes(),
-            cf.slacks.tobytes(),
-            struct.pack("<d", cf.objective),
-            b"1" if cf.feasible_without_slack else b"0",
-        ):
-            update(explanations_digest, part)
-        return cf
+        decoded = decode(*a, **kw)
+        # A stacked decode returns a tuple, one explanation per program.
+        for cf in decoded if isinstance(decoded, tuple) else (decoded,):
+            for part in (
+                cf.delta.tobytes(),
+                cf.x_cf.tobytes(),
+                cf.slacks.tobytes(),
+                struct.pack("<d", cf.objective),
+                b"1" if cf.feasible_without_slack else b"0",
+            ):
+                update(explanations_digest, part)
+        return decoded
 
     def counted_polish(*a, **kw):
         counts["polish"] += 1
@@ -284,10 +289,16 @@ def main(argv=None) -> int:
             counts["programs"] += 1
             super().__init__(*a)
 
-        def vertex_duals(self, *a):
-            duals = super().vertex_duals(*a)
-            guessed[:] = [duals is not None]
-            return duals
+    # The closed-form rule: a method of each one-row program, or of a stack
+    # of programs that gives one row of duals per program (None for all).
+    stacked = getattr(explain, "_Stack", None)
+    guesser = stacked or CountedProgram
+    vertex_duals = guesser.vertex_duals
+
+    def counted_vertex_duals(self, *a):
+        duals = vertex_duals(self, *a)
+        guessed[:] = [duals is not None] * (len(self.programs) if stacked else 1)
+        return duals
 
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
@@ -295,6 +306,7 @@ def main(argv=None) -> int:
     if kkt_map is not None:
         optim._kkt_map = counted_kkt_map
     explain._decode, explain._Program = hashed_decode, CountedProgram
+    guesser.vertex_duals = counted_vertex_duals
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios

@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, optim, pipeline, sensors
-from conftest import count_program_builds, fresh_copy, kept_program, record_solves
+from faultprint import detector, explain, netgen, optim, pipeline, sensors
+from conftest import count_program_builds, fresh_copy, kept_program, problem_at, record_solves
 from oracles import (
     counterfactual_program_rows,
     kkt_residuals_reference,
@@ -109,10 +109,11 @@ def test_program_matches_row_by_row_reference(complexity, dist):
             slack_penalty=float(rng.uniform(0.1, 2e3)), complexity=complexity, dist=dist
         )
         program = explain._Program(G, np.zeros(k), np.zeros(k), tol, one_sided, config)
+        stack = explain._Stack((program,))
         for _ in range(3):
             r0 = rng.normal(size=k) * (rng.random(k) < 0.8)
             r0[rng.random(k) < 0.2] = -0.0
-            problem = program.at(r0)
+            problem = problem_at(stack, r0)
             expected = counterfactual_program_rows(
                 G, r0, tol, one_sided, complexity, dist, config.slack_penalty
             )
@@ -391,14 +392,14 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
     # to x_cf itself and rejects an excess over FEASIBLE_SLACK_TOL there.
     G, r0, tol = np.array([[1.0, -1.0]]), np.array([0.1]), np.array([0.1])
     sense = np.array([one_sided])
-    program = explain._Program(G, r0, np.zeros(1), tol, sense, explain.CfConfig())
-    solution = optim.solve(program.at(r0), **TIGHT)
+    stack = explain._Stack((explain._Program(G, r0, np.zeros(1), tol, sense, explain.CfConfig()),))
+    solution = optim.solve(problem_at(stack, r0), **TIGHT)
     sign = 1.0 if one_sided else -1.0  # toward violating the row
 
     def decode(excess):
         at_x_cf = tol - sign * excess
-        program.residual = lambda x: at_x_cf
-        return explain._decode(solution, program, r0, np.zeros(2))
+        stack.residuals = lambda x: at_x_cf[None]
+        return explain._decode([solution], stack, r0[None], np.zeros(2))[0]
 
     cf = decode(0.5 * explain.FEASIBLE_SLACK_TOL)
     assert cf.feasible_without_slack
@@ -507,12 +508,14 @@ def explain_three_sensor_snapshot(entry, x):
         return explain.ensemble_counterfactual(toy_ensemble(), x)
     if entry == "independent":
         return explain.independent_counterfactual(single_model([1.0, 1.0]), x)
+    if entry == "baseline":
+        return explain.baseline_counterfactuals(toy_ensemble(), x)
     clf = explain.LinearClassifier(weights=np.ones(3), bias=0.0)
     return explain.classification_ensemble_cf([clf], x, [1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", ["ensemble", "independent", "classifier"])
+@pytest.mark.parametrize("entry", ["ensemble", "independent", "baseline", "classifier"])
 def test_non_finite_snapshot_is_rejected_before_any_solve(monkeypatch, entry, bad):
     solutions = record_solves(monkeypatch)
     with pytest.raises(ValueError, match="snapshot"):
@@ -525,7 +528,7 @@ def test_non_finite_snapshot_is_rejected_before_any_solve(monkeypatch, entry, ba
     [np.ones(4), np.ones(2), np.ones((1, 3)), np.float64(1.0)],
     ids=["longer", "shorter", "row", "scalar"],
 )
-@pytest.mark.parametrize("entry", ["ensemble", "independent", "classifier"])
+@pytest.mark.parametrize("entry", ["ensemble", "independent", "baseline", "classifier"])
 def test_snapshot_of_another_shape_is_rejected_before_any_solve(monkeypatch, entry, x):
     solutions = record_solves(monkeypatch)
     message = re.escape(f"snapshot has shape {x.shape}, expected (3,)")
@@ -827,7 +830,7 @@ def _one_row_program(rng, case, complexity, dist):
         g[None, :], np.array([r0 - g @ x]), np.zeros(1), np.array([tol]),
         np.zeros(1, dtype=bool), config,
     )
-    return program, x, r0, case != "tie" or complexity == "l2"
+    return explain._Stack((program,)), x, r0, case != "tie" or complexity == "l2"
 
 
 @pytest.mark.parametrize(
@@ -842,15 +845,16 @@ def _one_row_program(rng, case, complexity, dist):
 def test_one_row_l1_programs_start_at_their_closed_form_vertex(complexity, dist, case):
     rng = np.random.default_rng(97 + VERTEX_CASES.index(case))
     for _ in range(25):
-        program, x, r0, unique = _one_row_program(rng, case, complexity, dist)
-        assert program.residual(x)[0] == pytest.approx(r0, abs=1e-12)
-        cf = explain._counterfactual(program, x, TIGHT)
+        stack, x, r0, unique = _one_row_program(rng, case, complexity, dist)
+        residual = stack.residuals(x)[0]
+        assert residual[0] == pytest.approx(r0, abs=1e-12)
+        (cf,) = explain._explain(stack, x, TIGHT)
         solution = cf.solution
         assert solution.status is optim.SolveStatus.OPTIMAL
         assert (solution.iterations, solution.path) == (0, "warm") or solution.iterations > 0
-        problem = program.at(program.residual(x))
-        g, tol, penalty = program.G[0], float(program.tol[0]), program.cfg.slack_penalty
-        best, e = one_row_oracle(g, program.residual(x)[0], tol, penalty, complexity, dist)
+        problem = problem_at(stack, residual)
+        g, tol, penalty = stack.G[0, 0], float(stack.tol[0, 0]), stack.cfg.slack_penalty
+        best, e = one_row_oracle(g, residual[0], tol, penalty, complexity, dist)
         assert solution.objective == pytest.approx(best, rel=1e-8)
         assert float(g @ cf.delta) + r0 == pytest.approx(e, abs=1e-7)
         if (complexity, dist) == ("l1", "abs"):
@@ -859,7 +863,7 @@ def test_one_row_l1_programs_start_at_their_closed_form_vertex(complexity, dist,
         if unique:
             assert solution.iterations == 0
             if (complexity, dist) == ("l1", "abs"):
-                expected = l1_one_row_oracle(g, program.residual(x)[0], tol, penalty)
+                expected = l1_one_row_oracle(g, residual[0], tol, penalty)
                 assert np.abs(cf.delta - expected).max() <= 1e-9
             cold = _fresh_solve(problem, TIGHT)
             assert cold.iterations > 0
@@ -892,7 +896,8 @@ def test_only_one_row_two_sided_programs_have_a_vertex_guess():
             g[:rows], np.zeros(rows), np.zeros(rows), np.full(rows, 0.1),
             np.full(rows, one_sided), explain.CfConfig(**config),
         )
-        return program.vertex_duals(program.at(r0[:rows]), r0[:rows])
+        stack, at = explain._Stack((program,)), r0[None, :rows]
+        return stack.vertex_duals(stack.bounds(at), at)
 
     for complexity, dist in ONE_ROW_CONFIGS:
         assert guess(1, complexity=complexity, dist=dist) is not None
@@ -1217,9 +1222,9 @@ def test_stream_squared_error_programs_match_the_epigraph_formulation():
 
 def _kept_problem(owner, x):
     """The problem of the program ``owner`` keeps, for the snapshot ``x``."""
-    program = kept_program(owner)
-    assert program is not None
-    return program.at(program.residual(x))
+    stack = kept_program(owner)
+    assert stack is not None
+    return problem_at(stack, stack.residuals(x)[0])
 
 
 def _assert_program_is_reference(problem, ensemble, x, targets, config):
@@ -1426,10 +1431,12 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             problem = _kept_problem(owner, x)
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
-                program = kept_program(owner)
+                stack = kept_program(owner)
+                r0 = stack.residuals(x)
                 # the closed form's duals if the program has them, else the
                 # warm start's
-                guess = program.vertex_duals(problem, program.residual(x))
+                guess = stack.vertex_duals(stack.bounds(r0), r0)
+                guess = guess[0] if guess is not None else None
                 if guess is None and previous is not None:
                     guess = previous.solution.y
                 warm_hits.append((problem, guess, cf.solution))
@@ -1440,3 +1447,167 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
     assert calls["_factor_kkt"] < calls["_active_set_solve"]
     for problem, guess, ours in warm_hits:
         _assert_same_solution(ours, _fresh_solve(problem, options, guess))
+
+
+def _random_baseline_case(rng, complexity, dist):
+    """A random ensemble of 1-12 models over 2-14 sensors, with signed zeros
+    in its weights, a snapshot, a config and targets; tolerances and
+    targets are scalar or one per model."""
+    n = int(rng.integers(2, 15))
+    k = int(rng.integers(1, min(n, 12) + 1))
+    models = []
+    for target in rng.choice(n, size=k, replace=False):
+        weights = rng.normal(size=n - 1) * (rng.random(n - 1) < 0.7)
+        weights[rng.random(n - 1) < 0.2] = -0.0
+        models.append(single_model(weights, bias=rng.normal(), target=int(target)))
+    tol = rng.uniform(0.0, 0.3, size=k) * (rng.random(k) < 0.7)
+    config = explain.CfConfig(
+        slack_penalty=float(10.0 ** rng.uniform(0.0, 3.0)),
+        complexity=complexity,
+        dist=dist,
+        tolerances=tol if rng.random() < 0.5 else float(tol[0]),
+    )
+    targets = rng.normal(scale=0.5, size=k) if rng.random() < 0.5 else float(rng.normal())
+    x = rng.normal(scale=2.0, size=n)
+    return sensors.Ensemble(models=tuple(models), window=3), x, config, targets
+
+
+def _assert_same_explanation(ours, expected):
+    for name in ("delta", "x_cf", "slacks"):
+        assert getattr(ours, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in ("objective", "excess"):
+        assert struct.pack("<d", getattr(ours, name)) == struct.pack("<d", getattr(expected, name))
+    assert ours.feasible_without_slack == expected.feasible_without_slack
+    _assert_same_solution(ours.solution, expected.solution)
+    assert ours.solution.path == expected.solution.path
+
+
+@pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
+def test_baselines_in_one_pass_match_each_model_explained_alone(complexity, dist):
+    # Byte for byte, field by field: the stacked pass explains each model as
+    # a stack of one does, on fresh programs; and each objective is the
+    # one-row program's optimum.
+    rng = np.random.default_rng(131)
+    for _ in range(25):
+        ensemble, x, config, targets = _random_baseline_case(rng, complexity, dist)
+        k = len(ensemble.models)
+        stacked = explain.baseline_counterfactuals(fresh_copy(ensemble), x, config, targets)
+        assert len(stacked) == k
+        tol = config.tolerance_vector(k)
+        target = np.broadcast_to(targets, (k,))
+        for j, (model, ours) in enumerate(zip(ensemble.models, stacked)):
+            alone = explain.independent_counterfactual(
+                dataclasses.replace(model), x, float(target[j]),
+                dataclasses.replace(config, tolerances=float(tol[j])),
+            )
+            _assert_same_explanation(ours, alone)
+            assert ours.solution.path == "warm"
+            g = residual_coefficients(model, x.shape[0])
+            r0 = float(g @ x + model.bias - target[j])
+            best, _ = one_row_oracle(g, r0, tol[j], config.slack_penalty, complexity, dist)
+            assert ours.objective == pytest.approx(best, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
+def test_stacked_pass_is_row_by_row_at_signed_zero_residuals(complexity, dist):
+    # The pass's steps take r0 as given, so they see -0.0 in it, which no
+    # snapshot's G x + bias - targets gives: each program's bounds,
+    # closed-form duals, solve and decoded explanation are those of the
+    # program stacked alone.  x stands in for a snapshot whose residuals are
+    # r0, so each re-evaluation at x_cf is shifted by their difference.
+    rng = np.random.default_rng(137)
+    for _ in range(25):
+        ensemble, x, config, targets = _random_baseline_case(rng, complexity, dist)
+        k = len(ensemble.models)
+        stack = explain._kept_stack(
+            ensemble, explain._KEPT_BASELINE, ensemble.models, config, targets, True
+        )
+        r0 = rng.normal(size=(k, 1)) * (rng.random((k, 1)) < 0.6)
+        r0[rng.random((k, 1)) < 0.3] = -0.0
+        shift = stack.residuals(x) - r0
+        stack.residuals = lambda at, own=stack.residuals: own(at) - shift
+        bounds = stack.bounds(r0)
+        guesses = stack.vertex_duals(bounds, r0)
+        solutions = [optim.solve(p, dual_guess=g) for p, g in zip(stack.problems(bounds), guesses)]
+        decoded = explain._decode(solutions, stack, r0, x)
+        for j, program in enumerate(stack.programs):
+            alone = explain._Stack((explain._Program(
+                program.G, program.bias, program.targets, program.tol, program.one_sided, config
+            ),))
+            alone.residuals = lambda at, own=alone.residuals, j=j: own(at) - shift[j : j + 1]
+            one_bounds = alone.bounds(r0[j : j + 1])
+            assert one_bounds.tobytes() == bounds[j].tobytes()
+            one_guess = alone.vertex_duals(one_bounds, r0[j : j + 1])
+            assert one_guess.tobytes() == guesses[j].tobytes()
+            solution = optim.solve(alone.problems(one_bounds)[0], dual_guess=one_guess[0])
+            _assert_same_solution(solution, solutions[j])
+            (cf,) = explain._decode([solution], alone, r0[j : j + 1], x)
+            _assert_same_explanation(cf, decoded[j])
+
+
+def test_a_failed_baseline_solve_names_its_model(monkeypatch):
+    # The second model's solve comes back non-optimal: the error names that
+    # model's target sensor, and nothing is returned.
+    ensemble = toy_ensemble()
+    solve, calls = optim.solve, []
+
+    def second_fails(problem, **kwargs):
+        calls.append(solve(problem, **kwargs))
+        if len(calls) == 2:
+            return dataclasses.replace(calls[-1], status=optim.SolveStatus.MAX_ITERS)
+        return calls[-1]
+
+    monkeypatch.setattr(optim, "solve", second_fails)
+    message = (
+        rf"per-model baseline for sensor {ensemble.models[1].target}: counterfactual solve "
+        r"ended with status max_iters after 0 iterations \(kkt primal .*, dual .*\)"
+    )
+    with pytest.raises(explain.ExplainError, match=f"^{message}$"):
+        explain.baseline_counterfactuals(ensemble, np.array([3.0, 1.0, 2.0]))
+    assert len(calls) == 2  # no solve after the failed one
+
+
+def test_a_baseline_that_fails_re_evaluation_names_its_model():
+    ensemble = toy_ensemble()
+    stack = explain._kept_stack(
+        ensemble, explain._KEPT_BASELINE, ensemble.models, explain.CfConfig(), 0.0, True
+    )
+    x = np.array([3.0, 1.0, 2.0])
+    r0 = stack.residuals(x)
+    bounds = stack.bounds(r0)
+    solutions = [
+        optim.solve(p, dual_guess=g)
+        for p, g in zip(stack.problems(bounds), stack.vertex_duals(bounds, r0))
+    ]
+    assert all(cf.feasible_without_slack for cf in explain._decode(solutions, stack, r0, x))
+    # the third model's row re-evaluated at x_cf misses its tolerance
+    residuals = stack.residuals
+    stack.residuals = lambda x_cf: residuals(x_cf) + np.array([[0.0], [0.0], [1.0]])
+    with pytest.raises(explain.ExplainError, match=(
+        f"^per-model baseline for sensor {ensemble.models[2].target}: "
+        "slack-free counterfactual fails re-evaluation by 1.00e[+]00$"
+    )):
+        explain._decode(solutions, stack, r0, x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda zero: explain.CfConfig(tolerances=zero),
+        lambda zero: explain.CfConfig(tolerances=[zero, 0.1]),
+        lambda zero: explain.LinearClassifier(np.array([zero, 1.0]), zero),
+        lambda zero: single_model([zero, 1.0], bias=zero),
+        lambda zero: sensors.Ensemble(models=(single_model([zero, 1.0]),), window=3),
+        lambda zero: netgen.ReadingsPanel(
+            np.array([[zero, 1.0]]), (netgen.SensorKind.PRESSURE,) * 2, ("a", "b")
+        ),
+    ],
+    ids=["config", "config-array", "classifier", "model", "ensemble", "panel"],
+)
+def test_equal_values_hash_equal(make):
+    # 0.0 == -0.0 with other bytes: equal copies are one set member and one
+    # dict key.
+    first, second = make(0.0), make(-0.0)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert {first: "kept"}[second] == "kept"

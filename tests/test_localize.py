@@ -117,6 +117,47 @@ def test_baseline_votes_count_each_models_largest_change():
     assert localize.aggregate_baseline(cfs[2:3]) is None
 
 
+def _largest_change_reference(delta, exclude):
+    """The first channel of the largest |change| beyond ZERO_DELTA_TOL, one
+    channel at a time."""
+    best, channel = localize.ZERO_DELTA_TOL, None
+    for i, value in enumerate(delta):
+        if i not in exclude and abs(value) > best:
+            best, channel = abs(value), i
+    return channel
+
+
+def test_baseline_votes_count_each_explanations_prediction():
+    # Small integer changes tie often; some rows are zero, or below
+    # ZERO_DELTA_TOL, or change only excluded channels.
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        k, n = int(rng.integers(1, 13)), int(rng.integers(1, 15))
+        deltas = rng.integers(-2, 3, size=(k, n)) * rng.choice([1.0, 0.5, 1e-13], size=(k, 1))
+        deltas[rng.random(k) < 0.2] = 0.0
+        exclude = tuple(int(c) for c in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        cfs = [make_cf(delta) for delta in deltas]
+        expected = np.zeros(n, dtype=int)
+        for delta in deltas:
+            channel = localize.predict_faulty_sensor(delta, exclude)
+            assert channel == _largest_change_reference(delta, exclude)
+            if channel is not None:
+                expected[channel] += 1
+        votes = localize.baseline_votes(cfs, exclude)
+        assert votes.tolist() == expected.tolist()
+        assert localize.aggregate_baseline(cfs, exclude) == (
+            int(expected.argmax()) if expected.any() else None
+        )
+
+
+def test_baseline_votes_check_every_change_and_exclusion():
+    cfs = [make_cf([0.0, 1.0]), make_cf([2.0, 0.0])]
+    with pytest.raises(ValueError, match=r"exclude entries \[2\] are not in \[0, 2\)"):
+        localize.baseline_votes(cfs, exclude=[2])
+    with pytest.raises(ValueError, match="finite"):
+        localize.baseline_votes(cfs + [make_cf([np.inf, 0.0])])
+
+
 def row(sid, true, ens, base):
     return localize.ScenarioPrediction(
         scenario_id=sid,

@@ -1301,3 +1301,30 @@ def test_with_bounds_shares_the_matrices_and_checks_the_bounds():
         problem.with_bounds(problem.l[:2], problem.u[:2])
     with pytest.raises(ValueError, match="l must be < \\+inf"):
         problem.with_bounds(np.full(5, np.inf), np.full(5, np.inf))
+
+
+@pytest.mark.parametrize("bad", ["nan", "crossed", "l-plus-inf", "u-minus-inf", "short"])
+def test_a_bad_row_of_stacked_bounds_fails_as_with_bounds_does(bad):
+    problems = [l1_equation_lp(r) for r in (1.0, 2.0, 3.0)]
+    l, u = np.stack([p.l for p in problems]), np.stack([p.u for p in problems])
+    moved = optim.ConvexProblem.each_with_bounds(problems, l + 1.0, u + 1.0)
+    for problem, one, row_l, row_u in zip(problems, moved, l + 1.0, u + 1.0):
+        assert one.A is problem.A and np.array_equal(one.l, row_l) and np.array_equal(one.u, row_u)
+        alone = problem.with_bounds(row_l, row_u)
+        for name in ("l", "u", "_finite_l", "_finite_u"):
+            assert getattr(alone, name).tobytes() == getattr(one, name).tobytes()
+        assert alone._equality.tobytes() == one._equality.tobytes()
+    if bad == "nan":
+        l[1, 0] = np.nan
+    elif bad == "crossed":
+        l[1, 4] = u[1, 4] + 1.0
+    elif bad == "l-plus-inf":
+        l[1, 0] = np.inf
+    elif bad == "u-minus-inf":
+        l[1, 4] = u[1, 4] = -np.inf
+    else:
+        l, u = l[:, :4], u[:, :4]
+    with pytest.raises(ValueError) as alone:
+        problems[1].with_bounds(l[1], u[1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        optim.ConvexProblem.each_with_bounds(problems, l, u)

@@ -770,6 +770,30 @@ def test_an_explanation_that_fails_names_its_scenario_and_alarm_step(tmp_path, c
     assert int(re.search(r"alarm step (\d+)", err[0]).group(1)) in alarms
 
 
+def test_a_failed_baseline_solve_names_its_scenario_step_and_model(tiny_run, monkeypatch):
+    # The first alarm step solves the ensemble program, then one program
+    # per model; the first model's solve comes back non-optimal.
+    run, specs = _trained_tiny_run(tiny_run[0])
+    ensemble, _ = pipeline.load_model_files(run, specs[0].scenario_id)
+    solve, calls = optim.solve, []
+
+    def second_fails(problem, **kwargs):
+        calls.append(solve(problem, **kwargs))
+        if len(calls) == 2:
+            return dataclasses.replace(calls[-1], status=optim.SolveStatus.MAX_ITERS)
+        return calls[-1]
+
+    monkeypatch.setattr(optim, "solve", second_fails)
+    with pytest.raises(explain.ExplainError) as caught:
+        pipeline.evaluate_scenario_files(run, specs[0])
+    assert re.fullmatch(
+        rf"scenario {re.escape(specs[0].scenario_id)}: alarm step \d+: per-model baseline "
+        rf"for sensor {ensemble.models[0].target}: counterfactual solve ended with status "
+        r"max_iters after 0 iterations \(.*\)",
+        str(caught.value),
+    )
+
+
 def test_squared_error_certificate_is_measured_squared(tmp_path):
     # With dist = squared the program bounds e**2 by the threshold, so the
     # certificate of a slack-free explanation must measure e**2 as well.
@@ -826,7 +850,7 @@ def test_warm_started_localization_matches_cold(tiny_run, monkeypatch):
         "ensemble_counterfactual",
         without_warm_start(explain.ensemble_counterfactual),
     )
-    monkeypatch.setattr(explain._Program, "vertex_duals", lambda program, problem, r0: None)
+    monkeypatch.setattr(explain._Stack, "vertex_duals", lambda stack, bounds, r0: None)
     cold, cold_iterations = localize_all()
     assert warm == cold
     assert 0 in warm_iterations
