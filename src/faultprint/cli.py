@@ -155,8 +155,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
 
     if args.baseline:
-        per_model = explain.baseline_counterfactuals(
-            ensemble, snapshot, cf_config, solver_options=run.solver_options()
+        (per_model,) = explain.baseline_counterfactuals(
+            ensemble, snapshot[None], cf_config, solver_options=run.solver_options()
         )
         votes = localize.baseline_votes(per_model, exclude=flow)
         _write_csv(

@@ -31,7 +31,16 @@ _KEPT_PROGRAM, _KEPT_BASELINE = "_kept_program", "_kept_baseline"
 
 
 class ExplainError(RuntimeError):
-    """Raised when a counterfactual cannot be certified."""
+    """Raised when a counterfactual cannot be certified.
+
+    ``row`` is the index of the snapshot whose explanation failed, among
+    the rows a call explains (0 for a single snapshot); None once a caller
+    has named the snapshot in the message.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -244,18 +253,23 @@ class _Program:
 
 
 class _Stack:
-    """Programs of one layout, each explained on one snapshot in one pass.
+    """Programs of one layout, each explained on many snapshots in one pass.
 
     The programs share their config, their rows' sides and the snapshot
     length: an ensemble's per-model programs, or one program alone (a stack
-    of one).  The pass computes every program's residuals r0, fills in and
-    validates every program's bounds at once, gives one-row programs their
-    closed-form duals and decodes every certified solution; each program
-    keeps its own problem family and its own ``optim.solve``.  Arrays carry
-    the programs on their first axis, and each product with G is one
-    ``np.matmul`` over them: its loop runs each program's product as that
-    program's own 2-D ``@`` does, so a program rounds alike in a stack and
-    alone.
+    of one).  The pass computes every program's residuals r0 at every
+    snapshot, fills in and validates all their bounds at once, gives
+    one-row programs their closed-form duals and decodes every certified
+    solution; each program keeps its own problem family, and each problem
+    its own ``optim.solve``.  A pass's arrays carry S snapshots first and
+    the P programs second, ``(S, P, ...)``, and its problems run through
+    them in that order.  The programs' own arrays are stacked once, as
+    ``(1, P, ...)``: at one snapshot every elementwise step then meets
+    arrays of one shape, which NumPy runs without broadcasting.  Each
+    product with G or A is one ``np.matmul`` over the stack: its loop runs
+    each program's product at each snapshot as that program's own 2-D
+    ``@`` does, so a program rounds alike in a stack and alone, at one
+    snapshot or at many.
     ``prefixes`` start each program's error messages.
     """
 
@@ -265,36 +279,57 @@ class _Stack:
         self.prefixes = prefixes or ("",) * len(programs)
         self.bases = tuple(p._base for p in programs)
         for name in ("G", "bias", "targets", "tol", "_edge", "_bounds"):
-            setattr(self, name, np.stack([getattr(p, name) for p in programs]))
-        # Program j's moving bounds and their residual rows, as flat indices.
-        shift = np.arange(len(programs))[:, None]
-        self._moving = (first._moving + shift * first._bounds.size).ravel()
-        self._source = (first._source + shift * first.G.shape[0]).ravel()
-        self._sign = np.tile(first._sign, len(programs))
+            setattr(self, name, np.stack([getattr(p, name) for p in programs])[None])
+        self.A = np.stack([base.A for base in self.bases])[None]
         self._slack_scale = first._slack_scale
         # Only a program of one two-sided row has a closed form (vertex_duals).
         self._has_vertex = first.one_sided.shape == (1,) and not first.one_sided[0]
+        self._scatter: tuple = (0, None)  # (snapshot count, its _scatter_at)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        """Each program's r0 = G x + bias - targets at x, one snapshot for
-        all or one row of x per program."""
+        """Each program's r0 = G x + bias - targets at x, as ``(S, P, k)``;
+        x holds each snapshot's row for all programs, ``(S, 1, n)``, or one
+        row per program, ``(S, P, n)``."""
         return np.matmul(self.G, x[..., None])[..., 0] + self.bias - self.targets
 
+    def _scatter_at(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For ``count`` snapshots: every program's moving bounds and their
+        residual rows, as flat indices into the snapshots' ``(count, P, 2m)``
+        bounds and ``(count, P, k)`` residuals, and their signs.  The stack
+        keeps those of its latest count."""
+        kept, scatter = self._scatter
+        if kept != count:
+            first = self.programs[0]
+            shift = np.arange(count * len(self.programs))[:, None]
+            scatter = (
+                (first._moving + shift * first._bounds.size).ravel(),
+                (first._source + shift * first.G.shape[0]).ravel(),
+                np.tile(first._sign, shift.size),
+            )
+            self._scatter = (count, scatter)
+        return scatter
+
     def bounds(self, r0: np.ndarray) -> np.ndarray:
-        """Each program's l and u at its row of r0, as one row ``[l, u]``."""
-        bounds = self._bounds.copy()
-        bounds.reshape(-1)[self._moving] += self._sign * r0.reshape(-1)[self._source]
+        """Each program's l and u at its row of r0 ``(S, P, k)``, as one row
+        ``[l, u]`` of ``(S, P, 2m)``."""
+        moving, source, sign = self._scatter_at(r0.shape[0])
+        bounds = self._bounds.repeat(r0.shape[0], 0)
+        bounds.reshape(-1)[moving] += sign * r0.reshape(-1)[source]
         return bounds
 
     def problems(self, bounds: np.ndarray) -> tuple[optim.ConvexProblem, ...]:
-        """Each program's problem at its row of :meth:`bounds`."""
+        """Each program's problem at each of its rows of :meth:`bounds`: the
+        first snapshot's, in program order, then the next snapshot's."""
         m = self.bases[0].n_constraints
-        return optim.ConvexProblem.each_with_bounds(self.bases, bounds[:, :m], bounds[:, m:])
+        rows = bounds.reshape(-1, 2 * m)
+        return optim.ConvexProblem.each_with_bounds(
+            self.bases * bounds.shape[0], rows[:, :m], rows[:, m:]
+        )
 
     def vertex_duals(self, bounds: np.ndarray, r0: np.ndarray) -> np.ndarray | None:
-        """Dual signs of each program's optimum at its row of :meth:`bounds`
-        and of r0; None unless the programs have one two-sided row each
-        (per-model explanations).
+        """Dual signs of each program's optimum at its rows of :meth:`bounds`
+        and of r0, as ``(S, P, m)``; None unless the programs have one
+        two-sided row each (per-model explanations).
 
         The optimum's final residual e has the sign of r0 and ``|e| =
         min(|r0|, max(edge, stop))``: the penalty starts at ``edge`` (tol, or
@@ -307,28 +342,29 @@ class _Stack:
             return None
         lam, l1 = self.cfg.slack_penalty, self.cfg.complexity == "l1"
         squared = self.cfg.dist == "squared"
-        r, edge, g = r0[:, 0], self._edge[:, 0], self.G[:, 0]
-        rows, n = np.arange(g.shape[0]), g.shape[1]
+        r, edge, g = r0[:, :, 0], self._edge[:, :, 0], self.G[0, :, 0]
+        n = g.shape[1]
         i = np.abs(g).argmax(axis=1)
-        peak = g[rows, i]
+        peak = g[np.arange(g.shape[0]), i]
         top, norm2 = np.abs(peak), np.matmul(g[:, None], g[..., None])[:, 0, 0]
         if l1:
             stop = 0.5 / (lam * top) if squared else np.where(lam * top < 1.0, np.inf, -np.inf)
         else:
             stop = np.abs(r) / (1.0 + lam * norm2) if squared else np.abs(r) - lam * norm2 / 2.0
         e = np.copysign(np.minimum(np.abs(r), np.maximum(edge, stop)), r)
-        z = np.zeros((rows.size, self.bases[0].n_vars))
-        z[:, -1] = np.maximum(0.0, np.abs(e) - edge) / self._slack_scale
+        z = np.zeros(r.shape + (self.bases[0].n_vars,))
+        z[:, :, -1] = np.maximum(0.0, np.abs(e) - edge) / self._slack_scale
         if l1:  # on the largest |g_i|, as its positive or its negative part
-            z[rows, np.where((e > r) == (peak > 0), i, n + i)] = np.abs(e - r) / top
+            column = np.where((e > r) == (peak > 0), i, n + i)
+            np.put_along_axis(z, column[..., None], (np.abs(e - r) / top)[..., None], axis=2)
         else:
-            z[:, :n] = ((e - r) / norm2)[:, None] * g
-        Az = np.array([base.A @ point for base, point in zip(self.bases, z)])
-        gap = 1e-9 * (1.0 + np.abs(Az).max(axis=1, keepdims=True))
-        m = Az.shape[1]
+            z[:, :, :n] = ((e - r) / norm2)[..., None] * g
+        Az = np.matmul(self.A, z[..., None])[..., 0]
+        gap = 1e-9 * (1.0 + np.abs(Az).max(axis=2, keepdims=True))
+        m = Az.shape[2]
         duals = np.zeros_like(Az)
-        duals[bounds[:, m:] - Az <= gap] = 1.0
-        duals[Az - bounds[:, :m] <= gap] = -1.0
+        duals[bounds[:, :, m:] - Az <= gap] = 1.0
+        duals[Az - bounds[:, :, :m] <= gap] = -1.0
         return duals
 
 
@@ -336,23 +372,29 @@ def _decode(
     solutions: list[optim.Solution],
     stack: _Stack,
     r0: np.ndarray,
-    x_orig: np.ndarray,
+    snapshots: np.ndarray,
 ) -> tuple[Counterfactual, ...]:
     """The counterfactual each certified solution of the stack's programs encodes.
 
-    Slacks are recovered from the decoded change vector (the exact optimal
-    slack given delta), not from the solver's internal slack variables.  The
-    residual rows are re-evaluated on each corrected snapshot itself; their
-    largest excess there is kept, and a slack-free result is rejected if it
-    is over ``FEASIBLE_SLACK_TOL``, the error naming its program.
+    ``snapshots`` are ``(S, n)``, ``r0`` their ``(S, P, k)`` residuals, and
+    ``solutions`` and the result run through them as
+    :meth:`_Stack.problems` does.  Slacks are recovered from the decoded
+    change vector (the exact optimal slack given delta), not from the
+    solver's internal slack variables.  The residual rows are re-evaluated
+    on each corrected snapshot itself; their largest excess there is kept,
+    and a slack-free result is rejected if it is over
+    ``FEASIBLE_SLACK_TOL``, the error naming its program and its
+    snapshot's row.
     """
-    cfg, n = stack.cfg, x_orig.shape[0]
+    cfg, n = stack.cfg, snapshots.shape[1]
     l1 = cfg.complexity == "l1"
     z = np.array([solution.z for solution in solutions])
     delta = z[:, :n] - z[:, n : 2 * n] if l1 else z[:, :n]
-    x_cf = x_orig + delta
-    fitted = np.matmul(stack.G, delta[..., None])[..., 0] + r0
+    changes = delta.reshape(r0.shape[:2] + (n,))
+    x_cf = snapshots[:, None] + changes
+    fitted = np.matmul(stack.G, changes[..., None])[..., 0] + r0
     slacks = np.maximum(_excess(fitted, stack.tol, stack.one_sided, cfg.dist), 0.0)
+    slacks = slacks.reshape(len(solutions), -1)
     if l1:
         theta = np.add.reduce(np.abs(delta), axis=1)
     else:
@@ -360,15 +402,18 @@ def _decode(
     objective = theta + cfg.slack_penalty * np.add.reduce(slacks, axis=1)
     free = np.maximum.reduce(slacks, axis=1, initial=0.0) <= FEASIBLE_SLACK_TOL
     refit = _excess(stack.residuals(x_cf), stack.tol, stack.one_sided, cfg.dist)
-    excess = np.maximum.reduce(refit, axis=1)
+    excess = np.maximum.reduce(refit, axis=2)
     decoded = tuple(map(
-        Counterfactual, delta, x_cf, slacks, objective.tolist(), free.tolist(),
-        excess.tolist(), solutions,
+        Counterfactual, delta, x_cf.reshape(-1, n), slacks, objective.tolist(), free.tolist(),
+        excess.ravel().tolist(), solutions,
     ))
-    for prefix, cf in zip(stack.prefixes, decoded):
+    programs = len(stack.programs)
+    for j, cf in enumerate(decoded):
         if cf.feasible_without_slack and cf.excess > FEASIBLE_SLACK_TOL:
             raise ExplainError(
-                f"{prefix}slack-free counterfactual fails re-evaluation by {cf.excess:.2e}"
+                f"{stack.prefixes[j % programs]}slack-free counterfactual fails "
+                f"re-evaluation by {cf.excess:.2e}",
+                j // programs,
             )
     return decoded
 
@@ -386,26 +431,31 @@ def _excess(
 
 def _explain(
     stack: _Stack,
-    x_orig: np.ndarray,
+    snapshots: np.ndarray,
     solver_options: dict | None,
     warm_start: Counterfactual | None = None,
 ) -> tuple[Counterfactual, ...]:
-    """Explain ``x_orig`` against each of the stack's programs, in one pass.
+    """Explain each row of ``snapshots`` against each of the stack's
+    programs, in one pass; the explanations of one snapshot, in program
+    order, then the next snapshot's.
 
     Each solve starts from its program's closed-form duals when the programs
     have them (:meth:`_Stack.vertex_duals`), and otherwise from the warm
     start's.  Every problem made from one program shares its factorizations
     (see :meth:`optim.ConvexProblem.with_bounds`), with or without a warm
-    start.  A solve that ends other than optimal raises :class:`ExplainError`
-    naming its program.
+    start, and its problems are solved in snapshot order.  A solve that ends
+    other than optimal raises :class:`ExplainError` naming its program, with
+    its snapshot's row.
     """
-    x_orig = np.asarray(x_orig, dtype=float)
-    n = stack.G.shape[2]
-    if x_orig.shape != (n,):
-        raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
-    if not np.isfinite(x_orig).all():
+    snapshots = np.asarray(snapshots, dtype=float)
+    n = stack.G.shape[3]
+    if snapshots.ndim != 2 or snapshots.shape[1] != n:
+        raise ValueError(f"snapshots have shape {snapshots.shape}, expected (S, {n})")
+    if not np.isfinite(snapshots).all():
         raise ValueError("snapshot contains non-finite readings")
-    r0 = stack.residuals(x_orig)
+    if not snapshots.shape[0]:
+        return ()
+    r0 = stack.residuals(snapshots[:, None])
     bounds = stack.bounds(r0)
     problems = stack.problems(bounds)
     start = None if warm_start is None else warm_start.solution.y
@@ -413,18 +463,31 @@ def _explain(
     if start is not None and start.shape != (m,):
         raise ValueError(f"warm start has {start.shape[0]} rows, the program {m}")
     guesses = stack.vertex_duals(bounds, r0)
+    if guesses is not None:
+        guesses = guesses.reshape(-1, m)
+    programs = len(stack.programs)
     solutions = []
     for j, problem in enumerate(problems):
         guess = start if guesses is None else guesses[j]
         solution = optim.solve(problem, **(solver_options or {}), dual_guess=guess)
         if solution.status is not optim.SolveStatus.OPTIMAL:
             raise ExplainError(
-                f"{stack.prefixes[j]}counterfactual solve ended with status "
+                f"{stack.prefixes[j % programs]}counterfactual solve ended with status "
                 f"{solution.status.value} after {solution.iterations} iterations "
-                f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})"
+                f"(kkt primal {solution.kkt.primal:.2e}, dual {solution.kkt.dual:.2e})",
+                j // programs,
             )
         solutions.append(solution)
-    return _decode(solutions, stack, r0, x_orig)
+    return _decode(solutions, stack, r0, snapshots)
+
+
+def _one_row(stack: _Stack, x_orig: np.ndarray) -> np.ndarray:
+    """One snapshot of shape ``(n,)``, as the one row :func:`_explain` takes."""
+    x_orig = np.asarray(x_orig, dtype=float)
+    n = stack.G.shape[3]
+    if x_orig.shape != (n,):
+        raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
+    return x_orig[None]
 
 
 def _kept_stack(
@@ -492,30 +555,36 @@ def ensemble_counterfactual(
     and config build and validate it once.
     """
     stack = _kept_stack(ensemble, _KEPT_PROGRAM, ensemble.models, config, targets, False)
-    return _explain(stack, x_orig, solver_options, warm_start)[0]
+    return _explain(stack, _one_row(stack, x_orig), solver_options, warm_start)[0]
 
 
 def baseline_counterfactuals(
     ensemble: Ensemble,
-    x_orig: np.ndarray,
+    snapshots: np.ndarray,
     config: CfConfig = CfConfig(),
     targets: np.ndarray | float = 0.0,
     solver_options: dict | None = None,
-) -> tuple[Counterfactual, ...]:
-    """Each model's own counterfactual on one snapshot: the per-model baseline.
+) -> tuple[tuple[Counterfactual, ...], ...]:
+    """Each model's own counterfactual on each snapshot: the per-model baseline.
 
-    Model j's program is the ensemble's row j alone, with target j and
-    tolerance j (a scalar broadcasts), as :func:`independent_counterfactual`
-    builds it; so entry j equals that function's result for model j, on
-    programs that have made the same solves.  One stacked pass explains
-    every model, and each model's problem still gets its own certified
-    ``optim.solve`` from its closed-form optimum.  An explanation that
-    cannot be certified raises :class:`ExplainError` naming its model's
-    target sensor.  The ensemble keeps these programs apart from its
-    consistent program, so alternating the two builds neither again.
+    ``snapshots`` holds one snapshot per row, ``(S, n)``, and the result one
+    tuple per row, with model j's explanation at entry j.  Model j's
+    program is the ensemble's row j alone, with target j and tolerance j (a
+    scalar broadcasts), as :func:`independent_counterfactual` builds it; so
+    entry j equals that function's result for model j, on programs that
+    have made the same solves.  A per-model explanation starts from its
+    closed-form optimum, so it does not depend on the other rows: row s
+    equals this function's result for that row alone.  One stacked pass
+    explains every model at every snapshot, and each problem still gets its
+    own certified ``optim.solve``, a model's in row order.  An explanation
+    that cannot be certified raises :class:`ExplainError` naming its
+    model's target sensor, with its row in ``ExplainError.row``.  The
+    ensemble keeps these programs apart from its consistent program, so
+    alternating the two builds neither again.
     """
     stack = _kept_stack(ensemble, _KEPT_BASELINE, ensemble.models, config, targets, True)
-    return _explain(stack, x_orig, solver_options)
+    decoded, programs = _explain(stack, snapshots, solver_options), len(stack.programs)
+    return tuple(decoded[s : s + programs] for s in range(0, len(decoded), programs))
 
 
 def independent_counterfactual(
@@ -536,7 +605,7 @@ def independent_counterfactual(
     result depends on the model, the snapshot and the config alone.
     """
     stack = _kept_stack(model, _KEPT_BASELINE, (model,), config, float(y_cf), True)
-    return _explain(stack, x_orig, solver_options)[0]
+    return _explain(stack, _one_row(stack, x_orig), solver_options)[0]
 
 
 def classification_ensemble_cf(
@@ -584,7 +653,8 @@ def classification_ensemble_cf(
         np.ones(k, dtype=bool),
         config,
     )
-    return _explain(_Stack((program,)), x_orig, solver_options)[0]
+    stack = _Stack((program,))
+    return _explain(stack, _one_row(stack, x_orig), solver_options)[0]
 
 
 def certificate_margin(

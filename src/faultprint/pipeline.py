@@ -381,7 +381,10 @@ def localize_scenario(
     """Explain the first alarm steps and aggregate both methods' estimates.
 
     An explanation that cannot be certified raises :class:`ExplainError`
-    naming its alarm step.
+    naming its alarm step.  Every per-model baseline is explained before
+    the first consistent explanation, so a baseline that fails at a later
+    step is raised before an ensemble explanation that fails at an earlier
+    one.
     """
     steps = stream.alarm_steps()[: run.alarm_steps]
     if steps.size == 0:
@@ -394,22 +397,28 @@ def localize_scenario(
     baseline_steps: list[Optional[int]] = []
     certificate_excess = -math.inf
 
-    # Consecutive alarm steps have near-identical snapshots, so each step's
-    # ensemble explanation warm-starts the next step's; the per-model
-    # baselines are one stacked pass, each solve from its snapshot's
-    # closed-form optimum.  The ensemble keeps both its consistent and its
-    # per-model programs, and their factorizations, across the steps.
-    # The audit reads the certified solution each explanation returns.
+    # A per-model explanation starts from its snapshot's closed-form
+    # optimum and depends on no other step, so every step's baselines are
+    # one stacked pass, run first; each model's problems are still solved
+    # one by one, in step order.  Consecutive alarm steps have
+    # near-identical snapshots, so each step's ensemble explanation then
+    # warm-starts the next step's.  The ensemble keeps both its consistent
+    # and its per-model programs, and their factorizations, across the
+    # steps.  The audit reads the certified solution each explanation
+    # returns.
+    snapshots = np.array([explain.snapshot_at_alarm(panel, ensemble, int(t)) for t in steps])
+    try:
+        baselines = explain.baseline_counterfactuals(
+            ensemble, snapshots, cf_config, solver_options=solver_options
+        )
+    except explain.ExplainError as exc:
+        raise explain.ExplainError(f"alarm step {steps[exc.row]}: {exc}") from exc
     cf: Optional[explain.Counterfactual] = None
     solutions: list[optim.Solution] = []
-    for t in steps:
-        snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
+    for t, snapshot, per_model in zip(steps, snapshots, baselines):
         try:
             cf = explain.ensemble_counterfactual(
                 ensemble, snapshot, cf_config, solver_options=solver_options, warm_start=cf
-            )
-            per_model = explain.baseline_counterfactuals(
-                ensemble, snapshot, cf_config, solver_options=solver_options
             )
         except explain.ExplainError as exc:
             raise explain.ExplainError(f"alarm step {t}: {exc}") from exc

@@ -65,7 +65,7 @@ def kept_program(owner):
 
 def problem_at(stack, r0):
     """The problem of a stack of one program at residuals ``r0``."""
-    return stack.problems(stack.bounds(r0[None]))[0]
+    return stack.problems(stack.bounds(r0[None, None]))[0]
 
 
 def count_program_builds(monkeypatch) -> list:

@@ -30,10 +30,10 @@ rows, at the solver's default options.
 
 Prints the solve count, the ADMM iterations, the count of each status and
 solution path (``guessed_paths``: those of the solves a closed-form guess
-started, or ``none``; a guess is counted for each program of a stacked
-``explain._Stack.vertex_duals`` call, or, on a tree without ``_Stack``,
-for the solve after an ``explain._Program.vertex_duals`` call), and two
-SHA-256 digests over every solve in call order:
+started, or ``none``; a guess is counted for each row of duals a
+stacked ``explain._Stack.vertex_duals`` call returns, or, on a tree
+without ``_Stack``, for the solve after an ``explain._Program.vertex_duals``
+call), and two SHA-256 digests over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations and the
 path, so a change that keeps every point and only saves iterations, or
@@ -53,7 +53,21 @@ scenario's two predictions and step count, on ``stream`` each
 explanation's ``localize.predict_faulty_sensor(cf.delta, exclude=flow)``
 (flow: the panel's flow channels), on ``classifier`` each explanation's
 labels ``predict(x_cf)`` of its classifiers, so a change that moves points
-at rounding level but keeps every prediction keeps it.  It also prints how
+at rounding level but keeps every prediction keeps it.
+
+The call-order digests move when a change only reorders solves that share
+no state, such as running a scenario's per-model baselines before its
+ensemble chain.  Three more digests leave that order out.  A problem family
+is the problems that share one ``_kkt_slot`` (the problems
+``ConvexProblem.with_bounds`` makes from one problem, which share their
+kept factors and maps), so its solves' order is its history.
+``family_sha256``, ``family_points_sha256`` and
+``family_explanations_sha256`` hash each family's solves, as ``sha256`` and
+``points_sha256`` hash all of them, and the explanations decoded from its
+solutions, as ``explanations_sha256`` hashes each explanation, each in call
+order; each then hashes those family digests in sorted order.  The script
+keeps a reference to every family's slot, so no later family takes its
+``id``.  ``families`` counts them.  It also prints how
 many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
 factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
 factorization each) and affine maps of kept KKT row sets (``kkt_maps``; 0
@@ -229,9 +243,26 @@ def main(argv=None) -> int:
     takes_guess = "dual_guess" in inspect.signature(solve).parameters
     # Whether the latest vertex_duals call gave a guess, for the solve after it.
     guessed = []
+    # id(_kkt_slot) -> (the slot, then its solves', points' and explanations'
+    # digests); id(solution) -> (the solution, its family) until decoded.
+    families, family_of_solution = {}, {}
+
+    def family_of(problem):
+        slot = problem._kkt_slot
+        if id(slot) not in families:
+            families[id(slot)] = (slot,) + tuple(hashlib.sha256() for _ in range(3))
+        return families[id(slot)]
+
+    def family_digest(index: int) -> str:
+        combined = hashlib.sha256()
+        for hexdigest in sorted(family[index].hexdigest() for family in families.values()):
+            update(combined, hexdigest.encode())
+        return combined.hexdigest()
 
     def hashed_solve(*a, **kw):
         sol = solve(*a, **kw)
+        family = family_of(a[0] if a else kw["problem"])
+        family_of_solution[id(sol)] = (sol, family)
         counts["solves"] += 1
         counts["iterations"] += sol.iterations
         statuses[sol.status.value] += 1
@@ -246,14 +277,17 @@ def main(argv=None) -> int:
         how = (str(sol.iterations).encode(), sol.path.encode())
         for part in point + how + certificate:
             update(digest, part)
+            update(family[1], part)
         for part in point + certificate:
             update(points_digest, part)
+            update(family[2], part)
         return sol
 
     def hashed_decode(*a, **kw):
         decoded = decode(*a, **kw)
         # A stacked decode returns a tuple, one explanation per program.
         for cf in decoded if isinstance(decoded, tuple) else (decoded,):
+            _, family = family_of_solution.pop(id(cf.solution))
             for part in (
                 cf.delta.tobytes(),
                 cf.x_cf.tobytes(),
@@ -262,6 +296,7 @@ def main(argv=None) -> int:
                 b"1" if cf.feasible_without_slack else b"0",
             ):
                 update(explanations_digest, part)
+                update(family[3], part)
         return decoded
 
     def counted_polish(*a, **kw):
@@ -297,7 +332,8 @@ def main(argv=None) -> int:
 
     def counted_vertex_duals(self, *a):
         duals = vertex_duals(self, *a)
-        guessed[:] = [duals is not None] * (len(self.programs) if stacked else 1)
+        # one row of duals per problem, whatever the stack's leading axes
+        guessed[:] = [] if duals is None else [True] * (duals.size // duals.shape[-1])
         return duals
 
     optim.solve, optim._polish = hashed_solve, counted_polish
@@ -332,11 +368,15 @@ def main(argv=None) -> int:
     print(f"x_step_maps: {counts['x_step_maps']}")
     print(f"kkt_maps: {counts['kkt_maps']}")
     print(f"programs: {counts['programs']}")
+    print(f"families: {len(families)}")
     print(f"sha256: {digest.hexdigest()}")
     print(f"points_sha256: {points_digest.hexdigest()}")
     print(f"explanations_sha256: {explanations_digest.hexdigest()}")
     print(f"detection_sha256: {detection_digest.hexdigest()}")
     print(f"predictions_sha256: {predictions_digest.hexdigest()}")
+    print(f"family_sha256: {family_digest(1)}")
+    print(f"family_points_sha256: {family_digest(2)}")
+    print(f"family_explanations_sha256: {family_digest(3)}")
     return 0
 
 

@@ -398,8 +398,8 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
 
     def decode(excess):
         at_x_cf = tol - sign * excess
-        stack.residuals = lambda x: at_x_cf[None]
-        return explain._decode([solution], stack, r0[None], np.zeros(2))[0]
+        stack.residuals = lambda x: at_x_cf[None, None]
+        return explain._decode([solution], stack, r0[None, None], np.zeros((1, 2)))[0]
 
     cf = decode(0.5 * explain.FEASIBLE_SLACK_TOL)
     assert cf.feasible_without_slack
@@ -508,8 +508,8 @@ def explain_three_sensor_snapshot(entry, x):
         return explain.ensemble_counterfactual(toy_ensemble(), x)
     if entry == "independent":
         return explain.independent_counterfactual(single_model([1.0, 1.0]), x)
-    if entry == "baseline":
-        return explain.baseline_counterfactuals(toy_ensemble(), x)
+    if entry == "baseline":  # the snapshot as the one row of (S, 3) snapshots
+        return explain.baseline_counterfactuals(toy_ensemble(), np.asarray(x)[None])
     clf = explain.LinearClassifier(weights=np.ones(3), bias=0.0)
     return explain.classification_ensemble_cf([clf], x, [1])
 
@@ -531,7 +531,10 @@ def test_non_finite_snapshot_is_rejected_before_any_solve(monkeypatch, entry, ba
 @pytest.mark.parametrize("entry", ["ensemble", "independent", "baseline", "classifier"])
 def test_snapshot_of_another_shape_is_rejected_before_any_solve(monkeypatch, entry, x):
     solutions = record_solves(monkeypatch)
-    message = re.escape(f"snapshot has shape {x.shape}, expected (3,)")
+    if entry == "baseline":
+        message = re.escape(f"snapshots have shape {(1,) + x.shape}, expected (S, 3)")
+    else:
+        message = re.escape(f"snapshot has shape {x.shape}, expected (3,)")
     with pytest.raises(ValueError, match=message):
         explain_three_sensor_snapshot(entry, x)
     assert not solutions
@@ -846,14 +849,14 @@ def test_one_row_l1_programs_start_at_their_closed_form_vertex(complexity, dist,
     rng = np.random.default_rng(97 + VERTEX_CASES.index(case))
     for _ in range(25):
         stack, x, r0, unique = _one_row_program(rng, case, complexity, dist)
-        residual = stack.residuals(x)[0]
+        residual = stack.residuals(x)[0, 0]
         assert residual[0] == pytest.approx(r0, abs=1e-12)
-        (cf,) = explain._explain(stack, x, TIGHT)
+        (cf,) = explain._explain(stack, x[None], TIGHT)
         solution = cf.solution
         assert solution.status is optim.SolveStatus.OPTIMAL
         assert (solution.iterations, solution.path) == (0, "warm") or solution.iterations > 0
         problem = problem_at(stack, residual)
-        g, tol, penalty = stack.G[0, 0], float(stack.tol[0, 0]), stack.cfg.slack_penalty
+        g, tol, penalty = stack.G[0, 0, 0], float(stack.tol[0, 0, 0]), stack.cfg.slack_penalty
         best, e = one_row_oracle(g, residual[0], tol, penalty, complexity, dist)
         assert solution.objective == pytest.approx(best, rel=1e-8)
         assert float(g @ cf.delta) + r0 == pytest.approx(e, abs=1e-7)
@@ -896,7 +899,7 @@ def test_only_one_row_two_sided_programs_have_a_vertex_guess():
             g[:rows], np.zeros(rows), np.zeros(rows), np.full(rows, 0.1),
             np.full(rows, one_sided), explain.CfConfig(**config),
         )
-        stack, at = explain._Stack((program,)), r0[None, :rows]
+        stack, at = explain._Stack((program,)), r0[None, None, :rows]
         return stack.vertex_duals(stack.bounds(at), at)
 
     for complexity, dist in ONE_ROW_CONFIGS:
@@ -1224,7 +1227,7 @@ def _kept_problem(owner, x):
     """The problem of the program ``owner`` keeps, for the snapshot ``x``."""
     stack = kept_program(owner)
     assert stack is not None
-    return problem_at(stack, stack.residuals(x)[0])
+    return problem_at(stack, stack.residuals(x)[0, 0])
 
 
 def _assert_program_is_reference(problem, ensemble, x, targets, config):
@@ -1432,11 +1435,11 @@ def test_warm_started_alarm_chain_matches_fresh_programs(
             _assert_program_is_reference(problem, as_ensemble, x, 0.0, config)
             if cf.solution.iterations == 0:
                 stack = kept_program(owner)
-                r0 = stack.residuals(x)
+                r0 = stack.residuals(x[None, None])
                 # the closed form's duals if the program has them, else the
                 # warm start's
                 guess = stack.vertex_duals(stack.bounds(r0), r0)
-                guess = guess[0] if guess is not None else None
+                guess = guess[0, 0] if guess is not None else None
                 if guess is None and previous is not None:
                     guess = previous.solution.y
                 warm_hits.append((problem, guess, cf.solution))
@@ -1491,7 +1494,7 @@ def test_baselines_in_one_pass_match_each_model_explained_alone(complexity, dist
     for _ in range(25):
         ensemble, x, config, targets = _random_baseline_case(rng, complexity, dist)
         k = len(ensemble.models)
-        stacked = explain.baseline_counterfactuals(fresh_copy(ensemble), x, config, targets)
+        (stacked,) = explain.baseline_counterfactuals(fresh_copy(ensemble), x[None], config, targets)
         assert len(stacked) == k
         tol = config.tolerance_vector(k)
         target = np.broadcast_to(targets, (k,))
@@ -1509,6 +1512,63 @@ def test_baselines_in_one_pass_match_each_model_explained_alone(complexity, dist
 
 
 @pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
+def test_a_scenarios_snapshots_in_one_pass_match_them_one_row_at_a_time(
+    complexity, dist, default_ensemble, default_threshold, power_failure_scenario
+):
+    # Byte for byte, field by field: every alarm step's baselines in one
+    # pass, and each step's row alone, in step order on another fresh copy,
+    # so each model's problem family makes the same solves in the same order.
+    panel = power_failure_scenario.faulty
+    run = pipeline.RunConfig(complexity=complexity, dist=dist)
+    steps = detector.detect(default_ensemble, panel, default_threshold).alarm_steps()
+    snapshots = np.array([
+        explain.snapshot_at_alarm(panel, default_ensemble, int(t)) for t in steps[: run.alarm_steps]
+    ])
+    config = run.cf_config(default_threshold)
+    options = run.solver_options()
+    stacked = explain.baseline_counterfactuals(
+        fresh_copy(default_ensemble), snapshots, config, solver_options=options
+    )
+    one_by_one = fresh_copy(default_ensemble)
+    assert len(stacked) == len(snapshots) == run.alarm_steps
+    for row, ours in enumerate(stacked):
+        (expected,) = explain.baseline_counterfactuals(
+            one_by_one, snapshots[row : row + 1], config, solver_options=options
+        )
+        assert len(ours) == len(expected) == len(default_ensemble.models)
+        for cf, alone in zip(ours, expected):
+            _assert_same_explanation(cf, alone)
+            assert cf.solution.path == "warm" and cf.solution.iterations == 0
+
+
+def test_no_snapshots_make_no_baselines(monkeypatch):
+    solutions = record_solves(monkeypatch)
+    assert explain.baseline_counterfactuals(toy_ensemble(), np.empty((0, 3))) == ()
+    assert not solutions
+
+
+def test_a_failed_baseline_solve_names_its_model_and_row(monkeypatch):
+    # Each model's problems are solved in row order, the rows' models in
+    # model order: the fifth solve is the second model's at the second row.
+    ensemble = toy_ensemble()
+    solve, calls = optim.solve, []
+
+    def fifth_fails(problem, **kwargs):
+        calls.append(solve(problem, **kwargs))
+        if len(calls) == 5:
+            return dataclasses.replace(calls[-1], status=optim.SolveStatus.MAX_ITERS)
+        return calls[-1]
+
+    monkeypatch.setattr(optim, "solve", fifth_fails)
+    with pytest.raises(explain.ExplainError, match=(
+        f"^per-model baseline for sensor {ensemble.models[1].target}: counterfactual solve"
+    )) as caught:
+        explain.baseline_counterfactuals(ensemble, np.array([[3.0, 1.0, 2.0], [2.0, 1.0, 3.0]]))
+    assert caught.value.row == 1
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
 def test_stacked_pass_is_row_by_row_at_signed_zero_residuals(complexity, dist):
     # The pass's steps take r0 as given, so they see -0.0 in it, which no
     # snapshot's G x + bias - targets gives: each program's bounds,
@@ -1522,26 +1582,28 @@ def test_stacked_pass_is_row_by_row_at_signed_zero_residuals(complexity, dist):
         stack = explain._kept_stack(
             ensemble, explain._KEPT_BASELINE, ensemble.models, config, targets, True
         )
-        r0 = rng.normal(size=(k, 1)) * (rng.random((k, 1)) < 0.6)
-        r0[rng.random((k, 1)) < 0.3] = -0.0
-        shift = stack.residuals(x) - r0
+        r0 = rng.normal(size=(1, k, 1)) * (rng.random((1, k, 1)) < 0.6)
+        r0[rng.random((1, k, 1)) < 0.3] = -0.0
+        shift = stack.residuals(x[None, None]) - r0
         stack.residuals = lambda at, own=stack.residuals: own(at) - shift
         bounds = stack.bounds(r0)
         guesses = stack.vertex_duals(bounds, r0)
-        solutions = [optim.solve(p, dual_guess=g) for p, g in zip(stack.problems(bounds), guesses)]
-        decoded = explain._decode(solutions, stack, r0, x)
+        solutions = [
+            optim.solve(p, dual_guess=g) for p, g in zip(stack.problems(bounds), guesses[0])
+        ]
+        decoded = explain._decode(solutions, stack, r0, x[None])
         for j, program in enumerate(stack.programs):
             alone = explain._Stack((explain._Program(
                 program.G, program.bias, program.targets, program.tol, program.one_sided, config
             ),))
-            alone.residuals = lambda at, own=alone.residuals, j=j: own(at) - shift[j : j + 1]
-            one_bounds = alone.bounds(r0[j : j + 1])
-            assert one_bounds.tobytes() == bounds[j].tobytes()
-            one_guess = alone.vertex_duals(one_bounds, r0[j : j + 1])
-            assert one_guess.tobytes() == guesses[j].tobytes()
-            solution = optim.solve(alone.problems(one_bounds)[0], dual_guess=one_guess[0])
+            alone.residuals = lambda at, own=alone.residuals, j=j: own(at) - shift[:, j : j + 1]
+            one_bounds = alone.bounds(r0[:, j : j + 1])
+            assert one_bounds.tobytes() == bounds[0, j].tobytes()
+            one_guess = alone.vertex_duals(one_bounds, r0[:, j : j + 1])
+            assert one_guess.tobytes() == guesses[0, j].tobytes()
+            solution = optim.solve(alone.problems(one_bounds)[0], dual_guess=one_guess[0, 0])
             _assert_same_solution(solution, solutions[j])
-            (cf,) = explain._decode([solution], alone, r0[j : j + 1], x)
+            (cf,) = explain._decode([solution], alone, r0[:, j : j + 1], x[None])
             _assert_same_explanation(cf, decoded[j])
 
 
@@ -1563,7 +1625,7 @@ def test_a_failed_baseline_solve_names_its_model(monkeypatch):
         r"ended with status max_iters after 0 iterations \(kkt primal .*, dual .*\)"
     )
     with pytest.raises(explain.ExplainError, match=f"^{message}$"):
-        explain.baseline_counterfactuals(ensemble, np.array([3.0, 1.0, 2.0]))
+        explain.baseline_counterfactuals(ensemble, np.array([[3.0, 1.0, 2.0]]))
     assert len(calls) == 2  # no solve after the failed one
 
 
@@ -1572,12 +1634,12 @@ def test_a_baseline_that_fails_re_evaluation_names_its_model():
     stack = explain._kept_stack(
         ensemble, explain._KEPT_BASELINE, ensemble.models, explain.CfConfig(), 0.0, True
     )
-    x = np.array([3.0, 1.0, 2.0])
-    r0 = stack.residuals(x)
+    x = np.array([[3.0, 1.0, 2.0]])
+    r0 = stack.residuals(x[:, None])
     bounds = stack.bounds(r0)
     solutions = [
         optim.solve(p, dual_guess=g)
-        for p, g in zip(stack.problems(bounds), stack.vertex_duals(bounds, r0))
+        for p, g in zip(stack.problems(bounds), stack.vertex_duals(bounds, r0)[0])
     ]
     assert all(cf.feasible_without_slack for cf in explain._decode(solutions, stack, r0, x))
     # the third model's row re-evaluated at x_cf misses its tolerance

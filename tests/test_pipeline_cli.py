@@ -770,27 +770,56 @@ def test_an_explanation_that_fails_names_its_scenario_and_alarm_step(tmp_path, c
     assert int(re.search(r"alarm step (\d+)", err[0]).group(1)) in alarms
 
 
-def test_a_failed_baseline_solve_names_its_scenario_step_and_model(tiny_run, monkeypatch):
-    # The first alarm step solves the ensemble program, then one program
-    # per model; the first model's solve comes back non-optimal.
-    run, specs = _trained_tiny_run(tiny_run[0])
-    ensemble, _ = pipeline.load_model_files(run, specs[0].scenario_id)
+def _failed_baseline(run, spec, monkeypatch, failing_call):
+    """The error ``evaluate_scenario_files`` raises when its solve number
+    ``failing_call`` (from 1) comes back non-optimal, and the scenario's
+    explained alarm steps."""
+    panel, _, _ = pipeline.load_scenario_files(run, spec.scenario_id)
+    ensemble, threshold = pipeline.load_model_files(run, spec.scenario_id)
+    steps = detector.detect(ensemble, panel, threshold).alarm_steps()[: run.alarm_steps]
     solve, calls = optim.solve, []
 
-    def second_fails(problem, **kwargs):
+    def one_fails(problem, **kwargs):
         calls.append(solve(problem, **kwargs))
-        if len(calls) == 2:
+        if len(calls) == failing_call:
             return dataclasses.replace(calls[-1], status=optim.SolveStatus.MAX_ITERS)
         return calls[-1]
 
-    monkeypatch.setattr(optim, "solve", second_fails)
+    monkeypatch.setattr(optim, "solve", one_fails)
     with pytest.raises(explain.ExplainError) as caught:
-        pipeline.evaluate_scenario_files(run, specs[0])
+        pipeline.evaluate_scenario_files(run, spec)
+    assert len(calls) == failing_call  # no solve after the failed one
+    return str(caught.value), steps
+
+
+def test_a_failed_baseline_solve_names_its_scenario_step_and_model(tiny_run, monkeypatch):
+    # Every alarm step's per-model baselines are solved before the ensemble
+    # chain, a step's models in order, so the first solve of all is the
+    # first model's at the first alarm step; it comes back non-optimal.
+    run, specs = _trained_tiny_run(tiny_run[0])
+    ensemble, _ = pipeline.load_model_files(run, specs[0].scenario_id)
+    message, steps = _failed_baseline(run, specs[0], monkeypatch, 1)
     assert re.fullmatch(
-        rf"scenario {re.escape(specs[0].scenario_id)}: alarm step \d+: per-model baseline "
+        rf"scenario {re.escape(specs[0].scenario_id)}: alarm step {steps[0]}: per-model baseline "
         rf"for sensor {ensemble.models[0].target}: counterfactual solve ended with status "
         r"max_iters after 0 iterations \(.*\)",
-        str(caught.value),
+        message,
+    )
+
+
+def test_a_baseline_that_fails_at_a_later_step_names_that_step(tiny_run, monkeypatch):
+    # The fourth model's solve at the third alarm step fails: the error
+    # names that step, which the ensemble chain has not reached yet.
+    run, specs = _trained_tiny_run(tiny_run[0])
+    ensemble, _ = pipeline.load_model_files(run, specs[0].scenario_id)
+    k = len(ensemble.models)
+    message, steps = _failed_baseline(run, specs[0], monkeypatch, 2 * k + 4)
+    assert steps[2] != steps[0]
+    assert re.fullmatch(
+        rf"scenario {re.escape(specs[0].scenario_id)}: alarm step {steps[2]}: per-model baseline "
+        rf"for sensor {ensemble.models[3].target}: counterfactual solve ended with status "
+        r"max_iters after 0 iterations \(.*\)",
+        message,
     )
 
 
@@ -941,3 +970,43 @@ def test_localize_scenario_builds_one_program_per_ensemble_and_model(
     again = pipeline.localize_scenario(run, panel, ensemble, default_threshold, stream)
     assert len(built) == 13
     assert again == first
+
+
+def test_localize_scenario_matches_a_step_by_step_reference(
+    default_ensemble, default_threshold, power_failure_scenario
+):
+    # The scenario's baselines in one pass, before the ensemble chain, give
+    # what explaining each step's ensemble and then its models did.
+    panel = power_failure_scenario.faulty
+    stream = detector.detect(default_ensemble, panel, default_threshold)
+    run = pipeline.RunConfig()
+    found = pipeline.localize_scenario(
+        run, panel, fresh_copy(default_ensemble), default_threshold, stream
+    )
+    ensemble = fresh_copy(default_ensemble)
+    config, options = run.cf_config(default_threshold), run.solver_options()
+    flow = panel.flow_indices
+    cf, ensemble_steps, baseline_steps, excess, solutions = None, [], [], -np.inf, []
+    for t in stream.alarm_steps()[: run.alarm_steps]:
+        snapshot = explain.snapshot_at_alarm(panel, ensemble, int(t))
+        cf = explain.ensemble_counterfactual(
+            ensemble, snapshot, config, solver_options=options, warm_start=cf
+        )
+        (per_model,) = explain.baseline_counterfactuals(
+            ensemble, snapshot[None], config, solver_options=options
+        )
+        ensemble_steps.append(localize.predict_faulty_sensor(cf.delta, exclude=flow))
+        baseline_steps.append(localize.aggregate_baseline(per_model, exclude=flow))
+        if cf.feasible_without_slack:
+            excess = max(excess, cf.excess)
+        solutions += [cf.solution] + [m.solution for m in per_model]
+    reference = pipeline.Localization(
+        localize.aggregate_alarm_sequence(ensemble_steps, run.alarm_steps),
+        localize.aggregate_alarm_sequence(baseline_steps, run.alarm_steps),
+        len(ensemble_steps),
+        excess,
+        optim.SolveAudit.from_records(solutions),
+    )
+    assert found == reference
+    assert found.alarm_steps == run.alarm_steps
+    assert found.audit.solves == 13 * run.alarm_steps
