@@ -43,6 +43,14 @@ class ExplainError(RuntimeError):
         self.row = row
 
 
+def _tolerance_array(tolerances) -> np.ndarray:
+    """A float copy of ``tolerances``, which must be nonnegative and finite."""
+    tolerances = np.array(tolerances, dtype=float)
+    if not ((tolerances >= 0) & (tolerances < np.inf)).all():  # NaN fails too
+        raise ValueError("tolerances must be nonnegative and finite")
+    return tolerances
+
+
 @dataclass(frozen=True)
 class CfConfig:
     """Counterfactual program settings.
@@ -67,9 +75,7 @@ class CfConfig:
             raise ValueError("complexity must be 'l1' or 'l2'")
         if self.dist not in ("abs", "squared"):
             raise ValueError("dist must be 'abs' or 'squared'")
-        tolerances = np.array(self.tolerances, dtype=float)  # a copy to freeze
-        if not ((tolerances >= 0) & (tolerances < np.inf)).all():
-            raise ValueError("tolerances must be nonnegative and finite")
+        tolerances = _tolerance_array(self.tolerances)  # a copy to freeze
         if tolerances.ndim:
             tolerances.flags.writeable = False
         else:
@@ -183,10 +189,12 @@ def snapshot_residuals(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
     return G @ x + b
 
 
-class _Program:
-    """The relaxed program for residual rows e = G delta + r0, for any r0.
+class _Stack:
+    """Relaxed programs of one layout, each explained on many snapshots in
+    one pass.
 
-    A two-sided row asks |e| <= tol (absolute error) or e^2 <= tol (squared
+    Program p holds residual rows e = G[p] delta + r0 for any r0.  A
+    two-sided row asks |e| <= tol (absolute error) or e^2 <= tol (squared
     error), a one-sided row e >= tol; slack, priced by ``cfg.slack_penalty``,
     softens each.  Variables are the change block (split into positive and
     negative parts for l1), then one slack s per residual row.  Every
@@ -205,67 +213,23 @@ class _Program:
     rows are priced as absolute error, so ``cfg.dist`` must be ``abs`` when
     any row is one-sided.
 
-    The snapshot enters through r0 = G x + bias - targets, and r0 only
-    through the bounds: P, q and A are built and validated once, and
-    :class:`_Stack` fills in each snapshot's l and u.
-    """
-
-    def __init__(self, G, bias, targets, tol, one_sided, cfg: CfConfig):
-        self.G, self.bias, self.targets = G, bias, targets
-        self.tol, self.one_sided, self.cfg = tol, one_sided, cfg
-        k = G.shape[0]
-        l1 = cfg.complexity == "l1"
-        Gd = np.concatenate([G, -G], axis=1) if l1 else G
-        nd = Gd.shape[1]
-        lam = cfg.slack_penalty
-        if cfg.dist == "squared":
-            c, edge = 0.5 / math.sqrt(lam), np.sqrt(tol)
-            p_rows, q_rows = np.full(k, 2.0 * lam * c * c), 2.0 * lam * c * edge
-        else:
-            c, edge = 1.0, tol
-            p_rows, q_rows = np.zeros(k), np.full(k, lam)
-        self._slack_scale, self._edge = c, edge
-        # Constraint row i holds residual row src[i]: two-sided, sign e - c s
-        # <= edge - sign r0, with sign -1 on the pair's second row; one-sided,
-        # e + s >= edge - r0.  The nonnegativity rows follow.
-        src = np.repeat(np.arange(k), np.where(one_sided, 1, 2))
-        sign = np.where(np.diff(src, prepend=-1) == 0, -1.0, 1.0)
-        lower = one_sided[src]  # the bound that moves with r0 is l, else u
-        slack = np.zeros((src.size, k))
-        slack[np.arange(src.size), src] = np.where(lower, c, -c)
-        nonneg = np.eye(nd + k)[0 if l1 else nd :]
-        m = src.size + nonneg.shape[0]
-        # l and u as one vector, so one assignment per snapshot fills both
-        inf = np.full(src.size, np.inf)
-        self._bounds = np.concatenate([
-            np.where(lower, edge[src], -inf), np.zeros(nonneg.shape[0]),
-            np.where(lower, inf, edge[src]), np.full(nonneg.shape[0], np.inf),
-        ])
-        self._moving = np.arange(src.size) + np.where(lower, 0, m)
-        self._sign, self._source = -sign, src
-        self._base = optim.ConvexProblem(
-            P=np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows])),
-            q=np.concatenate([np.full(nd, 1.0 if l1 else 0.0), q_rows]),
-            A=np.concatenate([np.hstack([sign[:, None] * Gd[src], slack]), nonneg]),
-            l=np.full(m, -np.inf),
-            u=np.full(m, np.inf),
-        )
-
-
-class _Stack:
-    """Programs of one layout, each explained on many snapshots in one pass.
-
-    The programs share their config, their rows' sides and the snapshot
-    length: an ensemble's per-model programs, or one program alone (a stack
-    of one).  The pass computes every program's residuals r0 at every
-    snapshot, fills in and validates all their bounds at once, gives
-    one-row programs their closed-form duals and decodes every certified
-    solution; each program keeps its own problem family, and each problem
-    its own ``optim.solve``.  A pass's arrays carry S snapshots first and
-    the P programs second, ``(S, P, ...)``, and its problems run through
-    them in that order.  The programs' own arrays are stacked once, as
-    ``(1, P, ...)``: at one snapshot every elementwise step then meets
-    arrays of one shape, which NumPy runs without broadcasting.  Each
+    The P programs are given stacked: G as ``(P, k, n)``, ``bias``,
+    ``targets`` and ``tol`` as ``(P, k)``.  They share their config, their
+    rows' sides ``one_sided`` ``(k,)`` and the snapshot length: an
+    ensemble's per-model programs, or one program alone (a stack of one).
+    The row layout depends on ``one_sided``, the config and k alone, so it
+    is worked out once for all of them.  A snapshot enters through r0 = G x
+    + bias - targets, and r0 only through the bounds: each program's P, q
+    and A are built and validated once, as its base problem, and the pass
+    fills in each snapshot's l and u.  It computes every program's
+    residuals r0 at every snapshot, fills in and validates all their bounds
+    at once, gives one-row programs their closed-form duals and decodes
+    every certified solution; each program keeps its own problem family,
+    and each problem its own ``optim.solve``.  A pass's arrays carry S
+    snapshots first and the P programs second, ``(S, P, ...)``, and its
+    problems run through them in that order.  The programs' own arrays are
+    kept as ``(1, P, ...)``: at one snapshot every elementwise step then
+    meets arrays of one shape, which NumPy runs without broadcasting.  Each
     product with G or A is one ``np.matmul`` over the stack: its loop runs
     each program's product at each snapshot as that program's own 2-D
     ``@`` does, so a program rounds alike in a stack and alone, at one
@@ -273,17 +237,53 @@ class _Stack:
     ``prefixes`` start each program's error messages.
     """
 
-    def __init__(self, programs: tuple[_Program, ...], prefixes: tuple[str, ...] | None = None):
-        first = programs[0]
-        self.programs, self.cfg, self.one_sided = programs, first.cfg, first.one_sided
-        self.prefixes = prefixes or ("",) * len(programs)
-        self.bases = tuple(p._base for p in programs)
-        for name in ("G", "bias", "targets", "tol", "_edge", "_bounds"):
-            setattr(self, name, np.stack([getattr(p, name) for p in programs])[None])
-        self.A = np.stack([base.A for base in self.bases])[None]
-        self._slack_scale = first._slack_scale
+    def __init__(
+        self, G, bias, targets, tol, one_sided, cfg: CfConfig,
+        prefixes: tuple[str, ...] | None = None,
+    ):
+        count, k, _ = G.shape
+        self.cfg, self.one_sided = cfg, one_sided
+        self.prefixes = prefixes or ("",) * count
+        self.G, self.bias, self.targets, self.tol = G[None], bias[None], targets[None], tol[None]
+        l1 = cfg.complexity == "l1"
+        Gd = np.concatenate([G, -G], axis=2) if l1 else G
+        nd = Gd.shape[2]
+        lam = cfg.slack_penalty
+        if cfg.dist == "squared":
+            c, edge = 0.5 / math.sqrt(lam), np.sqrt(tol)
+            p_rows, q_rows = np.full(k, 2.0 * lam * c * c), 2.0 * lam * c * edge
+        else:
+            c, edge = 1.0, tol
+            p_rows, q_rows = np.zeros(k), np.full((count, k), lam)
+        self._slack_scale, self._edge = c, edge[None]
+        # Constraint row i holds residual row src[i]: two-sided, sign e - c s
+        # <= edge - sign r0, with sign -1 on the pair's second row; one-sided,
+        # e + s >= edge - r0.  The nonnegativity rows follow.
+        src = np.repeat(np.arange(k), np.where(one_sided, 1, 2))
+        sign = np.where(np.diff(src, prepend=-1) == 0, -1.0, 1.0)
+        lower = one_sided[src]  # the bound that moves with r0 is l, else u
+        nonneg = np.eye(nd + k)[0 if l1 else nd :]
+        m = src.size + nonneg.shape[0]
+        # l and u as one row, so one assignment per snapshot fills both
+        self._bounds = np.full((1, count, 2 * m), np.inf)
+        self._bounds[0, :, : src.size] = np.where(lower, edge[:, src], -np.inf)
+        self._bounds[0, :, src.size : m] = 0.0
+        self._bounds[0, :, m : m + src.size] = np.where(lower, np.inf, edge[:, src])
+        self._moving = np.arange(src.size) + np.where(lower, 0, m)
+        self._sign, self._source = -sign, src
+        self.A = np.zeros((1, count, m, nd + k))
+        self.A[0, :, : src.size, :nd] = sign[:, None] * Gd[:, src]
+        self.A[0][:, np.arange(src.size), nd + src] = np.where(lower, c, -c)
+        self.A[0, :, src.size :] = nonneg
+        curvature = np.diag(np.concatenate([np.full(nd, 0.0 if l1 else 2.0), p_rows]))
+        q = np.concatenate([np.full((count, nd), 1.0 if l1 else 0.0), q_rows], axis=1)
+        free = np.full(m, np.inf)
+        self.bases = tuple(
+            optim.ConvexProblem(P=curvature, q=q[p], A=self.A[0, p], l=-free, u=free)
+            for p in range(count)
+        )
         # Only a program of one two-sided row has a closed form (vertex_duals).
-        self._has_vertex = first.one_sided.shape == (1,) and not first.one_sided[0]
+        self._has_vertex = one_sided.shape == (1,) and not one_sided[0]
         self._scatter: tuple = (0, None)  # (snapshot count, its _scatter_at)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
@@ -299,12 +299,11 @@ class _Stack:
         keeps those of its latest count."""
         kept, scatter = self._scatter
         if kept != count:
-            first = self.programs[0]
-            shift = np.arange(count * len(self.programs))[:, None]
+            shift = np.arange(count * len(self.bases))[:, None]
             scatter = (
-                (first._moving + shift * first._bounds.size).ravel(),
-                (first._source + shift * first.G.shape[0]).ravel(),
-                np.tile(first._sign, shift.size),
+                (self._moving + shift * self._bounds.shape[2]).ravel(),
+                (self._source + shift * self.G.shape[2]).ravel(),
+                np.tile(self._sign, shift.size),
             )
             self._scatter = (count, scatter)
         return scatter
@@ -407,7 +406,7 @@ def _decode(
         Counterfactual, delta, x_cf.reshape(-1, n), slacks, objective.tolist(), free.tolist(),
         excess.ravel().tolist(), solutions,
     ))
-    programs = len(stack.programs)
+    programs = len(stack.bases)
     for j, cf in enumerate(decoded):
         if cf.feasible_without_slack and cf.excess > FEASIBLE_SLACK_TOL:
             raise ExplainError(
@@ -465,7 +464,7 @@ def _explain(
     guesses = stack.vertex_duals(bounds, r0)
     if guesses is not None:
         guesses = guesses.reshape(-1, m)
-    programs = len(stack.programs)
+    programs = len(stack.bases)
     solutions = []
     for j, problem in enumerate(problems):
         guess = start if guesses is None else guesses[j]
@@ -488,6 +487,12 @@ def _one_row(stack: _Stack, x_orig: np.ndarray) -> np.ndarray:
     if x_orig.shape != (n,):
         raise ValueError(f"snapshot has shape {x_orig.shape}, expected ({n},)")
     return x_orig[None]
+
+
+def _check_per_model(name: str, given: np.ndarray, k: int) -> None:
+    """``given`` must be a scalar or one value per model."""
+    if given.ndim and given.shape != (k,):
+        raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")
 
 
 def _kept_stack(
@@ -516,16 +521,15 @@ def _kept_stack(
     if kept_key == key:
         return stack
     k = len(models)
-    tolerances = np.asarray(config.tolerances)
-    for name, given in (("targets", targets), ("tolerances", tolerances)):
-        if given.ndim and given.shape != (k,):
-            raise ValueError(f"{name} has shape {given.shape}, not () or ({k},) for {k} models")
+    if not np.isfinite(targets).all():
+        raise ValueError("targets must be finite")
+    _check_per_model("targets", targets, k)
+    _check_per_model("tolerances", np.asarray(config.tolerances), k)
     G, bias = _residual_geometry(models, models[0].n_sensors)
     targets, tol = np.broadcast_to(targets, (k,)).copy(), config.tolerance_vector(k)
-    one_sided = np.zeros(k, dtype=bool)
-    rows = [slice(j, j + 1) for j in range(k)] if per_model else [slice(None)]
+    at = np.s_[:, None] if per_model else np.s_[None]  # programs first, then rows
     stack = _Stack(
-        tuple(_Program(G[r], bias[r], targets[r], tol[r], one_sided[r], config) for r in rows),
+        G[at], bias[at], targets[at], tol[at], np.zeros(1 if per_model else k, dtype=bool), config,
         tuple(f"per-model baseline for sensor {m.target}: " for m in models) if per_model else None,
     )
     object.__setattr__(owner, slot, (key, stack))  # owners are frozen
@@ -583,7 +587,7 @@ def baseline_counterfactuals(
     alternating the two builds neither again.
     """
     stack = _kept_stack(ensemble, _KEPT_BASELINE, ensemble.models, config, targets, True)
-    decoded, programs = _explain(stack, snapshots, solver_options), len(stack.programs)
+    decoded, programs = _explain(stack, snapshots, solver_options), len(stack.bases)
     return tuple(decoded[s : s + programs] for s in range(0, len(decoded), programs))
 
 
@@ -645,15 +649,14 @@ def classification_ensemble_cf(
                 f"expected {n} as classifier 0 has"
             )
     V = np.vstack([c.weights for c in classifiers])
-    program = _Program(
-        targets[:, None] * V,
-        targets * np.array([c.bias for c in classifiers]),
-        np.zeros(k),
-        np.full(k, _CLASSIFIER_MARGIN),
+    stack = _Stack(
+        (targets[:, None] * V)[None],
+        (targets * np.array([c.bias for c in classifiers]))[None],
+        np.zeros((1, k)),
+        np.full((1, k), _CLASSIFIER_MARGIN),
         np.ones(k, dtype=bool),
         config,
     )
-    stack = _Stack((program,))
     return _explain(stack, _one_row(stack, x_orig), solver_options)[0]
 
 
@@ -671,6 +674,7 @@ def certificate_margin(
     """
     if dist not in ("abs", "squared"):
         raise ValueError(f"dist must be 'abs' or 'squared', not {dist!r}")
+    tol = _tolerance_array(tolerances)
+    _check_per_model("tolerances", tol, len(ensemble.models))
     measured = _error_measure(snapshot_residuals(ensemble, cf.x_cf), dist)
-    tol = np.broadcast_to(np.asarray(tolerances, dtype=float), measured.shape)
     return float(np.max(measured - tol, initial=-math.inf))

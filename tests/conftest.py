@@ -69,15 +69,16 @@ def problem_at(stack, r0):
 
 
 def count_program_builds(monkeypatch) -> list:
-    """The arguments of every counterfactual program built from now on."""
+    """The arguments of the ``explain._Stack`` that built each counterfactual
+    program from now on, once per program."""
     built = []
 
-    class Counted(explain._Program):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    class Counted(explain._Stack):
+        def __init__(self, G, *args):
+            built.extend([(G,) + args] * G.shape[0])
+            super().__init__(G, *args)
 
-    monkeypatch.setattr(explain, "_Program", Counted)
+    monkeypatch.setattr(explain, "_Stack", Counted)
     return built
 
 

@@ -199,7 +199,7 @@ def random_bounded_lp(rng: np.random.Generator, max_extra_rows: int = 4):
 def counterfactual_program_rows(G, r0, tol, one_sided, complexity, dist, penalty):
     """The counterfactual program built one constraint row at a time.
 
-    Reference for ``_Program``: residual row j gives, in order, the
+    Reference for ``explain._Stack``: residual row j gives, in order, the
     rows e_j - c s_j <= edge_j and -e_j - c s_j <= edge_j (two-sided) or
     e_j + s_j >= tol_j (one-sided), with edge = tol and c = 1 for absolute
     error, edge = sqrt(tol) and c = 1 / (2 sqrt(penalty)) for squared

@@ -20,8 +20,7 @@ The ``random`` workload solves, for each seed, 600 random bounded problems
 (:func:`random_problems`) at ``tol_abs = tol_rel`` = 1e-7 and 1e-10 with
 ``max_iters`` 5000, and re-solves each warm, from that solution's duals,
 with every finite bound widened by 1e-3.  The warm start goes in as
-``optim.solve`` takes it: ``dual_guess=y`` or, on a tree whose ``solve``
-has no such parameter, ``warm_start=solution``.
+``dual_guess=y``.
 
 The ``classifier`` workload explains, for each seed, 300 random ensembles
 of binary linear classifiers (:func:`random_classifier_ensembles`) with
@@ -30,10 +29,9 @@ rows, at the solver's default options.
 
 Prints the solve count, the ADMM iterations, the count of each status and
 solution path (``guessed_paths``: those of the solves a closed-form guess
-started, or ``none``; a guess is counted for each row of duals a
-stacked ``explain._Stack.vertex_duals`` call returns, or, on a tree
-without ``_Stack``, for the solve after an ``explain._Program.vertex_duals``
-call), and two SHA-256 digests over every solve in call order:
+started, or ``none``; a guess is counted for each row of duals an
+``explain._Stack.vertex_duals`` call returns), and two SHA-256 digests
+over every solve in call order:
 ``sha256`` over its z, y, status, iterations, path, kkt and kkt_tol, and
 ``points_sha256`` over the same fields without the iterations and the
 path, so a change that keeps every point and only saves iterations, or
@@ -70,9 +68,11 @@ keeps a reference to every family's slot, so no later family takes its
 ``id``.  ``families`` counts them.  It also prints how
 many ``_polish`` calls, pivoted-QR (``geqp3``) and KKT LU (``getrf``)
 factorizations and ADMM x-step maps (``x_step_maps``: one x-step Cholesky
-factorization each) and affine maps of kept KKT row sets (``kkt_maps``; 0
-on a tree without ``optim._kkt_map``) the solves made, and how many counterfactual programs
-(``explain._Program``) were built; those counts are in no digest.
+factorization each) and affine maps of kept KKT row sets (``kkt_maps``)
+the solves made, and how many counterfactual programs were built
+(``programs``: one per program of each ``explain._Stack``, or each
+``explain._Program`` on a tree that builds its programs apart from their
+stack); those counts are in no digest.
 ``faultprint`` is imported from ``--src``, so one copy of this script
 hashes any checkout.
 """
@@ -82,7 +82,6 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
-import inspect
 import struct
 import sys
 from pathlib import Path
@@ -150,19 +149,15 @@ def random_problems(optim, seed: int, count: int = RANDOM_PROBLEMS):
         yield optim.ConvexProblem(P=P, q=q, A=A, l=l, u=u)
 
 
-def solve_random(optim, seeds, count: int, takes_guess: bool) -> None:
-    """Cold and widened warm solves of each random problem at each tolerance.
-
-    ``takes_guess``: ``optim.solve`` has the ``dual_guess`` parameter.
-    """
+def solve_random(optim, seeds, count: int) -> None:
+    """Cold and widened warm solves of each random problem at each tolerance."""
     for seed in seeds:
         for problem in random_problems(optim, seed, count):
             wider = problem.with_bounds(problem.l - RANDOM_WIDEN, problem.u + RANDOM_WIDEN)
             for tol in RANDOM_TOLERANCES:
                 options = dict(tol_abs=tol, tol_rel=tol, max_iters=RANDOM_MAX_ITERS)
                 cold = optim.solve(problem, **options)
-                start = {"dual_guess": cold.y} if takes_guess else {"warm_start": cold}
-                optim.solve(wider, **start, **options)
+                optim.solve(wider, dual_guess=cold.y, **options)
 
 
 def random_classifier_ensembles(explain, seed: int, count: int = CLASSIFIER_ENSEMBLES):
@@ -239,8 +234,7 @@ def main(argv=None) -> int:
     counts = collections.Counter()
     solve, polish, geqp3, getrf = optim.solve, optim._polish, optim._geqp3, optim._getrf
     factorize, decode = optim._factorize_scaled, explain._decode
-    kkt_map = getattr(optim, "_kkt_map", None)
-    takes_guess = "dual_guess" in inspect.signature(solve).parameters
+    kkt_map, stack, vertex_duals = optim._kkt_map, explain._Stack, explain._Stack.vertex_duals
     # Whether the latest vertex_duals call gave a guess, for the solve after it.
     guessed = []
     # id(_kkt_slot) -> (the slot, then its solves', points' and explanations'
@@ -285,8 +279,7 @@ def main(argv=None) -> int:
 
     def hashed_decode(*a, **kw):
         decoded = decode(*a, **kw)
-        # A stacked decode returns a tuple, one explanation per program.
-        for cf in decoded if isinstance(decoded, tuple) else (decoded,):
+        for cf in decoded:  # one explanation per problem of the stack
             _, family = family_of_solution.pop(id(cf.solution))
             for part in (
                 cf.delta.tobytes(),
@@ -319,16 +312,15 @@ def main(argv=None) -> int:
         counts["kkt_maps"] += 1
         return kkt_map(*a, **kw)
 
-    class CountedProgram(explain._Program):
-        def __init__(self, *a):
-            counts["programs"] += 1
-            super().__init__(*a)
+    # One count per program: each _Program on a tree that builds its
+    # programs apart from their stack, else each program of a _Stack, whose
+    # G is (programs, rows, sensors).
+    apart = getattr(explain, "_Program", None)
 
-    # The closed-form rule: a method of each one-row program, or of a stack
-    # of programs that gives one row of duals per program (None for all).
-    stacked = getattr(explain, "_Stack", None)
-    guesser = stacked or CountedProgram
-    vertex_duals = guesser.vertex_duals
+    class CountedBuild(apart or stack):
+        def __init__(self, *a, **kw):
+            counts["programs"] += 1 if apart else a[0].shape[0]
+            super().__init__(*a, **kw)
 
     def counted_vertex_duals(self, *a):
         duals = vertex_duals(self, *a)
@@ -339,14 +331,13 @@ def main(argv=None) -> int:
     optim.solve, optim._polish = hashed_solve, counted_polish
     optim._geqp3, optim._getrf = counted_geqp3, counted_getrf
     optim._factorize_scaled = counted_factorize
-    if kkt_map is not None:
-        optim._kkt_map = counted_kkt_map
-    explain._decode, explain._Program = hashed_decode, CountedProgram
-    guesser.vertex_duals = counted_vertex_duals
+    optim._kkt_map, explain._decode = counted_kkt_map, hashed_decode
+    setattr(explain, "_Program" if apart else "_Stack", CountedBuild)
+    stack.vertex_duals = counted_vertex_duals
 
     if args.workload == "random":
         count = RANDOM_PROBLEMS if args.scenarios is None else args.scenarios
-        solve_random(optim, args.seeds, count, takes_guess)
+        solve_random(optim, args.seeds, count)
         errors = 0
     elif args.workload == "classifier":
         count = CLASSIFIER_ENSEMBLES if args.scenarios is None else args.scenarios

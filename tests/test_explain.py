@@ -108,8 +108,9 @@ def test_program_matches_row_by_row_reference(complexity, dist):
         config = explain.CfConfig(
             slack_penalty=float(rng.uniform(0.1, 2e3)), complexity=complexity, dist=dist
         )
-        program = explain._Program(G, np.zeros(k), np.zeros(k), tol, one_sided, config)
-        stack = explain._Stack((program,))
+        stack = explain._Stack(
+            G[None], np.zeros((1, k)), np.zeros((1, k)), tol[None], one_sided, config
+        )
         for _ in range(3):
             r0 = rng.normal(size=k) * (rng.random(k) < 0.8)
             r0[rng.random(k) < 0.2] = -0.0
@@ -289,6 +290,25 @@ def test_certificate_margin_rejects_an_unknown_distance():
         explain.certificate_margin(ensemble, cf, 0.0, dist="bogus")
 
 
+@pytest.mark.parametrize(
+    "tolerances, message",
+    [
+        (np.nan, "tolerances must be nonnegative and finite"),
+        (-1.0, "tolerances must be nonnegative and finite"),
+        (np.full(1, 0.1), r"tolerances has shape \(1,\), not \(\) or \(2,\) for 2 models"),
+        (np.full(3, 0.1), r"tolerances has shape \(3,\), not \(\) or \(2,\) for 2 models"),
+    ],
+    ids=["nan", "negative", "one-for-two-models", "three-for-two-models"],
+)
+def test_certificate_margin_checks_its_tolerances(tolerances, message):
+    # As CfConfig and the explanations check them: a NaN tolerance would
+    # make every margin NaN, which no `margin > bound` gate fails.
+    ensemble = sensors.Ensemble(models=toy_ensemble().models[:2], window=3)
+    cf = explain.ensemble_counterfactual(ensemble, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=message):
+        explain.certificate_margin(ensemble, cf, tolerances)
+
+
 def test_slack_total_is_monotone_in_penalty():
     rng = np.random.default_rng(17)
     for case in range(100):
@@ -392,7 +412,9 @@ def test_slack_free_result_is_rechecked_on_corrected_snapshot(one_sided):
     # to x_cf itself and rejects an excess over FEASIBLE_SLACK_TOL there.
     G, r0, tol = np.array([[1.0, -1.0]]), np.array([0.1]), np.array([0.1])
     sense = np.array([one_sided])
-    stack = explain._Stack((explain._Program(G, r0, np.zeros(1), tol, sense, explain.CfConfig()),))
+    stack = explain._Stack(
+        G[None], r0[None], np.zeros((1, 1)), tol[None], sense, explain.CfConfig()
+    )
     solution = optim.solve(problem_at(stack, r0), **TIGHT)
     sign = 1.0 if one_sided else -1.0  # toward violating the row
 
@@ -564,6 +586,25 @@ def test_per_model_arrays_of_another_length_are_named(field, given):
         model = ensemble.models[0]
         with pytest.raises(ValueError, match=rf"tolerances has shape {shape}, .* for 1 models"):
             explain.independent_counterfactual(model, np.ones(3), 0.0, config)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_targets_are_refused_before_a_program_is_kept(bad):
+    # Refused by name, rather than by the solver's check of the bounds they
+    # give, and before the owner keeps a program built from them.
+    ensemble = toy_ensemble()
+    model = ensemble.models[0]
+    x = np.array([1.0, 2.0, 3.0])
+    calls = [(model, explain.independent_counterfactual, (x, bad))]
+    for targets in (bad, np.array([0.0, bad, 0.0])):
+        calls += [
+            (ensemble, explain.ensemble_counterfactual, (x, explain.CfConfig(), targets)),
+            (ensemble, explain.baseline_counterfactuals, (x[None], explain.CfConfig(), targets)),
+        ]
+    for owner, call, args in calls:
+        with pytest.raises(ValueError, match="^targets must be finite$"):
+            call(owner, *args)
+        assert not vars(owner).keys() & {explain._KEPT_PROGRAM, explain._KEPT_BASELINE}
 
 
 def test_classifier_keeps_a_frozen_copy_of_its_weights():
@@ -829,11 +870,11 @@ def _one_row_program(rng, case, complexity, dist):
     config = explain.CfConfig(
         slack_penalty=penalty, complexity=complexity, dist=dist, tolerances=tol
     )
-    program = explain._Program(
-        g[None, :], np.array([r0 - g @ x]), np.zeros(1), np.array([tol]),
+    stack = explain._Stack(
+        g[None, None], np.array([[r0 - g @ x]]), np.zeros((1, 1)), np.array([[tol]]),
         np.zeros(1, dtype=bool), config,
     )
-    return explain._Stack((program,)), x, r0, case != "tie" or complexity == "l2"
+    return stack, x, r0, case != "tie" or complexity == "l2"
 
 
 @pytest.mark.parametrize(
@@ -895,11 +936,11 @@ def test_only_one_row_two_sided_programs_have_a_vertex_guess():
     r0 = np.array([1.0, -1.0])
 
     def guess(rows, one_sided=False, **config):
-        program = explain._Program(
-            g[:rows], np.zeros(rows), np.zeros(rows), np.full(rows, 0.1),
+        stack = explain._Stack(
+            g[None, :rows], np.zeros((1, rows)), np.zeros((1, rows)), np.full((1, rows), 0.1),
             np.full(rows, one_sided), explain.CfConfig(**config),
         )
-        stack, at = explain._Stack((program,)), r0[None, None, :rows]
+        at = r0[None, None, :rows]
         return stack.vertex_duals(stack.bounds(at), at)
 
     for complexity, dist in ONE_ROW_CONFIGS:
@@ -1511,6 +1552,51 @@ def test_baselines_in_one_pass_match_each_model_explained_alone(complexity, dist
             assert ours.objective == pytest.approx(best, rel=1e-7, abs=1e-9)
 
 
+def _reordered(ensemble, order, model_order):
+    """The ensemble over sensors ``order`` (new sensor i is old sensor
+    ``order[i]``), with its models in ``model_order``."""
+    where = np.argsort(order)
+    models = []
+    for j in model_order:
+        model = ensemble.models[j]
+        row = np.insert(model.weights, model.target, -1.0)[order]  # over every sensor
+        target = int(where[model.target])
+        models.append(single_model(np.delete(row, target), bias=model.bias, target=target))
+    return sensors.Ensemble(models=tuple(models), window=ensemble.window)
+
+
+@pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
+def test_reordered_sensors_and_models_explain_the_same_change(complexity, dist):
+    # Oracle-free: reordering the sensors and the models permutes the
+    # program's variables and rows, so its optimum, mapped back, is the
+    # original's up to rounding; for the consistent explanation and for
+    # every per-model baseline.
+    rng = np.random.default_rng(211)
+    for _ in range(25):
+        k = int(rng.integers(2, 12))
+        n = k + int(rng.integers(1, 4))
+        ensemble = random_ensemble(rng, n, k)
+        config = explain.CfConfig(
+            complexity=complexity, dist=dist, tolerances=float(rng.uniform(0.01, 0.3))
+        )
+        x = rng.normal(scale=2.0, size=n)
+        order, model_order = rng.permutation(n), rng.permutation(k)
+        reordered = _reordered(ensemble, order, model_order)
+        back = np.argsort(order)  # old sensor s is new sensor back[s]
+
+        ours = explain.ensemble_counterfactual(ensemble, x, config)
+        theirs = explain.ensemble_counterfactual(reordered, x[order], config)
+        scale = max(1.0, np.abs(ours.delta).max())
+        assert np.abs(theirs.delta[back] - ours.delta).max() <= 1e-10 * scale
+        assert abs(theirs.objective - ours.objective) <= 1e-10 * max(1.0, abs(ours.objective))
+
+        (ours,) = explain.baseline_counterfactuals(ensemble, x[None], config)
+        (theirs,) = explain.baseline_counterfactuals(reordered, x[order][None], config)
+        for cf, j in zip(theirs, model_order):
+            scale = max(1.0, np.abs(ours[j].delta).max())
+            assert np.abs(cf.delta[back] - ours[j].delta).max() <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("complexity, dist", ONE_ROW_CONFIGS)
 def test_a_scenarios_snapshots_in_one_pass_match_them_one_row_at_a_time(
     complexity, dist, default_ensemble, default_threshold, power_failure_scenario
@@ -1592,10 +1678,12 @@ def test_stacked_pass_is_row_by_row_at_signed_zero_residuals(complexity, dist):
             optim.solve(p, dual_guess=g) for p, g in zip(stack.problems(bounds), guesses[0])
         ]
         decoded = explain._decode(solutions, stack, r0, x[None])
-        for j, program in enumerate(stack.programs):
-            alone = explain._Stack((explain._Program(
-                program.G, program.bias, program.targets, program.tol, program.one_sided, config
-            ),))
+        for j in range(k):
+            model = np.s_[0, j : j + 1]
+            alone = explain._Stack(
+                stack.G[model], stack.bias[model], stack.targets[model], stack.tol[model],
+                stack.one_sided, config,
+            )
             alone.residuals = lambda at, own=alone.residuals, j=j: own(at) - shift[:, j : j + 1]
             one_bounds = alone.bounds(r0[:, j : j + 1])
             assert one_bounds.tobytes() == bounds[0, j].tobytes()
