@@ -153,6 +153,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
         f"{'-' if predicted is None else panel.labels[predicted]} "
         f"(true: {panel.labels[fault.sensor]})"
     )
+    solution = cf.solution
+    print(
+        f"solve: {solution.status.value} by {solution.path} after "
+        f"{solution.iterations} iterations, worst KKT ratio "
+        f"{optim.SolveAudit.from_records([solution]).max_ratio:.3g}, "
+        f"slack total {float(cf.slacks.sum()):.6g}"
+    )
 
     if args.baseline:
         (per_model,) = explain.baseline_counterfactuals(

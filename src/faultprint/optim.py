@@ -2,10 +2,12 @@
 
 Problems are ``minimize 0.5 z'Pz + q'z subject to l <= Az <= u`` with P
 symmetric positive semidefinite (P = 0 gives an LP).  One alternating-
-direction iteration with over-relaxation covers both cases.  Between two
-step-size (rho) updates that iteration is an affine map of the state
-``[x; z; y]`` followed by a projection onto the bounds, so it runs as one
-matrix-vector product with a matrix built once per rho.  Iterates near
+direction iteration with over-relaxation covers both cases.  It keeps the
+state ``[x; w; z; 1]``, with ``w = y / rho`` the scaled dual.  Between two
+step-size (rho) updates one iteration is a linear map of that state (its
+last column holds the constant term) followed by a projection onto the
+bounds: one matrix-vector product into a second state buffer, built once
+per rho, and three elementwise calls.  Iterates near
 convergence are polished on the active set, and a point is reported as
 optimal only when independently recomputed KKT residuals pass their
 tolerances; until one does, the iteration goes on.
@@ -155,8 +157,8 @@ class ConvexProblem:
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: {kept rows as bytes: _KktFactor}
         # for up to _KKT_KEPT row sets, least recently used first; {starting
-        # rho as bytes: iteration map (T, c)} of its latest ADMM start; and
-        # max |q|.
+        # rho as bytes: iteration map T} of its latest ADMM start; and max
+        # |q|.
         object.__setattr__(self, "_kkt_slot", {})
         object.__setattr__(self, "_x_step_slot", {})
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
@@ -400,16 +402,15 @@ def _factorize_scaled(P_s: np.ndarray, A: np.ndarray, rho: np.ndarray) -> np.nda
     return factor
 
 
-def _x_step_map(
-    P_s: np.ndarray, q_s: np.ndarray, A: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, c)`` of one ADMM iteration before its projection, at this rho.
+def _x_step_map(P_s: np.ndarray, q_s: np.ndarray, A: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``T``, one ADMM iteration before its projection, at this rho.
 
-    With K the x-step matrix and the state ``s = [x; z; y]``,
-    ``T s + c = [x_new; v]``: ``x~ = K^-1 (sigma x - q_s + A'(rho z - y))``,
+    With K the x-step matrix and the state ``s = [x; w; z; 1]``, where
+    ``w = y / rho`` is the scaled dual, ``T s = [x_new; v]``:
+    ``x~ = K^-1 (sigma x - q_s + A' rho (z - w))``,
     ``x_new = alpha x~ + (1 - alpha) x`` and
-    ``v = alpha A x~ + (1 - alpha) z + y / rho``.  The iteration then sets
-    ``z = clip(v, l, u)`` and ``y = rho (v - z)``.
+    ``v = alpha A x~ + (1 - alpha) z + w``.  The iteration then sets
+    ``z = clip(v, l, u)`` and ``w = v - z``, so ``y = rho (v - z)``.
     """
     n, m = q_s.shape[0], A.shape[0]
     # One solve for K^-1 [A', sigma I, q_s], from the x-step Cholesky factor.
@@ -420,14 +421,17 @@ def _x_step_map(
     solved = _potrs(_factorize_scaled(P_s, A, rho), rhs, lower=1)[0]
     rows = np.vstack([solved, A @ solved])  # rows for x~ and for A x~
     inv_a, inv_sigma, inv_q = rows[:, :m], rows[:, m : m + n], rows[:, -1]
-    T = np.empty((n + m, n + 2 * m))
-    np.multiply(_ALPHA * rho, inv_a, out=T[:, n : n + m])
-    np.multiply(-_ALPHA, inv_a, out=T[:, n + m :])
-    np.multiply(_ALPHA, inv_sigma, out=T[:, :n])
-    diag = np.arange(n + m)
-    T[diag, diag] += 1.0 - _ALPHA
-    T[diag[n:], diag[n:] + m] += 1.0 / rho
-    return T, -_ALPHA * inv_q
+    T = np.empty((n + m, n + 2 * m + 1))
+    x_cols, w_cols, z_cols = T[:, :n], T[:, n : n + m], T[:, n + m : -1]
+    np.multiply(_ALPHA, inv_sigma, out=x_cols)
+    np.multiply(_ALPHA * rho, inv_a, out=z_cols)
+    np.negative(z_cols, out=w_cols)
+    np.multiply(-_ALPHA, inv_q, out=T[:, -1])
+    x_diag, row = np.arange(n), np.arange(m)
+    x_cols[x_diag, x_diag] += 1.0 - _ALPHA
+    z_cols[n + row, row] += 1.0 - _ALPHA
+    w_cols[n + row, row] += 1.0
+    return T
 
 
 def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) -> bool:
@@ -751,88 +755,100 @@ def solve(
     if start not in x_step:
         x_step.clear()
         x_step[start] = _x_step_map(P_s, q_s, A, rho)
-    T, c = x_step[start]
+    T = x_step[start]
 
-    s = np.zeros(n + 2 * m)
-    x, z, y = s[:n], s[n : n + m], s[n + m :]
+    # Two buffers of the state [x; w; z; 1]: an iteration reads one and
+    # writes the other, so a check finds the previous iterate in the other
+    # buffer.  Each is held with its views: whole, [x; w] (the product's
+    # rows: v goes where w is kept), x, w and z.
+    buffers = np.zeros((2, n + 2 * m + 1))
+    buffers[:, -1] = 1.0
+    cur, other = ((b, b[: n + m], b[:n], b[n : n + m], b[n + m : -1]) for b in buffers)
     l, u = problem.l, problem.u
 
     status = SolveStatus.MAX_ITERS
     infeasible_streak = 0
     adapt_interval = _ADAPT_INTERVAL
     adapt_due = adapt_interval
-    for it in range(1, max_iters + 1):
-        checking = it % _CHECK_INTERVAL == 0 or it == max_iters
-        if checking:
-            x_old, y_old = x.copy(), y.copy()
-        mapped = T @ s
-        mapped += c
-        x[:] = mapped[:n]
-        v = mapped[n:]
-        np.maximum(v, l, out=z)
-        np.minimum(z, u, out=z)
-        # Exactly 0 on every row strictly inside its bounds.
-        np.subtract(v, z, out=y)
-        y *= rho
+    it = 0
+    while it < max_iters:
+        # Iterations up to the next check: every _CHECK_INTERVAL-th, and the last.
+        block = min(_CHECK_INTERVAL, max_iters - it)
+        for _ in range(block):
+            _, mapped, _, v, z = other
+            np.matmul(T, cur[0], out=mapped)
+            np.maximum(v, l, out=z)
+            np.minimum(z, u, out=z)
+            # Exactly 0 on every row strictly inside its bounds.
+            np.subtract(v, z, out=v)
+            cur, other = other, cur
+        it += block
 
-        if checking:
-            dx = x - x_old
-            dy = y - y_old
-            ax = A @ x
-            pri = np.abs(ax - z).max(initial=0.0)
-            pri_norm = max(np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0))
-            eps_pri = tol_abs + tol_rel * pri_norm
-            px = P_s @ x
-            aty = A.T @ y
-            dua = np.abs(px + q_s + aty).max(initial=0.0)
-            dua_norm = max(np.abs(px).max(initial=0.0), np.abs(aty).max(initial=0.0), q_norm)
-            eps_dua = tol_abs + tol_rel * dua_norm
-            converged = pri <= eps_pri and dua <= eps_dua
-            # Degenerate problems crawl near the optimum; an active-set
-            # re-solve from a close-enough iterate finishes them exactly, so
-            # every check inside the window (a converged iterate always is)
-            # polishes.
-            pri_scale = max(pri_norm, 1e-12)
-            dua_scale = max(dua_norm, 1e-12)
-            if (
-                pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
-                and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
-            ):
-                y_cost = y * cost  # undo objective normalization on the duals
-                polished = _polish(problem, y_cost, tol_abs, tol_rel)
-                if polished is not None:
-                    path = "final_polish" if converged else "early_polish"
-                    return _finish(problem, *polished, SolveStatus.OPTIMAL, it, path)
-                if converged:
-                    cert = _Certificate.at(problem, x, y_cost, tol_abs, tol_rel)
-                    if cert.passes():
-                        return _finish(
-                            problem, x.copy(), y_cost, cert, SolveStatus.OPTIMAL, it, "admm"
-                        )
-            # A transient noise direction can mimic a divergence certificate;
-            # only two consecutive confirming checks count.
-            if _primal_infeasibility_certificate(problem, dy) or (
-                _dual_infeasibility_certificate_scaled(problem, P_s, q_s, dx)
-            ):
-                infeasible_streak += 1
-                if infeasible_streak >= 2:
-                    status = SolveStatus.INFEASIBLE
-                    break
-            else:
-                infeasible_streak = 0
-            if it >= adapt_due:
+        _, _, x, w, z = cur
+        _, _, x_old, w_old, _ = other
+        y = rho * w
+        dx = x - x_old
+        dy = y - rho * w_old
+        ax = A @ x
+        pri = np.abs(ax - z).max(initial=0.0)
+        pri_norm = max(np.abs(ax).max(initial=0.0), np.abs(z).max(initial=0.0))
+        eps_pri = tol_abs + tol_rel * pri_norm
+        px = P_s @ x
+        aty = A.T @ y
+        dua = np.abs(px + q_s + aty).max(initial=0.0)
+        dua_norm = max(np.abs(px).max(initial=0.0), np.abs(aty).max(initial=0.0), q_norm)
+        eps_dua = tol_abs + tol_rel * dua_norm
+        converged = pri <= eps_pri and dua <= eps_dua
+        # Degenerate problems crawl near the optimum; an active-set re-solve
+        # from a close-enough iterate finishes them exactly, so every check
+        # inside the window (a converged iterate always is) polishes.
+        pri_scale = max(pri_norm, 1e-12)
+        dua_scale = max(dua_norm, 1e-12)
+        if (
+            pri <= max(_EARLY_POLISH_WINDOW * eps_pri, 1e-3 * pri_scale)
+            and dua <= max(_EARLY_POLISH_WINDOW * eps_dua, 1e-3 * dua_scale)
+        ):
+            y_cost = y * cost  # undo objective normalization on the duals
+            polished = _polish(problem, y_cost, tol_abs, tol_rel)
+            if polished is not None:
+                path = "final_polish" if converged else "early_polish"
+                return _finish(problem, *polished, SolveStatus.OPTIMAL, it, path)
+            if converged:
+                cert = _Certificate.at(problem, x, y_cost, tol_abs, tol_rel)
+                if cert.passes():
+                    return _finish(
+                        problem, x.copy(), y_cost, cert, SolveStatus.OPTIMAL, it, "admm"
+                    )
+        # A transient noise direction can mimic a divergence certificate;
+        # only two consecutive confirming checks count.
+        if _primal_infeasibility_certificate(problem, dy) or (
+            _dual_infeasibility_certificate_scaled(problem, P_s, q_s, dx)
+        ):
+            infeasible_streak += 1
+            if infeasible_streak >= 2:
+                status = SolveStatus.INFEASIBLE
+                break
+        else:
+            infeasible_streak = 0
+        if it >= adapt_due:
+            adapt_due = it + adapt_interval
+            # residual balancing on iterate-scaled norms
+            ratio = float(np.sqrt((pri / pri_scale) / max(dua / dua_scale, 1e-30)))
+            if ratio > _ADAPT_TRIGGER or ratio < 1.0 / _ADAPT_TRIGGER:
+                ratio = float(np.clip(ratio, 0.01, 100.0))
+                base_rho = float(np.clip(base_rho * ratio, _RHO_MIN, _RHO_MAX))
+                new_rho = _rho_vector(problem, base_rho)
+                # The scaled dual follows rho, so y = rho w stays as it was.
+                rescale = rho / new_rho
+                for _, _, _, w_kept, _ in (cur, other):
+                    w_kept *= rescale
+                rho = new_rho
+                T = _x_step_map(P_s, q_s, A, rho)
+                adapt_interval *= 2
                 adapt_due = it + adapt_interval
-                # residual balancing on iterate-scaled norms
-                ratio = float(np.sqrt((pri / pri_scale) / max(dua / dua_scale, 1e-30)))
-                if ratio > _ADAPT_TRIGGER or ratio < 1.0 / _ADAPT_TRIGGER:
-                    ratio = float(np.clip(ratio, 0.01, 100.0))
-                    base_rho = float(np.clip(base_rho * ratio, _RHO_MIN, _RHO_MAX))
-                    rho = _rho_vector(problem, base_rho)
-                    T, c = _x_step_map(P_s, q_s, A, rho)
-                    adapt_interval *= 2
-                    adapt_due = it + adapt_interval
 
-    # Copies: x and y are views of the iteration state.
+    # Every way out of the loop follows a check, which set x and y; x is a
+    # view of the iteration state.
     x, y = x.copy(), y * cost
     cert = _Certificate.at(problem, x, y, tol_abs, tol_rel)
     return _finish(problem, x, y, cert, status, it, "admm")

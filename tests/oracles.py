@@ -301,6 +301,39 @@ def x_step_reference(P_s, A, rho, rhs):
     return cho_solve(cho_factor(K, lower=True, check_finite=False), rhs, check_finite=False)
 
 
+def admm_reference(problem, iterations: int, rho_updates=()):
+    """``optim.solve``'s cold ADMM iterate ``(x, z, y)`` after ``iterations``
+    iterations, in the textbook form of OSQP's Algorithm 1 (Stellato et
+    al., *Math. Prog. Comp.* 2020).
+
+    The state is ``[x; z; y]`` with the unscaled dual, and each x-step
+    solves through scipy's Cholesky wrappers, where the solver applies one
+    map per rho to a scaled-dual state.  It runs on the solver's normalized
+    objective from its starting rho (boosted on equality rows, the minimum
+    on free rows) and returns y in the problem's units.  ``rho_updates``
+    lists ``(iteration, rho)``: the rho vector in force after that
+    iteration, with x, z and y kept as they are.
+    """
+    P, q, A, l, u = problem.P, problem.q, problem.A, problem.l, problem.u
+    cost = max(1.0, np.abs(q).max(), np.abs(P).max())
+    P_s, q_s = P / cost, q / cost
+    rho = np.full(A.shape[0], optim._RHO_INITIAL)
+    rho[l == u] *= optim._RHO_EQUALITY_BOOST
+    rho[np.isinf(l) & np.isinf(u)] = optim._RHO_MIN
+    updates = dict(rho_updates)
+    alpha = optim._ALPHA
+    x, z, y = np.zeros(A.shape[1]), np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    for it in range(1, iterations + 1):
+        x_tilde = x_step_reference(P_s, A, rho, optim._SIGMA * x - q_s + A.T @ (rho * z - y))
+        relaxed = alpha * A @ x_tilde + (1.0 - alpha) * z
+        x = alpha * x_tilde + (1.0 - alpha) * x
+        z_next = np.clip(relaxed + y / rho, l, u)
+        y = y + rho * (relaxed - z_next)
+        z = z_next
+        rho = updates.get(it, rho)
+    return x, z, y * cost
+
+
 def independent_rows_reference(problem, y, active, preferred=None):
     """Positions in ``active`` of the rows scipy's pivoted QR keeps, sorted.
 

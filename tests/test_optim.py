@@ -9,6 +9,7 @@ from faultprint import detector, explain, optim, pipeline
 from conftest import run_fresh
 from oracles import (
     active_set_solve_reference,
+    admm_reference,
     independent_rows_reference,
     kkt_residuals_reference,
     kkt_tolerances_reference,
@@ -772,10 +773,11 @@ def test_x_step_matches_wrapper_reference():
 
 
 def test_x_step_map_matches_the_textbook_iteration():
-    # One application of T s + c, the projection and y = rho (v - z) is the
-    # x-step solve, over-relaxation and dual update of OSQP's Algorithm 1,
-    # with free (_RHO_MIN) and equality-boosted rows among the rows.  The
-    # map's dual is exactly 0 on every row strictly inside its bounds.
+    # One application of T to [x; w; z; 1] (w = y / rho, the scaled dual),
+    # the projection and w = v - z is the x-step solve, over-relaxation and
+    # dual update of OSQP's Algorithm 1, with free (_RHO_MIN) and
+    # equality-boosted rows among the rows.  The map's dual is exactly 0 on
+    # every row strictly inside its bounds.
     rng = np.random.default_rng(1)
     alpha, inside_rows, noisy_rows = optim._ALPHA, 0, 0
     for _ in range(200):
@@ -793,8 +795,9 @@ def test_x_step_map_matches_the_textbook_iteration():
         l[rows[0]], u[rows[0]] = -np.inf, np.inf
         x, z, y = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
 
-        T, c = optim._x_step_map(P_s, q_s, A, rho)
-        mapped = T @ np.concatenate([x, z, y]) + c
+        T = optim._x_step_map(P_s, q_s, A, rho)
+        assert T.shape == (n + m, n + 2 * m + 1)
+        mapped = T @ np.concatenate([x, y / rho, z, [1.0]])
         v = mapped[n:]
         z_map = np.minimum(np.maximum(v, l), u)
         y_map = rho * (v - z_map)
@@ -811,6 +814,86 @@ def test_x_step_map_matches_the_textbook_iteration():
         inside_rows += int(inside.sum())
         noisy_rows += int((y_ref[inside] != 0.0).sum())
     assert inside_rows and noisy_rows  # the textbook form leaves noise there
+
+
+def _loop_problems(rng, count):
+    """Random bounded QPs and LPs, alternately, each with a free row and an
+    equality row among its general rows.  The first n rows are orthonormal,
+    so both sides bound every direction, and the others have unit norm: the
+    x-step matrix is about as well conditioned as the equality row's rho
+    boost allows."""
+    for index in range(count):
+        n, extra = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        general = rng.normal(size=(extra, n))
+        general /= np.linalg.norm(general, axis=1, keepdims=True)
+        A = np.vstack([np.linalg.qr(rng.normal(size=(n, n)))[0], general])
+        at_x0 = A @ rng.normal(size=n)
+        l = at_x0 - rng.uniform(0.1, 1.0, n + extra)
+        u = at_x0 + rng.uniform(0.1, 1.0, n + extra)
+        free, equal = n + rng.permutation(extra)[:2]
+        l[free], u[free] = -np.inf, np.inf
+        l[equal] = u[equal] = at_x0[equal]
+        root = rng.normal(size=(n, n // 2 + 1)) * (index % 2)
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 2)
+        yield optim.ConvexProblem(P=root @ root.T, q=q, A=A, l=l, u=u)
+
+
+def _assert_matches_loop_reference(solution, reference, bound=1e-12):
+    x_ref, _, y_ref = reference
+    for ours, ref in ((solution.z, x_ref), (solution.y, y_ref)):
+        assert np.abs(ours - ref).max() <= bound * max(1.0, np.abs(ref).max())
+
+
+# Tolerances no iterate or polished point of these problems passes (each
+# point's rounding leaves a dual residual), so every solve runs out of
+# iterations: any polish fails its certificate and leaves the iterate.
+UNREACHABLE = {"tol_abs": 1e-300, "tol_rel": 0.0}
+
+
+def test_admm_iterate_matches_the_textbook_loop():
+    # The MAX_ITERS iterate of a cold solve, at iteration counts that end
+    # before, at and between checks, is the textbook iteration's: the
+    # scaled-dual state, the map's constant column, the two alternating
+    # buffers and the blocks between checks change no iterate.
+    rng = np.random.default_rng(38)
+    for problem in _loop_problems(rng, 24):
+        for max_iters in (1, 7, 26, 60):
+            solution = optim.solve(problem, max_iters=max_iters, **UNREACHABLE)
+            assert solution.status is optim.SolveStatus.MAX_ITERS
+            assert (solution.iterations, solution.path) == (max_iters, "admm")
+            _assert_matches_loop_reference(solution, admm_reference(problem, max_iters))
+
+
+def test_a_rho_update_keeps_the_textbook_dual(monkeypatch):
+    # The check at iteration _ADAPT_INTERVAL may update rho, and the scaled
+    # dual is rescaled with it: the iterate then follows a textbook loop
+    # that switches to the same rho after that iteration, its dual y kept.
+    # A larger rho makes the x-step matrix worse conditioned, and the
+    # textbook loop, which solves it anew each iteration, drifts further
+    # from the solver's map (5e-12 relative after a hundredfold rho, as
+    # much before the dual was scaled), so the bound grows with rho.
+    rhos = []
+    x_step_map = optim._x_step_map
+
+    def recorded(P_s, q_s, A, rho):
+        rhos.append(rho.copy())
+        return x_step_map(P_s, q_s, A, rho)
+
+    monkeypatch.setattr(optim, "_x_step_map", recorded)
+    rng = np.random.default_rng(7)
+    max_iters = optim._ADAPT_INTERVAL + 60
+    updated = 0
+    for problem in _loop_problems(rng, 12):
+        rhos.clear()
+        solution = optim.solve(problem, max_iters=max_iters, **UNREACHABLE)
+        assert solution.status is optim.SolveStatus.MAX_ITERS
+        assert len(rhos) <= 2
+        switch = [(optim._ADAPT_INTERVAL, rho) for rho in rhos[1:]]
+        growth = max(1.0, rhos[-1].max() / rhos[0].max())
+        reference = admm_reference(problem, max_iters, switch)
+        _assert_matches_loop_reference(solution, reference, 1e-12 * growth)
+        updated += len(switch)
+    assert updated
 
 
 def test_factorize_rejects_indefinite_matrix():
@@ -1202,13 +1285,13 @@ def test_every_check_inside_the_window_polishes(monkeypatch):
     x_step_map, polish = optim._x_step_map, optim._polish
 
     class CountedMap(np.ndarray):
-        def __matmul__(self, other):
-            iterations[0] += 1
-            return np.asarray(self) @ other
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            iterations[0] += ufunc is np.matmul
+            inputs = tuple(np.asarray(array) for array in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
 
     def counted_map(*args):
-        T, c = x_step_map(*args)
-        return T.view(CountedMap), c
+        return x_step_map(*args).view(CountedMap)
 
     def counted_polish(*args):
         at_polish.append(iterations[0])

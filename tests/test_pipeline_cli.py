@@ -633,6 +633,37 @@ def test_cli_explains_the_given_step_inside_the_evaluated_range(tiny_run, capsys
         assert (out / "explain" / sid / f"fingerprint-t{step}.csv").exists()
 
 
+def test_cli_explain_prints_its_solve(tiny_run, capsys):
+    # The status, path, iterations, worst KKT ratio and slack total of the
+    # explained step go to stdout; the files it writes are the same.
+    cfg_path, out = tiny_run
+    for command in ("simulate", "train"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    run = pipeline.load_run_config(cfg_path)
+    sid = "constant_offset-m0-s1"
+    panel, _, _ = pipeline.load_scenario_files(run, sid)
+    ensemble, threshold = pipeline.load_model_files(run, sid)
+    t = int(detector.detect(ensemble, panel, threshold).alarm_steps()[0])
+    cf = explain.ensemble_counterfactual(
+        ensemble,
+        explain.snapshot_at_alarm(panel, ensemble, t),
+        run.cf_config(threshold),
+        solver_options=run.solver_options(),
+    )
+    solution = cf.solution
+    ratio = max(r / tol for r, tol in zip(solution.kkt, solution.kkt_tol))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "explain", "--scenario", sid]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == (
+        f"solve: optimal by {solution.path} after {solution.iterations} iterations, "
+        f"worst KKT ratio {ratio:.3g}, slack total {float(cf.slacks.sum()):.6g}"
+    )
+    assert solution.status is optim.SolveStatus.OPTIMAL
+    written = sorted(p.name for p in (out / "explain" / sid).iterdir())
+    assert written == [f"fingerprint-t{t}.csv", f"fingerprint-t{t}.svg"]
+
+
 def test_cli_explain_without_alarms_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "out"
