@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgen import FaultSpec, ReadingsPanel
+from .optim import fields_equal, fields_hash
 from .sensors import Ensemble, lagged_window_means
 
 MIN_CALIBRATION_STEPS = 50
@@ -24,6 +25,8 @@ class AlarmStream:
 
     start: int
     alarms: np.ndarray  # bool, shape (n_steps - start,)
+
+    __eq__, __hash__ = fields_equal, fields_hash
 
     @property
     def end(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .netgen import ReadingsPanel
+from .netgen import ReadingsPanel, check_real
 from .sensors import Ensemble, LinearModel
 
 FEASIBLE_SLACK_TOL = 1e-6
@@ -44,8 +44,8 @@ class ExplainError(RuntimeError):
 
 
 def _tolerance_array(tolerances) -> np.ndarray:
-    """A float copy of ``tolerances``, which must be nonnegative and finite."""
-    tolerances = np.array(tolerances, dtype=float)
+    """A frozen float copy of ``tolerances``, which must be nonnegative and finite."""
+    tolerances = optim.frozen_array("tolerances", tolerances)
     if not ((tolerances >= 0) & (tolerances < np.inf)).all():  # NaN fails too
         raise ValueError("tolerances must be nonnegative and finite")
     return tolerances
@@ -67,35 +67,18 @@ class CfConfig:
     dist: str = "abs"
     tolerances: float | np.ndarray = 0.0
 
+    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+
     def __post_init__(self) -> None:
-        # Written so that NaN fails each check.
-        if not 0 < self.slack_penalty < np.inf:
-            raise ValueError("slack_penalty must be positive and finite")
+        check_real("slack_penalty", self.slack_penalty)
+        if not self.slack_penalty > 0:
+            raise ValueError(f"slack_penalty must be positive, got {self.slack_penalty!r}")
         if self.complexity not in ("l1", "l2"):
             raise ValueError("complexity must be 'l1' or 'l2'")
         if self.dist not in ("abs", "squared"):
             raise ValueError("dist must be 'abs' or 'squared'")
-        tolerances = _tolerance_array(self.tolerances)  # a copy to freeze
-        if tolerances.ndim:
-            tolerances.flags.writeable = False
-        else:
-            tolerances = float(tolerances)
-        object.__setattr__(self, "tolerances", tolerances)
-
-    def __eq__(self, other) -> bool:
-        # Field by field: the generated tuple comparison cannot take arrays.
-        if not isinstance(other, CfConfig):
-            return NotImplemented
-        same = (self.slack_penalty, self.complexity, self.dist) == (
-            other.slack_penalty, other.complexity, other.dist
-        )
-        return same and np.array_equal(self.tolerances, other.tolerances)
-
-    def __hash__(self) -> int:
-        # Agrees with __eq__: equal arrays have equal shapes, not always
-        # equal bytes (0.0 == -0.0).
-        shape = np.shape(self.tolerances)
-        return hash((self.slack_penalty, self.complexity, self.dist, shape))
+        tolerances = _tolerance_array(self.tolerances)
+        object.__setattr__(self, "tolerances", tolerances if tolerances.ndim else float(tolerances))
 
     def tolerance_vector(self, k: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.tolerances, dtype=float), (k,)).copy()
@@ -113,6 +96,8 @@ class Counterfactual:
     excess: float  # largest miss of a row's tolerance, re-evaluated at x_cf
     solution: optim.Solution  # the certified solve it came from
 
+    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
             raise ValueError("counterfactual contains non-finite values")
@@ -125,25 +110,16 @@ class LinearClassifier:
     weights: np.ndarray
     bias: float
 
+    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
+        weights = optim.frozen_array("weights", self.weights)
         if weights.ndim != 1:
             raise ValueError("classifier weights must be a vector")
-        if not np.isfinite(weights).all() or not np.isfinite(self.bias):
-            raise ValueError("classifier weights and bias must be finite")
-        weights.flags.writeable = False
+        if not np.isfinite(weights).all():
+            raise ValueError("classifier weights must be finite")
+        check_real("bias", self.bias)
         object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other) -> bool:
-        # Field by field: the generated tuple comparison cannot take arrays.
-        if not isinstance(other, LinearClassifier):
-            return NotImplemented
-        return self.bias == other.bias and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self) -> int:
-        # Agrees with __eq__: equal arrays have equal shapes, not always
-        # equal bytes (0.0 == -0.0).
-        return hash((self.bias, self.weights.shape))
 
     def decision(self, x: np.ndarray) -> float:
         return float(self.weights @ np.asarray(x, dtype=float) + self.bias)
@@ -221,7 +197,10 @@ class _Stack:
     is worked out once for all of them.  A snapshot enters through r0 = G x
     + bias - targets, and r0 only through the bounds: each program's P, q
     and A are built and validated once, as its base problem, and the pass
-    fills in each snapshot's l and u.  It computes every program's
+    fills in each snapshot's l and u.  Those are a constant row plus r0
+    times a constant ``(k, 2m)`` matrix, which has ``-sign`` at each
+    constraint row's residual row and moving bound, so the stack keeps no
+    state from one pass to the next.  A pass computes every program's
     residuals r0 at every snapshot, fills in and validates all their bounds
     at once, gives one-row programs their closed-form duals and decodes
     every certified solution; each program keeps its own problem family,
@@ -264,13 +243,15 @@ class _Stack:
         lower = one_sided[src]  # the bound that moves with r0 is l, else u
         nonneg = np.eye(nd + k)[0 if l1 else nd :]
         m = src.size + nonneg.shape[0]
-        # l and u as one row, so one assignment per snapshot fills both
+        # l and u as one row, so one product per pass fills both
         self._bounds = np.full((1, count, 2 * m), np.inf)
         self._bounds[0, :, : src.size] = np.where(lower, edge[:, src], -np.inf)
         self._bounds[0, :, src.size : m] = 0.0
         self._bounds[0, :, m : m + src.size] = np.where(lower, np.inf, edge[:, src])
-        self._moving = np.arange(src.size) + np.where(lower, 0, m)
-        self._sign, self._source = -sign, src
+        # r0 moves row i's moving bound by -sign r0[src[i]]: a column holds
+        # at most that one nonzero, so the product adds it and signed zeros.
+        self._shift = np.zeros((k, 2 * m))
+        self._shift[src, np.arange(src.size) + np.where(lower, 0, m)] = -sign
         self.A = np.zeros((1, count, m, nd + k))
         self.A[0, :, : src.size, :nd] = sign[:, None] * Gd[:, src]
         self.A[0][:, np.arange(src.size), nd + src] = np.where(lower, c, -c)
@@ -284,7 +265,6 @@ class _Stack:
         )
         # Only a program of one two-sided row has a closed form (vertex_duals).
         self._has_vertex = one_sided.shape == (1,) and not one_sided[0]
-        self._scatter: tuple = (0, None)  # (snapshot count, its _scatter_at)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Each program's r0 = G x + bias - targets at x, as ``(S, P, k)``;
@@ -292,29 +272,10 @@ class _Stack:
         row per program, ``(S, P, n)``."""
         return np.matmul(self.G, x[..., None])[..., 0] + self.bias - self.targets
 
-    def _scatter_at(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For ``count`` snapshots: every program's moving bounds and their
-        residual rows, as flat indices into the snapshots' ``(count, P, 2m)``
-        bounds and ``(count, P, k)`` residuals, and their signs.  The stack
-        keeps those of its latest count."""
-        kept, scatter = self._scatter
-        if kept != count:
-            shift = np.arange(count * len(self.bases))[:, None]
-            scatter = (
-                (self._moving + shift * self._bounds.shape[2]).ravel(),
-                (self._source + shift * self.G.shape[2]).ravel(),
-                np.tile(self._sign, shift.size),
-            )
-            self._scatter = (count, scatter)
-        return scatter
-
     def bounds(self, r0: np.ndarray) -> np.ndarray:
         """Each program's l and u at its row of r0 ``(S, P, k)``, as one row
         ``[l, u]`` of ``(S, P, 2m)``."""
-        moving, source, sign = self._scatter_at(r0.shape[0])
-        bounds = self._bounds.repeat(r0.shape[0], 0)
-        bounds.reshape(-1)[moving] += sign * r0.reshape(-1)[source]
-        return bounds
+        return self._bounds + np.matmul(r0, self._shift)
 
     def problems(self, bounds: np.ndarray) -> tuple[optim.ConvexProblem, ...]:
         """Each program's problem at each of its rows of :meth:`bounds`: the

@@ -20,7 +20,7 @@ from typing import Union, get_args
 
 import numpy as np
 
-from .optim import is_integer
+from .optim import fields_equal, fields_hash, frozen_array, is_integer
 
 DIURNAL_PERIOD = 96  # steps per daily cycle (15-minute cadence analogy)
 
@@ -91,8 +91,10 @@ class ReadingsPanel:
     kinds: tuple[SensorKind, ...]
     labels: tuple[str, ...]
 
+    __eq__, __hash__ = fields_equal, fields_hash
+
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float, order="C")
+        values = frozen_array("values", self.values)
         if values.ndim != 2:
             raise ValueError("panel values must be a 2-D array")
         if values.shape[1] != len(self.kinds) or len(self.kinds) != len(self.labels):
@@ -103,20 +105,7 @@ class ReadingsPanel:
                 raise ValueError(f"sensor label {label!r} must be non-empty and hold no ':'")
         if not np.isfinite(values).all():
             raise ValueError("panel contains non-finite entries")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other) -> bool:
-        # Field by field: the generated tuple comparison cannot take arrays.
-        if not isinstance(other, ReadingsPanel):
-            return NotImplemented
-        same = (self.kinds, self.labels) == (other.kinds, other.labels)
-        return same and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        # Agrees with __eq__: equal arrays have equal shapes, not always
-        # equal bytes (0.0 == -0.0).
-        return hash((self.kinds, self.labels, self.values.shape))
 
     @property
     def n_steps(self) -> int:

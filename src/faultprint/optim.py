@@ -44,7 +44,7 @@ for throughput.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -103,6 +103,50 @@ _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
 _KKT_KEPT = 4
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def frozen_array(name: str, value) -> np.ndarray:
+    """A C-ordered, read-only float copy of ``value``, so no later write to
+    the caller's array reaches the value that keeps it.  ``ValueError``,
+    naming the field, unless ``value`` holds integers or floats: a bool,
+    string, complex or object array is refused, not coerced."""
+    array = np.array(value, order="C")
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    array.flags.writeable = False
+    return array
+
+
+def fields_equal(self, other) -> bool:
+    """``__eq__`` of a frozen dataclass with array fields: field by field,
+    arrays element by element (the generated tuple comparison cannot take
+    them)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for field in fields(self):
+        a, b = getattr(self, field.name), getattr(other, field.name)
+        if a is not b and not (
+            np.array_equal(a, b)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            else a == b
+        ):
+            return False
+    return True
+
+
+def fields_hash(self) -> int:
+    """``__hash__`` that agrees with :func:`fields_equal`: an array hashes by
+    its shape, since equal arrays need not have equal bytes (0.0 == -0.0)."""
+    return hash(tuple(
+        value.shape if isinstance(value, np.ndarray) else value
+        for value in (getattr(self, field.name) for field in fields(self))
+    ))
+
+
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITERS = "max_iters"
@@ -131,12 +175,10 @@ class ConvexProblem:
     l: np.ndarray
     u: np.ndarray
 
+    __eq__, __hash__ = fields_equal, fields_hash
+
     def __post_init__(self) -> None:
-        # Copies, so freezing them leaves the caller's arrays writable and
-        # no later write to those arrays can reach the problem.
-        P = np.array(self.P, dtype=float, order="C")
-        q = np.array(self.q, dtype=float, order="C")
-        A = np.array(self.A, dtype=float, order="C")
+        P, q, A = (frozen_array(name, getattr(self, name)) for name in ("P", "q", "A"))
         if q.ndim != 1:
             raise ValueError(f"q must be a vector, got shape {q.shape}")
         n = q.shape[0]
@@ -153,7 +195,6 @@ class ConvexProblem:
             if np.linalg.eigvalsh(P).min() < -1e-9 * scale:
                 raise ValueError("P must be positive semidefinite")
         for name, arr in (("P", P), ("q", q), ("A", A)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: {kept rows as bytes: _KktFactor}
         # for up to _KKT_KEPT row sets, least recently used first; {starting
@@ -226,9 +267,7 @@ def _bound_fields(l, u, m: int, count: int = 1) -> list[dict]:
     on every call: finite bounds, and equality rows (None when there are
     none), whose multiplier is free in sign.
     """
-    # Copies, so freezing them leaves the caller's arrays writable.
-    l = np.array(l, dtype=float, order="C")
-    u = np.array(u, dtype=float, order="C")
+    l, u = frozen_array("l", l), frozen_array("u", u)
     if l.shape != (count, m) or u.shape != (count, m):
         raise ValueError("l and u must match the constraint row count")
     if not (l <= u).all():  # also false where a bound is NaN
@@ -239,7 +278,6 @@ def _bound_fields(l, u, m: int, count: int = 1) -> list[dict]:
     highest_l = np.maximum.reduce(l, axis=None, initial=-np.inf)
     if highest_l == np.inf or np.minimum.reduce(u, axis=None, initial=np.inf) == -np.inf:
         raise ValueError("l must be < +inf and u > -inf")
-    l.flags.writeable = u.flags.writeable = False
     finite_l, finite_u, equality = np.isfinite(l), np.isfinite(u), l == u
     return [
         {"l": l[i], "u": u[i], "_finite_l": finite_l[i], "_finite_u": finite_u[i],
@@ -279,6 +317,8 @@ class Solution:
     kkt: KktResiduals
     kkt_tol: KktTolerances
     path: str
+
+    __eq__, __hash__ = fields_equal, fields_hash
 
 
 @dataclass(frozen=True)
@@ -357,7 +397,9 @@ def _kkt_pass(
     gap = 1e-9 * (1.0 + az_norm)
     return (
         KktResiduals(primal=primal, dual=dual, complementarity=comp),
-        KktTolerances(primal=eps_pri, dual=eps_dua, complementarity=eps_comp),
+        # Python floats, as the residuals: a ratio to a tiny tolerance then
+        # reads inf, without numpy's overflow warning.
+        KktTolerances(*map(float, (eps_pri, eps_dua, eps_comp))),
         to_lower > gap,
         past_upper > gap,
     )
@@ -680,11 +722,6 @@ def _polish(
             upper |= above
             preferred = np.union1d(preferred, violated)
     return best if best is not None and best[2].passes() else None
-
-
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def solve(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgen import ReadingsPanel
-from .optim import is_integer
+from .netgen import ReadingsPanel, check_real
+from .optim import fields_equal, fields_hash, frozen_array, is_integer
 
 DEFAULT_WINDOW = 3
 
@@ -27,12 +27,15 @@ class LinearModel:
     target: int
     window: int
 
+    __eq__, __hash__ = fields_equal, fields_hash
+
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float, order="C")  # a copy to freeze
+        weights = frozen_array("weights", self.weights)
         if weights.ndim != 1:
             raise ValueError("weights must be a vector")
-        if not np.isfinite(weights).all() or not np.isfinite(self.bias):
+        if not np.isfinite(weights).all():
             raise ValueError("model coefficients must be finite")
+        check_real("bias", self.bias)
         for name in ("target", "window"):
             value = getattr(self, name)
             if not is_integer(value):
@@ -43,20 +46,7 @@ class LinearModel:
             )
         if self.window < 1:
             raise ValueError("window must be positive")
-        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other) -> bool:
-        # Field by field: the generated tuple comparison cannot take arrays.
-        if not isinstance(other, LinearModel):
-            return NotImplemented
-        same = (self.bias, self.target, self.window) == (other.bias, other.target, other.window)
-        return same and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self) -> int:
-        # Agrees with __eq__: equal arrays have equal shapes, not always
-        # equal bytes (0.0 == -0.0).
-        return hash((self.bias, self.target, self.window, self.weights.shape))
 
     @property
     def n_sensors(self) -> int:

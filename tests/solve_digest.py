@@ -413,7 +413,8 @@ def solve_grid(
             update(explanations_digest, predictions)
             update(predictions_digest, predictions)
             update(explanations_digest, struct.pack("<d", excess))
-            update(explanations_digest, repr((audit.solves, audit.non_optimal, audit.max_ratio)).encode())
+            audit_values = (audit.solves, audit.non_optimal, float(audit.max_ratio))
+            update(explanations_digest, repr(audit_values).encode())
             continue
         cf_config = run.cf_config(threshold)
         for t in stream.alarm_steps()[:STREAM_ALARMS]:

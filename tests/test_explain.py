@@ -1740,6 +1740,13 @@ def test_a_baseline_that_fails_re_evaluation_names_its_model():
         explain._decode(solutions, stack, r0, x)
 
 
+def _solution(zero):
+    return optim.Solution(
+        np.array([zero, 1.0]), np.array([zero]), zero, optim.SolveStatus.OPTIMAL, 0,
+        optim.KktResiduals(zero, zero, zero), optim.KktTolerances(1e-7, 1e-7, 1e-7), "warm",
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1751,13 +1758,80 @@ def test_a_baseline_that_fails_re_evaluation_names_its_model():
         lambda zero: netgen.ReadingsPanel(
             np.array([[zero, 1.0]]), (netgen.SensorKind.PRESSURE,) * 2, ("a", "b")
         ),
+        lambda zero: optim.ConvexProblem.linear(
+            np.array([zero, 1.0]), np.eye(2), np.array([zero, -1.0]), np.array([1.0, np.inf])
+        ),
+        _solution,
+        lambda zero: explain.Counterfactual(
+            np.array([zero, 1.0]), np.array([2.0, zero]), np.array([zero]), 1.0, True, zero,
+            _solution(zero),
+        ),
+        lambda zero: detector.AlarmStream(3, np.array([zero, 1.0]) > 0.5),
     ],
-    ids=["config", "config-array", "classifier", "model", "ensemble", "panel"],
+    ids=[
+        "config", "config-array", "classifier", "model", "ensemble", "panel", "problem",
+        "solution", "counterfactual", "alarm-stream",
+    ],
 )
 def test_equal_values_hash_equal(make):
     # 0.0 == -0.0 with other bytes: equal copies are one set member and one
     # dict key.
     first, second = make(0.0), make(-0.0)
     assert first == second and hash(first) == hash(second)
+    assert first in [second] and first != make(1.0)
     assert len({first, second}) == 1
     assert {first: "kept"}[second] == "kept"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: sensors.LinearModel(["1.5"], 0.0, 0, 3),
+            "weights must hold real numbers, got dtype <U3",
+        ),
+        (
+            lambda: sensors.LinearModel([1.0, 2j], 0.0, 0, 3),
+            "weights must hold real numbers, got dtype complex128",
+        ),
+        (lambda: explain.LinearClassifier([True, False], 0.0), "weights must hold real numbers"),
+        (lambda: explain.CfConfig(tolerances=True), "tolerances must hold real numbers"),
+        (lambda: explain.CfConfig(tolerances=[0.1, None]), "tolerances must hold real numbers"),
+        (lambda: explain.CfConfig(slack_penalty=True), "slack_penalty must be a real number"),
+        (lambda: explain.CfConfig(slack_penalty="5"), "slack_penalty must be a real number"),
+        (lambda: sensors.LinearModel([1.0], True, 0, 3), "bias must be a real number"),
+        (lambda: sensors.LinearModel([1.0], "0.5", 0, 3), "bias must be a real number"),
+        (lambda: explain.LinearClassifier([1.0], True), "bias must be a real number"),
+        (
+            lambda: netgen.ReadingsPanel(
+                np.ones((1, 2), dtype=bool), (netgen.SensorKind.PRESSURE,) * 2, ("a", "b")
+            ),
+            "values must hold real numbers",
+        ),
+        (
+            lambda: optim.ConvexProblem.linear([1.0], [["1"]], [0.0], [1.0]),
+            "A must hold real numbers",
+        ),
+        (
+            lambda: optim.ConvexProblem.linear([1.0], [[1.0]], [False], [1.0]),
+            "l must hold real numbers",
+        ),
+        (
+            lambda: explain.certificate_margin(
+                toy_ensemble(), explain.ensemble_counterfactual(toy_ensemble(), np.ones(3)), True
+            ),
+            "tolerances must hold real numbers",
+        ),
+    ],
+    ids=[
+        "model-strings", "model-complex", "classifier-bools", "config-bool-tolerance",
+        "config-object-tolerances", "config-bool-penalty", "config-string-penalty",
+        "model-bool-bias", "model-string-bias", "classifier-bool-bias", "panel-bools",
+        "problem-strings", "problem-bool-bound", "margin-bool-tolerance",
+    ],
+)
+def test_values_refuse_what_they_would_coerce(make, message):
+    # A bool, string, complex or object input is refused, naming its field,
+    # not silently taken as a float.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()

@@ -864,6 +864,15 @@ def test_admm_iterate_matches_the_textbook_loop():
             _assert_matches_loop_reference(solution, admm_reference(problem, max_iters))
 
 
+def test_a_tiny_tolerance_reads_an_infinite_ratio():
+    # 5e-324 is a valid tol_abs; a residual over it reads an infinite
+    # ratio, not numpy's overflow warning.
+    problem = list(_loop_problems(np.random.default_rng(1), 24))[3]
+    solution = optim.solve(problem, max_iters=60, tol_abs=5e-324, tol_rel=0.0)
+    assert solution.status is optim.SolveStatus.MAX_ITERS
+    assert optim.SolveAudit.from_records([solution]).max_ratio == np.inf
+
+
 def test_a_rho_update_keeps_the_textbook_dual(monkeypatch):
     # The check at iteration _ADAPT_INTERVAL may update rho, and the scaled
     # dual is rescaled with it: the iterate then follows a textbook loop
