@@ -14,7 +14,7 @@ import numpy as np
 
 from .netgen import FaultSpec, ReadingsPanel
 from .optim import fields_equal, fields_hash
-from .sensors import Ensemble, lagged_window_means
+from .sensors import Ensemble, _panel_means
 
 MIN_CALIBRATION_STEPS = 50
 
@@ -67,7 +67,7 @@ def residual_matrix(ensemble: Ensemble, panel: ReadingsPanel) -> np.ndarray:
     window = ensemble.window
     if panel.n_steps <= window:
         raise ValueError("panel shorter than the model window")
-    means = lagged_window_means(panel.values, window)[window:]
+    means = _panel_means(panel, window, keep=False)[window:]
     observed = panel.values[window:]
     residuals = np.empty((means.shape[0], len(ensemble.models)))
     for j, model in enumerate(ensemble.models):

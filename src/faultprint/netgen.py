@@ -32,6 +32,11 @@ _MIXING_GAIN = (0.7, 1.3)
 _LEVEL_OFFSET = (8.0, 15.0)
 _MAX_ROW_COSINE = 0.85
 _SINE_SHARE = (0.45, 0.70)  # per-channel share of the diurnal signal
+_ROW_DRAWS = 80  # candidates a mixing row may draw
+# A draw the batched screen puts within this of the answer gets its exact
+# score: far above the screen's rounding (about 1e-16), so no draw that
+# could win is passed over, and small enough that few draws need it.
+_SCREEN_MARGIN = 1e-9
 
 
 class PanelFormatError(ValueError):
@@ -242,6 +247,60 @@ def _sensor_layout(config: ScenarioConfig) -> tuple[tuple[SensorKind, ...], tupl
     return kinds, labels
 
 
+def _row_score(rows: np.ndarray, cand: np.ndarray, phasor: np.ndarray, phasor_norm) -> float:
+    """How far the unit row ``cand`` misses the spread rules, 0.0 when it
+    keeps both: a cosine of at most ``_MAX_ROW_COSINE`` with every accepted
+    row in ``rows``, and a phasor share inside ``_SINE_SHARE``."""
+    score = 0.0
+    if len(rows) and cand.shape[0] > 1:
+        worst = np.abs(rows @ cand).max()
+        score += max(0.0, worst - _MAX_ROW_COSINE)
+    if cand.shape[0] > 1 and phasor_norm > 0:
+        share = abs(cand @ phasor) / phasor_norm
+        score += max(0.0, _SINE_SHARE[0] - share)
+        score += max(0.0, share - _SINE_SHARE[1])
+    return score
+
+
+def _screen(rows: np.ndarray, cands: np.ndarray, phasor: np.ndarray, phasor_norm) -> np.ndarray:
+    """:func:`_row_score` of every unit row of ``cands`` in one pass, equal
+    to it up to rounding (the products run in a different order)."""
+    scores = np.zeros(cands.shape[0])
+    if len(rows) and cands.shape[1] > 1:
+        scores += np.maximum(0.0, np.abs(cands @ rows.T).max(axis=1) - _MAX_ROW_COSINE)
+    if cands.shape[1] > 1 and phasor_norm > 0:
+        share = np.abs(cands @ phasor) / phasor_norm
+        scores += np.maximum(0.0, _SINE_SHARE[0] - share)
+        scores += np.maximum(0.0, share - _SINE_SHARE[1])
+    return scores
+
+
+def _pick_row(
+    rows: np.ndarray, draws: np.ndarray, phasor: np.ndarray, phasor_norm
+) -> tuple[int, np.ndarray]:
+    """The row that rejection sampling over ``draws`` accepts, and how many
+    draws it reads.
+
+    Draws are read in order: the first whose unit row scores 0.0 is taken,
+    and when none does, the first of the lowest score.  The screen only
+    narrows where to look; :func:`_row_score` decides on every draw the
+    screen leaves within ``_SCREEN_MARGIN`` of the answer.
+    """
+    units = draws / np.linalg.norm(draws, axis=1, keepdims=True)
+    screened = _screen(rows, units, phasor, phasor_norm)
+
+    def unit(j: int) -> np.ndarray:
+        return draws[j] / np.linalg.norm(draws[j])
+
+    for j in np.flatnonzero(screened <= _SCREEN_MARGIN).tolist():
+        cand = unit(j)
+        if _row_score(rows, cand, phasor, phasor_norm) == 0.0:
+            return j + 1, cand
+    near = np.flatnonzero(screened <= screened.min() + _SCREEN_MARGIN).tolist()
+    scored = [(_row_score(rows, unit(j), phasor, phasor_norm), j) for j in near]
+    return len(draws), unit(min(scored)[1])  # ties go to the first draw
+
+
 def _mixing_matrix(
     rng: np.random.Generator, n_sensors: int, latent_dim: int, phasor: np.ndarray
 ) -> np.ndarray:
@@ -251,28 +310,22 @@ def _mixing_matrix(
     every channel carries a bounded, nonzero share of the shared diurnal
     phasor; both properties keep each channel linearly predictable from the
     others without any channel swinging much faster than the rest.
+
+    Each row takes up to ``_ROW_DRAWS`` normal draws, scored as one block.
+    When a row needs fewer, the generator is rewound and advanced by just
+    those, so every draw, and the generator afterwards, is the same as
+    drawing one candidate at a time: ``normal(size=(k, d))`` reads the
+    stream as ``k`` calls of ``normal(size=d)`` do.
     """
     phasor_norm = np.linalg.norm(phasor)
     rows = np.empty((n_sensors, latent_dim))
     for i in range(n_sensors):
-        best = None
-        best_score = np.inf
-        for _ in range(80):
-            cand = rng.normal(size=latent_dim)
-            cand /= np.linalg.norm(cand)
-            score = 0.0
-            if i and latent_dim > 1:
-                worst = np.abs(rows[:i] @ cand).max()
-                score += max(0.0, worst - _MAX_ROW_COSINE)
-            if latent_dim > 1 and phasor_norm > 0:
-                share = abs(cand @ phasor) / phasor_norm
-                score += max(0.0, _SINE_SHARE[0] - share)
-                score += max(0.0, share - _SINE_SHARE[1])
-            if score < best_score:
-                best, best_score = cand, score
-            if score == 0.0:
-                break
-        rows[i] = best
+        state = rng.bit_generator.state
+        draws = rng.normal(size=(_ROW_DRAWS, latent_dim))
+        used, rows[i] = _pick_row(rows[:i], draws, phasor, phasor_norm)
+        if used < _ROW_DRAWS:
+            rng.bit_generator.state = state
+            rng.normal(size=(used, latent_dim))
     gains = rng.uniform(*_MIXING_GAIN, size=n_sensors)
     matrix = rows * gains[:, None]
     if np.linalg.matrix_rank(matrix) < latent_dim:

@@ -116,9 +116,20 @@ def frozen_array(name: str, value) -> np.ndarray:
     array = np.array(value, order="C")
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    if isinstance(value, (list, tuple)) and _holds_bool(value):  # [True, 2.0] became floats
+        raise ValueError(f"{name} must hold real numbers, got a bool among them")
     array = array.astype(float, copy=False)
     array.flags.writeable = False
     return array
+
+
+def _holds_bool(value) -> bool:
+    """True if a list or tuple, at any depth, holds a bool or a bool array."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, np.ndarray) and value.dtype.kind == "b"
+    )
 
 
 def fields_equal(self, other) -> bool:

@@ -16,6 +16,7 @@ from .netgen import ReadingsPanel, check_real
 from .optim import fields_equal, fields_hash, frozen_array, is_integer
 
 DEFAULT_WINDOW = 3
+_KEPT_MEANS = "_kept_window_means"
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,47 @@ class Ensemble:
         return tuple(m.target for m in self.models)
 
 
+def _check_window(window) -> None:
+    if not is_integer(window):
+        raise ValueError(f"window must be an integer, got {window!r}")
+    if window < 1:
+        raise ValueError("window must be positive")
+
+
 def lagged_window_means(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing means over the previous ``window`` rows, for every channel.
 
     Row t of the result averages rows t-window .. t-1 and is valid for
     t >= window; earlier rows are NaN.
     """
-    if not is_integer(window):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    if window < 1:
-        raise ValueError("window must be positive")
+    _check_window(window)
     n_steps = values.shape[0]
     out = np.full_like(values, np.nan, dtype=float)
     if n_steps > window:
         windows = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)
         out[window:] = windows[: n_steps - window].mean(axis=-1)
     return out
+
+
+def _panel_means(panel: ReadingsPanel, window: int, keep: bool) -> np.ndarray:
+    """:func:`lagged_window_means` of the whole panel, read-only.
+
+    Training fits every model on one panel and calibration scores them all
+    on it again, so a fit keeps (``keep``) the means of its window on the
+    panel, and later calls with that window read them.  A panel's values
+    never change, so they are a function of the window alone.  They are a
+    plain attribute of the panel, not a dataclass field, so they are not
+    compared, hashed or shown.  Detection does not keep them: a panel
+    that is only scored stays the size it was.
+    """
+    _check_window(window)  # 3.0 == 3 would find the means kept for 3
+    kept_window, means = vars(panel).get(_KEPT_MEANS, (None, None))
+    if kept_window != window:
+        means = lagged_window_means(panel.values, window)
+        means.flags.writeable = False
+        if keep:
+            object.__setattr__(panel, _KEPT_MEANS, (window, means))  # panels are frozen
+    return means
 
 
 def fit_virtual_sensor(
@@ -124,7 +150,7 @@ def fit_virtual_sensor(
             f"{panel.n_sensors} sensors"
         )
 
-    means = lagged_window_means(panel.values, window)[t_a:t_b]
+    means = _panel_means(panel, window, keep=True)[t_a:t_b]
     inputs = np.delete(means, target, axis=1)
     design = np.hstack([inputs, np.ones((inputs.shape[0], 1))])
     response = panel.values[t_a:t_b, target]

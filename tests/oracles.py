@@ -10,7 +10,8 @@ checked against the same steps written with scipy.linalg's wrappers
 instead of direct LAPACK calls, and its one-pass certificate against the
 residuals, tolerances and violated rows each recomputed on its own.
 Panel CSV files are checked against the csv-module reader and writer that
-preceded numpy's C parser.
+preceded numpy's C parser, and the mixing-matrix sampler, which screens a
+row's draws as one block, against the loop that scored one draw at a time.
 """
 
 from __future__ import annotations
@@ -530,3 +531,35 @@ def load_panel_csv(path):
             f"non-finite cell {float(values[i, col])!r}"
         )
     return netgen.ReadingsPanel(values=values, kinds=tuple(kinds), labels=tuple(labels))
+
+
+def mixing_matrix_reference(rng, n_sensors: int, latent_dim: int, phasor):
+    """The mixing-matrix sampler one candidate at a time, as the panel
+    format was first written: each row draws normal candidates until one
+    scores 0.0, at most 80, keeping the first of the lowest score."""
+    phasor_norm = np.linalg.norm(phasor)
+    rows = np.empty((n_sensors, latent_dim))
+    for i in range(n_sensors):
+        best = None
+        best_score = np.inf
+        for _ in range(80):
+            cand = rng.normal(size=latent_dim)
+            cand /= np.linalg.norm(cand)
+            score = 0.0
+            if i and latent_dim > 1:
+                worst = np.abs(rows[:i] @ cand).max()
+                score += max(0.0, worst - netgen._MAX_ROW_COSINE)
+            if latent_dim > 1 and phasor_norm > 0:
+                share = abs(cand @ phasor) / phasor_norm
+                score += max(0.0, netgen._SINE_SHARE[0] - share)
+                score += max(0.0, share - netgen._SINE_SHARE[1])
+            if score < best_score:
+                best, best_score = cand, score
+            if score == 0.0:
+                break
+        rows[i] = best
+    gains = rng.uniform(*netgen._MIXING_GAIN, size=n_sensors)
+    matrix = rows * gains[:, None]
+    if np.linalg.matrix_rank(matrix) < latent_dim:
+        raise RuntimeError("mixing matrix is rank deficient")
+    return matrix

@@ -1797,6 +1797,8 @@ def test_equal_values_hash_equal(make):
         (lambda: explain.LinearClassifier([True, False], 0.0), "weights must hold real numbers"),
         (lambda: explain.CfConfig(tolerances=True), "tolerances must hold real numbers"),
         (lambda: explain.CfConfig(tolerances=[0.1, None]), "tolerances must hold real numbers"),
+        (lambda: sensors.LinearModel([True, 2.0], 0.0, 0, 3), "weights must hold real numbers"),
+        (lambda: explain.CfConfig(tolerances=[False, 0.1]), "tolerances must hold real numbers"),
         (lambda: explain.CfConfig(slack_penalty=True), "slack_penalty must be a real number"),
         (lambda: explain.CfConfig(slack_penalty="5"), "slack_penalty must be a real number"),
         (lambda: sensors.LinearModel([1.0], True, 0, 3), "bias must be a real number"),
@@ -1825,7 +1827,7 @@ def test_equal_values_hash_equal(make):
     ],
     ids=[
         "model-strings", "model-complex", "classifier-bools", "config-bool-tolerance",
-        "config-object-tolerances", "config-bool-penalty", "config-string-penalty",
+        "config-object-tolerances", "model-bool-among-floats", "config-bool-among-floats", "config-bool-penalty", "config-string-penalty",
         "model-bool-bias", "model-string-bias", "classifier-bool-bias", "panel-bools",
         "problem-strings", "problem-bool-bound", "margin-bool-tolerance",
     ],

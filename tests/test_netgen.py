@@ -3,7 +3,7 @@ import pytest
 
 from faultprint import detector, netgen
 from conftest import constant_panel
-from oracles import load_panel_csv, write_panel_csv
+from oracles import load_panel_csv, mixing_matrix_reference, write_panel_csv
 
 
 def test_rank_one_noise_free_panel_is_affine_between_columns():
@@ -544,5 +544,78 @@ def test_generated_panels_match_lfilter_walk(monkeypatch):
     monkeypatch.setattr(
         netgen, "_ar1", lambda x, a: lfilter([1.0], [1.0, -a], x, axis=0)
     )
+    for cfg, values in zip(configs, panels):
+        assert values.tobytes() == netgen.generate_clean(cfg).values.tobytes()
+
+
+@pytest.mark.parametrize("k, dim", [(1, 1), (1, 3), (7, 1), (80, 3), (80, 6), (33, 14)])
+def test_a_block_of_normals_reads_the_stream_as_one_row_at_a_time(k, dim):
+    # The mixing-matrix sampler rewinds the generator and redraws a block
+    # of as many rows as the one-at-a-time loop would have read.
+    for seed in range(20):
+        block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = block.normal(size=(k, dim))
+        one_by_one = np.array([rows.normal(size=dim) for _ in range(k)])
+        assert drawn.tobytes() == one_by_one.tobytes()
+        assert block.bit_generator.state == rows.bit_generator.state
+
+
+def _random_phasor(rng, dim: int) -> np.ndarray:
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return np.zeros(dim, dtype=complex)
+    amplitudes = rng.uniform(0.01, 1.0, size=dim) * (rng.uniform() if kind == 3 else 1.0)
+    return amplitudes * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
+
+
+@pytest.mark.parametrize("screen_noise", [0.0, 0.5])
+def test_mixing_matrix_matches_the_one_candidate_at_a_time_sampler(monkeypatch, screen_noise):
+    # Same matrix bytes (or the same error) and the same generator
+    # afterwards, over random sizes, latent dims and phasors.  With noise,
+    # every screened score is off by up to half the screen's margin, and
+    # the exact score still decides every pick.
+    pick_row, screen = netgen._pick_row, netgen._screen
+    used = []
+    noise = np.random.default_rng(7)
+
+    def counted(*args):
+        picked = pick_row(*args)
+        used.append(picked[0])
+        return picked
+
+    def noisy(*args):
+        scores = screen(*args)
+        return scores + screen_noise * netgen._SCREEN_MARGIN * noise.uniform(-1, 1, scores.shape)
+
+    monkeypatch.setattr(netgen, "_pick_row", counted)
+    monkeypatch.setattr(netgen, "_screen", noisy)
+    meta = np.random.default_rng(2024)
+    errors, dims = 0, set()
+    for _ in range(600):
+        seed = int(meta.integers(0, 2**31))
+        n_sensors, dim = int(meta.integers(1, 16)), int(meta.integers(1, 6))
+        phasor = _random_phasor(meta, dim)
+        outcomes = []
+        for sampler in (netgen._mixing_matrix, mixing_matrix_reference):
+            rng = np.random.default_rng(seed)
+            try:
+                outcome = sampler(rng, n_sensors, dim, phasor).tobytes()
+            except RuntimeError as exc:
+                outcome = str(exc)
+            outcomes.append((outcome, rng.normal()))
+        assert outcomes[0] == outcomes[1], (seed, n_sensors, dim, phasor)
+        errors += isinstance(outcomes[0][0], str)
+        dims.add(dim)
+    # Every kind of row came up: accepted at once, after some draws, and
+    # the best of all 80; and some matrices were rank deficient.
+    assert {1, netgen._ROW_DRAWS} <= set(used) and len(set(used)) > 10
+    assert errors > 0 and dims == {1, 2, 3, 4, 5}
+
+
+def test_generated_panels_match_the_one_candidate_at_a_time_sampler(monkeypatch):
+    configs = [netgen.ScenarioConfig(seed=seed) for seed in range(4)]
+    configs.append(netgen.ScenarioConfig(latent_dim=1, seed=5))
+    panels = [netgen.generate_clean(cfg).values for cfg in configs]
+    monkeypatch.setattr(netgen, "_mixing_matrix", mixing_matrix_reference)
     for cfg, values in zip(configs, panels):
         assert values.tobytes() == netgen.generate_clean(cfg).values.tobytes()

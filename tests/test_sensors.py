@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from faultprint import explain, localize, netgen, sensors
+from faultprint import detector, explain, localize, netgen, pipeline, sensors
 from conftest import constant_panel, fresh_copy, kept_program
 from oracles import normal_equations_fit, predict, window_average
 
@@ -311,3 +311,56 @@ def test_index_and_size_arguments_must_be_integers(name, call, good, bad):
     with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}"):
         call(panel, bad)
     call(panel, np.int64(good))  # a numpy integer is an integer
+
+
+def test_training_computes_the_window_means_once_per_panel(monkeypatch):
+    # Every fit and the calibration read one array of window means; the
+    # result is bit-equal to fitting each target and calibrating on its own.
+    calls = []
+    means = sensors.lagged_window_means
+    monkeypatch.setattr(
+        sensors, "lagged_window_means", lambda *args: calls.append(args[1]) or means(*args)
+    )
+    configs = [netgen.ScenarioConfig(seed=seed) for seed in (1, 2)]
+    panels = [netgen.generate_clean(cfg) for cfg in configs]
+    window, margin = 3, 1.1
+    trained = [
+        pipeline.train_scenario(panel, cfg.train_end, window, margin)
+        for panel, cfg in zip(panels, configs)
+    ]
+    assert calls == [window] * len(panels)
+
+    for panel, cfg, (ensemble, threshold) in zip(panels, configs, trained):
+        fit_range = (window, cfg.train_end)
+        # A new but equal panel per call, so no call can reuse another's means.
+        models = tuple(
+            sensors.fit_virtual_sensor(panel.with_values(panel.values), target, window, fit_range)
+            for target in panel.pressure_indices
+        )
+        reference = sensors.Ensemble(models=models, window=window)
+        expected = detector.calibrate_threshold(
+            reference, panel.with_values(panel.values), fit_range, margin=margin
+        )
+        assert [(m.weights.tobytes(), m.bias, m.target) for m in ensemble.models] == [
+            (m.weights.tobytes(), m.bias, m.target) for m in reference.models
+        ]
+        assert threshold == expected
+    # The reference computes its means for each fit and for the
+    # calibration: 12 + 1 per panel.
+    targets = len(panels[0].pressure_indices)
+    assert len(calls) == len(panels) * (1 + targets + 1)
+
+
+def test_kept_window_means_answer_only_their_own_window():
+    panel, scored = (random_panel(np.random.default_rng(seed)) for seed in (5, 6))
+    ensemble = sensors.train_ensemble(panel, 3)
+    # Scoring a panel keeps nothing on it, so a panel only detected on
+    # holds no second copy of its size.
+    detector.detect(ensemble, scored, 1.0)
+    assert sensors._KEPT_MEANS in vars(panel) and sensors._KEPT_MEANS not in vars(scored)
+    for window in (1, 2, 4):
+        fresh = sensors.fit_virtual_sensor(panel.with_values(panel.values), 0, window)
+        assert sensors.fit_virtual_sensor(panel, 0, window) == fresh
+    for bad in (3.0, True):
+        with pytest.raises(ValueError, match="^window must be an integer"):
+            sensors.fit_virtual_sensor(panel, 0, bad)
