@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import detector, explain, localize, optim, pipeline, plots
+from . import detector, explain, localize, pipeline, plots
 
 
 def _fmt(value: float) -> str:
@@ -157,7 +157,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(
         f"solve: {solution.status.value} by {solution.path} after "
         f"{solution.iterations} iterations, worst KKT ratio "
-        f"{optim.SolveAudit.from_records([solution]).max_ratio:.3g}, "
+        f"{solution.kkt_ratio:.3g}, "
         f"slack total {float(cf.slacks.sum()):.6g}"
     )
 
@@ -203,7 +203,7 @@ def _summary_markdown(report, results) -> str:
     detected = sum(res.detection.detected for res in results)
     delays = [res.detection.detection_delay for res in results if res.detection.detected]
     max_fp = max(res.detection.false_positive_rate for res in results)
-    audit = optim.SolveAudit()
+    audit = pipeline.SolveAudit()
     for res in results:
         audit = audit.merge(res.audit)
     lines = [

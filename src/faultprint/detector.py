@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgen import FaultSpec, ReadingsPanel
-from .optim import fields_equal, fields_hash
 from .sensors import Ensemble, _panel_means
+from .values import fields_equal, fields_hash
 
 MIN_CALIBRATION_STEPS = 50
 

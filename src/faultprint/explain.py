@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .netgen import ReadingsPanel, check_real
+from .netgen import ReadingsPanel
 from .sensors import Ensemble, LinearModel
+from .values import check_integer, check_real, fields_equal, fields_hash, frozen_array
 
 FEASIBLE_SLACK_TOL = 1e-6
 _CLASSIFIER_MARGIN = 1e-6  # excludes exact decision-boundary solutions
@@ -45,7 +46,7 @@ class ExplainError(RuntimeError):
 
 def _tolerance_array(tolerances) -> np.ndarray:
     """A frozen float copy of ``tolerances``, which must be nonnegative and finite."""
-    tolerances = optim.frozen_array("tolerances", tolerances)
+    tolerances = frozen_array("tolerances", tolerances)
     if not ((tolerances >= 0) & (tolerances < np.inf)).all():  # NaN fails too
         raise ValueError("tolerances must be nonnegative and finite")
     return tolerances
@@ -67,7 +68,7 @@ class CfConfig:
     dist: str = "abs"
     tolerances: float | np.ndarray = 0.0
 
-    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self) -> None:
         check_real("slack_penalty", self.slack_penalty)
@@ -96,7 +97,7 @@ class Counterfactual:
     excess: float  # largest miss of a row's tolerance, re-evaluated at x_cf
     solution: optim.Solution  # the certified solve it came from
 
-    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
@@ -110,10 +111,10 @@ class LinearClassifier:
     weights: np.ndarray
     bias: float
 
-    __eq__, __hash__ = optim.fields_equal, optim.fields_hash
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self) -> None:
-        weights = optim.frozen_array("weights", self.weights)
+        weights = frozen_array("weights", self.weights)
         if weights.ndim != 1:
             raise ValueError("classifier weights must be a vector")
         if not np.isfinite(weights).all():
@@ -135,8 +136,7 @@ def snapshot_at_alarm(panel: ReadingsPanel, ensemble: Ensemble, t: int) -> np.nd
     sensor applied to the snapshot's other channels), not on the trailing
     window the detector used, which keeps the program small and linear.
     """
-    if not optim.is_integer(t):
-        raise ValueError(f"t must be an integer, got {t!r}")
+    check_integer("t", t)
     if t < ensemble.window:
         raise ValueError(f"step {t} precedes the first full model window")
     if t >= panel.n_steps:

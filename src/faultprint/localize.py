@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .explain import Counterfactual
-from .optim import is_integer
+from .values import check_integer, is_integer
 
 ZERO_DELTA_TOL = 1e-12
 DEFAULT_ALARM_STEPS = 20
@@ -85,10 +85,7 @@ def aggregate_alarm_sequence(
     """
     if not len(predictions):
         raise ValueError("at least one alarm-step prediction is required")
-    if not is_integer(limit):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    check_integer("limit", limit, least=1)
     return _mode(predictions[:limit])
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count
@@ -20,7 +18,7 @@ from typing import Union, get_args
 
 import numpy as np
 
-from .optim import fields_equal, fields_hash, frozen_array, is_integer
+from .values import check_integer, check_real, fields_equal, fields_hash, frozen_array
 
 DIURNAL_PERIOD = 96  # steps per daily cycle (15-minute cadence analogy)
 
@@ -61,24 +59,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        least = {"n_pressure": 2, "n_flow": 0, "latent_dim": 1, "seed": 0}
         for name in ("n_pressure", "n_flow", "n_steps", "train_end", "latent_dim", "seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_pressure < 2:
-            raise ValueError("n_pressure must be at least 2")
-        if self.n_flow < 0:
-            raise ValueError("n_flow must be nonnegative")
+            check_integer(name, getattr(self, name), least.get(name))
         if not 0 < self.train_end < self.n_steps:
             raise ValueError("train_end must lie strictly inside [1, n_steps)")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be at least 1")
         if self.latent_dim > self.n_sensors:
             raise ValueError("latent_dim cannot exceed the sensor count")
-        if not 0 <= self.noise_std < np.inf:  # NaN fails too
-            raise ValueError("noise_std must be nonnegative and finite")
+        check_real("noise_std", self.noise_std)
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std!r}")
 
     @property
     def n_sensors(self) -> int:
@@ -130,22 +120,6 @@ class ReadingsPanel:
 
     def with_values(self, values: np.ndarray) -> "ReadingsPanel":
         return ReadingsPanel(values=values, kinds=self.kinds, labels=self.labels)
-
-
-def check_real(name: str, value, infinite_ok: bool = False) -> None:
-    """The fault kinds' rule for a parameter: raise ``ValueError``, naming
-    it, unless ``value`` is a real number (a bool is not one) that a float
-    can hold and that is finite, or with ``infinite_ok`` above -inf (so not
-    NaN)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        float(value)
-    except OverflowError as exc:  # say, an int past 2**1024
-        raise ValueError(f"{name} must be a real number a float can hold: {exc}") from None
-    if not (value > -math.inf if infinite_ok else math.isfinite(value)):
-        bound = "above -inf" if infinite_ok else "finite"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -210,12 +184,8 @@ class FaultSpec:
     onset: int
 
     def __post_init__(self) -> None:
-        for name in ("sensor", "onset"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        check_integer("sensor", self.sensor, least=0)
+        check_integer("onset", self.onset, least=0)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ for throughput.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .values import check_integer, fields_equal, fields_hash, frozen_array
 
 
 def _bound_on_first_call(name: str):
@@ -101,61 +103,6 @@ _EARLY_POLISH_WINDOW = 1e3  # try polishing within 3 orders of the target
 # KKT factors a problem family keeps.  Its polishes alternate between a few
 # row sets one row apart; each kept factor costs (n + k)^2 doubles.
 _KKT_KEPT = 4
-
-
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def frozen_array(name: str, value) -> np.ndarray:
-    """A C-ordered, read-only float copy of ``value``, so no later write to
-    the caller's array reaches the value that keeps it.  ``ValueError``,
-    naming the field, unless ``value`` holds integers or floats: a bool,
-    string, complex or object array is refused, not coerced."""
-    array = np.array(value, order="C")
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
-    if isinstance(value, (list, tuple)) and _holds_bool(value):  # [True, 2.0] became floats
-        raise ValueError(f"{name} must hold real numbers, got a bool among them")
-    array = array.astype(float, copy=False)
-    array.flags.writeable = False
-    return array
-
-
-def _holds_bool(value) -> bool:
-    """True if a list or tuple, at any depth, holds a bool or a bool array."""
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, np.ndarray) and value.dtype.kind == "b"
-    )
-
-
-def fields_equal(self, other) -> bool:
-    """``__eq__`` of a frozen dataclass with array fields: field by field,
-    arrays element by element (the generated tuple comparison cannot take
-    them)."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    for field in fields(self):
-        a, b = getattr(self, field.name), getattr(other, field.name)
-        if a is not b and not (
-            np.array_equal(a, b)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-            else a == b
-        ):
-            return False
-    return True
-
-
-def fields_hash(self) -> int:
-    """``__hash__`` that agrees with :func:`fields_equal`: an array hashes by
-    its shape, since equal arrays need not have equal bytes (0.0 == -0.0)."""
-    return hash(tuple(
-        value.shape if isinstance(value, np.ndarray) else value
-        for value in (getattr(self, field.name) for field in fields(self))
-    ))
 
 
 class SolveStatus(enum.Enum):
@@ -331,29 +278,10 @@ class Solution:
 
     __eq__, __hash__ = fields_equal, fields_hash
 
-
-@dataclass(frozen=True)
-class SolveAudit:
-    """Summary of the :class:`Solution` list of one unit of work."""
-
-    solves: int = 0
-    non_optimal: int = 0
-    max_ratio: float = 0.0  # worst residual over its tolerance, any component
-
-    @staticmethod
-    def from_records(records) -> "SolveAudit":
-        non_optimal, worst = 0, 0.0
-        for rec in records:
-            non_optimal += rec.status is not SolveStatus.OPTIMAL
-            worst = max(worst, _Certificate(rec.kkt, rec.kkt_tol).ratio)
-        return SolveAudit(len(records), non_optimal, worst)
-
-    def merge(self, other: "SolveAudit") -> "SolveAudit":
-        return SolveAudit(
-            self.solves + other.solves,
-            self.non_optimal + other.non_optimal,
-            max(self.max_ratio, other.max_ratio),
-        )
+    @property
+    def kkt_ratio(self) -> float:
+        """Worst KKT residual in units of its own tolerance."""
+        return _Certificate(self.kkt, self.kkt_tol).ratio
 
 
 def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> KktResiduals:
@@ -774,8 +702,7 @@ def solve(
         raise ValueError(f"tol_abs must be positive and finite, got {tol_abs}")
     if not 0 <= tol_rel < np.inf:
         raise ValueError(f"tol_rel must be nonnegative and finite, got {tol_rel}")
-    if not is_integer(max_iters) or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    check_integer("max_iters", max_iters, least=1)
     n, m = problem.n_vars, problem.n_constraints
     if dual_guess is not None:
         dual_guess = np.asarray(dual_guess, dtype=float)

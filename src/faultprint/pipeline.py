@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import detector, explain, localize, netgen, optim, sensors
+from . import detector, explain, localize, netgen, optim, sensors, values
 
 ENV_OUTDIR = "FAULTPRINT_OUTDIR"
 
@@ -65,13 +65,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one grid seed is required")
-        if not all(optim.is_integer(seed) and seed >= 0 for seed in self.seeds):
+        if not all(values.is_integer(seed) and seed >= 0 for seed in self.seeds):
             raise ConfigError(f"grid seeds must be nonnegative integers, got seeds = {self.seeds}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"grid seeds must not repeat, got seeds = {self.seeds}")
         for name in ("window", "alarm_steps", "max_iters"):
             value = getattr(self, name)
-            if not optim.is_integer(value) or value < 1:
+            if not values.is_integer(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
         if not self.magnitudes:
             raise ConfigError("the fault grid must not be empty")
@@ -80,19 +80,26 @@ class RunConfig:
             netgen.Drift(rate=0.0, cap=self.drift_cap)
         except ValueError as exc:
             raise ConfigError(f"drift_cap: {exc}") from None
-        for kind, values in self.magnitudes.items():
+        for kind, magnitudes in self.magnitudes.items():
             if kind not in netgen.FAULT_KIND_NAMES:
                 raise ConfigError(f"unknown fault kind in grid: {kind!r}")
-            if isinstance(values, str) or not isinstance(values, Iterable):
-                raise ConfigError(f"{kind} magnitudes must be a sequence, got {values!r}")
-            if not values:
+            if isinstance(magnitudes, str) or not isinstance(magnitudes, Iterable):
+                raise ConfigError(f"{kind} magnitudes must be a sequence, got {magnitudes!r}")
+            if not magnitudes:
                 raise ConfigError(f"fault kind {kind!r} has no magnitudes")
-            for value in values:
+            for value in magnitudes:
                 try:
                     _fault_kind(kind, value, self.drift_cap)
                 except ValueError as exc:
                     raise ConfigError(f"{kind} magnitudes: {exc}") from None
-        # Each check is written so that NaN fails it.
+        try:  # the real-number rule, and CfConfig's own for the fields it shares
+            for name in ("margin", "tol_abs", "tol_rel"):
+                values.check_real(name, getattr(self, name))
+            explain.CfConfig(
+                slack_penalty=self.slack_penalty, complexity=self.complexity, dist=self.dist
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 1.0 <= self.margin < math.inf:
             raise ConfigError("detector margin must be finite and at least 1")
         if not self.outdir:
@@ -116,9 +123,6 @@ class RunConfig:
                 f"train_end = {train_end} leaves no room for a fault onset in "
                 f"{n_steps} steps; it must be below {n_steps - _ONSET_LEAD - _ONSET_TAIL}"
             )
-        explain.CfConfig(  # reuse its validation for the shared fields
-            slack_penalty=self.slack_penalty, complexity=self.complexity, dist=self.dist
-        )
 
     def cf_config(self, threshold: float) -> explain.CfConfig:
         return explain.CfConfig(
@@ -176,11 +180,11 @@ def _fault_kind(name: str, magnitude, drift_cap) -> netgen.FaultKind:
     """Fault kind ``name`` at ``magnitude``; it raises ``ValueError`` for a bad one.
 
     A power failure's magnitude only varies the seed; it is held to the
-    kinds' rule for a parameter, :func:`netgen.check_real`.
+    kinds' rule for a parameter, :func:`values.check_real`.
     """
     kind = netgen.FAULT_KINDS[name]
     if kind is netgen.PowerFailure:
-        netgen.check_real("magnitude", magnitude)
+        values.check_real("magnitude", magnitude)
         return kind()
     if kind is netgen.Drift:
         return kind(rate=magnitude, cap=drift_cap)
@@ -299,7 +303,7 @@ def load_scenario_files(
     if not isinstance(meta, dict):
         raise ConfigError(f"{meta_path}: must hold a JSON object, got {meta!r}")
     train_end = meta.get("train_end")
-    if not optim.is_integer(train_end):
+    if not values.is_integer(train_end):
         raise ConfigError(f"{meta_path}: train_end must be an integer, got {train_end!r}")
     if not 0 < train_end < panel.n_steps:
         raise ConfigError(
@@ -347,13 +351,37 @@ def train_scenario(
 
 
 @dataclass(frozen=True)
+class SolveAudit:
+    """Summary of the :class:`optim.Solution` list of one unit of work."""
+
+    solves: int = 0
+    non_optimal: int = 0
+    max_ratio: float = 0.0  # worst residual over its tolerance, any component
+
+    @staticmethod
+    def from_records(records) -> "SolveAudit":
+        non_optimal, worst = 0, 0.0
+        for rec in records:
+            non_optimal += rec.status is not optim.SolveStatus.OPTIMAL
+            worst = max(worst, rec.kkt_ratio)
+        return SolveAudit(len(records), non_optimal, worst)
+
+    def merge(self, other: "SolveAudit") -> "SolveAudit":
+        return SolveAudit(
+            self.solves + other.solves,
+            self.non_optimal + other.non_optimal,
+            max(self.max_ratio, other.max_ratio),
+        )
+
+
+@dataclass(frozen=True)
 class ScenarioResult:
     """Everything the reports need about one evaluated scenario."""
 
     prediction: localize.ScenarioPrediction
     detection: detector.DetectionReport
     certificate_excess: float
-    audit: optim.SolveAudit
+    audit: SolveAudit
 
 
 class Localization(NamedTuple):
@@ -368,7 +396,7 @@ class Localization(NamedTuple):
     baseline_prediction: Optional[int]
     alarm_steps: int
     certificate_excess: float
-    audit: optim.SolveAudit
+    audit: SolveAudit
 
 
 def localize_scenario(
@@ -388,7 +416,7 @@ def localize_scenario(
     """
     steps = stream.alarm_steps()[: run.alarm_steps]
     if steps.size == 0:
-        return Localization(None, None, 0, -math.inf, optim.SolveAudit())
+        return Localization(None, None, 0, -math.inf, SolveAudit())
 
     cf_config = run.cf_config(threshold)
     solver_options = run.solver_options()
@@ -434,7 +462,7 @@ def localize_scenario(
         baseline_pred,
         int(steps.size),
         certificate_excess,
-        optim.SolveAudit.from_records(solutions),
+        SolveAudit.from_records(solutions),
     )
 
 
@@ -610,7 +638,7 @@ def load_run_config(path) -> RunConfig:
     try:
         return RunConfig(
             scenario=replace(base.scenario, **scenario),
-            magnitudes={kind: values for kind, values in magnitudes.items() if values},
+            magnitudes={kind: given for kind, given in magnitudes.items() if given},
             **fields,
         )
     except ValueError as exc:  # ScenarioConfig and CfConfig validate their fields

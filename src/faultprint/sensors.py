@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgen import ReadingsPanel, check_real
-from .optim import fields_equal, fields_hash, frozen_array, is_integer
+from .netgen import ReadingsPanel
+from .values import check_integer, check_real, fields_equal, fields_hash, frozen_array
 
 DEFAULT_WINDOW = 3
 _KEPT_MEANS = "_kept_window_means"
@@ -37,16 +37,12 @@ class LinearModel:
         if not np.isfinite(weights).all():
             raise ValueError("model coefficients must be finite")
         check_real("bias", self.bias)
-        for name in ("target", "window"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer("target", self.target)
+        check_integer("window", self.window, least=1)
         if not 0 <= self.target <= weights.shape[0]:
             raise ValueError(
                 f"target index {self.target} out of range for {weights.shape[0] + 1} sensors"
             )
-        if self.window < 1:
-            raise ValueError("window must be positive")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -81,20 +77,13 @@ class Ensemble:
         return tuple(m.target for m in self.models)
 
 
-def _check_window(window) -> None:
-    if not is_integer(window):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    if window < 1:
-        raise ValueError("window must be positive")
-
-
 def lagged_window_means(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing means over the previous ``window`` rows, for every channel.
 
     Row t of the result averages rows t-window .. t-1 and is valid for
     t >= window; earlier rows are NaN.
     """
-    _check_window(window)
+    check_integer("window", window, least=1)
     n_steps = values.shape[0]
     out = np.full_like(values, np.nan, dtype=float)
     if n_steps > window:
@@ -114,7 +103,7 @@ def _panel_means(panel: ReadingsPanel, window: int, keep: bool) -> np.ndarray:
     compared, hashed or shown.  Detection does not keep them: a panel
     that is only scored stays the size it was.
     """
-    _check_window(window)  # 3.0 == 3 would find the means kept for 3
+    check_integer("window", window, least=1)  # 3.0 == 3 would find the means kept for 3
     kept_window, means = vars(panel).get(_KEPT_MEANS, (None, None))
     if kept_window != window:
         means = lagged_window_means(panel.values, window)
@@ -135,8 +124,7 @@ def fit_virtual_sensor(
     Solved through an orthogonal factorization; a rank-deficient design
     yields the minimum-norm coefficient vector.
     """
-    if not is_integer(target):
-        raise ValueError(f"target must be an integer, got {target!r}")
+    check_integer("target", target)
     if not 0 <= target < panel.n_sensors:
         raise ValueError(f"target index {target} out of range")
     t_a, t_b = fit_range if fit_range is not None else (window, panel.n_steps)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,8 +83,24 @@ def test_config_invariants_rejected():
     ],
 )
 def test_config_rejects_non_integer_sizes_and_seeds(field_name, value):
-    with pytest.raises(ValueError, match=f"^{field_name} must be (an integer|nonnegative)"):
+    with pytest.raises(ValueError, match=f"^{field_name} must be (an integer|at least 0)"):
         netgen.ScenarioConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("0.1", "a real number, got '0.1'"),  # was a bare TypeError
+        (True, "a real number, got True"),  # was taken as 1.0
+        (None, "a real number, got None"),
+        (np.nan, "finite, got nan"),
+        (-np.inf, "finite, got -inf"),
+        (-0.5, "nonnegative, got -0.5"),
+    ],
+)
+def test_config_holds_noise_std_to_the_real_number_rule(value, message):
+    with pytest.raises(ValueError, match=f"^noise_std must be {re.escape(message)}$"):
+        netgen.ScenarioConfig(noise_std=value)
 
 
 def test_config_accepts_numpy_integers():

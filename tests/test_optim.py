@@ -348,14 +348,14 @@ def test_audit_collects_solve_records():
         kkt=optim.KktResiduals(1e-9, 3e-6, 0.0),
         kkt_tol=optim.KktTolerances(1e-7, 1e-6, 1e-7),
     )
-    audit = optim.SolveAudit.from_records(solved + [stalled])
+    audit = pipeline.SolveAudit.from_records(solved + [stalled])
     assert (audit.solves, audit.non_optimal) == (3, 1)
     assert audit.max_ratio == 3e-6 / 1e-6  # the worst component of any record
-    assert optim.SolveAudit.from_records(solved).max_ratio == max(
+    assert pipeline.SolveAudit.from_records(solved).max_ratio == max(
         r / t for rec in solved for r, t in zip(rec.kkt, rec.kkt_tol)
     )
-    assert optim.SolveAudit.from_records([]) == optim.SolveAudit()
-    merged = optim.SolveAudit.from_records(solved).merge(optim.SolveAudit.from_records([stalled]))
+    assert pipeline.SolveAudit.from_records([]) == pipeline.SolveAudit()
+    merged = pipeline.SolveAudit.from_records(solved).merge(pipeline.SolveAudit.from_records([stalled]))
     assert merged == audit
 
 
@@ -870,7 +870,7 @@ def test_a_tiny_tolerance_reads_an_infinite_ratio():
     problem = list(_loop_problems(np.random.default_rng(1), 24))[3]
     solution = optim.solve(problem, max_iters=60, tol_abs=5e-324, tol_rel=0.0)
     assert solution.status is optim.SolveStatus.MAX_ITERS
-    assert optim.SolveAudit.from_records([solution]).max_ratio == np.inf
+    assert pipeline.SolveAudit.from_records([solution]).max_ratio == np.inf
 
 
 def test_a_rho_update_keeps_the_textbook_dual(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faultprint import detector, explain, localize, netgen, optim, pipeline, plots
+from faultprint import detector, explain, localize, netgen, optim, pipeline, plots, values
 from faultprint.cli import main
 from conftest import count_program_builds, fresh_copy, record_solves, run_fresh
 
@@ -228,6 +228,32 @@ def test_negative_seed_flag_fails_before_writing(tmp_path, capsys):
     ],
 )
 def test_run_config_rejects_non_integers_before_writing(tmp_path, field_name, value):
+    out = tmp_path / "out"
+    with pytest.raises(pipeline.ConfigError, match=field_name):
+        pipeline.simulate_batch(pipeline.RunConfig(outdir=str(out), **{field_name: value}))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("margin", "2"),
+        ("margin", True),
+        ("tol_abs", None),
+        ("tol_abs", True),
+        ("tol_rel", "0"),
+        ("tol_rel", False),
+        ("slack_penalty", -1.0),
+        ("slack_penalty", True),
+        ("complexity", "l3"),
+        ("dist", "cubed"),
+    ],
+)
+def test_run_config_refuses_a_bad_real_or_counterfactual_field_as_a_config_error(
+    tmp_path, field_name, value
+):
+    # A string or None was a bare TypeError, a bool was taken as 1.0, and
+    # the counterfactual settings' errors escaped as plain ValueErrors.
     out = tmp_path / "out"
     with pytest.raises(pipeline.ConfigError, match=field_name):
         pipeline.simulate_batch(pipeline.RunConfig(outdir=str(out), **{field_name: value}))
@@ -565,7 +591,7 @@ _PRESSURE = tuple(range(8))
          "offset must be a real number a float can hold: int too large"),
         (("fault", "sensor"), 9, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 9"),
         (("fault", "sensor"), 8, f"fault.sensor must be one of the pressure channels {_PRESSURE}, got 8"),
-        (("fault", "sensor"), -1, "fault.sensor must be nonnegative, got -1"),
+        (("fault", "sensor"), -1, "fault.sensor must be at least 0, got -1"),
         (("fault", "sensor"), 1.0, "fault.sensor must be an integer, got 1.0"),
         (("fault", "onset"), 500, "fault.onset 500 is not after train_end 500"),
         (("fault", "onset"), 1200, "fault.onset must be a step below 1200, got 1200"),
@@ -981,6 +1007,7 @@ def test_cli_import_leaves_out_heavy_scipy_modules(tiny_run):
     assert "scipy.linalg.lapack" in solve
     assert "scipy.signal" not in solve
     assert "scipy.stats" not in solve
+    assert _scipy_imports(values) == set()
     assert _scipy_imports(netgen) == set()
     assert _scipy_imports(optim) == {"scipy.linalg.lapack"}
 
@@ -1036,7 +1063,7 @@ def test_localize_scenario_matches_a_step_by_step_reference(
         localize.aggregate_alarm_sequence(baseline_steps, run.alarm_steps),
         len(ensemble_steps),
         excess,
-        optim.SolveAudit.from_records(solutions),
+        pipeline.SolveAudit.from_records(solutions),
     )
     assert found == reference
     assert found.alarm_steps == run.alarm_steps

@@ -17,7 +17,7 @@ FAMILY_DIGESTS = ("family_sha256", "family_points_sha256", "family_explanations_
 STEP_BY_STEP = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-from faultprint import explain, optim, pipeline
+from faultprint import explain, pipeline
 import solve_digest
 
 def step_by_step(run, panel, ensemble, threshold, stream):
@@ -28,7 +28,7 @@ def step_by_step(run, panel, ensemble, threshold, stream):
             ensemble, x, config, solver_options=options, warm_start=cf
         )
         explain.baseline_counterfactuals(ensemble, x[None], config, solver_options=options)
-    return pipeline.Localization(None, None, 0, 0.0, optim.SolveAudit())
+    return pipeline.Localization(None, None, 0, 0.0, pipeline.SolveAudit())
 
 pipeline.localize_scenario = step_by_step
 solve_digest.main(sys.argv[3:])
