@@ -22,7 +22,9 @@ import numpy as np
 from . import optim
 from .netgen import ReadingsPanel
 from .sensors import Ensemble, LinearModel
-from .values import check_integer, check_real, fields_equal, fields_hash, frozen_array
+from .values import (
+    all_finite, check_integer, check_real, fields_equal, fields_hash, frozen_array,
+)
 
 FEASIBLE_SLACK_TOL = 1e-6
 _CLASSIFIER_MARGIN = 1e-6  # excludes exact decision-boundary solutions
@@ -100,7 +102,7 @@ class Counterfactual:
     __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.delta).all() and np.isfinite(self.x_cf).all()):
+        if not (all_finite(self.delta) and all_finite(self.x_cf)):
             raise ValueError("counterfactual contains non-finite values")
 
 

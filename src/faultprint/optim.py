@@ -44,12 +44,13 @@ for throughput.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .values import check_integer, fields_equal, fields_hash, frozen_array
+from .values import all_finite, check_integer, fields_equal, fields_hash, frozen_array
 
 
 def _bound_on_first_call(name: str):
@@ -146,7 +147,8 @@ class ConvexProblem:
             raise ValueError(f"A must have {n} columns, got {A.shape}")
         if not np.isfinite(P).all() or not np.isfinite(q).all() or not np.isfinite(A).all():
             raise ValueError("P, q, A must be finite")
-        if P.any():
+        linear = not P.any()  # a P of zeros, -0.0 included, makes an LP
+        if not linear:
             if not np.allclose(P, P.T, atol=1e-10):
                 raise ValueError("P must be symmetric")
             scale = max(1.0, float(np.abs(P).max()))
@@ -156,11 +158,14 @@ class ConvexProblem:
             object.__setattr__(self, name, arr)
         # Shared by the with_bounds family: {kept rows as bytes: _KktFactor}
         # for up to _KKT_KEPT row sets, least recently used first; {starting
-        # rho as bytes: iteration map T} of its latest ADMM start; and max
-        # |q|.
+        # rho as bytes: iteration map T} of its latest ADMM start; max |q|;
+        # whether P is zero; and where each maximum certification reads
+        # starts in the buffer of _kkt_pass.
         object.__setattr__(self, "_kkt_slot", {})
         object.__setattr__(self, "_x_step_slot", {})
         object.__setattr__(self, "_q_norm", np.abs(q).max(initial=0.0))
+        object.__setattr__(self, "_linear", linear)
+        object.__setattr__(self, "_kkt_layout", _kkt_starts(q.shape[0], A.shape[0], linear))
         self.__dict__.update(_bound_fields([self.l], [self.u], A.shape[0])[0])
 
     def with_bounds(self, l: np.ndarray, u: np.ndarray) -> "ConvexProblem":
@@ -214,6 +219,10 @@ class ConvexProblem:
         return self.A.shape[0]
 
     def objective(self, z: np.ndarray) -> float:
+        if self._linear:
+            # At a finite z the quadratic term is +0.0, which only turns a
+            # -0.0 of q'z into +0.0.
+            return float(self.q @ z) + 0.0
         return float(0.5 * z @ self.P @ z + self.q @ z)
 
 
@@ -221,9 +230,14 @@ def _bound_fields(l, u, m: int, count: int = 1) -> list[dict]:
     """The bound attributes of ``count`` problems of ``m`` constraint rows,
     from row i of ``l`` and ``u`` for problem i, validated in one pass.
 
-    Each holds its frozen ``l`` and ``u`` and the row masks polishing reads
-    on every call: finite bounds, and equality rows (None when there are
-    none), whose multiplier is free in sign.
+    Each holds its frozen bounds ``_lu``, ``[l; u]`` with ``l`` and ``u``
+    its rows, and what polishing and certification read on every call, as
+    ``(2, m)`` arrays whose row 0 is each row's lower side and row 1 its
+    upper side (see ``_SIDES``): which bounds are finite, and the
+    ``_pin_floor`` a dual's push must exceed to pin its row to that side
+    (0, or +inf on an infinite bound; an equality row's lower side, -inf,
+    always pins it and its upper side never does); and the equality rows
+    (None when there are none), whose multiplier is free in sign.
     """
     l, u = frozen_array("l", l), frozen_array("u", u)
     if l.shape != (count, m) or u.shape != (count, m):
@@ -236,11 +250,18 @@ def _bound_fields(l, u, m: int, count: int = 1) -> list[dict]:
     highest_l = np.maximum.reduce(l, axis=None, initial=-np.inf)
     if highest_l == np.inf or np.minimum.reduce(u, axis=None, initial=np.inf) == -np.inf:
         raise ValueError("l must be < +inf and u > -inf")
-    finite_l, finite_u, equality = np.isfinite(l), np.isfinite(u), l == u
+    lu = np.concatenate((l, u), axis=1).reshape(count, 2, m)
+    lu.flags.writeable = False
+    finite, equality = np.isfinite(lu), l == u
+    floor = np.where(finite, 0.0, np.inf)
+    any_equal = equality.any(axis=1).tolist()
+    if True in any_equal:
+        floor[:, 0][equality] = -np.inf
+        floor[:, 1][equality] = np.inf
     return [
-        {"l": l[i], "u": u[i], "_finite_l": finite_l[i], "_finite_u": finite_u[i],
-         "_equality": equality[i] if any_equal else None}
-        for i, any_equal in enumerate(equality.any(axis=1).tolist())
+        {"l": lu[i, 0], "u": lu[i, 1], "_lu": lu[i], "_finite": finite[i],
+         "_pin_floor": floor[i], "_equality": equality[i] if equal else None}
+        for i, equal in enumerate(any_equal)
     ]
 
 
@@ -297,51 +318,81 @@ def kkt_residuals(problem: ConvexProblem, z, y: np.ndarray | None = None) -> Kkt
     y = np.asarray(y, dtype=float)
     if z.shape != (problem.n_vars,) or y.shape != (problem.n_constraints,):
         raise ValueError("solution dimensions do not match the problem")
-    return _kkt_pass(problem, z, y, 0.0, 0.0)[0]
+    return _kkt_pass(problem, z, y, 0.0, 0.0)[0].kkt
+
+
+# Row 0 of a (2, m) array is about each row's lower bound, row 1 about its
+# upper bound: a dual y pushes on side s of row i when (_SIDES * y)[s, i] > 0.
+_SIDES = frozen_array("_SIDES", [[-1.0], [1.0]])
+_ZERO, _ONE = frozen_array("_ZERO", [0.0]), frozen_array("_ONE", [1.0])
+
+
+def _kkt_starts(n: int, m: int, linear: bool) -> tuple[np.ndarray, int]:
+    """Where each segment of :func:`_kkt_pass`'s buffer starts, and where its
+    absolute values start (after the first segment).
+
+    Each segment holds one leading value and then: ``[l - Az; Az - u]``
+    (2m), the dual's pushes (2m), the dual residual (n), ``Az`` (m), ``Az``
+    and ``z`` (m + n), ``q``, ``Pz`` unless P is zero, and ``A'y``, and
+    ``y`` (m).
+    """
+    lengths = (2 * m, 2 * m, n, m, m + n, (2 if linear else 3) * n, m)
+    starts = np.cumsum((0,) + lengths[:-1]) + np.arange(len(lengths))
+    return starts, int(starts[1])
 
 
 def _kkt_pass(
     problem: ConvexProblem, z: np.ndarray, y: np.ndarray, tol_abs: float, tol_rel: float
-) -> tuple[KktResiduals, KktTolerances, np.ndarray, np.ndarray]:
+) -> tuple[_Certificate, np.ndarray]:
     """Everything certification reads at (z, y), from one A z, P z and A'y.
 
-    Returns the KKT residuals, their tolerances, and the rows below their
-    lower and above their upper bound by more than 1e-9 (1 + max |A z|).
+    Returns the certificate (the KKT residuals and their tolerances) and,
+    as a ``(2, m)`` array, the rows below their lower bound (row 0) and
+    above their upper bound (row 1) by more than 1e-9 (1 + max |A z|).
+    P z is skipped when P is zero: at a finite z it is +0.0, which moves
+    no residual or tolerance.  The pass is fused: every vector whose
+    largest entry certification reads goes into one buffer (laid out by
+    :func:`_kkt_starts`), and one ``abs`` and one ``maximum.reduceat`` give
+    all seven maxima.  Each segment starts with the value its maximum
+    starts from (0, or 1 for max(1, |y|)), so none is empty, even with no
+    rows, and a NaN anywhere in z or y reaches a tolerance, which then
+    passes no residual.
     """
     az = problem.A @ z
-    pz = problem.P @ z
     aty = problem.A.T @ y
-    to_lower = problem.l - az
-    past_upper = az - problem.u
-    # The ufunc's own reduce: np.max and .max call it through Python-level
-    # wrappers that cost more than the reductions of these short vectors.
-    peak = np.maximum.reduce
-    primal = float(peak(np.maximum(to_lower, 0.0) + np.maximum(past_upper, 0.0), initial=0.0))
-
-    dual = float(peak(np.abs(pz + problem.q + aty), initial=0.0))
-
-    # On an infinite bound any push from the dual is itself the violation.
-    comp_up = np.maximum(y, 0.0)
-    comp_up[problem._finite_u] *= np.abs(past_upper)[problem._finite_u]
-    comp_lo = np.maximum(-y, 0.0)
-    comp_lo[problem._finite_l] *= np.abs(to_lower)[problem._finite_l]
-    comp = float(max(peak(comp_up, initial=0.0), peak(comp_lo, initial=0.0)))
-
-    az_norm = peak(np.abs(az), initial=0.0)
-    eps_pri = tol_abs + tol_rel * max(az_norm, peak(np.abs(z), initial=0.0))
-    eps_dua = tol_abs + tol_rel * max(
-        peak(np.abs(pz), initial=0.0), peak(np.abs(aty), initial=0.0), problem._q_norm
+    # [l - Az; Az - u]: a zero may carry either sign, which only the primal
+    # residual would show, and adding 0.0 sets it.
+    beyond = _SIDES * (az - problem._lu)
+    # The dual's push on each side, times the distance to that bound; on an
+    # infinite bound any push is itself the violation.
+    pushes = np.maximum(_SIDES * y, 0.0)
+    np.multiply(pushes, np.abs(beyond), out=pushes, where=problem._finite)
+    if problem._linear:
+        residual = problem.q + aty
+        dual_terms = (problem.q, aty)
+    else:
+        pz = problem.P @ z
+        residual = pz + problem.q
+        residual += aty
+        dual_terms = (problem.q, pz, aty)
+    buffer = np.concatenate((
+        _ZERO, beyond.ravel(), _ZERO, pushes.ravel(), _ZERO, residual, _ZERO, az, _ZERO, az, z,
+        _ZERO, *dual_terms, _ONE, y,
+    ))
+    starts, absolute = problem._kkt_layout
+    tail = buffer[absolute:]
+    np.abs(tail, out=tail)
+    primal, comp, dual, az_norm, pri_norm, dua_norm, y_scale = (
+        np.maximum.reduceat(buffer, starts).tolist()
     )
-    eps_comp = max(1.0, peak(np.abs(y), initial=0.0)) * eps_pri
-    gap = 1e-9 * (1.0 + az_norm)
-    return (
-        KktResiduals(primal=primal, dual=dual, complementarity=comp),
-        # Python floats, as the residuals: a ratio to a tiny tolerance then
-        # reads inf, without numpy's overflow warning.
-        KktTolerances(*map(float, (eps_pri, eps_dua, eps_comp))),
-        to_lower > gap,
-        past_upper > gap,
+    # Python floats, as the residuals: a ratio to a tiny tolerance then
+    # reads inf, without numpy's overflow warning.
+    eps_pri = tol_abs + tol_rel * pri_norm
+    certificate = _Certificate(
+        KktResiduals(primal + 0.0, dual, comp),
+        KktTolerances(eps_pri, tol_abs + tol_rel * dua_norm, y_scale * eps_pri),
     )
+    return certificate, beyond > 1e-9 * (1.0 + az_norm)
 
 
 class _Certificate(NamedTuple):
@@ -351,24 +402,26 @@ class _Certificate(NamedTuple):
     tol: KktTolerances
 
     def passes(self) -> bool:
-        """Every residual within its tolerance."""
-        return all(r <= t for r, t in zip(self.kkt, self.tol))
+        """Every residual within its tolerance, at a finite point.
 
-    @classmethod
-    def at(cls, problem: ConvexProblem, z, y, tol_abs: float, tol_rel: float) -> "_Certificate":
-        return cls(*_kkt_pass(problem, z, y, tol_abs, tol_rel)[:2])
+        A comparison with NaN is false, and a non-finite z or y makes the
+        complementarity tolerance NaN or infinite.
+        """
+        (primal, dual, comp), (eps_pri, eps_dua, eps_comp) = self
+        return primal <= eps_pri and dual <= eps_dua and comp <= eps_comp < math.inf
 
     @property
     def ratio(self) -> float:
         """Worst residual in units of its own tolerance."""
-        return max(r / t for r, t in zip(self.kkt, self.tol))
+        (primal, dual, comp), (eps_pri, eps_dua, eps_comp) = self
+        return max(primal / eps_pri, dual / eps_dua, comp / eps_comp)
 
 
 def _rho_vector(problem: ConvexProblem, base: float) -> np.ndarray:
     rho = np.full(problem.n_constraints, base)
     if problem._equality is not None:
         rho[problem._equality] = np.clip(base * _RHO_EQUALITY_BOOST, _RHO_MIN, _RHO_MAX)
-    rho[~(problem._finite_l | problem._finite_u)] = _RHO_MIN  # free rows
+    rho[~(problem._finite[0] | problem._finite[1])] = _RHO_MIN  # free rows
     return rho
 
 
@@ -424,13 +477,14 @@ def _primal_infeasibility_certificate(problem: ConvexProblem, dy: np.ndarray) ->
         return False
     v_up = np.maximum(v, 0.0)
     v_lo = np.minimum(v, 0.0)
-    if np.any((v_up > _INFEAS_TOL) & ~problem._finite_u):
+    finite_l, finite_u = problem._finite
+    if np.any((v_up > _INFEAS_TOL) & ~finite_u):
         return False
-    if np.any((v_lo < -_INFEAS_TOL) & ~problem._finite_l):
+    if np.any((v_lo < -_INFEAS_TOL) & ~finite_l):
         return False
     gap = float(
-        np.sum(np.where(problem._finite_u, problem.u, 0.0) * v_up)
-        + np.sum(np.where(problem._finite_l, problem.l, 0.0) * v_lo)
+        np.sum(np.where(finite_u, problem.u, 0.0) * v_up)
+        + np.sum(np.where(finite_l, problem.l, 0.0) * v_lo)
     )
     return gap < -_INFEAS_TOL
 
@@ -447,9 +501,10 @@ def _dual_infeasibility_certificate_scaled(
     if np.abs(P_s @ v).max(initial=0.0) > _INFEAS_TOL:
         return False
     av = problem.A @ v
-    if np.any((av > _INFEAS_TOL) & problem._finite_u):
+    finite_l, finite_u = problem._finite
+    if np.any((av > _INFEAS_TOL) & finite_u):
         return False
-    if np.any((av < -_INFEAS_TOL) & problem._finite_l):
+    if np.any((av < -_INFEAS_TOL) & finite_l):
         return False
     return True
 
@@ -477,13 +532,15 @@ def _factor_kkt(problem: ConvexProblem, a_red: np.ndarray) -> _KktFactor:
 def _active_set_solve(
     problem: ConvexProblem,
     y: np.ndarray,
-    lower_active: np.ndarray,
-    upper_active: np.ndarray,
+    pins: np.ndarray,
     preferred: np.ndarray | None = None,
     by_map: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Equality-solve with the given rows pinned to their bounds.
 
+    ``pins`` is ``(2, m)``: row 0 marks the rows pinned to their lower
+    bound, row 1 those pinned to their upper bound (see ``_SIDES``); the
+    candidates are the former and then the latter, each in row order.
     Candidates that are exactly the rows of one of the problem family's kept
     KKT factors are kept whole, with those factors: a selection found them
     linearly independent.  Other candidates, which degenerate guesses can
@@ -502,9 +559,9 @@ def _active_set_solve(
     returned as zero.  An equality row's dual is free in sign.
     """
     n = problem.n_vars
-    active = np.concatenate([lower_active, upper_active])
-    split = lower_active.shape[0]  # the rows pinned to their lower bound come first
-    bounds = np.concatenate([problem.l[lower_active], problem.u[upper_active]])
+    sides, active = pins.nonzero()  # row-major: the lower side's rows come first
+    split = active.shape[0] - np.count_nonzero(sides)
+    bounds = problem._lu[pins]
     # Rows are compared as bytes: np.array_equal costs more than this check.
     rows = active.tobytes()
     slot = problem._kkt_slot
@@ -534,7 +591,7 @@ def _active_set_solve(
         rhs = np.concatenate([-problem.q, bounds])
         # A singular system leaves a zero pivot, so the solve turns non-finite.
         sol = _getrs(factor.lu, factor.piv, rhs)[0]
-        if not np.isfinite(sol).all():
+        if not all_finite(sol):
             return None
         # Proximal refinement: K_reg = K + D with D = +reg on the variable
         # rows and -reg on the kept rows, so sol = K_reg^-1 (rhs + D sol)
@@ -543,7 +600,7 @@ def _active_set_solve(
         for _ in range(_POLISH_REFINE_STEPS):
             sol = _getrs(factor.lu, factor.piv, rhs + shift * sol)[0]
 
-    if not np.isfinite(sol).all():
+    if not all_finite(sol):
         return None
     x_pol = sol[:n]
     duals = sol[n:]
@@ -594,7 +651,9 @@ def _independent_rows(
     strength = np.abs(y[active])
     weights = np.maximum(strength / max(strength.max(initial=0.0), 1e-300), 1e-6)
     if preferred is not None and preferred.size:
-        weights[np.isin(active, preferred)] = 1e6
+        wanted = np.zeros(problem.n_constraints, dtype=bool)
+        wanted[preferred] = True
+        weights[wanted[active]] = 1e6
     if problem._equality is not None:
         weights[problem._equality[active]] = 1e6
     weighted = problem.A[active].T * weights
@@ -621,45 +680,44 @@ def _polish(
     either releases its wrong-signed rows (counted only when its primal and
     complementarity residuals pass), adds its violated rows and re-solves.
     Rounds stop at one that has neither, after ``2 * _POLISH_ROUNDS``, or,
-    while no row has been released, after ``_POLISH_ROUNDS``.  One pass
-    over the problem data (:func:`_kkt_pass`) gives each round both its
-    certificate and its violated rows.  The round with the smallest
+    while no row has been released, after ``_POLISH_ROUNDS``.  The pinned
+    rows are one ``(2, m)`` mask, lower sides in row 0 and upper sides in
+    row 1, first set from the guess by one comparison with the problem's
+    ``_pin_floor``; one fused pass over the problem data (:func:`_kkt_pass`)
+    gives each round both its certificate and its violated rows, as a mask
+    of the same layout that the next round's pins take in with one ``|=``.
+    The round with the smallest
     residual in tolerance units (the earliest on a tie) is returned with its
     certificate if that certificate passes.  Every round's factors are
     kept, so the next polish that repeats these rounds factors nothing.
     ``by_map`` (a polish from a caller's guess) solves each round through
     its row set's affine map, built once and kept with the factors.
     """
-    # A dual pushing on an infinite bound is iterate noise, never active.
-    lower = (y < 0) & problem._finite_l
-    upper = (y > 0) & problem._finite_u
-    if problem._equality is not None:
-        lower |= problem._equality
-        upper &= ~problem._equality
-    best = None
+    # Row 0 pins rows to their lower bound, row 1 to their upper bound.  A
+    # dual pushing on an infinite bound is iterate noise, never active.
+    pins = problem._pin_floor < _SIDES * y
+    best = preferred = None
     released = False
-    preferred = np.empty(0, dtype=int)
     for round_ in range(2 * _POLISH_ROUNDS):
-        result = _active_set_solve(
-            problem, y, lower.nonzero()[0], upper.nonzero()[0], preferred, by_map
-        )
+        result = _active_set_solve(problem, y, pins, preferred, by_map)
         if result is None:
             break
         z_pol, y_pol, wrong = result
-        kkt, tol, below, above = _kkt_pass(problem, z_pol, y_pol, tol_abs, tol_rel)
-        cert = _Certificate(kkt, tol)
-        if best is None or cert.ratio < best[2].ratio:
-            best = (z_pol, y_pol, cert)
-        violated = (below | above).nonzero()[0]
-        if wrong.size and kkt.primal <= tol.primal and kkt.complementarity <= tol.complementarity:
+        cert, outside = _kkt_pass(problem, z_pol, y_pol, tol_abs, tol_rel)
+        ratio = cert.ratio
+        if best is None or ratio < best_ratio:
+            best, best_ratio = (z_pol, y_pol, cert), ratio
+        violated = np.count_nonzero(outside)
+        (primal, _, comp), (eps_pri, _, eps_comp) = cert
+        if wrong.size and primal <= eps_pri and comp <= eps_comp:
             released = True
-            lower[wrong] = upper[wrong] = False
-        elif not violated.size or not released and round_ + 1 >= _POLISH_ROUNDS:
+            pins[:, wrong] = False
+        elif not violated or not released and round_ + 1 >= _POLISH_ROUNDS:
             break
-        if violated.size:
-            lower |= below
-            upper |= above
-            preferred = np.union1d(preferred, violated)
+        if violated:
+            pins |= outside
+            rows = (outside[0] | outside[1]).nonzero()[0]
+            preferred = rows if preferred is None else np.union1d(preferred, rows)
     return best if best is not None and best[2].passes() else None
 
 
@@ -703,12 +761,13 @@ def solve(
     if not 0 <= tol_rel < np.inf:
         raise ValueError(f"tol_rel must be nonnegative and finite, got {tol_rel}")
     check_integer("max_iters", max_iters, least=1)
+    tol_abs, tol_rel = float(tol_abs), float(tol_rel)  # so every tolerance is a Python float
     n, m = problem.n_vars, problem.n_constraints
     if dual_guess is not None:
         dual_guess = np.asarray(dual_guess, dtype=float)
         if dual_guess.shape != (m,):
             raise ValueError(f"dual_guess has shape {dual_guess.shape}, expected ({m},)")
-        if not np.isfinite(dual_guess).all():
+        if not all_finite(dual_guess):
             raise ValueError("dual_guess must be finite")
         guess = _polish(problem, dual_guess, tol_abs, tol_rel, by_map=True)
         if guess is not None:
@@ -789,7 +848,7 @@ def solve(
                 path = "final_polish" if converged else "early_polish"
                 return _finish(problem, *polished, SolveStatus.OPTIMAL, it, path)
             if converged:
-                cert = _Certificate.at(problem, x, y_cost, tol_abs, tol_rel)
+                cert = _kkt_pass(problem, x, y_cost, tol_abs, tol_rel)[0]
                 if cert.passes():
                     return _finish(
                         problem, x.copy(), y_cost, cert, SolveStatus.OPTIMAL, it, "admm"
@@ -825,7 +884,7 @@ def solve(
     # Every way out of the loop follows a check, which set x and y; x is a
     # view of the iteration state.
     x, y = x.copy(), y * cost
-    cert = _Certificate.at(problem, x, y, tol_abs, tol_rel)
+    cert = _kkt_pass(problem, x, y, tol_abs, tol_rel)[0]
     return _finish(problem, x, y, cert, status, it, "admm")
 
 

@@ -63,6 +63,8 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self) -> None:
+        if isinstance(self.seeds, str) or not isinstance(self.seeds, Iterable):
+            raise ConfigError(f"seeds must be a sequence of grid seeds, got seeds = {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("at least one grid seed is required")
         if not all(values.is_integer(seed) and seed >= 0 for seed in self.seeds):
@@ -102,6 +104,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if not 1.0 <= self.margin < math.inf:
             raise ConfigError("detector margin must be finite and at least 1")
+        if not isinstance(self.outdir, str):
+            raise ConfigError(f"outdir ([output] dir) must be a string, got {self.outdir!r}")
         if not self.outdir:
             raise ConfigError("outdir ([output] dir) must not be empty")
         if not 0 < self.tol_abs < math.inf:

@@ -44,6 +44,13 @@ def check_real(name: str, value, infinite_ok: bool = False) -> None:
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
+def all_finite(array) -> bool:
+    """True if no entry of ``array`` is NaN or infinite: ``np.isfinite(array).all()``
+    without the Python-level wrapper of ``.all()``, for checks on hot paths."""
+    finite = np.isfinite(array)
+    return np.count_nonzero(finite) == finite.size
+
+
 def frozen_array(name: str, value) -> np.ndarray:
     """A C-ordered, read-only float copy of ``value``, so no later write to
     the caller's array reaches the value that keeps it.  ``ValueError``,

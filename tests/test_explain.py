@@ -77,6 +77,20 @@ def test_feasible_origin_gives_zero_change():
     assert np.array_equal(cf.x_cf, x + cf.delta)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["delta", "x_cf"])
+def test_counterfactual_refuses_a_non_finite_change_or_snapshot(field, bad):
+    ensemble = toy_ensemble()
+    cf = explain.ensemble_counterfactual(
+        ensemble, np.array([2.0, 2.0, 3.0]), explain.CfConfig(tolerances=0.1)
+    )
+    values = getattr(cf, field).copy()
+    values[1] = bad
+    with pytest.raises(ValueError, match="^counterfactual contains non-finite values$"):
+        dataclasses.replace(cf, **{field: values})
+    assert dataclasses.replace(cf, **{field: getattr(cf, field).copy()}) == cf
+
+
 def test_build_returns_always_feasible_program():
     ensemble = toy_ensemble()
     cf = explain.ensemble_counterfactual(

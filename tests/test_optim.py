@@ -134,7 +134,7 @@ def test_certification_pass_matches_the_independent_recompute():
     infinite = signed_zero = lp = violated = 0
     for problem, z, y in _random_certificate_cases(rng):
         tol_abs, tol_rel = 10.0 ** rng.uniform(-12.0, -3.0, 2)
-        kkt, tol, below, above = optim._kkt_pass(problem, z, y, tol_abs, tol_rel)
+        (kkt, tol), (below, above) = optim._kkt_pass(problem, z, y, tol_abs, tol_rel)
         reference = kkt_residuals_reference(problem, z, y)
         assert np.array(kkt).tobytes() == np.array(reference).tobytes()
         assert np.array(optim.kkt_residuals(problem, z, y)).tobytes() == np.array(kkt).tobytes()
@@ -148,6 +148,68 @@ def test_certification_pass_matches_the_independent_recompute():
         lp += not problem.P.any()
         violated += bool((below | above).any())
     assert min(infinite, signed_zero, lp, violated) >= 20  # every kind was reached
+
+
+def test_residuals_of_a_p_of_negative_zeros_match_the_independent_recompute():
+    # -0.0 entries make P zero, so the pass skips P z, as for an LP: the
+    # residuals and tolerances stay those of the recompute, which forms P z.
+    rng = np.random.default_rng(61)
+    for problem, z, y in _random_certificate_cases(rng):
+        n = problem.n_vars
+        q = problem.q.copy()
+        q[rng.random(n) < 0.3] = -0.0
+        negative_zeros = optim.ConvexProblem(
+            P=np.full((n, n), -0.0), q=q, A=problem.A, l=problem.l, u=problem.u
+        )
+        assert negative_zeros._linear
+        kkt = optim.kkt_residuals(negative_zeros, z, y)
+        reference = kkt_residuals_reference(negative_zeros, z, y)
+        assert np.array(kkt).tobytes() == np.array(reference).tobytes()
+        tol = optim._kkt_pass(negative_zeros, z, y, 1e-7, 1e-9)[0].tol
+        reference_tol = kkt_tolerances_reference(negative_zeros, z, y, 1e-7, 1e-9)
+        assert np.array(tol).tobytes() == np.array(reference_tol).tobytes()
+
+
+def _zero_row_problems():
+    """An LP (any z is optimal, q = 0) and a QP, each with no constraint rows."""
+    none = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+    return (
+        optim.ConvexProblem.linear(np.zeros(2), *none),
+        optim.ConvexProblem(np.diag([1.0, 2.0]), np.array([1.0, -2.0]), *none),
+    )
+
+
+def test_a_problem_without_rows_solves_and_certifies():
+    for problem in _zero_row_problems():
+        cold = optim.solve(problem)
+        _assert_carries_own_certificate(
+            problem, cold, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
+        )
+        warm = optim.solve(problem, dual_guess=np.zeros(0))
+        assert (warm.path, warm.iterations) == ("warm", 0)
+        _assert_carries_own_certificate(
+            problem, warm, optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL
+        )
+        assert warm.z == pytest.approx([0.0, 0.0] if problem._linear else [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_point_with_a_non_finite_entry_never_passes(bad):
+    # Certified points of an LP and a QP with rows, and of both problems
+    # without rows, where no residual but only a tolerance can show z.
+    cases = [l1_equation_lp(3.0), simple_qp(), *_zero_row_problems()]
+    for problem in cases:
+        solution = optim.solve(problem)
+        tol = (optim.DEFAULT_TOL_ABS, optim.DEFAULT_TOL_REL)
+        assert optim._kkt_pass(problem, solution.z, solution.y, *tol)[0].passes()
+        for field in ("z", "y"):
+            point = {"z": solution.z.copy(), "y": solution.y.copy()}
+            if not point[field].size:
+                continue
+            point[field][0] = bad
+            with np.errstate(invalid="ignore"):  # inf times a zero entry of A
+                certificate = optim._kkt_pass(problem, point["z"], point["y"], *tol)[0]
+            assert not certificate.passes(), (problem, field)
 
 
 def _assert_carries_own_certificate(problem, solution, tol_abs, tol_rel):
@@ -489,9 +551,9 @@ def test_a_row_with_slack_is_never_pinned(monkeypatch):
     polishes = []
     active_set_solve = optim._active_set_solve
 
-    def recorded(problem, y, lower, upper, preferred=None, by_map=False):
-        polishes.append(set(lower.tolist()) | set(upper.tolist()))
-        return active_set_solve(problem, y, lower, upper, preferred, by_map)
+    def recorded(problem, y, pins, preferred=None, by_map=False):
+        polishes.append(set(pins.nonzero()[1].tolist()))
+        return active_set_solve(problem, y, pins, preferred, by_map)
 
     monkeypatch.setattr(optim, "_active_set_solve", recorded)
     solution = optim.solve(problem, tol_abs=1e-7, tol_rel=1e-7, max_iters=5000)
@@ -583,7 +645,7 @@ def test_active_set_solve_matches_wrapper_reference():
     over_pinned = 0
     for problem, y, lower, upper, preferred in cases:
         reference = active_set_solve_reference(problem, y, lower, upper, preferred)
-        result = optim._active_set_solve(problem, y, lower, upper, preferred)
+        result = optim._active_set_solve(problem, y, _pins(problem, lower, upper), preferred)
         _assert_same_bits(result, reference)
         over_pinned += reference is not None and lower.size + upper.size > problem.n_vars
     assert over_pinned > 0  # the rank-deficient cases did reach the selection
@@ -635,11 +697,25 @@ def test_active_set_solve_preferred_rows_match_wrapper_reference():
     )
     y = np.array([-1.0, -1e-3, 0.0])
     lower, upper = np.array([0, 1]), np.empty(0, dtype=int)
+    pins = _pins(problem, lower, upper)
     for preferred in (None, np.array([1])):
         reference = active_set_solve_reference(problem, y, lower, upper, preferred)
-        _assert_same_bits(optim._active_set_solve(problem, y, lower, upper, preferred), reference)
-    kept_weak = optim._active_set_solve(problem, y, lower, upper, np.array([1]))[1]
+        _assert_same_bits(optim._active_set_solve(problem, y, pins, preferred), reference)
+    kept_weak = optim._active_set_solve(problem, y, pins, np.array([1]))[1]
     assert kept_weak[0] == 0.0 and kept_weak[1] < 0.0
+
+
+def _pins(problem, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``optim._active_set_solve``'s ``(2, m)`` pins of rows ``lower`` to
+    their lower bound and rows ``upper`` to their upper bound."""
+    pins = np.zeros((2, problem.n_constraints), dtype=bool)
+    pins[0, lower] = pins[1, upper] = True
+    return pins
+
+
+def _pinned_rows(pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``(2, m)`` pins pin to their lower and to their upper bound."""
+    return pins[0].nonzero()[0], pins[1].nonzero()[0]
 
 
 def _fresh(problem) -> optim.ConvexProblem:
@@ -663,7 +739,7 @@ def test_singular_active_set_system_gives_none_like_the_reference():
     problem = _singular_problem()
     empty = np.empty(0, dtype=int)
     assert active_set_solve_reference(problem, np.zeros(2), empty, empty) is None
-    assert optim._active_set_solve(problem, np.zeros(2), empty, empty) is None
+    assert optim._active_set_solve(problem, np.zeros(2), _pins(problem, empty, empty)) is None
 
 
 def test_the_affine_map_path_matches_the_reference_to_rounding():
@@ -677,11 +753,12 @@ def test_the_affine_map_path_matches_the_reference_to_rounding():
     for problem, y, lower, upper, preferred in cases:
         reference = active_set_solve_reference(problem, y, lower, upper, preferred)
         mapped_family, lu_family = _fresh(problem), _fresh(problem)
-        mapped = optim._active_set_solve(mapped_family, y, lower, upper, preferred, True)
+        pins = _pins(problem, lower, upper)
+        mapped = optim._active_set_solve(mapped_family, y, pins, preferred, True)
         if reference is None:
             assert mapped is None
             continue
-        optim._active_set_solve(lu_family, y, lower, upper, preferred)
+        optim._active_set_solve(lu_family, y, pins, preferred)
         (rows, mapped_factor), (lu_rows, lu_factor) = map(_last_kept, (mapped_family, lu_family))
         assert rows == lu_rows
         assert mapped_factor.map is not None and lu_factor.map is None
@@ -721,7 +798,9 @@ def test_refined_polish_solves_the_unregularized_kkt_system():
         pinned = np.sort(rng.permutation(m)[:k])
         on_lower = rng.random(k) < 0.5
         lower, upper = pinned[on_lower], pinned[~on_lower]
-        x, y, _ = optim._active_set_solve(problem, rng.normal(size=m), lower, upper)
+        x, y, _ = optim._active_set_solve(
+            problem, rng.normal(size=m), _pins(problem, lower, upper)
+        )
         kept = np.concatenate([lower, upper])
         assert _last_kept(problem)[0] == kept.tobytes()  # every row kept: A[kept] has full rank
         kkt = np.block([[P, A[kept].T], [A[kept], np.zeros((k, k))]])
@@ -937,12 +1016,31 @@ def test_rows_the_family_kept_are_kept_without_a_new_selection(monkeypatch):
         # last round, here the round it returned
         assert list(base._kkt_slot)[-1] == np.concatenate([lower, upper]).tobytes()
         del geqp3[:]
-        result = optim._active_set_solve(problem, previous.y, lower, upper)
+        result = optim._active_set_solve(problem, previous.y, _pins(problem, lower, upper))
         reference = active_set_solve_reference(problem, previous.y, lower, upper)
         _assert_same_bits(result[:2], reference)
         previous = optim.solve(problem, dual_guess=previous.y)
         assert previous.path == "warm"
         assert geqp3 == []
+
+
+def test_a_repeated_warm_hit_runs_no_lapack_routine(monkeypatch):
+    # Once the family keeps the guess's row set with its affine map, a warm
+    # hit reads its point off that map, at the same or at other bounds, and
+    # the repeat returns the same solution.
+    base = l1_equation_lp(4.0)
+    guess = optim.solve(base).y
+    problem = base.with_bounds(l1_equation_lp(3.0).l, l1_equation_lp(3.0).u)
+    first = optim.solve(problem, dual_guess=guess)
+    assert first.path == "warm"
+    routines = ("_getrf", "_getri", "_geqp3", "_getrs")
+    calls = {name: _count_lapack(monkeypatch, name) for name in routines}
+    again = optim.solve(problem, dual_guess=guess)
+    assert again == first and again.path == "warm"
+    assert (again.z.tobytes(), again.y.tobytes()) == (first.z.tobytes(), first.y.tobytes())
+    other = base.with_bounds(l1_equation_lp(2.0).l, l1_equation_lp(2.0).u)
+    assert optim.solve(other, dual_guess=guess).path == "warm"
+    assert calls == {name: [] for name in calls}
 
 
 def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
@@ -960,7 +1058,7 @@ def test_kkt_factor_is_reused_only_within_its_problem_family(monkeypatch):
 
         def factorizations(candidate, lower):
             before, kept = len(calls), candidate._kkt_slot.get(lower.tobytes())
-            result = optim._active_set_solve(candidate, y, lower, empty)
+            result = optim._active_set_solve(candidate, y, _pins(candidate, lower, empty))
             _assert_same_bits(result[:2], active_set_solve_reference(candidate, y, lower, empty))
             # the rows just used are the most recently used, with the factor
             # they kept if none was made
@@ -1061,9 +1159,11 @@ def _record_active_set_solves(monkeypatch) -> list:
     records = []
     active_set_solve = optim._active_set_solve
 
-    def recorded(*args):
-        result = active_set_solve(*args)
-        records.append((args, result))
+    def recorded(problem, y, pins, *args):
+        # the rows as lower and upper index arrays: _polish changes its pins
+        # between rounds
+        result = active_set_solve(problem, y, pins, *args)
+        records.append(((problem, y, *_pinned_rows(pins), *args), result))
         return result
 
     monkeypatch.setattr(optim, "_active_set_solve", recorded)
@@ -1113,7 +1213,7 @@ def test_a_family_keeps_its_most_recently_used_kkt_factors(monkeypatch):
 
     def factorizations(i):
         before = len(getrf)
-        result = optim._active_set_solve(problem, y, sets[i], empty)
+        result = optim._active_set_solve(problem, y, _pins(problem, sets[i], empty))
         _assert_same_bits(result[:2], active_set_solve_reference(problem, y, sets[i], empty))
         assert list(problem._kkt_slot)[-1] == sets[i].tobytes()
         assert len(problem._kkt_slot) <= optim._KKT_KEPT
@@ -1177,7 +1277,7 @@ def test_an_evicted_set_gets_its_map_rebuilt_when_it_returns(monkeypatch):
 
     def built(i):
         del getrf[:], maps[:]
-        optim._active_set_solve(problem, y, sets[i], empty, None, True)
+        optim._active_set_solve(problem, y, _pins(problem, sets[i], empty), None, True)
         rows, factor = _last_kept(problem)
         assert rows == sets[i].tobytes() and factor.map is not None
         return len(getrf), len(maps)
@@ -1230,10 +1330,11 @@ def _record_polish_rounds(monkeypatch) -> list:
         polishes.append([])
         return polish(*args)
 
-    def counted_solve(problem, y, lower, upper, preferred=None, by_map=False):
+    def counted_solve(problem, y, pins, preferred=None, by_map=False):
+        lower, upper = _pinned_rows(pins)
         pinned = {(int(row), "l") for row in lower} | {(int(row), "u") for row in upper}
         polishes[-1].append(pinned)
-        return active_set_solve(problem, y, lower, upper, preferred, by_map)
+        return active_set_solve(problem, y, pins, preferred, by_map)
 
     monkeypatch.setattr(optim, "_polish", counted_polish)
     monkeypatch.setattr(optim, "_active_set_solve", counted_solve)
@@ -1403,7 +1504,7 @@ def test_a_bad_row_of_stacked_bounds_fails_as_with_bounds_does(bad):
     for problem, one, row_l, row_u in zip(problems, moved, l + 1.0, u + 1.0):
         assert one.A is problem.A and np.array_equal(one.l, row_l) and np.array_equal(one.u, row_u)
         alone = problem.with_bounds(row_l, row_u)
-        for name in ("l", "u", "_finite_l", "_finite_u"):
+        for name in ("l", "u", "_lu", "_finite", "_pin_floor"):
             assert getattr(alone, name).tobytes() == getattr(one, name).tobytes()
         assert alone._equality.tobytes() == one._equality.tobytes()
     if bad == "nan":

@@ -260,6 +260,22 @@ def test_run_config_refuses_a_bad_real_or_counterfactual_field_as_a_config_error
     assert not out.exists()
 
 
+def test_run_config_refuses_seeds_that_are_not_a_sequence():
+    # seeds=5 failed with a bare TypeError: 'int' object is not iterable.
+    for seeds in (5, 1.5, None):
+        with pytest.raises(pipeline.ConfigError, match=r"^seeds must be a sequence"):
+            pipeline.RunConfig(seeds=seeds)
+
+
+def test_run_config_refuses_an_outdir_that_is_not_a_string():
+    # outdir=5 was accepted, and failed only in resolved_outdir(), with a
+    # bare TypeError.
+    for outdir in (5, None, b"out"):
+        message = r"^outdir \(\[output\] dir\) must be a string"
+        with pytest.raises(pipeline.ConfigError, match=message):
+            pipeline.RunConfig(outdir=outdir)
+
+
 @pytest.mark.parametrize(
     "key, fields",
     [
